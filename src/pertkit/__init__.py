@@ -3,8 +3,8 @@
 Routines: standard Schrieffer-Wolff (``run_swt``), full diagonalization
 (``run_fd``), arbitrary-coupling elimination (``run_ace``) and least-action
 multi-block diagonalization (``run_la``), all over a shared graded-operator
-algebra with cached nested commutators, plus exact numeric oracles for
-verification.
+algebra whose series are summed per (order, nestedness), plus exact numeric
+oracles for verification.
 """
 
 from .engine import (
@@ -24,14 +24,9 @@ from .errors import (
     ResonantDenominator,
 )
 from .graded import (
-    CommutatorCache,
-    Composition,
     GradedOperator,
     commutator,
-    enumerate_compositions,
     identity_operator,
-    nested_commutator,
-    positive_compositions,
     zero_operator,
 )
 from .least_action import (
@@ -40,7 +35,6 @@ from .least_action import (
     block_project,
     compute_epsilon,
     compute_la_generator,
-    product_over_composition,
     run_la,
 )
 from .oracle import (
@@ -55,8 +49,6 @@ from .oracle import (
 
 __all__ = [
     "BlockStructure",
-    "CommutatorCache",
-    "Composition",
     "DegenerateSpectrum",
     "EigenFrame",
     "GradedOperator",
@@ -73,14 +65,10 @@ __all__ = [
     "compute_epsilon",
     "compute_la_generator",
     "convergence_scan",
-    "enumerate_compositions",
     "evaluate_at",
     "exact_block_diagonalize",
     "identity_operator",
-    "nested_commutator",
     "ordered_eigensystem",
-    "positive_compositions",
-    "product_over_composition",
     "rotate_operator",
     "run_ace",
     "run_fd",

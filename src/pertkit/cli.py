@@ -11,14 +11,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io
 from .engine import (
-    Diagnostics,
-    EigenFrame,
     Mask,
-    TransformResult,
     rotate_operator,
     run_ace,
     run_fd,
@@ -106,18 +101,7 @@ def cmd_rotate(args) -> int:
             f"rotation order {args.order} exceeds solved order {view.max_order}"
         )
     operator = io.load_operator(args.operator, view.dim, view.omega_d)
-    stub = TransformResult(
-        corrections=view.corrections,
-        generator=view.generator,
-        frame=EigenFrame.from_energies(np.zeros(view.dim)),
-        mask=Mask(np.zeros((view.dim, view.dim), dtype=bool)),
-        method="loaded",
-        max_order=view.max_order,
-        hbar=view.hbar,
-        omega_d=view.omega_d,
-        diagnostics=Diagnostics(),
-    )
-    rotated = rotate_operator(operator, stub, args.order)
+    rotated = rotate_operator(operator, view.generator, args.order)
     io.write_document(args.out, io.operator_document(rotated))
     return EXIT_OK
 

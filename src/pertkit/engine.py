@@ -1,16 +1,23 @@
 """Generator conditions and the SWT / FD / ACE transformation routines.
 
-All routines share one iterative loop.  At order n the known content K_n of
-the transformed Hamiltonian is assembled from cached nested-commutator
-chains (coefficient 1/m! for a chain of nestedness m, and -i*hbar/(m+1)! for
-chains whose base is a time derivative of an already-solved generator term).
-The part of K_n landing on masked entries fixes the generator order S^(n)
-through the elementwise condition
+All routines share one iterative loop over the transformed Hamiltonian
+
+    e^(-S) H e^(S) - i*hbar e^(-S) d/dt e^(S)
+        = sum_m C_m / m!  -  i*hbar sum_m D_m / (m+1)!,
+
+where C_m^(n) = sum_s [C_{m-1}^(n-s), S^(s)] sums every nested commutator of
+order n and nestedness m over the base H (C_0 = H), and D_m the same over
+the base dS/dt (D_0 = dS/dt).  At order n the known content K_n is the
+order-n part of that sum without [H0, S^(n)] and dS^(n)/dt, which need
+S^(n).  The part of K_n landing on masked entries fixes S^(n) through the
+elementwise condition
 
     S_ij,k = T_ij,k / (E_j - E_i - hbar*k*omega_d),
 
 which solves [H0, S] - i*hbar*dS/dt = -T in the eigenbasis of the diagonal
 unperturbed part.  The kept (unmasked) part of K_n is the order-n correction.
+Then [H0, S^(n)] joins C_1^(n) and dS^(n)/dt becomes D_0^(n).  Order n costs
+O(n^2) commutators, so a run through order N costs O(N^3).
 """
 
 from __future__ import annotations
@@ -23,12 +30,10 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, PertError, ResonantDenominator
 from .graded import (
-    CommutatorCache,
-    Composition,
     GradedOperator,
+    NestedSeries,
+    ProductTally,
     ZERO_RTOL,
-    enumerate_compositions,
-    nested_commutator,
     zero_operator,
 )
 
@@ -135,8 +140,8 @@ class Mask:
 
 @dataclass
 class Diagnostics:
-    cache_hits: int = 0
-    cache_misses: int = 0
+    #: dense d x d matrix products spent by the run
+    products: int = 0
     notes: list[str] = field(default_factory=list)
 
 
@@ -241,46 +246,13 @@ def _require_static_diagonal_order0(h: GradedOperator) -> np.ndarray:
     return diag.real.copy()
 
 
-def _assemble_known(
-    n: int,
-    bases: list[tuple[str, Mapping[int, GradedOperator]]],
-    generator: dict[int, GradedOperator],
-    d_generator: dict[int, GradedOperator],
-    cache: CommutatorCache,
-    hbar: float,
-    time_dependent: bool,
-    dim: int,
-    omega_d: float | None,
-) -> GradedOperator:
-    """Order-n content of the transformed Hamiltonian, excluding S^(n) terms."""
-    total = zero_operator(dim, omega_d)
-    for tag, series in bases:
-        allow_zero_head = tag == "H"
-        for comp in enumerate_compositions(n, allow_zero_head):
-            if tag == "H" and comp == Composition(0, (n,)):
-                continue  # [H0, S^(n)] enters through the generator solve
-            if comp.head not in series:
-                continue
-            chain = nested_commutator(series, comp, generator, cache, tag)
-            if chain.is_zero:
-                continue
-            total = total + chain * (1.0 / math.factorial(comp.nestedness))
-    if time_dependent:
-        for comp in enumerate_compositions(n, allow_zero_head=False):
-            if comp == Composition(n, ()):
-                continue  # -i*hbar*dS^(n)/dt enters through the generator solve
-            if comp.head not in d_generator:
-                continue
-            chain = nested_commutator(d_generator, comp, generator, cache, "dS")
-            if chain.is_zero:
-                continue
-            total = total + chain * (-1j * hbar / math.factorial(comp.nestedness + 1))
-    return total
+def _inverse_factorial(m: int) -> float:
+    return 1.0 / math.factorial(m)
 
 
 def _transform(
     method: str,
-    bases: list[tuple[str, Mapping[int, GradedOperator]]],
+    base: dict[int, GradedOperator],
     frame: EigenFrame,
     mask: Mask,
     max_order: int,
@@ -288,28 +260,34 @@ def _transform(
     omega_d: float | None,
     res_tol: float,
     time_dependent: bool,
-    order0: GradedOperator,
 ) -> TransformResult:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    cache = CommutatorCache()
+    tally = ProductTally()
     generator: dict[int, GradedOperator] = {}
     d_generator: dict[int, GradedOperator] = {}
-    corrections: dict[int, GradedOperator] = {0: order0}
+    chains = NestedSeries(base, generator, tally.commutator)
+    d_chains = NestedSeries(d_generator, generator, tally.commutator)
+
+    def ds_weight(m: int) -> complex:
+        return -1j * hbar / math.factorial(m + 1)
+
+    h0 = base[0]
+    corrections: dict[int, GradedOperator] = {0: h0}
     for n in range(1, max_order + 1):
-        known = _assemble_known(
-            n, bases, generator, d_generator, cache, hbar,
-            time_dependent, frame.dim, omega_d,
-        )
+        chains.extend(n)
+        known = chains.weighted_sum(n, _inverse_factorial, zero_operator(frame.dim, omega_d))
+        if time_dependent:
+            d_chains.extend(n)
+            known = d_chains.weighted_sum(n, ds_weight, known)
         masked = mask.project(known)
         s_n = solve_generator_order(masked, frame, mask, hbar, omega_d, res_tol)
         generator[n] = s_n
-        if time_dependent:
-            ds = s_n.time_derivative()
-            if not ds.is_zero:
-                d_generator[n] = ds
+        if not s_n.is_zero:
+            chains.add(1, n, tally.commutator(h0, s_n))
+            if time_dependent:
+                d_generator[n] = s_n.time_derivative()
         corrections[n] = known - masked
-    diagnostics = Diagnostics(cache_hits=cache.hits, cache_misses=cache.misses)
     return TransformResult(
         corrections=corrections,
         generator=generator,
@@ -319,7 +297,7 @@ def _transform(
         max_order=max_order,
         hbar=hbar,
         omega_d=omega_d,
-        diagnostics=diagnostics,
+        diagnostics=Diagnostics(products=tally.count),
     )
 
 
@@ -346,6 +324,8 @@ def run_swt(
     """
     if h_blocks.dim != v.dim:
         raise ValueError(f"dimension mismatch: {h_blocks.dim} vs {v.dim}")
+    _require_hermitian_graded(h_blocks, "h_blocks")
+    _require_hermitian_graded(v, "the perturbation")
     mask = Mask.block_off_diagonal(block_sizes)
     if mask.dim != h_blocks.dim:
         raise ValueError("block sizes must sum to the operator dimension")
@@ -356,11 +336,11 @@ def run_swt(
     omega_d = _merged_omega(h_blocks, v)
     diag = _require_static_diagonal_order0(h_blocks)
     frame = EigenFrame.from_energies(diag, deg_tol)
-    time_dependent = any(k != 0 for k in (*h_blocks.harmonics(), *v.harmonics()))
-    bases = [("H", h_blocks.by_order()), ("V", v.by_order())]
+    h = h_blocks + v
+    time_dependent = any(k != 0 for k in h.harmonics())
     return _transform(
-        "swt", bases, frame, mask, max_order, hbar, omega_d, res_tol,
-        time_dependent, h_blocks.order_part(0),
+        "swt", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
+        time_dependent,
     )
 
 
@@ -376,6 +356,7 @@ def run_fd(
     Requires the order-0 part diagonal and nondegenerate on every statically
     coupled pair of levels.
     """
+    _require_hermitian_graded(h, "the Hamiltonian")
     mask = Mask.full_off_diagonal(h.dim)
     diag = _require_static_diagonal_order0(h)
     frame = EigenFrame.from_energies(diag, deg_tol)
@@ -383,8 +364,8 @@ def run_fd(
     omega_d = _merged_omega(h)
     time_dependent = any(k != 0 for k in h.harmonics())
     return _transform(
-        "fd", [("H", h.by_order())], frame, mask, max_order, hbar, omega_d,
-        res_tol, time_dependent, h.order_part(0),
+        "fd", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
+        time_dependent,
     )
 
 
@@ -403,14 +384,20 @@ def run_ace(
     """
     if mask.dim != h.dim:
         raise ValueError(f"mask dimension {mask.dim} does not match operator {h.dim}")
+    _require_hermitian_graded(h, "the Hamiltonian")
     diag = _require_static_diagonal_order0(h)
     frame = EigenFrame.from_energies(diag, deg_tol)
     omega_d = _merged_omega(h)
     time_dependent = any(k != 0 for k in h.harmonics())
     return _transform(
-        "ace", [("H", h.by_order())], frame, mask, max_order, hbar, omega_d,
-        res_tol, time_dependent, h.order_part(0),
+        "ace", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
+        time_dependent,
     )
+
+
+def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
+    if not op.is_hermitian_graded():
+        raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
 
 
 def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
@@ -429,34 +416,45 @@ def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
             raise DegenerateSpectrum(int(i), int(jdx), float(frame.energies[i]))
 
 
+def rotate_by_order(
+    operator: GradedOperator,
+    generator: Mapping[int, GradedOperator],
+    up_to_order: int,
+    tally: ProductTally,
+) -> dict[int, GradedOperator]:
+    """Per-order terms of exp(-S) O exp(S) through ``up_to_order``.
+
+    The order-n term is sum_m C_m^(n) / m! with C_0 = O and S the solved
+    ``generator``, which must hold every order up to ``up_to_order``.
+    """
+    missing = [n for n in range(1, up_to_order + 1) if n not in generator]
+    if missing:
+        raise ValueError(
+            f"rotation order {up_to_order} exceeds solved order {missing[0] - 1}"
+        )
+    if any(s_n.dim != operator.dim for s_n in generator.values()):
+        raise ValueError("operator dimension does not match the generator")
+    base = operator.by_order()
+    chains = NestedSeries(base, generator, tally.commutator)
+    zero = zero_operator(operator.dim, operator.omega_d)
+    rotated = {0: base.get(0, zero)}
+    for n in range(1, up_to_order + 1):
+        chains.extend(n)
+        rotated[n] = chains.weighted_sum(n, _inverse_factorial, zero)
+    return rotated
+
+
 def rotate_operator(
     operator: GradedOperator,
-    result: TransformResult,
+    generator: Mapping[int, GradedOperator],
     up_to_order: int,
 ) -> GradedOperator:
-    """Rotate an arbitrary operator into the transformed frame.
+    """Rotate an arbitrary operator into the frame of a solved generator.
 
-    Returns exp(-S) O exp(S) truncated at total order ``up_to_order``,
-    assembled from cached nested-commutator chains with base O.
+    Returns exp(-S) O exp(S) truncated at total order ``up_to_order``, with
+    S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``).
     """
-    if up_to_order > result.max_order:
-        raise ValueError(
-            f"rotation order {up_to_order} exceeds solved order {result.max_order}"
-        )
-    if operator.dim != result.dim:
-        raise ValueError("operator dimension does not match the frame")
-    omega_d = operator.omega_d if operator.omega_d is not None else result.omega_d
-    cache = CommutatorCache()
-    base = operator.by_order()
-    total = base.get(0, zero_operator(operator.dim, omega_d))
-    for n in range(1, up_to_order + 1):
-        for comp in enumerate_compositions(n, allow_zero_head=True):
-            if comp.head not in base:
-                continue
-            if any(s > result.max_order for s in comp.tail):
-                continue
-            chain = nested_commutator(base, comp, result.generator, cache, "O")
-            if chain.is_zero:
-                continue
-            total = total + chain * (1.0 / math.factorial(comp.nestedness))
+    total = zero_operator(operator.dim, operator.omega_d)
+    for term in rotate_by_order(operator, generator, up_to_order, ProductTally()).values():
+        total = total + term
     return total

@@ -1,4 +1,4 @@
-"""Graded-operator arithmetic, composition enumeration and nested commutators.
+"""Graded-operator arithmetic and nested-commutator series.
 
 A graded operator is a family of dense d x d complex matrices indexed by
 (order, harmonic): it represents
@@ -9,20 +9,24 @@ where lambda is the formal perturbation bookkeeping parameter, j >= 0 the
 perturbative order and k the integer drive harmonic.  Orders combine
 additively under products; harmonics likewise.  Absent keys are zero.
 
-The nested-commutator engine at the bottom of this module evaluates chains
+Every series in the package is a sum of left-nested chains
 
-    [...[[base^(h), S^(s1)], S^(s2)], ..., S^(sm)]
+    [...[[base^(h), S^(s1)], S^(s2)], ..., S^(sm)]    or    base^(h) F^(s1) ... F^(sm)
 
-indexed by integer compositions (h; s1..sm) and caches every prefix, so a
-chain computed at one order is extended rather than recomputed at the next.
-Series coefficients (1/m! and friends) are deliberately not baked into the
-cache; they are applied at assembly time by the callers.
+whose coefficient depends only on the nestedness m (1/m!, -i*hbar/(m+1)!,
+binom(-1/2, m)).  ``NestedSeries`` therefore never enumerates the 2^n
+compositions (h; s1..sm) of an order n: it keeps one matrix per
+(nestedness, order),
+
+    C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),    C_0 = base,
+
+with op a commutator or a product.  Filling it through order N takes
+O(N^3) graded products.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,7 +49,8 @@ class GradedOperator:
     __slots__ = ("dim", "omega_d", "_terms")
 
     def __init__(self, dim: int, terms: Mapping[Key, np.ndarray] | None = None,
-                 omega_d: float | None = None, prune_scale: float = 0.0):
+                 omega_d: float | None = None,
+                 operand_scale: Mapping[Key, float] | None = None):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
@@ -58,7 +63,7 @@ class GradedOperator:
             if k != 0 and self.omega_d is None:
                 raise ValueError("omega_d is required when nonzero harmonics are present")
             staged[(j, k)] = _as_term_matrix(self.dim, mat)
-        self._terms = _prune(staged, prune_scale)
+        self._terms = _prune(staged, operand_scale or {})
         for mat in self._terms.values():
             mat.flags.writeable = False
 
@@ -121,15 +126,17 @@ class GradedOperator:
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         self._check_compatible(other)
         merged: dict[Key, np.ndarray] = dict(self._terms)
+        operand_scale: dict[Key, float] = {}
         for key, mat in other._terms.items():
-            if key in merged:
-                merged[key] = merged[key] + mat
-            else:
+            mine = merged.get(key)
+            if mine is None:
                 merged[key] = mat
-        # cancellations are judged against the operands, so a difference of
-        # nearly equal operators prunes to zero instead of keeping noise
-        floor = max(self.max_abs(), other.max_abs())
-        return GradedOperator(self.dim, merged, self._merged_omega(other), prune_scale=floor)
+            else:
+                merged[key] = mine + mat
+                # a difference of nearly equal terms prunes to zero instead of
+                # keeping round-off noise
+                operand_scale[key] = max(np.abs(mine).max(), np.abs(mat).max())
+        return GradedOperator(self.dim, merged, self._merged_omega(other), operand_scale)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + (-other)
@@ -148,15 +155,17 @@ class GradedOperator:
         """Graded product: convolution over both orders and harmonics."""
         self._check_compatible(other)
         out: dict[Key, np.ndarray] = {}
+        operand_scale: dict[Key, float] = {}
         for (j1, k1), m1 in self._terms.items():
             for (j2, k2), m2 in other._terms.items():
                 key = (j1 + j2, k1 + k2)
                 prod = m1 @ m2
+                operand_scale[key] = max(operand_scale.get(key, 0.0), np.abs(prod).max())
                 if key in out:
                     out[key] += prod
                 else:
                     out[key] = prod
-        return GradedOperator(self.dim, out, self._merged_omega(other))
+        return GradedOperator(self.dim, out, self._merged_omega(other), operand_scale)
 
     def adjoint(self) -> "GradedOperator":
         """Termwise conjugate transpose with the harmonic negated."""
@@ -180,14 +189,6 @@ class GradedOperator:
                 raise ValueError("omega_d is required to differentiate nonzero harmonics")
             out[(j, k)] = (1j * k * self.omega_d) * mat
         return GradedOperator(self.dim, out, self.omega_d)
-
-    def truncated(self, max_order: int) -> "GradedOperator":
-        """Drop every term with order above ``max_order``."""
-        return GradedOperator(
-            self.dim,
-            {key: m for key, m in self._terms.items() if key[0] <= max_order},
-            self.omega_d,
-        )
 
     def order_part(self, order: int) -> "GradedOperator":
         """The sub-operator holding only the terms of one order."""
@@ -218,17 +219,22 @@ class GradedOperator:
         return self.omega_d if self.omega_d is not None else other.omega_d
 
 
-def _prune(terms: dict[Key, np.ndarray], floor_scale: float = 0.0) -> dict[Key, np.ndarray]:
-    """Drop term matrices negligibly small next to the operator scale.
+def _prune(terms: dict[Key, np.ndarray],
+           operand_scale: Mapping[Key, float]) -> dict[Key, np.ndarray]:
+    """Drop the term matrices that are negligible next to their own operands.
 
-    The scale is the largest entry over all staged terms, or ``floor_scale``
-    when that is larger (used by sums so cancellation residue is dropped).
+    Each key is judged on its own: against the largest entry of the matrices
+    it was summed or multiplied from (``operand_scale``), else against
+    itself, so only exact zeros go.  Orders and harmonics never set each
+    other's scale, since lambda is formal and a small key is not a negligible
+    one.
     """
-    if not terms:
-        return {}
-    scale = max(max(np.abs(m).max() for m in terms.values()), floor_scale)
-    tol = ZERO_RTOL * scale
-    return {k: m for k, m in terms.items() if np.abs(m).max() > tol}
+    out = {}
+    for key, mat in terms.items():
+        size = np.abs(mat).max()
+        if size > ZERO_RTOL * max(size, operand_scale.get(key, 0.0)):
+            out[key] = mat
+    return out
 
 
 def zero_operator(dim: int, omega_d: float | None = None) -> GradedOperator:
@@ -245,130 +251,71 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 
 # ---------------------------------------------------------------------------
-# Compositions
+# Nested-commutator and power series
 # ---------------------------------------------------------------------------
 
 
-class Composition(NamedTuple):
-    """Ordered integer tuple indexing one nested-commutator chain.
+class ProductTally:
+    """Count of the dense d x d matrix products spent by graded products."""
 
-    ``head`` is the order of the base operator (0 allowed only for the
-    unperturbed base); ``tail`` holds the orders of the successive generator
-    factors.  head + sum(tail) is the total order, len(tail) the nestedness.
-    """
-
-    head: int
-    tail: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return self.head + sum(self.tail)
-
-    @property
-    def nestedness(self) -> int:
-        return len(self.tail)
-
-    def prefix(self) -> "Composition":
-        if not self.tail:
-            raise ValueError("a bare composition has no prefix")
-        return Composition(self.head, self.tail[:-1])
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.head, *self.tail)
-
-
-@lru_cache(maxsize=None)
-def positive_compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All ordered tuples of positive integers summing to n (2^(n-1) of them).
-
-    n = 0 yields the single empty tuple.  Ordered by increasing length, then
-    lexicographically.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-    for first in range(1, n + 1):
-        for rest in positive_compositions(n - first):
-            out.append((first, *rest))
-    out.sort(key=lambda t: (len(t), t))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def enumerate_compositions(n: int, allow_zero_head: bool) -> tuple[Composition, ...]:
-    """All compositions (head; tail) of total order n.
-
-    Tail parts are >= 1; the head is >= 0 when ``allow_zero_head`` else >= 1.
-    Deterministic order: ascending length, then lexicographic on the full
-    (head, *tail) tuple.  The count is 2^n with a zero head allowed and
-    2^(n-1) without.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo = 0 if allow_zero_head else 1
-    out = [
-        Composition(head, tail)
-        for head in range(lo, n + 1)
-        for tail in positive_compositions(n - head)
-    ]
-    out.sort(key=lambda c: (1 + len(c.tail), c.as_tuple()))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Nested commutator engine
-# ---------------------------------------------------------------------------
-
-
-class CommutatorCache:
-    """Memo table for nested-commutator chains, shared across one run.
-
-    Entries are keyed by (base tag, Composition); the entry for
-    (h; s1..sm) is the commutator of the entry for (h; s1..s_{m-1}) with
-    S^(sm).  Confined to a single transformation run (single writer).
-    """
+    __slots__ = ("count",)
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[str, Composition], GradedOperator] = {}
-        self.hits = 0
-        self.misses = 0
+        self.count = 0
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def product(self, a: GradedOperator, b: GradedOperator) -> GradedOperator:
+        self.count += len(a.keys()) * len(b.keys())
+        return a @ b
+
+    def commutator(self, a: GradedOperator, b: GradedOperator) -> GradedOperator:
+        self.count += 2 * len(a.keys()) * len(b.keys())
+        return commutator(a, b)
 
 
-def nested_commutator(
-    base: Mapping[int, GradedOperator],
-    comp: Composition,
-    generator: Mapping[int, GradedOperator],
-    cache: CommutatorCache,
-    tag: str = "H",
-) -> GradedOperator:
-    """Evaluate [...[base^(head), S^(s1)], ..., S^(sm)] with prefix caching.
+class NestedSeries:
+    """Left-nested chains over one base, summed per (nestedness, order).
 
-    ``base`` maps orders to single-order operators; ``generator`` maps orders
-    to solved generator terms.  Raises KeyError when the base order is absent
-    and LookupError when a referenced generator order has not been solved.
+    ``levels[m][n]`` is C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)), where
+    ``levels[0]`` is the base and F the ``factors``, both keyed by order and
+    held by reference, so entries a caller sets later are seen.  Absent
+    entries are zero.  ``extend(n)`` fills order n of every level m >= 1 from
+    the factor orders present at the time; a caller that solves F^(n) at
+    order n adds the chains using it afterwards with ``add``.
     """
-    key = (tag, comp)
-    found = cache.entries.get(key)
-    if found is not None:
-        cache.hits += 1
-        return found
-    cache.misses += 1
-    if not comp.tail:
-        if comp.head not in base:
-            raise KeyError(f"base series has no order-{comp.head} term")
-        value = base[comp.head]
-    else:
-        left = nested_commutator(base, comp.prefix(), generator, cache, tag)
-        s_order = comp.tail[-1]
-        if s_order not in generator:
-            raise LookupError(
-                f"generator order {s_order} referenced before being solved"
-            )
-        value = commutator(left, generator[s_order])
-    cache.entries[key] = value
-    return value
+
+    def __init__(
+        self,
+        base: dict[int, GradedOperator],
+        factors: Mapping[int, GradedOperator],
+        op: Callable[[GradedOperator, GradedOperator], GradedOperator],
+    ):
+        self.levels: list[dict[int, GradedOperator]] = [base]
+        self.factors = factors
+        self.op = op
+
+    def extend(self, n: int) -> None:
+        for m in range(1, n + 1):
+            if m == len(self.levels):
+                self.levels.append({})
+            below = self.levels[m - 1]
+            if not below:
+                break
+            for s in range(1, n + 1):
+                left, right = below.get(n - s), self.factors.get(s)
+                if left is None or right is None or left.is_zero or right.is_zero:
+                    continue
+                self.add(m, n, self.op(left, right))
+
+    def add(self, m: int, n: int, term: GradedOperator) -> None:
+        level = self.levels[m]
+        level[n] = level[n] + term if n in level else term
+
+    def weighted_sum(
+        self, n: int, weight: Callable[[int], complex], total: GradedOperator
+    ) -> GradedOperator:
+        """``total`` plus sum_m weight(m) * C_m^(n)."""
+        for m, level in enumerate(self.levels):
+            term = level.get(n)
+            if term is not None and not term.is_zero:
+                total = total + term * weight(m)
+        return total

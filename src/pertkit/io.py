@@ -203,10 +203,7 @@ def result_document(result: TransformResult, spec_hash: str) -> dict:
         "corrections": _series_to_json(result.corrections),
         "generator": _series_to_json(result.generator),
         "diagnostics": {
-            "cache": {
-                "hits": result.diagnostics.cache_hits,
-                "misses": result.diagnostics.cache_misses,
-            },
+            "products": result.diagnostics.products,
             "resonances": [],
             "tolerances": {"zero": ZERO_RTOL},
             "timings": None,

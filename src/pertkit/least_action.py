@@ -4,15 +4,18 @@ The exact least-action unitary for a block structure is
 U^dag = X^dag B(X) {B(X^dag) B(X)}^(-1/2), with X the full-diagonalization
 frame and B the block projector.  Expanding X = exp(-Z) in the perturbative
 full-diagonalization generator Z = sum_j Z^(j) turns U^dag into a series
-I + sum_j U^(j) whose generator S (U^dag = exp(S)) follows from a recursion
-over integer compositions:
+I + sum_j U^(j) whose generator S (U^dag = exp(S)) follows order by order:
 
     eps^(i)  -- order-i content of B(X^dag) B(X) - I (block diagonal),
     W^(i)    -- order-i content of X^dag B(X) - I,
     U^(i)    -- order-i content of U^dag - I after the (1+eps)^(-1/2) resum,
-    S^(j)    =  U^(j) - sum over multi-factor compositions of S.
+    S^(j)    =  U^(j) - sum_{m >= 2} (order-j part of S^m) / m!.
 
-Products over compositions are cached so high orders stay cheap.
+Every coefficient depends only on the number of factors in a product and B
+is linear, so all products of m factors and total order n are summed into
+one power P_m^(n) = sum_s P_{m-1}^(n-s) F^(s) of the series F (Z, eps or S).
+The powers, the convolutions over order and the final rotation each cost
+O(N^3) products through order N.
 """
 
 from __future__ import annotations
@@ -29,16 +32,10 @@ from .engine import (
     DEFAULT_RES_TOL,
     Mask,
     TransformResult,
+    rotate_by_order,
     run_fd,
 )
-from .graded import (
-    CommutatorCache,
-    GradedOperator,
-    enumerate_compositions,
-    nested_commutator,
-    positive_compositions,
-    zero_operator,
-)
+from .graded import GradedOperator, NestedSeries, ProductTally, zero_operator
 
 
 @dataclass(frozen=True)
@@ -81,51 +78,6 @@ def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
     )
 
 
-def block_project_matrix(mat: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    return np.where(blocks.in_block(), mat, 0.0)
-
-
-def product_over_composition(
-    series: Mapping[int, GradedOperator], comp: tuple[int, ...]
-) -> GradedOperator:
-    """Left-to-right product series[c1] @ ... @ series[cm].
-
-    Orders absent from the series count as zero, collapsing the product.
-    """
-    if not comp:
-        raise ValueError("composition must be nonempty")
-    dim = next(iter(series.values())).dim
-    out: GradedOperator | None = None
-    for part in comp:
-        factor = series.get(part)
-        if factor is None or factor.is_zero:
-            return zero_operator(dim)
-        out = factor if out is None else out @ factor
-    return out
-
-
-class _ProductCache:
-    """Memoized left-to-right products of a series over compositions."""
-
-    def __init__(self, series: Mapping[int, GradedOperator], dim: int):
-        self.series = series
-        self.dim = dim
-        self._memo: dict[tuple[int, ...], GradedOperator] = {}
-
-    def get(self, comp: tuple[int, ...]) -> GradedOperator:
-        found = self._memo.get(comp)
-        if found is not None:
-            return found
-        if len(comp) == 1:
-            value = self.series.get(comp[0], zero_operator(self.dim))
-        else:
-            left = self.get(comp[:-1])
-            right = self.series.get(comp[-1], zero_operator(self.dim))
-            value = zero_operator(self.dim) if (left.is_zero or right.is_zero) else left @ right
-        self._memo[comp] = value
-        return value
-
-
 @lru_cache(maxsize=None)
 def _half_binomial(m: int) -> float:
     """binom(-1/2, m), computed exactly and converted to float once."""
@@ -134,11 +86,6 @@ def _half_binomial(m: int) -> float:
         value *= Fraction(-1, 2) - (i - 1)
         value /= i
     return float(value)
-
-
-def _splittings(i: int) -> list[tuple[int, int]]:
-    """T(i, 2): ordered pairs of positive integers summing to i."""
-    return [(j, i - j) for j in range(1, i)]
 
 
 @dataclass
@@ -150,76 +97,37 @@ class LASeries:
     W: dict[int, GradedOperator]
     U: dict[int, GradedOperator]
     S: dict[int, GradedOperator]
+    #: dense d x d matrix products spent by the recursion
+    products: int = 0
 
 
-class _LABuilder:
-    def __init__(self, z: Mapping[int, GradedOperator], blocks: BlockStructure, dim: int):
-        self.blocks = blocks
-        self.dim = dim
-        self.z = dict(z)
-        self.z_prod = _ProductCache(self.z, dim)
-        self.bz_prod_memo: dict[tuple[int, ...], GradedOperator] = {}
-
-    def bz(self, comp: tuple[int, ...]) -> GradedOperator:
-        """B(Z^(comp)): block projection of a product over a composition."""
-        found = self.bz_prod_memo.get(comp)
-        if found is None:
-            found = block_project(self.z_prod.get(comp), self.blocks)
-            self.bz_prod_memo[comp] = found
-        return found
-
-    def epsilon_order(self, i: int) -> GradedOperator:
-        """Order-i term of B(X^dag) B(X) - I; block diagonal by construction."""
-        if i < 2:
-            raise ValueError("epsilon terms start at order 2")
-        total = zero_operator(self.dim)
-        for comp in positive_compositions(i):
-            if len(comp) % 2 == 0:
-                total = total + self.bz(comp) * (2.0 / math.factorial(len(comp)))
-        for j, k in _splittings(i):
-            for theta in positive_compositions(j):
-                bz_theta = self.bz(theta)
-                if bz_theta.is_zero:
-                    continue
-                for phi in positive_compositions(k):
-                    bz_phi = self.bz(phi)
-                    if bz_phi.is_zero:
-                        continue
-                    sign = -1.0 if len(phi) % 2 else 1.0
-                    coeff = sign / (math.factorial(len(theta)) * math.factorial(len(phi)))
-                    total = total + (bz_theta @ bz_phi) * coeff
-        return total
-
-    def w_order(self, i: int) -> GradedOperator:
-        """Order-i term of X^dag B(X) - I."""
-        total = zero_operator(self.dim)
-        for comp in positive_compositions(i):
-            prod = self.z_prod.get(comp)
-            if prod.is_zero:
-                continue
-            sign = -1.0 if len(comp) % 2 else 1.0
-            total = total + (prod + self.bz(comp) * sign) * (1.0 / math.factorial(len(comp)))
-        for j, k in _splittings(i):
-            for theta in positive_compositions(j):
-                z_theta = self.z_prod.get(theta)
-                if z_theta.is_zero:
-                    continue
-                for phi in positive_compositions(k):
-                    bz_phi = self.bz(phi)
-                    if bz_phi.is_zero:
-                        continue
-                    sign = -1.0 if len(phi) % 2 else 1.0
-                    coeff = sign / (math.factorial(len(theta)) * math.factorial(len(phi)))
-                    total = total + (z_theta @ bz_phi) * coeff
-        return total
+def _powers(
+    series: dict[int, GradedOperator], max_order: int, tally: ProductTally
+) -> NestedSeries:
+    """levels[m][n]: sum of all products series^(s0) ... series^(sm) of order n."""
+    powers = NestedSeries(series, series, tally.product)
+    for n in range(1, max_order + 1):
+        powers.extend(n)
+    return powers
 
 
-def compute_epsilon(
-    i: int, z: Mapping[int, GradedOperator], blocks: BlockStructure
+def _convolve(
+    a: Mapping[int, GradedOperator],
+    b: Mapping[int, GradedOperator],
+    n: int,
+    tally: ProductTally,
+    total: GradedOperator,
 ) -> GradedOperator:
-    """Order-i term of B(X^dag) B(X) - I for X = exp(-Z)."""
-    dim = next(iter(z.values())).dim if z else blocks.dim
-    return _LABuilder(z, blocks, dim).epsilon_order(i)
+    """``total`` plus the order-n part of (I + a)(I + b) - I."""
+    for j in range(0, n + 1):
+        left, right = a.get(j), b.get(n - j)
+        if j == n and left is not None:
+            total = total + left
+        elif j == 0 and right is not None:
+            total = total + right
+        elif left is not None and right is not None and not (left.is_zero or right.is_zero):
+            total = total + tally.product(left, right)
+    return total
 
 
 def compute_la_generator(
@@ -230,55 +138,56 @@ def compute_la_generator(
 ) -> LASeries:
     """Run the least-action recursion through ``max_order``.
 
-    ``z`` is the full-diagonalization generator series.  Products of epsilon
-    over compositions skip any composition containing a part below 2, since
-    the epsilon series starts at order 2.
+    ``z`` is the full-diagonalization generator series.  With P_m the m-th
+    power of Z (``_powers``), X = exp(-Z) and X^dag = exp(Z) have order-n
+    parts sum_m (-1)^m P_m^(n) / m! and sum_m P_m^(n) / m!.  Then eps = B(X^dag) B(X) - I, W = X^dag B(X) - I and
+    U^dag = (I + W)(I + eps)^(-1/2) are convolutions over order, the inverse
+    square root is sum_m binom(-1/2, m) eps^m, and S follows from
+    U^dag = exp(S) as S^(n) = U^(n) - sum_{m >= 2} Q_m^(n) / m! with Q_m the
+    m-th power of S, extended one order at a time.
     """
     if dim is None:
         dim = next(iter(z.values())).dim if z else blocks.dim
-    builder = _LABuilder(z, blocks, dim)
-    epsilon: dict[int, GradedOperator] = {}
-    for i in range(2, max_order + 1):
-        epsilon[i] = builder.epsilon_order(i)
-    eps_prod = _ProductCache(epsilon, dim)
+    tally = ProductTally()
+    zero = zero_operator(dim)
+    z = dict(z)
 
-    def eps_composite(comp: tuple[int, ...]) -> GradedOperator:
-        if any(part < 2 for part in comp):
-            return zero_operator(dim)
-        return eps_prod.get(comp)
+    def power_sum(powers: NestedSeries, n: int, weight) -> GradedOperator:
+        # powers.levels[m] holds the (m + 1)-th power
+        return powers.weighted_sum(n, lambda m: weight(m + 1), zero)
+
+    z_powers = _powers(z, max_order, tally)
+    x_dag = {n: power_sum(z_powers, n, lambda m: 1.0 / math.factorial(m))
+             for n in range(1, max_order + 1)}
+    x = {n: power_sum(z_powers, n, lambda m: (-1.0) ** m / math.factorial(m))
+         for n in range(1, max_order + 1)}
+    bx_dag = {n: block_project(op, blocks) for n, op in x_dag.items()}
+    bx = {n: block_project(op, blocks) for n, op in x.items()}
+
+    # eps^(1) = B(Z^(1)) - B(Z^(1)) vanishes, so eps starts at order 2
+    epsilon = {n: _convolve(bx_dag, bx, n, tally, zero) for n in range(2, max_order + 1)}
+    eps_powers = _powers(epsilon, max_order, tally)
+    inv_sqrt = {n: power_sum(eps_powers, n, _half_binomial) for n in range(2, max_order + 1)}
 
     w: dict[int, GradedOperator] = {}
     u: dict[int, GradedOperator] = {}
     s: dict[int, GradedOperator] = {}
-    s_prod = _ProductCache(s, dim)
-    for i in range(1, max_order + 1):
-        w[i] = builder.w_order(i)
-        total = w[i]
-        for theta in positive_compositions(i):
-            eps_term = eps_composite(theta)
-            if eps_term.is_zero:
-                continue
-            total = total + eps_term * _half_binomial(len(theta))
-        for j, k in _splittings(i):
-            w_j = w.get(j)
-            if w_j is None or w_j.is_zero:
-                continue
-            for theta in positive_compositions(k):
-                eps_term = eps_composite(theta)
-                if eps_term.is_zero:
-                    continue
-                total = total + (w_j @ eps_term) * _half_binomial(len(theta))
-        u[i] = total
-        s_i = u[i]
-        for theta in positive_compositions(i):
-            if len(theta) == 1:
-                continue
-            prod = s_prod.get(theta)
-            if prod.is_zero:
-                continue
-            s_i = s_i - prod * (1.0 / math.factorial(len(theta)))
-        s[i] = s_i
-    return LASeries(Z=dict(z), epsilon=epsilon, W=w, U=u, S=s)
+    s_powers = NestedSeries(s, s, tally.product)
+    for n in range(1, max_order + 1):
+        w[n] = _convolve(x_dag, bx, n, tally, zero)
+        u[n] = _convolve(w, inv_sqrt, n, tally, zero)
+        s_powers.extend(n)
+        s[n] = u[n] - power_sum(s_powers, n, lambda m: 1.0 / math.factorial(m))
+    return LASeries(Z=z, epsilon=epsilon, W=w, U=u, S=s, products=tally.count)
+
+
+def compute_epsilon(
+    i: int, z: Mapping[int, GradedOperator], blocks: BlockStructure
+) -> GradedOperator:
+    """Order-i term of B(X^dag) B(X) - I for X = exp(-Z)."""
+    if i < 2:
+        raise ValueError("epsilon terms start at order 2")
+    return compute_la_generator(z, blocks, i).epsilon[i]
 
 
 def run_la(
@@ -303,22 +212,10 @@ def run_la(
         raise ValueError("least-action transformation supports static input only")
     fd = run_fd(h, max_order, hbar=hbar, deg_tol=deg_tol, res_tol=res_tol)
     la = compute_la_generator(fd.generator, blocks, max_order, dim=h.dim)
-    cache = CommutatorCache()
-    base = h.by_order()
-    corrections: dict[int, GradedOperator] = {0: h.order_part(0)}
-    for n in range(1, max_order + 1):
-        total = zero_operator(h.dim)
-        for comp in enumerate_compositions(n, allow_zero_head=True):
-            if comp.head not in base:
-                continue
-            chain = nested_commutator(base, comp, la.S, cache, "H")
-            if chain.is_zero:
-                continue
-            total = total + chain * (1.0 / math.factorial(comp.nestedness))
-        corrections[n] = total
+    tally = ProductTally()
+    corrections = rotate_by_order(h, la.S, max_order, tally)
     diagnostics = fd.diagnostics
-    diagnostics.cache_hits += cache.hits
-    diagnostics.cache_misses += cache.misses
+    diagnostics.products += la.products + tally.count
     return TransformResult(
         corrections=corrections,
         generator=la.S,

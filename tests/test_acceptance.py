@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from composition_reference import reference_la, reference_transform
 from pertkit.engine import Mask, rotate_operator, run_ace, run_fd, run_swt
 from pertkit.graded import GradedOperator, commutator
 from pertkit.least_action import BlockStructure, run_la
@@ -120,7 +121,7 @@ def test_criterion_2_edsr_static_path(edsr_params):
     err = np.abs(got[interior, interior] - coef * pattern[interior, interior])
     assert err.max() < 1e-8 * abs(coef) * np.abs(pattern[interior, interior]).max()
 
-    rotated = rotate_operator(drive, result, up_to_order=2)
+    rotated = rotate_operator(drive, result.generator, up_to_order=2)
     amp = sigma_x_drive_amplitude(rotated, p.n_max)
     expected_amp = -p.omega * p.e0 * p.b_sl / (p.omega ** 2 - p.omega_z ** 2)
     assert abs(amp - expected_amp) < 1e-8 * abs(expected_amp)
@@ -162,7 +163,7 @@ def test_criterion_3_edsr_time_dependent_path(edsr_params):
         hh, vv, dd = build_edsr(resonant)
         swt = run_swt(hh, vv, [12, 12], max_order=2)
         amp_static = sigma_x_drive_amplitude(
-            rotate_operator(dd, swt, up_to_order=2), 12
+            rotate_operator(dd, swt.generator, up_to_order=2), 12
         )
         ace = run_ace(hh + vv + dd, edsr_parity_mask(12), max_order=2)
         amp_td = sigma_x_drive_amplitude(ace.corrections[2], 12)
@@ -300,9 +301,7 @@ def _sweep_instance(seed: int):
 
 def test_criterion_7_structural_invariants():
     start = time.perf_counter()
-    from pertkit.graded import CommutatorCache, Composition, nested_commutator
-
-    checked_cache = 0
+    checked_reference = 0
     for seed in range(200):
         h, rng = _sweep_instance(seed)
         d = h.dim
@@ -355,23 +354,20 @@ def test_criterion_7_structural_invariants():
         u_dagger, _ = exact_block_diagonalize(numeric, BlockStructure((half, d - half)))
         assert np.abs(u_dagger.conj().T @ u_dagger - np.eye(d)).max() < 1e-10, seed
 
-        # cold/warm cache agreement on a nontrivial chain
+        # the (order, nestedness) recursion equals the chain-by-chain sum
         if seed % 10 == 0:
-            base = {1: h.order_part(1)}
-            gen = {n: result.generator[n] for n in range(1, 4)}
-            comp = Composition(1, (1, 1))
-            warm = CommutatorCache()
-            first = nested_commutator(base, comp, gen, warm)
-            again = nested_commutator(base, comp, gen, warm)
-            cold = nested_commutator(base, comp, gen, CommutatorCache())
-            assert warm.hits > 0
-            for key in first.keys():
-                diff = np.abs(first.term(*key) - cold.term(*key)).max()
-                assert diff <= 1e-14 * max(np.abs(first.term(*key)).max(), 1.0)
-                diff2 = np.abs(first.term(*key) - again.term(*key)).max()
-                assert diff2 == 0.0
-            checked_cache += 1
-    assert checked_cache == 20
+            if routine == 3:
+                want = reference_la(static, BlockStructure((half, d - half)), 3)
+            else:
+                want = reference_transform(h, result.mask, 3)
+            scale = max(np.abs(h.term(0, 0)).max(), 1.0)
+            for got, ref in zip((result.corrections, result.generator), want):
+                for n in range(1, 4):
+                    for key in set(got[n].keys()) | set(ref[n].keys()):
+                        diff = np.abs(got[n].term(*key) - ref[n].term(*key)).max()
+                        assert diff <= 1e-14 * scale, (seed, n, key)
+            checked_reference += 1
+    assert checked_reference == 20
     _report("7 structural invariants", start, budget=180.0)
 
 

@@ -98,6 +98,23 @@ def test_nondiagonal_order0_precondition_exit_code(tmp_path):
     assert main(["transform", str(path), "--out", str(tmp_path / "o.json")]) == 3
 
 
+def test_non_hermitian_input_exit_code(tmp_path):
+    doc = {
+        "dim": 2,
+        "method": "fd",
+        "max_order": 2,
+        "terms": [
+            {"order": 0, "harmonic": 0, "matrix": mat_json(np.diag([0.0, 1.0]))},
+            {"order": 1, "harmonic": 0, "matrix": mat_json(np.array([[0.0, 0.1], [0.3, 0.0]]))},
+        ],
+    }
+    path = tmp_path / "skew.json"
+    write_json(path, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_rotate_identity_and_hash_check(two_level_problem, tmp_path):
     result = tmp_path / "result.json"
     assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0

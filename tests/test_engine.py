@@ -12,6 +12,8 @@ from pertkit.engine import (
 )
 from pertkit.errors import DegenerateSpectrum, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
+from pertkit.io import result_document
+from pertkit.least_action import run_la
 
 
 def sigma_x():
@@ -255,7 +257,7 @@ def test_ace_rejects_bad_masks():
 def test_rotate_identity_is_identity():
     h, v = two_level_inputs()
     result = run_swt(h, v, [1, 1], max_order=3)
-    rotated = rotate_operator(identity_operator(2), result, up_to_order=3)
+    rotated = rotate_operator(identity_operator(2), result.generator, up_to_order=3)
     assert set(rotated.keys()) == {(0, 0)}
     np.testing.assert_allclose(rotated.term(0, 0), np.eye(2))
 
@@ -268,7 +270,7 @@ def test_rotate_hamiltonian_reproduces_corrections():
     off -= np.diag(np.diag(off))
     h = GradedOperator(d, {(0, 0): h0, (1, 0): off})
     result = run_fd(h, max_order=4)
-    rotated = rotate_operator(h, result, up_to_order=4)
+    rotated = rotate_operator(h, result.generator, up_to_order=4)
     reference = result.effective_hamiltonian(4)
     for key in set(rotated.keys()) | set(reference.keys()):
         assert np.abs(rotated.term(*key) - reference.term(*key)).max() < 1e-12
@@ -278,7 +280,7 @@ def test_rotate_rejects_order_beyond_solved():
     h, v = two_level_inputs()
     result = run_swt(h, v, [1, 1], max_order=2)
     with pytest.raises(ValueError, match="exceeds"):
-        rotate_operator(identity_operator(2), result, up_to_order=3)
+        rotate_operator(identity_operator(2), result.generator, up_to_order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +402,57 @@ def test_elimination_invariant_swt():
     for n in range(1, 5):
         for _, mat in result.corrections[n].items():
             assert np.abs(mat[eliminated]).max() < 1e-12
+
+
+def test_effective_hamiltonian_keeps_every_correction():
+    # lambda is formal: a small high-order key is not negligible next to H0
+    h, v = two_level_inputs(g=0.003)
+    result = run_swt(h, v, [1, 1], max_order=8)
+    held = {key for corr in result.corrections.values() for key in corr.keys()}
+    assert {(6, 0), (8, 0)} <= held
+    total = result.effective_hamiltonian()
+    assert set(total.keys()) == held
+    np.testing.assert_array_equal(total.term(8, 0), result.corrections[8].term(8, 0))
+
+
+def test_product_count_grows_polynomially_with_order():
+    # the (order, nestedness) recursion costs O(N^3) products, about 8x from
+    # order 10 to 20; summing the 2^n chains of each order would cost ~1000x
+    rng = np.random.default_rng(8)
+    off = 0.05 * random_hermitian(4, rng)
+    off -= np.diag(np.diag(off))
+    h = GradedOperator(4, {(0, 0): np.diag([0.0, 1.0, 2.1, 3.3]), (1, 0): off})
+    low = run_fd(h, max_order=10)
+    high = run_fd(h, max_order=20)
+    assert 0 < low.diagnostics.products
+    assert high.diagnostics.products < 16 * low.diagnostics.products
+    doc = result_document(high, "0" * 64)
+    assert doc["diagnostics"]["products"] == high.diagnostics.products
+
+
+# ---------------------------------------------------------------------------
+# input validation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("routine", ["swt", "fd", "fd-driven", "ace", "la"])
+def test_non_hermitian_input_rejected(routine):
+    h0 = np.diag([0.0, 1.0])
+    skew = np.array([[0.0, 0.1], [0.3, 0.0]])
+    h = GradedOperator(2, {(0, 0): h0, (1, 0): skew})
+    with pytest.raises(PertError, match="hermitian"):
+        if routine == "swt":
+            run_swt(GradedOperator(2, {(0, 0): h0}), GradedOperator(2, {(1, 0): skew}),
+                    [1, 1], max_order=2)
+        elif routine == "fd":
+            run_fd(h, max_order=2)
+        elif routine == "fd-driven":
+            # each harmonic is hermitian, but M[1, 1]^dag != M[1, -1]
+            drive = GradedOperator(
+                2, {(0, 0): h0, (1, 1): sigma_x(), (1, -1): 0.5 * sigma_x()}, omega_d=0.3
+            )
+            run_fd(drive, max_order=2)
+        elif routine == "ace":
+            run_ace(h, Mask.full_off_diagonal(2), max_order=2)
+        else:
+            run_la(h, [1, 1], max_order=2)

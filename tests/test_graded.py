@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from pertkit.graded import (
+from composition_reference import (
     CommutatorCache,
     Composition,
-    GradedOperator,
-    commutator,
     enumerate_compositions,
-    identity_operator,
     nested_commutator,
     positive_compositions,
+)
+from pertkit.graded import (
+    GradedOperator,
+    commutator,
+    identity_operator,
     zero_operator,
 )
 

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pertkit.engine import run_swt
-from pertkit.graded import GradedOperator, positive_compositions, zero_operator
+from composition_reference import positive_compositions, product_over_composition
+from pertkit.engine import Mask, run_swt
+from pertkit.graded import GradedOperator, zero_operator
 from pertkit.least_action import (
     BlockStructure,
     block_project,
     compute_epsilon,
     compute_la_generator,
-    product_over_composition,
     run_la,
 )
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
@@ -297,3 +299,29 @@ def test_la_rejects_time_dependence():
     )
     with pytest.raises(ValueError, match="static"):
         run_la(h, BlockStructure((1, 1)), max_order=2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    sizes=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 4)]),
+    coupling=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
+    # for two blocks Schrieffer-Wolff is the direct rotation, which is the
+    # least-action one, so the series agree order by order
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    levels = np.cumsum(rng.uniform(0.5, 1.5, size=d))
+    rng.shuffle(levels)
+    off = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    off = coupling * (off + off.conj().T) / 2
+    off -= np.diag(np.diag(off))
+    h = GradedOperator(d, {(0, 0): np.diag(levels), (1, 0): off})
+    mask = Mask.block_off_diagonal(sizes)
+    swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
+    la = run_la(h, BlockStructure(sizes), max_order=8)
+    scale = levels.max()
+    for n in range(1, 9):
+        assert (swt.corrections[n] - la.corrections[n]).max_abs() <= 1e-14 * scale, n
+        assert (swt.generator[n] - la.generator[n]).max_abs() <= 1e-14 * scale, n

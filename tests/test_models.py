@@ -127,7 +127,7 @@ def test_edsr_rotated_drive_matches_closed_form(edsr_params):
     p = edsr_params
     h, v, drive = build_edsr(p)
     result = run_swt(h, v, [p.n_max, p.n_max], max_order=2)
-    rotated = rotate_operator(drive, result, up_to_order=2)
+    rotated = rotate_operator(drive, result.generator, up_to_order=2)
     expected = -p.omega * p.e0 * p.b_sl / (p.omega ** 2 - p.omega_z ** 2)
     got = sigma_x_drive_amplitude(rotated, p.n_max)
     assert abs(got - expected) < 1e-8 * abs(expected)
@@ -178,7 +178,7 @@ def test_edsr_two_approaches_converge_at_resonance(edsr_params):
         h, v, drive = build_edsr(p)
         swt = run_swt(h, v, [p.n_max, p.n_max], max_order=2)
         amp_static = sigma_x_drive_amplitude(
-            rotate_operator(drive, swt, up_to_order=2), p.n_max
+            rotate_operator(drive, swt.generator, up_to_order=2), p.n_max
         )
         ace = run_ace(h + v + drive, edsr_parity_mask(p.n_max), max_order=2)
         amp_td = sigma_x_drive_amplitude(ace.corrections[1] + ace.corrections[2], p.n_max)
