@@ -18,6 +18,15 @@ which solves [H0, S] - i*hbar*dS/dt = -T in the eigenbasis of the diagonal
 unperturbed part.  The kept (unmasked) part of K_n is the order-n correction.
 Then [H0, S^(n)] joins C_1^(n) and dS^(n)/dt becomes D_0^(n).  Order n costs
 O(n^2) commutators, so a run through order N costs O(N^3).
+
+Inside the loop every entry (C_m^(n), D_m^(n), K_n, its masked part, S^(n))
+is a ``GradedSum`` that commutators and weighted terms are added into in
+place.  An entry is pruned once, when it is first read as an operand; C_1^(n)
+is read into K_n before [H0, S^(n)] joins it, so it is pruned again when the
+next order reads it.  Inputs are read as views of their ``GradedOperator``
+terms, and only the corrections and the generator handed out in the
+``TransformResult`` are frozen into ``GradedOperator``s, without a copy.
+``rotate_by_order`` runs the same recursion over an arbitrary operator.
 """
 
 from __future__ import annotations
@@ -31,15 +40,17 @@ import numpy as np
 from .errors import DegenerateSpectrum, PertError, ResonantDenominator
 from .graded import (
     GradedOperator,
+    GradedSum,
     NestedSeries,
     ProductTally,
     ZERO_RTOL,
+    freeze_series,
     zero_operator,
 )
 
-#: Default relative tolerance declaring two levels degenerate.
+#: Default tolerance, relative to the level spread, declaring two levels degenerate.
 DEFAULT_DEG_TOL = 1e-9
-#: Default relative tolerance declaring a denominator resonant.
+#: Default tolerance, relative to the level spread, declaring a denominator resonant.
 DEFAULT_RES_TOL = 1e-9
 
 
@@ -54,7 +65,7 @@ class EigenFrame:
     @staticmethod
     def from_energies(energies: np.ndarray, deg_tol: float | None = None) -> "EigenFrame":
         e = np.array(energies, dtype=float)  # own copy; frozen below
-        scale = np.abs(e).max() if e.size else 0.0
+        scale = _spread(e)
         tol = deg_tol if deg_tol is not None else DEFAULT_DEG_TOL * (scale or 1.0)
         order = np.argsort(e, kind="stable")
         classes: list[list[int]] = []
@@ -72,14 +83,22 @@ class EigenFrame:
         return len(self.energies)
 
     def energy_scale(self) -> float:
-        s = float(np.abs(self.energies).max()) if self.dim else 0.0
-        return s or 1.0
+        """The level spread max(E) - min(E), or 1 when all levels coincide.
+
+        Tolerances scale with it, not with max|E|, so that shifting H0 by a
+        multiple of the identity leaves them unchanged.
+        """
+        return _spread(self.energies) or 1.0
+
+
+def _spread(energies: np.ndarray) -> float:
+    return float(energies.max() - energies.min()) if energies.size else 0.0
 
 
 class Mask:
     """Hermitian-symmetric boolean pattern of couplings to eliminate."""
 
-    __slots__ = ("eliminate",)
+    __slots__ = ("eliminate", "keep")
 
     def __init__(self, eliminate: np.ndarray):
         el = np.asarray(eliminate, dtype=bool).copy()
@@ -91,6 +110,8 @@ class Mask:
             raise ValueError("mask must not target diagonal entries")
         el.flags.writeable = False
         self.eliminate = el
+        self.keep = ~el
+        self.keep.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -124,18 +145,11 @@ class Mask:
 
     def project(self, g: GradedOperator) -> GradedOperator:
         """Keep only masked entries, per (order, harmonic) key."""
-        return GradedOperator(
-            g.dim,
-            {key: np.where(self.eliminate, mat, 0.0) for key, mat in g.items()},
-            g.omega_d,
-        )
+        return GradedOperator._adopt(g.dim, GradedSum.of(g).where(self.eliminate), g.omega_d)
 
     def complement_project(self, g: GradedOperator) -> GradedOperator:
-        return GradedOperator(
-            g.dim,
-            {key: np.where(self.eliminate, 0.0, mat) for key, mat in g.items()},
-            g.omega_d,
-        )
+        """Keep only unmasked entries, per (order, harmonic) key."""
+        return GradedOperator._adopt(g.dim, GradedSum.of(g).where(self.keep), g.omega_d)
 
 
 @dataclass
@@ -168,11 +182,11 @@ class TransformResult:
         top = self.max_order if up_to_order is None else up_to_order
         if top > self.max_order:
             raise ValueError(f"order {top} exceeds solved order {self.max_order}")
-        total = zero_operator(self.dim, self.omega_d)
+        total = GradedSum()
         for n, corr in self.corrections.items():
             if n <= top:
-                total = total + corr
-        return total
+                total.add_scaled(GradedSum.of(corr), 1.0)
+        return GradedOperator._adopt(self.dim, total, self.omega_d)
 
 
 def solve_generator_order(
@@ -195,23 +209,37 @@ def solve_generator_order(
     orders = target.orders()
     if len(orders) != 1:
         raise ValueError(f"target must hold a single order, found {orders}")
-    (order,) = orders
+    s = _solve(orders[0], GradedSum.of(target), frame, mask, hbar, omega_d, res_tol)
+    return GradedOperator._adopt(frame.dim, s, omega_d)
+
+
+def _solve(
+    order: int,
+    target: GradedSum,
+    frame: EigenFrame,
+    mask: Mask,
+    hbar: float,
+    omega_d: float | None,
+    res_tol: float,
+) -> GradedSum:
+    """The order-``order`` generator for a masked ``target``, as a finished sum."""
     energies = frame.energies
-    scale = frame.energy_scale()
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for (_, k), mat in target.items():
+    tol = res_tol * frame.energy_scale()
+    out = GradedSum()
+    for (_, k), mat in target.terms.items():
         if k != 0 and omega_d is None:
             raise ValueError("omega_d is required for nonzero harmonics")
         shift = hbar * k * (omega_d or 0.0)
         denom = energies[None, :] - energies[:, None] - shift
-        significant = mask.eliminate & (np.abs(mat) > ZERO_RTOL * np.abs(mat).max())
-        resonant = significant & (np.abs(denom) < res_tol * scale)
+        size = np.abs(mat)
+        significant = mask.eliminate & (size > ZERO_RTOL * size.max())
+        resonant = significant & (np.abs(denom) < tol)
         if resonant.any():
             i, j = np.argwhere(resonant)[0]
             raise ResonantDenominator(int(i), int(j), k, float(denom[i, j]), order)
         safe = np.where(significant, denom, 1.0)
-        out[(order, k)] = np.where(significant, mat / safe, 0.0)
-    return GradedOperator(frame.dim, out, omega_d)
+        out.terms[(order, k)] = np.where(significant, mat / safe, 0.0)
+    return out.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +278,60 @@ def _inverse_factorial(m: int) -> float:
     return 1.0 / math.factorial(m)
 
 
+def _by_order(op: GradedOperator) -> dict[int, GradedSum]:
+    """Views of an operator's terms, one sum per order."""
+    out: dict[int, GradedSum] = {}
+    for (j, k), mat in op.items():
+        out.setdefault(j, GradedSum()).terms[(j, k)] = mat
+    return out
+
+
 def _transform(
     method: str,
-    base: dict[int, GradedOperator],
+    h: GradedOperator,
     frame: EigenFrame,
     mask: Mask,
     max_order: int,
     hbar: float,
     omega_d: float | None,
     res_tol: float,
-    time_dependent: bool,
 ) -> TransformResult:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    time_dependent = any(k != 0 for k in h.harmonics())
     tally = ProductTally()
-    generator: dict[int, GradedOperator] = {}
-    d_generator: dict[int, GradedOperator] = {}
+    base = _by_order(h)
+    generator: dict[int, GradedSum] = {}
+    d_generator: dict[int, GradedSum] = {}
     chains = NestedSeries(base, generator, tally.commutator)
     d_chains = NestedSeries(d_generator, generator, tally.commutator)
 
     def ds_weight(m: int) -> complex:
         return -1j * hbar / math.factorial(m + 1)
 
-    h0 = base[0]
-    corrections: dict[int, GradedOperator] = {0: h0}
+    h0 = base[0].finish()
+    corrections: dict[int, GradedSum] = {0: h0}
     for n in range(1, max_order + 1):
         chains.extend(n)
-        known = chains.weighted_sum(n, _inverse_factorial, zero_operator(frame.dim, omega_d))
+        known = chains.weighted_sum(n, _inverse_factorial, GradedSum())
         if time_dependent:
             d_chains.extend(n)
-            known = d_chains.weighted_sum(n, ds_weight, known)
-        masked = mask.project(known)
-        s_n = solve_generator_order(masked, frame, mask, hbar, omega_d, res_tol)
+            d_chains.weighted_sum(n, ds_weight, known)
+        masked = known.where(mask.eliminate)
+        s_n = _solve(n, masked, frame, mask, hbar, omega_d, res_tol)
         generator[n] = s_n
-        if not s_n.is_zero:
-            chains.add(1, n, tally.commutator(h0, s_n))
+        if s_n.terms:
+            tally.commutator(chains.entry(1, n), h0, s_n)
             if time_dependent:
-                d_generator[n] = s_n.time_derivative()
-        corrections[n] = known - masked
+                d_generator[n] = s_n.time_derivative(omega_d)
+        # judged against the known content it is cut from
+        kept = GradedSum()
+        kept.add_scaled(known, 1.0)
+        kept.add_scaled(masked, -1.0)
+        corrections[n] = kept
     return TransformResult(
-        corrections=corrections,
-        generator=generator,
+        corrections=freeze_series(corrections, frame.dim, omega_d),
+        generator=freeze_series(generator, frame.dim, omega_d),
         frame=frame,
         mask=mask,
         method=method,
@@ -336,12 +377,7 @@ def run_swt(
     omega_d = _merged_omega(h_blocks, v)
     diag = _require_static_diagonal_order0(h_blocks)
     frame = EigenFrame.from_energies(diag, deg_tol)
-    h = h_blocks + v
-    time_dependent = any(k != 0 for k in h.harmonics())
-    return _transform(
-        "swt", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
-        time_dependent,
-    )
+    return _transform("swt", h_blocks + v, frame, mask, max_order, hbar, omega_d, res_tol)
 
 
 def run_fd(
@@ -362,11 +398,7 @@ def run_fd(
     frame = EigenFrame.from_energies(diag, deg_tol)
     _check_no_degenerate_coupling(h, frame)
     omega_d = _merged_omega(h)
-    time_dependent = any(k != 0 for k in h.harmonics())
-    return _transform(
-        "fd", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
-        time_dependent,
-    )
+    return _transform("fd", h, frame, mask, max_order, hbar, omega_d, res_tol)
 
 
 def run_ace(
@@ -388,11 +420,7 @@ def run_ace(
     diag = _require_static_diagonal_order0(h)
     frame = EigenFrame.from_energies(diag, deg_tol)
     omega_d = _merged_omega(h)
-    time_dependent = any(k != 0 for k in h.harmonics())
-    return _transform(
-        "ace", h.by_order(), frame, mask, max_order, hbar, omega_d, res_tol,
-        time_dependent,
-    )
+    return _transform("ace", h, frame, mask, max_order, hbar, omega_d, res_tol)
 
 
 def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
@@ -421,8 +449,8 @@ def rotate_by_order(
     generator: Mapping[int, GradedOperator],
     up_to_order: int,
     tally: ProductTally,
-) -> dict[int, GradedOperator]:
-    """Per-order terms of exp(-S) O exp(S) through ``up_to_order``.
+) -> dict[int, GradedSum]:
+    """Per-order terms of exp(-S) O exp(S) through ``up_to_order``, as sums.
 
     The order-n term is sum_m C_m^(n) / m! with C_0 = O and S the solved
     ``generator``, which must hold every order up to ``up_to_order``.
@@ -434,13 +462,14 @@ def rotate_by_order(
         )
     if any(s_n.dim != operator.dim for s_n in generator.values()):
         raise ValueError("operator dimension does not match the generator")
-    base = operator.by_order()
-    chains = NestedSeries(base, generator, tally.commutator)
-    zero = zero_operator(operator.dim, operator.omega_d)
-    rotated = {0: base.get(0, zero)}
+    _merged_omega(operator, *generator.values())
+    factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
+    base = _by_order(operator)
+    chains = NestedSeries(base, factors, tally.commutator)
+    rotated = {0: base.get(0, GradedSum())}
     for n in range(1, up_to_order + 1):
         chains.extend(n)
-        rotated[n] = chains.weighted_sum(n, _inverse_factorial, zero)
+        rotated[n] = chains.weighted_sum(n, _inverse_factorial, GradedSum())
     return rotated
 
 
@@ -454,7 +483,8 @@ def rotate_operator(
     Returns exp(-S) O exp(S) truncated at total order ``up_to_order``, with
     S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``).
     """
-    total = zero_operator(operator.dim, operator.omega_d)
+    total = GradedSum()
     for term in rotate_by_order(operator, generator, up_to_order, ProductTally()).values():
-        total = total + term
-    return total
+        total.add_scaled(term, 1.0)
+    omega_d = _merged_omega(operator, *generator.values())
+    return GradedOperator._adopt(operator.dim, total, omega_d)

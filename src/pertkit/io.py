@@ -7,7 +7,8 @@ echo a hash of the problem bytes, then carry the per-order corrections and
 generator matrices keyed by order ("j") and (order, harmonic) ("j,k").
 
 All output floats are rendered with 17 significant digits so identical
-inputs produce byte-identical documents.
+inputs produce byte-identical documents.  Matrices travel as float arrays of
+[re, im] pairs and are rendered one row per format call.
 """
 
 from __future__ import annotations
@@ -40,8 +41,25 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _pairs_json(arr: np.ndarray) -> str:
+    """A (rows, cols, 2) float array as nested lists, one format call per row."""
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot serialize non-finite float")
+    rows, cols, _ = arr.shape
+    row_format = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+    lines = arr.reshape(rows, 2 * cols).tolist()
+    return "[" + ",".join(row_format % tuple(row) for row in lines) + "]"
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, fixed 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, fixed 17-significant-digit floats.
+
+    A float array of shape (rows, cols, 2), as ``matrix_to_json`` returns,
+    renders exactly as the same nested lists of floats would.
+    """
+    if (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+            and obj.ndim == 3 and obj.shape[2] == 2):
+        return _pairs_json(obj)
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, str):
@@ -59,9 +77,10 @@ def canonical_json(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:
+def matrix_to_json(mat: np.ndarray) -> np.ndarray:
+    """A complex matrix as a (rows, cols, 2) float array of [re, im] pairs."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], axis=-1)
 
 
 def matrix_from_json(data, dim: int) -> np.ndarray:

@@ -16,6 +16,12 @@ is linear, so all products of m factors and total order n are summed into
 one power P_m^(n) = sum_s P_{m-1}^(n-s) F^(s) of the series F (Z, eps or S).
 The powers, the convolutions over order and the final rotation each cost
 O(N^3) products through order N.
+
+Every entry of every series (the powers, X and X^dag, their block
+projections, eps, W, U and S) is a ``GradedSum`` that products and weighted
+terms are added into in place.  Each is pruned once, when it is first read
+as an operand, and only the ``LASeries`` and the corrections of ``run_la``
+are frozen into ``GradedOperator``s, without a copy.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .engine import (
     rotate_by_order,
     run_fd,
 )
-from .graded import GradedOperator, NestedSeries, ProductTally, zero_operator
+from .graded import GradedOperator, GradedSum, NestedSeries, ProductTally, freeze_series
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,7 @@ class BlockStructure:
 
 def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
     """Zero all cross-block entries, per (order, harmonic) key."""
-    keep = blocks.in_block()
-    return GradedOperator(
-        g.dim,
-        {key: np.where(keep, mat, 0.0) for key, mat in g.items()},
-        g.omega_d,
-    )
+    return blocks.cross_mask().complement_project(g)
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +103,7 @@ class LASeries:
 
 
 def _powers(
-    series: dict[int, GradedOperator], max_order: int, tally: ProductTally
+    series: dict[int, GradedSum], max_order: int, tally: ProductTally
 ) -> NestedSeries:
     """levels[m][n]: sum of all products series^(s0) ... series^(sm) of order n."""
     powers = NestedSeries(series, series, tally.product)
@@ -112,21 +113,22 @@ def _powers(
 
 
 def _convolve(
-    a: Mapping[int, GradedOperator],
-    b: Mapping[int, GradedOperator],
+    a: Mapping[int, GradedSum],
+    b: Mapping[int, GradedSum],
     n: int,
     tally: ProductTally,
-    total: GradedOperator,
-) -> GradedOperator:
-    """``total`` plus the order-n part of (I + a)(I + b) - I."""
+) -> GradedSum:
+    """The order-n part of (I + a)(I + b) - I."""
+    total = GradedSum()
     for j in range(0, n + 1):
         left, right = a.get(j), b.get(n - j)
         if j == n and left is not None:
-            total = total + left
+            total.add_scaled(left, 1.0)
         elif j == 0 and right is not None:
-            total = total + right
-        elif left is not None and right is not None and not (left.is_zero or right.is_zero):
-            total = total + tally.product(left, right)
+            total.add_scaled(right, 1.0)
+        elif (left is not None and right is not None
+              and left.finish().terms and right.finish().terms):
+            tally.product(total, left, right)
     return total
 
 
@@ -149,36 +151,46 @@ def compute_la_generator(
     if dim is None:
         dim = next(iter(z.values())).dim if z else blocks.dim
     tally = ProductTally()
-    zero = zero_operator(dim)
-    z = dict(z)
+    keep = blocks.cross_mask().keep
 
-    def power_sum(powers: NestedSeries, n: int, weight) -> GradedOperator:
+    def power_sum(powers: NestedSeries, n: int, weight) -> GradedSum:
         # powers.levels[m] holds the (m + 1)-th power
-        return powers.weighted_sum(n, lambda m: weight(m + 1), zero)
+        return powers.weighted_sum(n, lambda m: weight(m + 1), GradedSum())
 
-    z_powers = _powers(z, max_order, tally)
+    z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order, tally)
     x_dag = {n: power_sum(z_powers, n, lambda m: 1.0 / math.factorial(m))
              for n in range(1, max_order + 1)}
     x = {n: power_sum(z_powers, n, lambda m: (-1.0) ** m / math.factorial(m))
          for n in range(1, max_order + 1)}
-    bx_dag = {n: block_project(op, blocks) for n, op in x_dag.items()}
-    bx = {n: block_project(op, blocks) for n, op in x.items()}
+    bx_dag = {n: op.where(keep) for n, op in x_dag.items()}
+    bx = {n: op.where(keep) for n, op in x.items()}
 
     # eps^(1) = B(Z^(1)) - B(Z^(1)) vanishes, so eps starts at order 2
-    epsilon = {n: _convolve(bx_dag, bx, n, tally, zero) for n in range(2, max_order + 1)}
+    epsilon = {n: _convolve(bx_dag, bx, n, tally) for n in range(2, max_order + 1)}
     eps_powers = _powers(epsilon, max_order, tally)
     inv_sqrt = {n: power_sum(eps_powers, n, _half_binomial) for n in range(2, max_order + 1)}
 
-    w: dict[int, GradedOperator] = {}
-    u: dict[int, GradedOperator] = {}
-    s: dict[int, GradedOperator] = {}
+    w: dict[int, GradedSum] = {}
+    u: dict[int, GradedSum] = {}
+    s: dict[int, GradedSum] = {}
     s_powers = NestedSeries(s, s, tally.product)
     for n in range(1, max_order + 1):
-        w[n] = _convolve(x_dag, bx, n, tally, zero)
-        u[n] = _convolve(w, inv_sqrt, n, tally, zero)
+        w[n] = _convolve(x_dag, bx, n, tally)
+        u[n] = _convolve(w, inv_sqrt, n, tally)
         s_powers.extend(n)
-        s[n] = u[n] - power_sum(s_powers, n, lambda m: 1.0 / math.factorial(m))
-    return LASeries(Z=z, epsilon=epsilon, W=w, U=u, S=s, products=tally.count)
+        higher = power_sum(s_powers, n, lambda m: 1.0 / math.factorial(m))
+        s_n = GradedSum()
+        s_n.add_scaled(u[n], 1.0)
+        s_n.add_scaled(higher, -1.0)
+        s[n] = s_n
+    return LASeries(
+        Z=dict(z),
+        epsilon=freeze_series(epsilon, dim, None),
+        W=freeze_series(w, dim, None),
+        U=freeze_series(u, dim, None),
+        S=freeze_series(s, dim, None),
+        products=tally.count,
+    )
 
 
 def compute_epsilon(
@@ -217,7 +229,7 @@ def run_la(
     diagnostics = fd.diagnostics
     diagnostics.products += la.products + tally.count
     return TransformResult(
-        corrections=corrections,
+        corrections=freeze_series(corrections, h.dim, None),
         generator=la.S,
         frame=fd.frame,
         mask=blocks.cross_mask(),

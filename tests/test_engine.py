@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertkit.engine import (
     EigenFrame,
@@ -14,6 +16,7 @@ from pertkit.errors import DegenerateSpectrum, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
 from pertkit.io import result_document
 from pertkit.least_action import run_la
+from pertkit.models import random_bd_hamiltonian
 
 
 def sigma_x():
@@ -428,6 +431,113 @@ def test_product_count_grows_polynomially_with_order():
     assert high.diagnostics.products < 16 * low.diagnostics.products
     doc = result_document(high, "0" * 64)
     assert doc["diagnostics"]["products"] == high.diagnostics.products
+
+
+def count_constructions(monkeypatch):
+    """Counter of every GradedOperator built, by the constructor or frozen in place."""
+    counter = [0]
+    init = GradedOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counter[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedOperator, "__init__", counting_init)
+    adopt = getattr(GradedOperator, "_adopt", None)
+    if adopt is not None:
+        def counting_adopt(*args, **kwargs):
+            counter[0] += 1
+            return adopt(*args, **kwargs)
+
+        monkeypatch.setattr(GradedOperator, "_adopt", staticmethod(counting_adopt))
+    return counter
+
+
+@pytest.mark.parametrize("method, low, high", [("fd", 10, 20), ("la", 8, 16)])
+def test_graded_operators_are_built_only_at_the_boundary(monkeypatch, method, low, high):
+    # series entries accumulate in place and are frozen once when handed out,
+    # so the objects built grow like the number of orders; wrapping every sum
+    # and product grows like the O(N^3) products instead
+    h = random_bd_hamiltonian((3, 3), 4)
+    counter = count_constructions(monkeypatch)
+
+    def constructions(order):
+        counter[0] = 0
+        if method == "fd":
+            run_fd(h, max_order=order)
+        else:
+            run_la(h, [3, 3], max_order=order)
+        return counter[0]
+
+    at_low, at_high = constructions(low), constructions(high)
+    assert 0 < at_low
+    assert at_high < 2.5 * at_low, (at_low, at_high)
+
+
+# ---------------------------------------------------------------------------
+# tolerances follow the level spread
+# ---------------------------------------------------------------------------
+
+
+def two_level_with_offset(offset, gap=0.05, g=1e-4):
+    h0 = GradedOperator(2, {(0, 0): np.diag([offset, offset + gap])})
+    v = GradedOperator(2, {(1, 0): g * sigma_x()})
+    return h0, v
+
+
+def test_large_energy_offset_is_not_resonant():
+    # a 0.05 gap sitting at 1e8: tolerances scaled by max|E| = 1e8 called the
+    # gap resonant, though the same gap at offset 0 or 1e6 solves
+    offset = 1e8
+    h0, v = two_level_with_offset(offset)
+    shifted = run_swt(h0, v, [1, 1], max_order=4)
+    gap = (offset + 0.05) - offset  # the gap as stored, exact in floating point
+    ref = run_swt(*two_level_with_offset(0.0, gap), [1, 1], max_order=4)
+    # [H0, S] cancels terms of size 1e8 |S|, so agreement is to about 1e-7
+    for n in range(1, 5):
+        diff = (shifted.corrections[n] - ref.corrections[n]).max_abs()
+        assert diff <= 1e-6 * ref.corrections[2].max_abs(), (n, diff)
+        diff = (shifted.generator[n] - ref.generator[n]).max_abs()
+        assert diff <= 1e-6 * ref.generator[1].max_abs(), (n, diff)
+
+
+def test_degeneracy_tolerance_follows_the_spread():
+    frame = EigenFrame.from_energies(np.array([1e8, 1e8 + 0.05, 1e8 + 0.1]))
+    assert frame.classes == ((0,), (1,), (2,))
+    assert frame.energy_scale() == (1e8 + 0.1) - 1e8
+    assert EigenFrame.from_energies(np.array([3.0, 3.0])).energy_scale() == 1.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["fd", "swt"]),
+    shift=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e8, 1e6, 1e8])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_corrections_invariant_under_energy_shift(method, shift, seed):
+    # H0 -> H0 + c*1 commutes with everything: every correction of order >= 1
+    # and the generator stay put, up to round-off of |c| + the spread
+    rng = np.random.default_rng(seed)
+    d = 5
+    # gaps down to 0.02, below 1e-9 of the largest shift
+    levels = np.cumsum(rng.uniform(0.02, 1.5, size=d))
+    off = 0.01 * random_hermitian(d, rng)
+    off -= np.diag(np.diag(off))
+    sizes = [2, 3]
+
+    def run(c):
+        h0 = np.diag(levels + c)
+        h = GradedOperator(d, {(0, 0): h0, (1, 0): off})
+        if method == "fd":
+            return run_fd(h, max_order=4)
+        mask = Mask.block_off_diagonal(sizes)
+        return run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=4)
+
+    base, shifted = run(0.0), run(shift)
+    tol = 1e-13 * (abs(shift) + levels.max() - levels.min())
+    for n in range(1, 5):
+        assert (shifted.corrections[n] - base.corrections[n]).max_abs() <= tol, n
+        assert (shifted.generator[n] - base.generator[n]).max_abs() <= tol, n
 
 
 # ---------------------------------------------------------------------------
