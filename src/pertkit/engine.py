@@ -2,37 +2,40 @@
 
 All routines share one iterative loop over the transformed Hamiltonian
 
-    e^(-S) H e^(S) - i*hbar e^(-S) d/dt e^(S)
-        = sum_m C_m / m!  -  i*hbar sum_m D_m / (m+1)!,
+    e^(-S) H e^(S) - i*hbar e^(-S) d/dt e^(S) = sum_m C_m / m!,
 
 where C_m^(n) = sum_s [C_{m-1}^(n-s), S^(s)] sums every nested commutator of
-order n and nestedness m over the base H (C_0 = H), and D_m the same over
-the base dS/dt (D_0 = dS/dt).  At order n the known content K_n is the
-order-n part of that sum without [H0, S^(n)] and dS^(n)/dt, which need
-S^(n).  The part of K_n landing on masked entries fixes S^(n) through the
+order n and nestedness m over the base H (C_0 = H), except that C_1^(n)
+holds [H0, S^(n)] - i*hbar*dS^(n)/dt in place of [H0, S^(n)]: the chains
+over the base dS/dt carry the same coefficients one nestedness later, so
+they ride in this one series.  At order n the known content K_n is the
+order-n part of the sum without the C_1^(n) term that needs S^(n).  The
+part T_n of K_n landing on masked entries fixes S^(n) through the
 elementwise condition
 
     S_ij,k = T_ij,k / (E_j - E_i - hbar*k*omega_d),
 
 which solves [H0, S] - i*hbar*dS/dt = -T in the eigenbasis of the diagonal
-unperturbed part.  The kept (unmasked) part of K_n is the order-n correction.
-Then [H0, S^(n)] joins C_1^(n) and dS^(n)/dt becomes D_0^(n).  Order n costs
-O(n^2) commutators, so a run through order N costs O(N^3).
+unperturbed part.  That closes the loop: the missing C_1^(n) term is -T_n,
+known without a product, so the order-n correction is K_n - T_n and -T_n
+joins C_1^(n) for the orders above.  H0 is never multiplied, so shifting
+it by c*1 changes no order >= 1 output.  Order n costs O(n^2) commutators,
+so a run through order N costs O(N^3).
 
-Inside the loop every entry (C_m^(n), D_m^(n), K_n, its masked part, S^(n))
-is a ``GradedSum`` that commutators and weighted terms are added into in
-place.  An entry is pruned once, when it is first read as an operand; C_1^(n)
-is read into K_n before [H0, S^(n)] joins it, so it is pruned again when the
-next order reads it.  Inputs are read as views of their ``GradedOperator``
-terms, and only the corrections and the generator handed out in the
-``TransformResult`` are frozen into ``GradedOperator``s, without a copy.
-``rotate_by_order`` runs the same recursion over an arbitrary operator.
+Inside the loop every entry (C_m^(n), K_n, T_n, S^(n)) is a ``GradedSum``
+that commutators and weighted terms are added into in place, and is pruned
+when it is read as an operand.  Inputs are read as views of their
+``GradedOperator`` terms, and only the corrections and the generator handed
+out in the ``TransformResult`` are frozen into ``GradedOperator``s, without
+a copy.  ``rotate_by_order`` runs the same recursion over an arbitrary
+operator; its generator obeys no generator condition, so there [O0, S^(n)]
+is a product like any other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -156,7 +159,6 @@ class Mask:
 class Diagnostics:
     #: dense d x d matrix products spent by the run
     products: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -298,37 +300,20 @@ def _transform(
 ) -> TransformResult:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    time_dependent = any(k != 0 for k in h.harmonics())
     tally = ProductTally()
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
-    d_generator: dict[int, GradedSum] = {}
     chains = NestedSeries(base, generator, tally.commutator)
-    d_chains = NestedSeries(d_generator, generator, tally.commutator)
-
-    def ds_weight(m: int) -> complex:
-        return -1j * hbar / math.factorial(m + 1)
-
-    h0 = base[0].finish()
-    corrections: dict[int, GradedSum] = {0: h0}
+    corrections: dict[int, GradedSum] = {0: base[0].finish()}
     for n in range(1, max_order + 1):
         chains.extend(n)
         known = chains.weighted_sum(n, _inverse_factorial, GradedSum())
-        if time_dependent:
-            d_chains.extend(n)
-            d_chains.weighted_sum(n, ds_weight, known)
         masked = known.where(mask.eliminate)
-        s_n = _solve(n, masked, frame, mask, hbar, omega_d, res_tol)
-        generator[n] = s_n
-        if s_n.terms:
-            tally.commutator(chains.entry(1, n), h0, s_n)
-            if time_dependent:
-                d_generator[n] = s_n.time_derivative(omega_d)
-        # judged against the known content it is cut from
-        kept = GradedSum()
-        kept.add_scaled(known, 1.0)
-        kept.add_scaled(masked, -1.0)
-        corrections[n] = kept
+        generator[n] = _solve(n, masked, frame, mask, hbar, omega_d, res_tol)
+        # the generator condition: [H0, S^(n)] - i*hbar*dS^(n)/dt = -masked
+        chains.entry(1, n).add_scaled(masked, -1.0)
+        known.add_scaled(masked, -1.0)
+        corrections[n] = known
     return TransformResult(
         corrections=freeze_series(corrections, frame.dim, omega_d),
         generator=freeze_series(generator, frame.dim, omega_d),

@@ -24,10 +24,9 @@ Every series in the package is a sum of left-nested chains
 
     [...[[base^(h), S^(s1)], S^(s2)], ..., S^(sm)]    or    base^(h) F^(s1) ... F^(sm)
 
-whose coefficient depends only on the nestedness m (1/m!, -i*hbar/(m+1)!,
-binom(-1/2, m)).  ``NestedSeries`` therefore never enumerates the 2^n
-compositions (h; s1..sm) of an order n: it keeps one entry per
-(nestedness, order),
+whose coefficient depends only on the nestedness m (1/m! or binom(-1/2, m)).
+``NestedSeries`` therefore never enumerates the 2^n compositions
+(h; s1..sm) of an order n: it keeps one entry per (nestedness, order),
 
     C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),    C_0 = base,
 
@@ -113,11 +112,6 @@ class GradedSum:
         """
         return GradedSum({key: np.where(keep, mat, 0.0)
                           for key, mat in self.finish().terms.items()})
-
-    def time_derivative(self, omega_d: float | None) -> "GradedSum":
-        """d/dt: each term times i*k*omega_d; static content drops out."""
-        return GradedSum({(j, k): (1j * k * omega_d) * mat
-                          for (j, k), mat in self.terms.items() if k != 0})
 
     def finish(self) -> "GradedSum":
         """Drop the keys that are negligible next to their own operands.
@@ -293,7 +287,8 @@ class GradedOperator:
         Static content (k = 0) drops out.  The i*hbar factor appearing in
         time-dependent generator conditions is applied by callers.
         """
-        derivative = GradedSum.of(self).time_derivative(self.omega_d)
+        derivative = GradedSum({(j, k): (1j * k * self.omega_d) * mat
+                                for (j, k), mat in self._terms.items() if k != 0})
         return GradedOperator._adopt(self.dim, derivative, self.omega_d)
 
     def order_part(self, order: int) -> "GradedOperator":

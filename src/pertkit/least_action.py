@@ -60,14 +60,9 @@ class BlockStructure:
     def dim(self) -> int:
         return sum(self.sizes)
 
-    def membership(self) -> np.ndarray:
-        """Index -> block id."""
-        return np.repeat(np.arange(len(self.sizes)), self.sizes)
-
     def in_block(self) -> np.ndarray:
-        """Boolean d x d matrix, True where both indices share a block."""
-        labels = self.membership()
-        return labels[:, None] == labels[None, :]
+        """Read-only boolean d x d matrix, True where both indices share a block."""
+        return self.cross_mask().keep
 
     def cross_mask(self) -> Mask:
         """Engine mask targeting every cross-block entry."""

@@ -374,8 +374,7 @@ def _random_bd(rng: np.random.Generator, sizes: tuple[int, ...], scale: float) -
     d = sum(sizes)
     diag = _ladder_diagonal(rng, d)
     spacing = (diag[-1] - diag[0]) / (d - 1)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    same_block = labels[:, None] == labels[None, :]
+    same_block = Mask.block_off_diagonal(sizes).keep
     off = _random_hermitian(rng, d)
     off -= np.diag(np.diag(off))
     in_block = scale * spacing * np.where(same_block, off, 0.0)

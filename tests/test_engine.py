@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pertkit.engine import (
@@ -433,6 +433,20 @@ def test_product_count_grows_polynomially_with_order():
     assert doc["diagnostics"]["products"] == high.diagnostics.products
 
 
+@pytest.mark.parametrize("method", ["fd", "swt", "ace-driven"])
+def test_first_order_spends_no_products(method):
+    # order 1 needs only the masked input and the solve
+    if method == "fd":
+        result = run_fd(random_bd_hamiltonian((2, 2), 3), max_order=1)
+    elif method == "swt":
+        h, v = two_level_inputs()
+        result = run_swt(h, v, [1, 1], max_order=1)
+    else:
+        result = run_ace(driven_instance(6), Mask.full_off_diagonal(4), max_order=1)
+    assert 1 in result.generator and not result.generator[1].is_zero
+    assert result.diagnostics.products == 0
+
+
 def count_constructions(monkeypatch):
     """Counter of every GradedOperator built, by the constructor or frozen in place."""
     counter = [0]
@@ -493,12 +507,53 @@ def test_large_energy_offset_is_not_resonant():
     shifted = run_swt(h0, v, [1, 1], max_order=4)
     gap = (offset + 0.05) - offset  # the gap as stored, exact in floating point
     ref = run_swt(*two_level_with_offset(0.0, gap), [1, 1], max_order=4)
-    # [H0, S] cancels terms of size 1e8 |S|, so agreement is to about 1e-7
+    # agreement is bounded loosely here; test_transform_never_multiplies_h0
+    # checks that it is exact
     for n in range(1, 5):
         diff = (shifted.corrections[n] - ref.corrections[n]).max_abs()
         assert diff <= 1e-6 * ref.corrections[2].max_abs(), (n, diff)
         diff = (shifted.generator[n] - ref.generator[n]).max_abs()
         assert diff <= 1e-6 * ref.generator[1].max_abs(), (n, diff)
+
+
+def driven_three_level(levels, omega_d=2.3):
+    rng = np.random.default_rng(11)
+    static = 0.05 * random_hermitian(3, rng)
+    static -= np.diag(np.diag(static))
+    drive = 0.04 * random_hermitian(3, rng)
+    return GradedOperator(
+        3,
+        {(0, 0): np.diag(levels), (1, 0): static, (1, 1): drive, (1, -1): drive.conj().T},
+        omega_d=omega_d,
+    )
+
+
+@pytest.mark.parametrize("method", ["swt", "fd-driven"])
+def test_transform_never_multiplies_h0(method):
+    # [H0, S^(n)] - i*hbar*dS^(n)/dt is read off the generator condition, so
+    # H0 enters only through energy differences, which the shift leaves exact
+    if method == "swt":
+        offset, order = 1e8, 6
+        levels = np.array([offset, offset + 0.05])
+
+        def run(e):
+            h0 = GradedOperator(2, {(0, 0): np.diag(e)})
+            v = GradedOperator(2, {(1, 0): 1e-4 * sigma_x()})
+            return run_swt(h0, v, [1, 1], max_order=order)
+    else:
+        offset, order = 1e6, 5
+        levels = np.array([0.0, 1.0, 2.7]) + offset
+
+        def run(e):
+            return run_fd(driven_three_level(e), max_order=order)
+
+    shifted, ref = run(levels), run(levels - offset)
+    for n in range(1, order + 1):
+        for series in ("corrections", "generator"):
+            a, b = getattr(shifted, series)[n], getattr(ref, series)[n]
+            assert a.keys() == b.keys(), (series, n)
+            for key in a.keys():
+                np.testing.assert_array_equal(a.term(*key), b.term(*key))
 
 
 def test_degeneracy_tolerance_follows_the_spread():
@@ -538,6 +593,119 @@ def test_corrections_invariant_under_energy_shift(method, shift, seed):
     for n in range(1, 5):
         assert (shifted.corrections[n] - base.corrections[n]).max_abs() <= tol, n
         assert (shifted.generator[n] - base.generator[n]).max_abs() <= tol, n
+
+
+# ---------------------------------------------------------------------------
+# covariance under rescaling and relabelling
+# ---------------------------------------------------------------------------
+
+COVARIANCE_ORDER = 4
+
+
+def covariance_instance(seed, driven):
+    """Random d=5 levels, couplings and drive, with every |E_j - E_i - k*omega_d|
+    over the harmonics up to the solved order at least 0.05, or None."""
+    rng = np.random.default_rng(seed)
+    d = 5
+    levels = np.cumsum(rng.uniform(0.2, 1.5, size=d))
+    static = 0.05 * random_hermitian(d, rng)
+    static -= np.diag(np.diag(static))
+    terms = {(0, 0): np.diag(levels), (1, 0): static}
+    omega_d = None
+    if driven:
+        omega_d = float(rng.uniform(0.3, 3.0))
+        drive = 0.04 * random_hermitian(d, rng)
+        terms[(1, 1)], terms[(1, -1)] = drive, drive.conj().T
+    upper = np.triu(rng.random((d, d)) < 0.5, 1)
+    ace_mask = Mask(upper | upper.T)
+    gaps = levels[None, :] - levels[:, None]
+    harmonics = np.arange(-COVARIANCE_ORDER, COVARIANCE_ORDER + 1) if driven else np.zeros(1)
+    denoms = gaps[None] - harmonics[:, None, None] * (omega_d or 0.0)
+    off = ~np.eye(d, dtype=bool)
+    if np.abs(denoms[:, off]).min() < 0.05:
+        return None
+    return GradedOperator(d, terms, omega_d), ace_mask
+
+
+def transform(method, h, mask):
+    if method == "fd":
+        return run_fd(h, max_order=COVARIANCE_ORDER)
+    if method == "ace":
+        return run_ace(h, mask, max_order=COVARIANCE_ORDER)
+    sizes = [2, 3]
+    blocks = Mask.block_off_diagonal(sizes)
+    return run_swt(blocks.complement_project(h), blocks.project(h), sizes,
+                   max_order=COVARIANCE_ORDER)
+
+
+def assert_covariant(result, corrections, generator, a, spread):
+    """``result`` has the given generator and a times the given corrections,
+    to 1e-13 of each order's content: its correction plus spread * |S^(n)|."""
+    for n in range(1, COVARIANCE_ORDER + 1):
+        corr, gen = corrections[n], generator[n]
+        size = corr.max_abs() + spread * gen.max_abs()
+        assert term_distance(result.corrections[n], corr, a) <= 1e-13 * a * size, n
+        assert term_distance(result.generator[n], gen, 1.0) <= 1e-13 * size / spread, n
+
+
+def term_distance(x, y, a):
+    """Largest entry of x - a*y over every (order, harmonic) key of either."""
+    return max((np.abs(x.term(*key) - a * y.term(*key)).max()
+                for key in x.keys() | y.keys()), default=0.0)
+
+
+def scaled(h, a):
+    return GradedOperator(h.dim, {key: a * mat for key, mat in h.items()},
+                          None if h.omega_d is None else a * h.omega_d)
+
+
+def permuted(h, perm):
+    return GradedOperator(h.dim, {key: mat[np.ix_(perm, perm)] for key, mat in h.items()},
+                          h.omega_d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["fd", "swt", "ace"]),
+    driven=st.booleans(),
+    log_a=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaling_covariance(method, driven, log_a, seed):
+    # H -> a*H with omega_d -> a*omega_d and hbar fixed is a change of energy
+    # unit: every correction scales by a and the generator is unchanged
+    instance = covariance_instance(seed, driven)
+    assume(instance is not None)
+    h, mask = instance
+    a = 10.0 ** log_a
+    base = transform(method, h, mask)
+    result = transform(method, scaled(h, a), mask)
+    assert_covariant(result, base.corrections, base.generator, a, base.frame.energy_scale())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["fd", "ace"]),
+    driven=st.booleans(),
+    perm=st.permutations(range(5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relabelling_covariance(method, driven, perm, seed):
+    # relabelling the levels, with the mask permuted to match, relabels every
+    # correction and the generator
+    instance = covariance_instance(seed, driven)
+    assume(instance is not None)
+    h, mask = instance
+    perm = np.array(perm)
+    base = transform(method, h, mask)
+    result = transform(method, permuted(h, perm), Mask(mask.eliminate[np.ix_(perm, perm)]))
+    assert_covariant(
+        result,
+        {n: permuted(c, perm) for n, c in base.corrections.items()},
+        {n: permuted(g, perm) for n, g in base.generator.items()},
+        1.0,
+        base.frame.energy_scale(),
+    )
 
 
 # ---------------------------------------------------------------------------
