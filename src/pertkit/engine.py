@@ -22,14 +22,15 @@ joins C_1^(n) for the orders above.  H0 is never multiplied, so shifting
 it by c*1 changes no order >= 1 output.  Order n costs O(n^2) commutators,
 so a run through order N costs O(N^3).
 
-Inside the loop every entry (C_m^(n), K_n, T_n, S^(n)) is a ``GradedSum``
-that commutators and weighted terms are added into in place, and is pruned
-when it is read as an operand.  Inputs are read as views of their
-``GradedOperator`` terms, and only the corrections and the generator handed
-out in the ``TransformResult`` are frozen into ``GradedOperator``s, without
-a copy.  ``rotate_by_order`` runs the same recursion over an arbitrary
-operator; its generator obeys no generator condition, so there [O0, S^(n)]
-is a product like any other.
+Inside the loop the chains C_m^(n) live in a ``NestedSeries``, which forms
+all nestedness levels of one term of the sum over s in one batched product,
+and K_n, T_n and S^(n) are ``GradedSum``s that weighted terms are added
+into in place; every entry is pruned when it is read as an operand.  Inputs
+are read as views of their ``GradedOperator`` terms, and only the
+corrections and the generator handed out in the ``TransformResult`` are
+frozen into ``GradedOperator``s, without a copy.  ``rotate_by_order`` runs
+the same recursion over an arbitrary operator; its generator obeys no
+generator condition, so there [O0, S^(n)] is a product like any other.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ def _require_static_diagonal_order0(h: GradedOperator) -> np.ndarray:
     return diag.real.copy()
 
 
-def _inverse_factorial(m: int) -> float:
-    return 1.0 / math.factorial(m)
+def _inverse_factorials(top: int) -> np.ndarray:
+    """1/m! for m = 0 .. top, the weight of nestedness m."""
+    return np.array([1.0 / math.factorial(m) for m in range(top + 1)])
 
 
 def _by_order(op: GradedOperator) -> dict[int, GradedSum]:
@@ -303,15 +305,16 @@ def _transform(
     tally = ProductTally()
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
-    chains = NestedSeries(base, generator, tally.commutator)
+    chains = NestedSeries(base, generator, tally, commutator=True)
+    weights = _inverse_factorials(max_order)
     corrections: dict[int, GradedSum] = {0: base[0].finish()}
     for n in range(1, max_order + 1):
         chains.extend(n)
-        known = chains.weighted_sum(n, _inverse_factorial, GradedSum())
+        known = chains.weighted_sum(n, weights)
         masked = known.where(mask.eliminate)
         generator[n] = _solve(n, masked, frame, mask, hbar, omega_d, res_tol)
         # the generator condition: [H0, S^(n)] - i*hbar*dS^(n)/dt = -masked
-        chains.entry(1, n).add_scaled(masked, -1.0)
+        chains.add(n, 1, masked, -1.0)
         known.add_scaled(masked, -1.0)
         corrections[n] = known
     return TransformResult(
@@ -450,11 +453,12 @@ def rotate_by_order(
     _merged_omega(operator, *generator.values())
     factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
     base = _by_order(operator)
-    chains = NestedSeries(base, factors, tally.commutator)
+    chains = NestedSeries(base, factors, tally, commutator=True)
+    weights = _inverse_factorials(up_to_order)
     rotated = {0: base.get(0, GradedSum())}
     for n in range(1, up_to_order + 1):
         chains.extend(n)
-        rotated[n] = chains.weighted_sum(n, _inverse_factorial, GradedSum())
+        rotated[n] = chains.weighted_sum(n, weights)
     return rotated
 
 

@@ -21,7 +21,7 @@ from .errors import PertError
 from .graded import GradedOperator
 from .least_action import BlockStructure, run_la
 from .models import _random_bd, random_ace_hamiltonian
-from .oracle import evaluate_at, exact_block_diagonalize, partial_sum_matrix, spectral_distance
+from .oracle import evaluate_at, exact_block_diagonalize, partial_sum_matrix
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,19 @@ def _instance_rows(spec: EnsembleSpec, index: int, max_order: int) -> list[EtaRo
     result = run_la(h, blocks, max_order)
     exact = evaluate_at(h, 1.0)
     _, h_exact = exact_block_diagonalize(exact, blocks)
+    # spectral_distance(h_exact, partial_sum_matrix(result, n, 1.0)) for every
+    # n, bit for bit, from one norm of h_exact and one running partial sum
+    # that adds the corrections in the same sequence
+    h_exact = np.asarray(h_exact, dtype=complex)
+    exact_norm = np.linalg.norm(h_exact, 2)
+    partial = np.zeros_like(h_exact)
     rows = []
-    for n in range(1, max_order + 1):
-        eta = spectral_distance(h_exact, partial_sum_matrix(result, n, 1.0))
-        rows.append(EtaRow(index, n, 1.0, eta, spec.seed))
+    for n, corr in result.corrections.items():
+        for _, mat in corr.items():
+            partial += mat
+        if n >= 1:
+            eta = float(np.linalg.norm(h_exact - partial, 2) / exact_norm)
+            rows.append(EtaRow(index, n, 1.0, eta, spec.seed))
     return rows
 
 

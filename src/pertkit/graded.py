@@ -17,8 +17,10 @@ form of one series entry inside the engines' loops: a mutable dict
 summands are added in place, with each key's operand scale (its largest
 single product or summand).  An entry is pruned once, by
 ``GradedSum.finish``, when it is complete: when it is first read as an
-operand or handed out.  ``GradedOperator._adopt`` freezes a finished entry
-without copying its arrays; the engines call it only at the public boundary.
+operand or handed out.  A key is judged only against its own operand scale,
+never against other keys, since lambda is formal and a small key is not a
+negligible one.  ``GradedOperator._adopt`` freezes a finished entry without
+copying its arrays; the engines call it only at the public boundary.
 
 Every series in the package is a sum of left-nested chains
 
@@ -30,13 +32,17 @@ whose coefficient depends only on the nestedness m (1/m! or binom(-1/2, m)).
 
     C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),    C_0 = base,
 
-with op a commutator or a product added into C_m^(n) in place.  Filling it
-through order N takes O(N^3) graded products.
+with op a commutator or a product.  Filling it through order N takes O(N^3)
+dense products.  It stores every nestedness level of one (order, harmonic)
+key as one contiguous (levels, d, d) stack with one operand scale per level,
+so all levels m of one term of the sum over s are formed by one batched
+matmul (two for a commutator): O(N^2) numpy calls in all.  Each level is
+pruned on its own, by the rule of ``GradedSum.finish``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -226,19 +232,22 @@ class GradedOperator:
 
     def is_hermitian_graded(self, tol: float = 1e-12) -> bool:
         """True when M[j, k]^dag == M[j, -k] for every stored key."""
-        scale = self.max_abs() or 1.0
-        for (j, k), mat in self._terms.items():
-            partner = self.term(j, -k)
-            if np.abs(mat.conj().T - partner).max() > tol * scale:
-                return False
-        return True
+        return self._is_graded_adjoint(1.0, tol)
 
     def is_anti_hermitian_graded(self, tol: float = 1e-12) -> bool:
         """True when M[j, k]^dag == -M[j, -k] for every stored key."""
-        scale = self.max_abs() or 1.0
+        return self._is_graded_adjoint(-1.0, tol)
+
+    def _is_graded_adjoint(self, sign: float, tol: float) -> bool:
+        """True when M[j, k]^dag == sign * M[j, -k] for every stored key.
+
+        Each key is judged against its own size and its partner's: lambda is
+        formal, so a key small next to another order is not a negligible one.
+        """
         for (j, k), mat in self._terms.items():
             partner = self.term(j, -k)
-            if np.abs(mat.conj().T + partner).max() > tol * scale:
+            scale = max(_max_abs(mat), _max_abs(partner))
+            if _max_abs(mat.conj().T - sign * partner) > tol * scale:
                 return False
         return True
 
@@ -355,66 +364,170 @@ class ProductTally:
     def __init__(self) -> None:
         self.count = 0
 
-    def product(self, out: GradedSum, a: GradedSum, b: GradedSum) -> None:
-        """Add a b to ``out``; a and b must be finished."""
-        self.count += len(a.terms) * len(b.terms)
-        out.add_product(a, b)
 
-    def commutator(self, out: GradedSum, a: GradedSum, b: GradedSum) -> None:
-        """Add [a, b] to ``out``; a and b must be finished."""
-        self.count += 2 * len(a.terms) * len(b.terms)
-        out.add_commutator(a, b)
+def _level_max(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of each matrix in a (levels, d, d) stack."""
+    return _amax(np.abs(stack), axis=(1, 2))
+
+
+class _Stack:
+    """Nestedness levels lo .. hi - 1 of one (order, harmonic) key, stored contiguously.
+
+    ``mats[i]`` is level lo + i and ``scale[i]`` its operand scale, the
+    largest single product or summand added to it.  ``finish`` prunes every
+    level by the rule of ``GradedSum.finish``, zeroes the pruned ones, trims
+    the range to the outermost kept levels and records each level's largest
+    entry in ``sizes`` (0 for a pruned level) and the kept count in ``kept``.
+    """
+
+    __slots__ = ("lo", "hi", "mats", "scale", "sizes", "kept")
+
+    def __init__(self, lo: int, hi: int, dim: int):
+        self.lo, self.hi = lo, hi
+        self.mats = np.zeros((hi - lo, dim, dim), dtype=complex)
+        self.scale = np.zeros(hi - lo)
+        self.sizes: np.ndarray | None = None
+        self.kept = 0
+
+    def cover(self, lo: int, hi: int) -> None:
+        """Widen the level range, if needed, to include lo .. hi - 1; reopens the stack."""
+        self.sizes = None
+        if self.lo <= lo and hi <= self.hi:
+            return
+        wider = _Stack(min(lo, self.lo), max(hi, self.hi), self.mats.shape[1])
+        at = slice(self.lo - wider.lo, self.hi - wider.lo)
+        wider.mats[at] = self.mats
+        wider.scale[at] = self.scale
+        self.lo, self.hi, self.mats, self.scale = wider.lo, wider.hi, wider.mats, wider.scale
+
+    def finish(self) -> "_Stack":
+        if self.sizes is None:
+            sizes = _level_max(self.mats)
+            # GradedSum.finish's test size <= ZERO_RTOL * max(size, scale), since size >= 0
+            pruned = sizes <= ZERO_RTOL * self.scale
+            dropped = int(np.count_nonzero(pruned))
+            self.kept = len(sizes) - dropped
+            if dropped:
+                # a pruned level restarts from its next summand, as an absent key does
+                self.mats[pruned] = 0.0
+                self.scale[pruned] = 0.0
+                sizes[pruned] = 0.0
+                if pruned[0] or pruned[-1]:
+                    kept = np.flatnonzero(~pruned)
+                    first, last = (kept[0], kept[-1] + 1) if len(kept) else (0, 0)
+                    self.lo, self.hi = self.lo + first, self.lo + last
+                    self.mats, self.scale, sizes = (
+                        self.mats[first:last], self.scale[first:last], sizes[first:last])
+            self.sizes = sizes
+        return self
 
 
 class NestedSeries:
     """Left-nested chains over one base, summed per (nestedness, order).
 
-    ``levels[m][n]`` is the entry C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),
-    where ``levels[0]`` is the base and F the ``factors``, both keyed by
-    order and held by reference, so entries a caller sets later are seen.
-    Absent entries are zero.  ``extend(n)`` fills order n of every level
-    m >= 1 from the factor orders present at the time, finishing each
-    operand it reads; a caller that solves F^(n) at order n adds the chains
-    using it afterwards into ``entry(m, n)``.
+    Level m of order n is the entry
+
+        C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),    C_0^(n) = base^(n),
+
+    with op the commutator [C, F] or the product C F and F the ``factors``,
+    a dict of finished sums keyed by order that is held by reference, so
+    orders a caller solves later are seen.  The base is copied in as level 0.
+
+    Every nestedness level of one (order, harmonic) key lives in one
+    contiguous (levels, d, d) array, a ``_Stack``, over the range of levels
+    that can be nonzero.  ``extend(n)`` therefore fills order n of every
+    level with one batched matmul (two for a commutator) per factor order s
+    and harmonic pair (k1, k2): all levels of the order-(n - s) stack at
+    harmonic k1 times the factor's harmonic-k2 matrix, added into levels
+    one higher of the order-n stack at k1 + k2.  A run through order N thus
+    makes O(N^2) numpy calls for its O(N^3) dense products.  Each level
+    keeps the largest single product that fed it, and finishing a stack,
+    when it is read as an operand or summed, prunes each level against it
+    alone, as ``GradedSum.finish`` prunes a key.  ``tally`` counts the dense
+    products of the kept levels, the same count as one product per level.
     """
 
     def __init__(
         self,
-        base: dict[int, GradedSum],
+        base: Mapping[int, GradedSum],
         factors: Mapping[int, GradedSum],
-        op: Callable[[GradedSum, GradedSum, GradedSum], None],
+        tally: ProductTally,
+        commutator: bool,
     ):
-        self.levels: list[dict[int, GradedSum]] = [base]
+        self.stacks: dict[int, dict[int, _Stack]] = {}  # order -> harmonic -> levels
         self.factors = factors
-        self.op = op
+        self.tally = tally
+        self.commutator = commutator
+        for n, entry in base.items():
+            self.add(n, 0, entry, 1.0)
+
+    def _finished(self, n: int) -> dict[int, _Stack]:
+        """The order-n stacks, each finished; stacks with no level left are dropped."""
+        stacks = self.stacks.get(n, {})
+        for k in [k for k, stack in stacks.items() if not stack.finish().kept]:
+            del stacks[k]
+        return stacks
 
     def extend(self, n: int) -> None:
-        for m in range(1, n + 1):
-            if m == len(self.levels):
-                self.levels.append({})
-            below = self.levels[m - 1]
-            if not below:
-                break
-            for s in range(1, n + 1):
-                left, right = below.get(n - s), self.factors.get(s)
-                if (left is None or right is None
-                        or not left.finish().terms or not right.finish().terms):
-                    continue
-                self.op(self.entry(m, n), left, right)
+        """Fill order n of every level m >= 1 from the factor orders present."""
+        jobs = []
+        spans: dict[int, tuple[int, int]] = {}
+        for s in range(1, n + 1):
+            right = self.factors.get(s)
+            if right is None or n - s not in self.stacks:
+                continue
+            factor_terms = right.finish().terms.items()
+            for k1, left in self._finished(n - s).items():
+                lo, hi = left.lo + 1, left.hi + 1
+                for (_, k2), f in factor_terms:
+                    k = k1 + k2
+                    jobs.append((k, left, f))
+                    span = spans.get(k)
+                    spans[k] = (lo, hi) if span is None else (min(span[0], lo), max(span[1], hi))
+        if not jobs:
+            return
+        stacks = self.stacks.setdefault(n, {})
+        dim = jobs[0][2].shape[0]
+        for k, (lo, hi) in spans.items():
+            if k in stacks:
+                stacks[k].cover(lo, hi)
+            else:
+                stacks[k] = _Stack(lo, hi, dim)
+        per_level = 2 if self.commutator else 1
+        for k, left, f in jobs:
+            out = stacks[k]
+            prod = left.mats @ f
+            sizes = _level_max(prod)
+            if self.commutator:
+                reverse = f @ left.mats
+                np.maximum(sizes, _level_max(reverse), out=sizes)
+                prod -= reverse
+            at = slice(left.lo + 1 - out.lo, left.hi + 1 - out.lo)
+            np.maximum(out.scale[at], sizes, out=out.scale[at])
+            out.mats[at] += prod
+            self.tally.count += per_level * left.kept
 
-    def entry(self, m: int, n: int) -> GradedSum:
-        """C_m^(n), created empty if absent."""
-        level = self.levels[m]
-        if n not in level:
-            level[n] = GradedSum()
-        return level[n]
+    def add(self, n: int, m: int, entry: GradedSum, weight: complex) -> None:
+        """Add ``weight`` times ``entry``, a sum of order-n keys, into level m of order n."""
+        sizes = entry.finish().sizes
+        stacks = self.stacks.setdefault(n, {})
+        for key, mat in entry.terms.items():
+            stack = stacks.get(key[1])
+            if stack is None:
+                stack = stacks[key[1]] = _Stack(m, m + 1, mat.shape[0])
+            else:
+                stack.cover(m, m + 1)
+            i = m - stack.lo
+            stack.mats[i] += weight * mat
+            stack.scale[i] = max(stack.scale[i], abs(weight) * sizes[key])
 
-    def weighted_sum(
-        self, n: int, weight: Callable[[int], complex], total: GradedSum
-    ) -> GradedSum:
-        """Add sum_m weight(m) * C_m^(n) to ``total`` and return it."""
-        for m, level in enumerate(self.levels):
-            term = level.get(n)
-            if term is not None:
-                total.add_scaled(term, weight(m))
+    def weighted_sum(self, n: int, weights: np.ndarray) -> GradedSum:
+        """sum_m weights[m] * C_m^(n), one contraction over the levels per key."""
+        total = GradedSum()
+        abs_weights = np.abs(weights)
+        for k, stack in self._finished(n).items():
+            mats = stack.mats
+            w = weights[stack.lo:stack.hi]
+            total.terms[(n, k)] = np.dot(w, mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
+            total.scale[(n, k)] = float(_amax(abs_weights[stack.lo:stack.hi] * stack.sizes))
         return total

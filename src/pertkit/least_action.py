@@ -17,17 +17,19 @@ one power P_m^(n) = sum_s P_{m-1}^(n-s) F^(s) of the series F (Z, eps or S).
 The powers, the convolutions over order and the final rotation each cost
 O(N^3) products through order N.
 
-Every entry of every series (the powers, X and X^dag, their block
-projections, eps, W, U and S) is a ``GradedSum`` that products and weighted
-terms are added into in place.  Each is pruned once, when it is first read
-as an operand, and only the ``LASeries`` and the corrections of ``run_la``
-are frozen into ``GradedOperator``s, without a copy.
+The powers live in ``NestedSeries``, which form all powers of one term of
+the sum over s in one batched product, and the convolutions over order form
+all their products of one order in one stacked matmul.  Every other entry
+(X and X^dag, their block projections, eps, W, U and S) is a ``GradedSum``
+that weighted terms are added into in place.  Each is pruned once, when it
+is first read as an operand, and only the ``LASeries`` and the corrections
+of ``run_la`` are frozen into ``GradedOperator``s, without a copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -40,6 +42,7 @@ from .engine import (
     TransformResult,
     rotate_by_order,
     run_fd,
+    run_swt,
 )
 from .graded import GradedOperator, GradedSum, NestedSeries, ProductTally, freeze_series
 
@@ -100,11 +103,16 @@ class LASeries:
 def _powers(
     series: dict[int, GradedSum], max_order: int, tally: ProductTally
 ) -> NestedSeries:
-    """levels[m][n]: sum of all products series^(s0) ... series^(sm) of order n."""
-    powers = NestedSeries(series, series, tally.product)
+    """Level m, order n: sum of all products series^(s0) ... series^(sm) of order n."""
+    powers = NestedSeries(series, series, tally, commutator=False)
     for n in range(1, max_order + 1):
         powers.extend(n)
     return powers
+
+
+def _power_weights(max_order: int, weight) -> np.ndarray:
+    """weight(m + 1) for levels m = 0 .. max_order - 1: level m holds the (m + 1)-th power."""
+    return np.array([weight(m + 1) for m in range(max_order)])
 
 
 def _convolve(
@@ -113,17 +121,30 @@ def _convolve(
     n: int,
     tally: ProductTally,
 ) -> GradedSum:
-    """The order-n part of (I + a)(I + b) - I."""
+    """The order-n part of (I + a)(I + b) - I.
+
+    The products a^(j) b^(n-j), 0 < j < n, landing on one key are formed by
+    one stacked matmul; the key's operand scale is the largest of them.
+    """
     total = GradedSum()
-    for j in range(0, n + 1):
+    if n in b:
+        total.add_scaled(b[n], 1.0)
+    pairs: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    for j in range(1, n):
         left, right = a.get(j), b.get(n - j)
-        if j == n and left is not None:
-            total.add_scaled(left, 1.0)
-        elif j == 0 and right is not None:
-            total.add_scaled(right, 1.0)
-        elif (left is not None and right is not None
-              and left.finish().terms and right.finish().terms):
-            tally.product(total, left, right)
+        if left is None or right is None:
+            continue
+        for (_, k1), m1 in left.finish().terms.items():
+            for (_, k2), m2 in right.finish().terms.items():
+                lefts, rights = pairs.setdefault(k1 + k2, ([], []))
+                lefts.append(m1)
+                rights.append(m2)
+    for k, (lefts, rights) in pairs.items():
+        prods = np.stack(lefts) @ np.stack(rights)
+        tally.count += len(prods)
+        total.add((n, k), prods.sum(axis=0), float(np.abs(prods).max()))
+    if n in a:
+        total.add_scaled(a[n], 1.0)
     return total
 
 
@@ -148,36 +169,35 @@ def compute_la_generator(
     tally = ProductTally()
     keep = blocks.cross_mask().keep
 
-    def power_sum(powers: NestedSeries, n: int, weight) -> GradedSum:
-        # powers.levels[m] holds the (m + 1)-th power
-        return powers.weighted_sum(n, lambda m: weight(m + 1), GradedSum())
-
+    exp_weights = _power_weights(max_order, lambda m: 1.0 / math.factorial(m))
     z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order, tally)
-    x_dag = {n: power_sum(z_powers, n, lambda m: 1.0 / math.factorial(m))
-             for n in range(1, max_order + 1)}
-    x = {n: power_sum(z_powers, n, lambda m: (-1.0) ** m / math.factorial(m))
-         for n in range(1, max_order + 1)}
+    x_dag = {n: z_powers.weighted_sum(n, exp_weights) for n in range(1, max_order + 1)}
+    x_weights = _power_weights(max_order, lambda m: (-1.0) ** m / math.factorial(m))
+    x = {n: z_powers.weighted_sum(n, x_weights) for n in range(1, max_order + 1)}
     bx_dag = {n: op.where(keep) for n, op in x_dag.items()}
     bx = {n: op.where(keep) for n, op in x.items()}
 
     # eps^(1) = B(Z^(1)) - B(Z^(1)) vanishes, so eps starts at order 2
     epsilon = {n: _convolve(bx_dag, bx, n, tally) for n in range(2, max_order + 1)}
     eps_powers = _powers(epsilon, max_order, tally)
-    inv_sqrt = {n: power_sum(eps_powers, n, _half_binomial) for n in range(2, max_order + 1)}
+    inv_sqrt_weights = _power_weights(max_order, _half_binomial)
+    inv_sqrt = {n: eps_powers.weighted_sum(n, inv_sqrt_weights) for n in range(2, max_order + 1)}
 
     w: dict[int, GradedSum] = {}
     u: dict[int, GradedSum] = {}
     s: dict[int, GradedSum] = {}
-    s_powers = NestedSeries(s, s, tally.product)
+    s_powers = NestedSeries({}, s, tally, commutator=False)
     for n in range(1, max_order + 1):
         w[n] = _convolve(x_dag, bx, n, tally)
         u[n] = _convolve(w, inv_sqrt, n, tally)
         s_powers.extend(n)
-        higher = power_sum(s_powers, n, lambda m: 1.0 / math.factorial(m))
+        # S^(n) itself is not known yet, so the sum starts at the square
+        higher = s_powers.weighted_sum(n, exp_weights)
         s_n = GradedSum()
         s_n.add_scaled(u[n], 1.0)
         s_n.add_scaled(higher, -1.0)
         s[n] = s_n
+        s_powers.add(n, 0, s_n, 1.0)
     return LASeries(
         Z=dict(z),
         epsilon=freeze_series(epsilon, dim, None),
@@ -207,7 +227,11 @@ def run_la(
 ) -> TransformResult:
     """Least-action block diagonalization of a static Hamiltonian.
 
-    Runs the full-diagonalization routine to obtain the Z series, builds the
+    For two blocks Schrieffer-Wolff is the direct rotation, which is the
+    least-action one (Bravyi, DiVincenzo and Loss, Ann. Phys. 326, 2793,
+    2011), so the SW engine solves it: it spends fewer products and needs no
+    nondegenerate levels inside a block.  For three or more blocks this runs
+    the full-diagonalization routine to obtain the Z series, builds the
     least-action generator from it, then rotates the input through the
     nested-commutator series.  Time-periodic input is not supported.
     """
@@ -217,6 +241,11 @@ def run_la(
         raise ValueError(f"block sizes sum to {blocks.dim}, operator dim is {h.dim}")
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
+    if len(blocks.sizes) == 2:
+        mask = blocks.cross_mask()
+        swt = run_swt(mask.complement_project(h), mask.project(h), blocks.sizes, max_order,
+                      hbar=hbar, deg_tol=deg_tol, res_tol=res_tol)
+        return replace(swt, method="la")
     fd = run_fd(h, max_order, hbar=hbar, deg_tol=deg_tol, res_tol=res_tol)
     la = compute_la_generator(fd.generator, blocks, max_order, dim=h.dim)
     tally = ProductTally()

@@ -115,6 +115,26 @@ def test_non_hermitian_input_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_offset_does_not_hide_non_hermitian_input(tmp_path, offset):
+    # 1% non-hermitian couplings: the check judges each key on its own size
+    doc = {
+        "dim": 2,
+        "method": "fd",
+        "max_order": 2,
+        "terms": [
+            {"order": 0, "harmonic": 0, "matrix": mat_json(np.diag([offset, offset + 1.0]))},
+            {"order": 1, "harmonic": 0,
+             "matrix": mat_json(np.array([[0.0, 1e-3], [1e-3 + 1e-5, 0.0]]))},
+        ],
+    }
+    path = tmp_path / "skew.json"
+    write_json(path, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_rotate_identity_and_hash_check(two_level_problem, tmp_path):
     result = tmp_path / "result.json"
     assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0

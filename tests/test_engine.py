@@ -17,6 +17,7 @@ from pertkit.graded import GradedOperator, commutator, identity_operator, zero_o
 from pertkit.io import result_document
 from pertkit.least_action import run_la
 from pertkit.models import random_bd_hamiltonian
+from pertkit.oracle import evaluate_at, exact_block_diagonalize
 
 
 def sigma_x():
@@ -467,20 +468,25 @@ def count_constructions(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("method, low, high", [("fd", 10, 20), ("la", 8, 16)])
+@pytest.mark.parametrize("method, low, high",
+                         [("fd", 10, 20), ("la", 8, 16), ("la-3-blocks", 8, 16)])
 def test_graded_operators_are_built_only_at_the_boundary(monkeypatch, method, low, high):
     # series entries accumulate in place and are frozen once when handed out,
     # so the objects built grow like the number of orders; wrapping every sum
-    # and product grows like the O(N^3) products instead
+    # and product grows like the O(N^3) products instead.  Two-block least
+    # action runs on the SW engine, three blocks on the least-action recursion.
     h = random_bd_hamiltonian((3, 3), 4)
+    h3 = random_bd_hamiltonian((2, 2, 2), 4)
     counter = count_constructions(monkeypatch)
 
     def constructions(order):
         counter[0] = 0
         if method == "fd":
             run_fd(h, max_order=order)
-        else:
+        elif method == "la":
             run_la(h, [3, 3], max_order=order)
+        else:
+            run_la(h3, [2, 2, 2], max_order=order)
         return counter[0]
 
     at_low, at_high = constructions(low), constructions(high)
@@ -627,15 +633,15 @@ def covariance_instance(seed, driven):
     return GradedOperator(d, terms, omega_d), ace_mask
 
 
-def transform(method, h, mask):
+def transform(method, h, mask, max_order=COVARIANCE_ORDER):
     if method == "fd":
-        return run_fd(h, max_order=COVARIANCE_ORDER)
+        return run_fd(h, max_order=max_order)
     if method == "ace":
-        return run_ace(h, mask, max_order=COVARIANCE_ORDER)
+        return run_ace(h, mask, max_order=max_order)
     sizes = [2, 3]
     blocks = Mask.block_off_diagonal(sizes)
     return run_swt(blocks.complement_project(h), blocks.project(h), sizes,
-                   max_order=COVARIANCE_ORDER)
+                   max_order=max_order)
 
 
 def assert_covariant(result, corrections, generator, a, spread):
@@ -734,3 +740,81 @@ def test_non_hermitian_input_rejected(routine):
             run_ace(h, Mask.full_off_diagonal(2), max_order=2)
         else:
             run_la(h, [1, 1], max_order=2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_hermiticity_is_judged_per_key(offset):
+    # 1% non-hermitian couplings stay 1% non-hermitian next to a large H0:
+    # lambda is formal, so a key small next to order 0 is not a negligible one
+    h0 = np.diag([offset, offset + 1.0])
+    skew = np.array([[0.0, 1e-3], [1e-3 + 1e-5, 0.0]])
+    h = GradedOperator(2, {(0, 0): h0, (1, 0): skew})
+    assert not h.is_hermitian_graded()
+    assert not GradedOperator(2, {(0, 0): h0, (1, 0): 1j * skew}).is_anti_hermitian_graded()
+    with pytest.raises(PertError, match="hermitian"):
+        run_fd(h, max_order=2)
+
+
+# ---------------------------------------------------------------------------
+# harmonic and level bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def assert_same_series(got, want, relabel=lambda key: key):
+    """Every order of ``got`` holds exactly the relabelled keys and matrices of ``want``."""
+    assert got.keys() == want.keys()
+    for n, op in want.items():
+        assert set(got[n].keys()) == {relabel(key) for key in op.keys()}, n
+        for key, mat in op.items():
+            np.testing.assert_array_equal(got[n].term(*relabel(key)), mat)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["fd", "swt", "ace"]), seed=st.integers(0, 2**32 - 1))
+def test_harmonic_relabelling_is_exact(method, seed):
+    # a drive at harmonics +-1 with frequency omega_d is the same drive at
+    # +-2 with frequency omega_d / 2: keys (n, k) map to (n, 2k), and every
+    # denominator hbar * k * omega_d rounds identically, so bit for bit
+    instance = covariance_instance(seed, True)
+    assume(instance is not None)
+    h, mask = instance
+    doubled = GradedOperator(h.dim, {(j, 2 * k): mat for (j, k), mat in h.items()},
+                             h.omega_d / 2)
+    base = transform(method, h, mask, max_order=5)
+    result = transform(method, doubled, mask, max_order=5)
+    assert_same_series(result.corrections, base.corrections, lambda key: (key[0], 2 * key[1]))
+    assert_same_series(result.generator, base.generator, lambda key: (key[0], 2 * key[1]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["fd", "swt", "ace"]), omega_d=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_zero_drive_equals_static_run(method, omega_d, seed):
+    instance = covariance_instance(seed, False)
+    assume(instance is not None)
+    h, mask = instance
+    zero = 0.0 * random_hermitian(h.dim, np.random.default_rng(seed))
+    driven = GradedOperator(h.dim, {**dict(h.items()), (1, 1): zero, (1, -1): zero}, omega_d)
+    static, result = transform(method, h, mask), transform(method, driven, mask)
+    assert result.omega_d == omega_d
+    assert_same_series(result.corrections, static.corrections)
+    assert_same_series(result.generator, static.generator)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fd_eigenvalues_match_the_oracle(seed):
+    # the diagonal of the fd series through order N is the spectrum, to the
+    # size of its last corrections.  One order's correction can be small by
+    # cancellation (seed 301416: 8.2e-7 at order 6, 4.8e-6 at order 7, the
+    # truncation error 4.0e-6), so the bound takes the last two.
+    instance = covariance_instance(seed, False)
+    assume(instance is not None)
+    h, _ = instance
+    order = 6
+    result = run_fd(h, max_order=order)
+    series = np.diag(sum(mat for op in result.corrections.values() for _, mat in op.items()))
+    _, exact = exact_block_diagonalize(evaluate_at(h, 1.0), (1,) * h.dim)
+    last = max(result.corrections[n].max_abs() for n in (order - 1, order))
+    tol = 3 * last + 1e-12
+    assert np.abs(series - np.diag(exact)).max() <= tol

@@ -2,6 +2,7 @@ import numpy as np
 
 from pertkit.experiments import (
     EnsembleSpec,
+    _instance_rows,
     ace_demo,
     checkerboard_mask,
     eta_rows_to_csv,
@@ -9,6 +10,9 @@ from pertkit.experiments import (
     run_fig3_experiment,
     sample_instance,
 )
+from pertkit.errors import PertError
+from pertkit.least_action import run_la
+from pertkit.oracle import evaluate_at, exact_block_diagonalize, partial_sum_matrix, spectral_distance
 
 
 def small_spec(count=6, seed=21):
@@ -75,3 +79,23 @@ def test_checkerboard_mask_pattern():
     mask = checkerboard_mask(4).eliminate
     assert mask[0, 1] and mask[1, 2] and not mask[0, 2]
     assert not mask.diagonal().any()
+
+
+def test_instance_rows_equal_the_spectral_distance_of_each_partial_sum():
+    # one norm of the exact block Hamiltonian and a running partial sum give
+    # the same bits as spectral_distance on partial_sum_matrix at every order
+    spec = EnsembleSpec(count=12, seed=7)
+    checked = 0
+    for index in range(spec.count):
+        try:
+            rows = _instance_rows(spec, index, 8)
+        except PertError:
+            continue
+        h, blocks = sample_instance(spec, index)
+        result = run_la(h, blocks, 8)
+        _, h_exact = exact_block_diagonalize(evaluate_at(h, 1.0), blocks)
+        want = [spectral_distance(h_exact, partial_sum_matrix(result, n, 1.0)) for n in range(1, 9)]
+        assert [row.eta for row in rows] == want, index
+        assert [row.order for row in rows] == list(range(1, 9))
+        checked += 1
+    assert checked >= 10

@@ -9,9 +9,13 @@ from composition_reference import (
     enumerate_compositions,
     nested_commutator,
     positive_compositions,
+    product_over_composition,
 )
 from pertkit.graded import (
     GradedOperator,
+    GradedSum,
+    NestedSeries,
+    ProductTally,
     commutator,
     identity_operator,
     zero_operator,
@@ -354,3 +358,132 @@ def test_cache_prefix_relation():
     np.testing.assert_allclose(
         full.term(4, 0), commutator(prefix, gen[2]).term(4, 0)
     )
+
+
+# ---------------------------------------------------------------------------
+# NestedSeries against the composition-indexed reference
+# ---------------------------------------------------------------------------
+
+
+def graded_series(terms_by_order, dim, omega_d=None):
+    """{order: GradedOperator} from {order: {harmonic: matrix}}."""
+    return {n: GradedOperator(dim, {(n, k): m for k, m in terms.items()}, omega_d)
+            for n, terms in terms_by_order.items()}
+
+
+def run_nested(base, factors, top, commutator_op):
+    """Fill a NestedSeries through order ``top``; level m of order n is read
+    off as the weighted sum with weight 1 on m and 0 elsewhere."""
+    dim = next(iter(base.values())).dim
+    omega_d = next(iter(base.values())).omega_d
+    tally = ProductTally()
+    series = NestedSeries({n: GradedSum.of(op) for n, op in base.items()},
+                          {n: GradedSum.of(op) for n, op in factors.items()},
+                          tally, commutator=commutator_op)
+    levels = {}
+    for n in range(1, top + 1):
+        series.extend(n)
+        for m in range(n + 1):
+            weights = np.zeros(top + 1)
+            weights[m] = 1.0
+            levels[(m, n)] = GradedOperator._adopt(dim, series.weighted_sum(n, weights), omega_d)
+    return levels, tally.count
+
+
+def reference_level(base, factors, m, n, commutator_op):
+    """Sum of the chains of nestedness m and order n, composition by composition."""
+    dim = next(iter(base.values())).dim
+    total = zero_operator(dim, next(iter(base.values())).omega_d)
+    if n == 0:
+        return base[0] if m == 0 and 0 in base else total
+    cache = CommutatorCache()
+    for comp in enumerate_compositions(n, True):
+        if (len(comp.tail) != m or comp.head not in base
+                or any(s not in factors for s in comp.tail)):
+            continue
+        if commutator_op:
+            total = total + nested_commutator(base, comp, factors, cache)
+        else:
+            merged = {**factors, comp.head: base[comp.head]}
+            total = total + product_over_composition(merged, comp.as_tuple())
+    return total
+
+
+def assert_levels_match(base, factors, top, commutator_op):
+    levels, count = run_nested(base, factors, top, commutator_op)
+    scale = max(op.max_abs() for op in [*base.values(), *factors.values()])
+    expected_count = 0
+    for n in range(1, top + 1):
+        for m in range(n + 1):
+            want = reference_level(base, factors, m, n, commutator_op)
+            got = levels[(m, n)]
+            assert set(got.keys()) == set(want.keys()), (m, n)
+            for key in want.keys():
+                assert np.abs(got.term(*key) - want.term(*key)).max() <= 1e-13 * scale ** (m + 1)
+            # one dense product (two for a commutator) per nonzero key of each
+            # level-(m - 1) operand and key of each factor
+            if m >= 1:
+                for s, factor in factors.items():
+                    if s <= n:
+                        left = reference_level(base, factors, m - 1, n - s, commutator_op)
+                        expected_count += ((2 if commutator_op else 1)
+                                           * len(left.keys()) * len(factor.keys()))
+    assert count == expected_count
+    return levels
+
+
+def test_nested_commutators_with_a_pruned_middle_level():
+    # [B1, S1] vanishes exactly (both diagonal) and S2 is absent, so level 1
+    # of order 2 is pruned between the base B2 at level 0 and [[B0, S1], S1]
+    # at level 2; it must neither feed order 3 nor count as products
+    rng = np.random.default_rng(5)
+    d = 4
+    base = graded_series({0: {0: hermitian(d, rng)}, 1: {0: np.diag(rng.normal(size=d))},
+                          2: {0: hermitian(d, rng)}}, d)
+    factors = graded_series({1: {0: 1j * np.diag(rng.normal(size=d))},
+                             3: {0: random_matrix(d, rng)}}, d)
+    levels = assert_levels_match(base, factors, 4, True)
+    assert levels[(1, 2)].is_zero
+    assert not levels[(0, 2)].is_zero and not levels[(2, 2)].is_zero
+
+
+def test_nested_commutators_with_harmonic_pairs_on_one_key():
+    # (k1, k2) = (1, -1) and (-1, 1) both land on harmonic 0
+    rng = np.random.default_rng(6)
+    d = 3
+    drive = random_matrix(d, rng)
+    base = graded_series({0: {0: np.diag(rng.normal(size=d))},
+                          1: {0: hermitian(d, rng), 1: drive, -1: drive.conj().T}}, d, 0.9)
+    factors = graded_series({1: {1: random_matrix(d, rng), -1: random_matrix(d, rng)},
+                             2: {0: random_matrix(d, rng), 2: random_matrix(d, rng)}}, d, 0.9)
+    levels = assert_levels_match(base, factors, 4, True)
+    assert (2, 0) in levels[(1, 2)].keys()
+
+
+def test_nested_products_are_the_powers_of_a_series():
+    # base = factors: level m of order n sums every product of m + 1 factors
+    rng = np.random.default_rng(7)
+    d = 3
+    series = graded_series({1: {0: random_matrix(d, rng), 1: random_matrix(d, rng),
+                                -1: random_matrix(d, rng)},
+                            2: {0: random_matrix(d, rng)},
+                            3: {2: random_matrix(d, rng)}}, d, 1.3)
+    assert_levels_match(series, series, 5, False)
+
+
+def test_nested_series_prunes_each_level_against_its_own_products():
+    # order 2 holds a 1e-20 base term at level 0, X I + I (-X + delta) at
+    # level 1, a cancellation to 1e-15 of its products, and I I at level 2:
+    # each level is judged only against what fed it, so level 0 stays and
+    # level 1 goes
+    rng = np.random.default_rng(8)
+    d = 3
+    x = random_matrix(d, rng)
+    delta = 1e-15 * random_matrix(d, rng)
+    base = graded_series({0: {0: np.eye(d)}, 1: {0: x}, 2: {0: 1e-20 * x}}, d)
+    factors = graded_series({1: {0: np.eye(d)}, 2: {0: -x + delta}}, d)
+    levels, _ = run_nested(base, factors, 2, False)
+    np.testing.assert_array_equal(levels[(0, 2)].term(2, 0), 1e-20 * x)
+    assert (x @ np.eye(d) + np.eye(d) @ (-x + delta)).any()
+    assert levels[(1, 2)].is_zero
+    assert not levels[(2, 2)].is_zero

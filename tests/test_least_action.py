@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composition_reference import positive_compositions, product_over_composition
-from pertkit.engine import Mask, run_swt
-from pertkit.graded import GradedOperator, zero_operator
+from pertkit.engine import Mask, rotate_operator, run_fd, run_swt
+from pertkit.errors import DegenerateSpectrum
+from pertkit.graded import GradedOperator, GradedSum, ProductTally, zero_operator
 from pertkit.least_action import (
     BlockStructure,
+    _convolve,
     block_project,
     compute_epsilon,
     compute_la_generator,
@@ -301,6 +303,17 @@ def test_la_rejects_time_dependence():
         run_la(h, BlockStructure((1, 1)), max_order=2)
 
 
+def two_block_instance(sizes, coupling, seed):
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    levels = np.cumsum(rng.uniform(0.5, 1.5, size=d))
+    rng.shuffle(levels)
+    off = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    off = coupling * (off + off.conj().T) / 2
+    off -= np.diag(np.diag(off))
+    return GradedOperator(d, {(0, 0): np.diag(levels), (1, 0): off}), levels
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     sizes=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 4)]),
@@ -310,14 +323,7 @@ def test_la_rejects_time_dependence():
 def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
     # for two blocks Schrieffer-Wolff is the direct rotation, which is the
     # least-action one, so the series agree order by order
-    rng = np.random.default_rng(seed)
-    d = sum(sizes)
-    levels = np.cumsum(rng.uniform(0.5, 1.5, size=d))
-    rng.shuffle(levels)
-    off = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    off = coupling * (off + off.conj().T) / 2
-    off -= np.diag(np.diag(off))
-    h = GradedOperator(d, {(0, 0): np.diag(levels), (1, 0): off})
+    h, levels = two_block_instance(sizes, coupling, seed)
     mask = Mask.block_off_diagonal(sizes)
     swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
     la = run_la(h, BlockStructure(sizes), max_order=8)
@@ -325,3 +331,69 @@ def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
     for n in range(1, 9):
         assert (swt.corrections[n] - la.corrections[n]).max_abs() <= 1e-14 * scale, n
         assert (swt.generator[n] - la.generator[n]).max_abs() <= 1e-14 * scale, n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    sizes=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 4)]),
+    coupling=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_block_least_action_recursion_equals_swt_through_order_8(sizes, coupling, seed):
+    # run_la hands two blocks to the SW engine; the fd-based least-action
+    # recursion it uses for more blocks must give the same series there
+    h, levels = two_block_instance(sizes, coupling, seed)
+    mask = Mask.block_off_diagonal(sizes)
+    swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
+    la = compute_la_generator(run_fd(h, max_order=8).generator, BlockStructure(sizes), 8, h.dim)
+    rotated = rotate_operator(h, la.S, 8)
+    scale = levels.max()
+    for n in range(1, 9):
+        diff = np.abs(rotated.term(n, 0) - swt.corrections[n].term(n, 0)).max()
+        assert diff <= 1e-14 * scale, n
+        assert (swt.generator[n] - la.S[n]).max_abs() <= 1e-14 * scale, n
+
+
+def test_two_block_la_accepts_degenerate_levels_inside_a_block():
+    # the degenerate pair (0, 1) is coupled inside block 1; only cross-block
+    # denominators enter the SW engine, while full diagonalization divides by 0
+    d = 4
+    off = np.zeros((d, d), dtype=complex)
+    off[0, 1] = off[1, 0] = 0.03
+    off[0, 2] = off[2, 0] = 0.05
+    off[1, 3], off[3, 1] = 0.02 - 0.01j, 0.02 + 0.01j
+    h = GradedOperator(d, {(0, 0): np.diag([0.0, 0.0, 2.0, 3.1]), (1, 0): off})
+    with pytest.raises(DegenerateSpectrum):
+        run_fd(h, max_order=4)
+    la = run_la(h, [2, 2], max_order=6)
+    mask = Mask.block_off_diagonal([2, 2])
+    swt = run_swt(mask.complement_project(h), mask.project(h), [2, 2], max_order=6)
+    assert la.method == "la"
+    for n in range(1, 7):
+        assert set(la.corrections[n].keys()) == set(swt.corrections[n].keys())
+        for key, mat in swt.corrections[n].items():
+            np.testing.assert_array_equal(la.corrections[n].term(*key), mat)
+        assert not np.any(la.corrections[n].term(n, 0)[mask.eliminate])
+    exact = exact_block_diagonalize(evaluate_at(h, 1.0), BlockStructure((2, 2)))[1]
+    partial = sum(la.corrections[n].term(n, 0) for n in range(7))
+    assert spectral_distance(exact, partial) < 1e-8
+
+
+def test_convolution_prunes_against_its_largest_product():
+    # a^(1) b^(3) is 1e-20 and a^(2) b^(2) + a^(3) b^(1) cancels to 1e-15 of
+    # either: the order-4 key is negligible next to the largest product
+    rng = np.random.default_rng(11)
+    d = 3
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    delta = 1e-15 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    eye = np.eye(d, dtype=complex)
+
+    def series(mats):
+        return {n: GradedSum({(n, 0): m}) for n, m in mats.items()}
+
+    a = series({1: 1e-20 * eye, 2: x, 3: eye})
+    b = series({1: -x + delta, 2: eye, 3: eye})
+    tally = ProductTally()
+    total = _convolve(a, b, 4, tally).finish()
+    assert tally.count == 3
+    assert not total.terms
