@@ -20,6 +20,7 @@ from .engine import (
 from .errors import (
     DegenerateSpectrum,
     IllConditionedBlocks,
+    NonFiniteContent,
     PertError,
     ResonantDenominator,
 )
@@ -31,10 +32,7 @@ from .graded import (
 )
 from .least_action import (
     BlockStructure,
-    LASeries,
     block_project,
-    compute_epsilon,
-    compute_la_generator,
     run_la,
 )
 from .oracle import (
@@ -53,8 +51,8 @@ __all__ = [
     "EigenFrame",
     "GradedOperator",
     "IllConditionedBlocks",
-    "LASeries",
     "Mask",
+    "NonFiniteContent",
     "NumericHamiltonian",
     "OrderedEigensystem",
     "PertError",
@@ -62,8 +60,6 @@ __all__ = [
     "TransformResult",
     "block_project",
     "commutator",
-    "compute_epsilon",
-    "compute_la_generator",
     "convergence_scan",
     "evaluate_at",
     "exact_block_diagonalize",

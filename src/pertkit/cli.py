@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import io
@@ -34,14 +33,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESONANCE = 4
 EXIT_ILL_CONDITIONED = 5
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PERTKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
@@ -134,7 +125,6 @@ def cmd_experiment(args) -> int:
         except json.JSONDecodeError as err:
             raise io.ProblemFormatError(f"invalid JSON: {err}") from err
     kind = doc.get("kind", "fig3")
-    threads = _thread_count()
     if kind == "fig3":
         spec = EnsembleSpec(
             count=int(args.instances or doc.get("count", 50)),
@@ -145,9 +135,7 @@ def cmd_experiment(args) -> int:
             coupling=float(doc.get("coupling", 0.05)),
             seed=int(args.seed if args.seed is not None else doc.get("seed", 7)),
         )
-        rows, skipped = run_fig3_experiment(
-            spec, max_order=int(doc.get("max_order", 8)), threads=threads
-        )
+        rows, skipped = run_fig3_experiment(spec, max_order=int(doc.get("max_order", 8)))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eta_rows_to_csv(rows))
         for index, reason in skipped:

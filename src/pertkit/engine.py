@@ -28,7 +28,7 @@ and K_n, T_n and S^(n) are ``GradedSum``s that weighted terms are added
 into in place; every entry is pruned when it is read as an operand.  Inputs
 are read as views of their ``GradedOperator`` terms, and only the
 corrections and the generator handed out in the ``TransformResult`` are
-frozen into ``GradedOperator``s, without a copy.  ``rotate_by_order`` runs
+frozen into ``GradedOperator``s, without a copy.  ``rotate_operator`` runs
 the same recursion over an arbitrary operator; its generator obeys no
 generator condition, so there [O0, S^(n)] is a product like any other.
 """
@@ -302,6 +302,7 @@ def _transform(
 ) -> TransformResult:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    _require_physical_units(h, hbar, omega_d)
     tally = ProductTally()
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
@@ -411,6 +412,15 @@ def run_ace(
     return _transform("ace", h, frame, mask, max_order, hbar, omega_d, res_tol)
 
 
+def _require_physical_units(h: GradedOperator, hbar: float, omega_d: float | None) -> None:
+    """hbar finite and > 0; omega_d too when ``h`` carries a nonzero harmonic."""
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise PertError(f"hbar must be finite and positive, got {hbar}")
+    if any(k != 0 for k in h.harmonics()) and not (
+            omega_d is not None and math.isfinite(omega_d) and omega_d > 0):
+        raise PertError(f"omega_d must be finite and positive, got {omega_d}")
+
+
 def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
     if not op.is_hermitian_graded():
         raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
@@ -432,36 +442,6 @@ def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
             raise DegenerateSpectrum(int(i), int(jdx), float(frame.energies[i]))
 
 
-def rotate_by_order(
-    operator: GradedOperator,
-    generator: Mapping[int, GradedOperator],
-    up_to_order: int,
-    tally: ProductTally,
-) -> dict[int, GradedSum]:
-    """Per-order terms of exp(-S) O exp(S) through ``up_to_order``, as sums.
-
-    The order-n term is sum_m C_m^(n) / m! with C_0 = O and S the solved
-    ``generator``, which must hold every order up to ``up_to_order``.
-    """
-    missing = [n for n in range(1, up_to_order + 1) if n not in generator]
-    if missing:
-        raise ValueError(
-            f"rotation order {up_to_order} exceeds solved order {missing[0] - 1}"
-        )
-    if any(s_n.dim != operator.dim for s_n in generator.values()):
-        raise ValueError("operator dimension does not match the generator")
-    _merged_omega(operator, *generator.values())
-    factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
-    base = _by_order(operator)
-    chains = NestedSeries(base, factors, tally, commutator=True)
-    weights = _inverse_factorials(up_to_order)
-    rotated = {0: base.get(0, GradedSum())}
-    for n in range(1, up_to_order + 1):
-        chains.extend(n)
-        rotated[n] = chains.weighted_sum(n, weights)
-    return rotated
-
-
 def rotate_operator(
     operator: GradedOperator,
     generator: Mapping[int, GradedOperator],
@@ -470,10 +450,25 @@ def rotate_operator(
     """Rotate an arbitrary operator into the frame of a solved generator.
 
     Returns exp(-S) O exp(S) truncated at total order ``up_to_order``, with
-    S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``).
+    S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``), which
+    must hold every order up to ``up_to_order``.  The order-n term is
+    sum_m C_m^(n) / m! with C_0 = O.
     """
-    total = GradedSum()
-    for term in rotate_by_order(operator, generator, up_to_order, ProductTally()).values():
-        total.add_scaled(term, 1.0)
+    missing = [n for n in range(1, up_to_order + 1) if n not in generator]
+    if missing:
+        raise ValueError(
+            f"rotation order {up_to_order} exceeds solved order {missing[0] - 1}"
+        )
+    if any(s_n.dim != operator.dim for s_n in generator.values()):
+        raise ValueError("operator dimension does not match the generator")
     omega_d = _merged_omega(operator, *generator.values())
+    factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
+    base = _by_order(operator)
+    chains = NestedSeries(base, factors, ProductTally(), commutator=True)
+    weights = _inverse_factorials(up_to_order)
+    total = GradedSum()
+    total.add_scaled(base.get(0, GradedSum()), 1.0)
+    for n in range(1, up_to_order + 1):
+        chains.extend(n)
+        total.add_scaled(chains.weighted_sum(n, weights), 1.0)
     return GradedOperator._adopt(operator.dim, total, omega_d)

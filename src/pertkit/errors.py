@@ -26,6 +26,17 @@ class ResonantDenominator(PertError):
         )
 
 
+class NonFiniteContent(PertError):
+    """A graded entry holds NaN or inf: the input is not finite or a series overflowed."""
+
+    def __init__(self, key: tuple[int, int] | None = None):
+        self.key = key
+        where = "" if key is None else f" at order {key[0]}, harmonic {key[1]}"
+        super().__init__(
+            f"non-finite content{where}: the input is not finite or the series overflowed"
+        )
+
+
 class DegenerateSpectrum(PertError):
     """Full diagonalization asked to eliminate a coupling between degenerate levels."""
 

@@ -10,7 +10,6 @@ before/mask/after panels.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import median
 
@@ -87,35 +86,21 @@ def _instance_rows(spec: EnsembleSpec, index: int, max_order: int) -> list[EtaRo
 
 
 def run_fig3_experiment(
-    spec: EnsembleSpec, max_order: int = 8, threads: int = 1
+    spec: EnsembleSpec, max_order: int = 8
 ) -> tuple[list[EtaRow], list[tuple[int, str]]]:
-    """Per-instance eta(n) rows plus a log of skipped instances.
+    """Per-instance eta(n) rows, in instance order, plus a log of skipped instances.
 
     Instances failing a precondition (resonant denominators, ill-conditioned
-    blocks) are recorded and skipped, not fatal.  Row order is normalized by
-    instance id so parallel and serial runs emit identical tables.
+    blocks) are recorded and skipped, not fatal.
     """
-    rows_by_instance: dict[int, list[EtaRow]] = {}
+    rows: list[EtaRow] = []
     skipped: list[tuple[int, str]] = []
-
-    def work(index: int):
+    for index in range(spec.count):
         try:
-            return index, _instance_rows(spec, index, max_order), None
+            rows += _instance_rows(spec, index, max_order)
         except PertError as err:
-            return index, [], f"{type(err).__name__}: {err}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, range(spec.count)))
-    else:
-        outcomes = [work(i) for i in range(spec.count)]
-    for index, rows, failure in outcomes:
-        if failure is not None:
-            skipped.append((index, failure))
-        else:
-            rows_by_instance[index] = rows
-    ordered = [row for index in sorted(rows_by_instance) for row in rows_by_instance[index]]
-    return ordered, skipped
+            skipped.append((index, f"{type(err).__name__}: {err}"))
+    return rows, skipped
 
 
 def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:

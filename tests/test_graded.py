@@ -11,6 +11,7 @@ from composition_reference import (
     positive_compositions,
     product_over_composition,
 )
+from pertkit.errors import NonFiniteContent
 from pertkit.graded import (
     GradedOperator,
     GradedSum,
@@ -487,3 +488,22 @@ def test_nested_series_prunes_each_level_against_its_own_products():
     assert (x @ np.eye(d) + np.eye(d) @ (-x + delta)).any()
     assert levels[(1, 2)].is_zero
     assert not levels[(2, 2)].is_zero
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_content_is_never_pruned(value):
+    # NaN > x and inf > inf are both false, so the pruning rule alone would
+    # drop the key as if it were zero
+    with pytest.raises(NonFiniteContent):
+        GradedOperator(2, {(1, 0): [[0, value], [value, 0]]})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_nested_level_is_never_pruned():
+    # 1e200 * 1e200 overflows: the level's size and its operand scale are
+    # both inf, and inf <= ZERO_RTOL * inf holds
+    big = {1: GradedSum({(1, 0): 1e200 * np.eye(2, dtype=complex)})}
+    series = NestedSeries(big, big, ProductTally(), commutator=False)
+    series.extend(2)
+    with pytest.raises(NonFiniteContent):
+        series.weighted_sum(2, np.ones(3))

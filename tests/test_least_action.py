@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composition_reference import positive_compositions, product_over_composition
+from la_reference import _convolve, compute_epsilon, compute_la_generator
 from pertkit.engine import Mask, rotate_operator, run_fd, run_swt
 from pertkit.errors import DegenerateSpectrum
 from pertkit.graded import GradedOperator, GradedSum, ProductTally, zero_operator
-from pertkit.least_action import (
-    BlockStructure,
-    _convolve,
-    block_project,
-    compute_epsilon,
-    compute_la_generator,
-    run_la,
-)
+from pertkit.least_action import BlockStructure, block_project, run_la
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
 
 RNG = np.random.default_rng(909)
@@ -303,7 +297,7 @@ def test_la_rejects_time_dependence():
         run_la(h, BlockStructure((1, 1)), max_order=2)
 
 
-def two_block_instance(sizes, coupling, seed):
+def block_instance(sizes, coupling, seed):
     rng = np.random.default_rng(seed)
     d = sum(sizes)
     levels = np.cumsum(rng.uniform(0.5, 1.5, size=d))
@@ -323,7 +317,7 @@ def two_block_instance(sizes, coupling, seed):
 def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
     # for two blocks Schrieffer-Wolff is the direct rotation, which is the
     # least-action one, so the series agree order by order
-    h, levels = two_block_instance(sizes, coupling, seed)
+    h, levels = block_instance(sizes, coupling, seed)
     mask = Mask.block_off_diagonal(sizes)
     swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
     la = run_la(h, BlockStructure(sizes), max_order=8)
@@ -340,9 +334,9 @@ def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_two_block_least_action_recursion_equals_swt_through_order_8(sizes, coupling, seed):
-    # run_la hands two blocks to the SW engine; the fd-based least-action
-    # recursion it uses for more blocks must give the same series there
-    h, levels = two_block_instance(sizes, coupling, seed)
+    # the least-action recursion through full diagonalization (the oracle)
+    # gives the direct rotation for two blocks, i.e. the SW series
+    h, levels = block_instance(sizes, coupling, seed)
     mask = Mask.block_off_diagonal(sizes)
     swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
     la = compute_la_generator(run_fd(h, max_order=8).generator, BlockStructure(sizes), 8, h.dim)
@@ -356,7 +350,7 @@ def test_two_block_least_action_recursion_equals_swt_through_order_8(sizes, coup
 
 def test_two_block_la_accepts_degenerate_levels_inside_a_block():
     # the degenerate pair (0, 1) is coupled inside block 1; only cross-block
-    # denominators enter the SW engine, while full diagonalization divides by 0
+    # denominators enter least action, while full diagonalization divides by 0
     d = 4
     off = np.zeros((d, d), dtype=complex)
     off[0, 1] = off[1, 0] = 0.03
@@ -371,12 +365,60 @@ def test_two_block_la_accepts_degenerate_levels_inside_a_block():
     assert la.method == "la"
     for n in range(1, 7):
         assert set(la.corrections[n].keys()) == set(swt.corrections[n].keys())
-        for key, mat in swt.corrections[n].items():
-            np.testing.assert_array_equal(la.corrections[n].term(*key), mat)
+        assert (la.corrections[n] - swt.corrections[n]).max_abs() <= 1e-14 * 3.1, n
         assert not np.any(la.corrections[n].term(n, 0)[mask.eliminate])
     exact = exact_block_diagonalize(evaluate_at(h, 1.0), BlockStructure((2, 2)))[1]
     partial = sum(la.corrections[n].term(n, 0) for n in range(7))
     assert spectral_distance(exact, partial) < 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    sizes=st.sampled_from([(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),
+                           (1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 1, 2)]),
+    coupling=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_la_equals_reference_recursion_for_three_and_four_blocks(sizes, coupling, seed):
+    # the direct recursion against the fd -> epsilon -> (1+eps)^(-1/2) oracle
+    # and the rotation of the input by its generator
+    h, levels = block_instance(sizes, coupling, seed)
+    blocks = BlockStructure(sizes)
+    la = run_la(h, blocks, max_order=8)
+    ref = compute_la_generator(run_fd(h, max_order=8).generator, blocks, 8, h.dim)
+    rotated = rotate_operator(h, ref.S, 8)
+    scale = levels.max()
+    for n in range(1, 9):
+        diff = np.abs(rotated.term(n, 0) - la.corrections[n].term(n, 0)).max()
+        assert diff <= 1e-14 * scale, n
+        assert (la.generator[n] - ref.S[n]).max_abs() <= 1e-14 * scale, n
+
+
+def test_three_block_la_accepts_degenerate_levels_inside_a_block():
+    # levels 0 and 1 are degenerate and coupled inside block 1: full
+    # diagonalization divides by 0 there, least action never does
+    rng = np.random.default_rng(6)
+    off = 0.02 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    off = off + off.conj().T
+    off -= np.diag(np.diag(off))
+    h = GradedOperator(6, {(0, 0): np.diag([0.0, 0.0, 2.0, 3.1, 5.0, 6.3]), (1, 0): off})
+    blocks = BlockStructure((2, 2, 2))
+    with pytest.raises(DegenerateSpectrum):
+        run_fd(h, max_order=4)
+    la = run_la(h, blocks, max_order=10)
+    cross = ~blocks.in_block()
+    for n in range(1, 11):
+        assert not np.any(la.corrections[n].term(n, 0)[cross])
+        assert la.generator[n].is_anti_hermitian_graded(1e-12)
+    exact = exact_block_diagonalize(evaluate_at(h, 1.0), blocks)[1]
+    partial = la.corrections[0].term(0, 0).copy()
+    etas = []
+    for n in range(1, 11):
+        partial += la.corrections[n].term(n, 0)
+        etas.append(spectral_distance(exact, partial))
+    assert etas[1] < 1e-4
+    assert etas[-1] < 1e-13
+    assert etas[-1] < 1e-8 * etas[1]
 
 
 def test_convolution_prunes_against_its_largest_product():

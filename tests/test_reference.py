@@ -9,9 +9,10 @@ from composition_reference import (
     reference_rotate,
     reference_transform,
 )
+from la_reference import compute_la_generator
 from pertkit.engine import Mask, rotate_operator, run_ace, run_fd, run_swt
 from pertkit.graded import GradedOperator
-from pertkit.least_action import BlockStructure, compute_la_generator, run_la
+from pertkit.least_action import BlockStructure, run_la
 
 MAX_ORDER = 6
 
