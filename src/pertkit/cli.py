@@ -127,7 +127,7 @@ def cmd_experiment(args) -> int:
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
         spec = EnsembleSpec(
-            count=int(args.instances or doc.get("count", 50)),
+            count=int(args.instances if args.instances is not None else doc.get("count", 50)),
             dim_min=int(doc.get("dim_min", 6)),
             dim_max=int(doc.get("dim_max", 14)),
             blocks_min=int(doc.get("blocks_min", 2)),

@@ -38,7 +38,8 @@ dense products.  It stores every nestedness level of one (order, harmonic)
 key as one contiguous (levels, d, d) stack with one operand scale per level,
 so all levels m of one term of the sum over s are formed by one batched
 matmul (two for a commutator): O(N^2) numpy calls in all.  Each level is
-pruned on its own, by the rule of ``GradedSum.finish``.
+pruned on its own.  ``GradedSum.finish``, the stacks and least action's
+per-order loop all prune by one rule, ``_negligible``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,22 @@ _amax = np.maximum.reduce
 
 def _max_abs(mat: np.ndarray) -> float:
     return float(_amax(np.abs(mat), axis=None))
+
+
+def _negligible(size, scale, key: Key | None = None):
+    """The pruning rule: whether a matrix of largest entry ``size`` counts as zero.
+
+    ``scale`` is the largest single product or summand that fed the matrix
+    (0 if none): it is dropped when size <= ZERO_RTOL * max(size, scale),
+    which for size >= 0 is size <= ZERO_RTOL * scale, so with no operand
+    scale only exact zeros go.  Works on floats and, elementwise, on arrays
+    of them.  A NaN or inf size raises ``NonFiniteContent`` instead of being
+    judged: NaN > x and inf > inf are false, so the test would drop it.
+    """
+    finite = np.isfinite(size).all() if isinstance(size, np.ndarray) else math.isfinite(size)
+    if not finite:
+        raise NonFiniteContent(key)
+    return size <= ZERO_RTOL * scale
 
 
 class GradedSum:
@@ -129,19 +146,17 @@ class GradedSum:
         Each key is judged on its own: against the largest single product or
         summand that fed it, else against itself, so only exact zeros go.
         Orders and harmonics never set each other's scale, since lambda is
-        formal and a small key is not a negligible one.  A key holding NaN or
-        inf raises ``NonFiniteContent`` instead of being judged.
+        formal and a small key is not a negligible one.  The rule is
+        ``_negligible``'s; a key holding NaN or inf raises ``NonFiniteContent``.
         """
         if self.sizes is None:
             sizes: dict[Key, float] = {}
             for key, mat in list(self.terms.items()):
                 size = _max_abs(mat)
-                if not math.isfinite(size):
-                    raise NonFiniteContent(key)
-                if size > ZERO_RTOL * max(size, self.scale.get(key, 0.0)):
-                    sizes[key] = size
-                else:
+                if _negligible(size, self.scale.get(key, 0.0), key):
                     del self.terms[key]
+                else:
+                    sizes[key] = size
             self.sizes = sizes
         return self
 
@@ -368,8 +383,8 @@ class ProductTally:
 
     __slots__ = ("count",)
 
-    def __init__(self) -> None:
-        self.count = 0
+    def __init__(self, count: int = 0) -> None:
+        self.count = count
 
 
 def _level_max(stack: np.ndarray) -> np.ndarray:
@@ -383,9 +398,9 @@ class _Stack:
     ``mats[i]`` is level lo + i and ``scale[i]`` its operand scale, the
     largest single product or summand added to it.  ``finish`` raises
     ``NonFiniteContent`` if a level holds NaN or inf; otherwise it prunes
-    every level by the rule of ``GradedSum.finish``, zeroes the pruned ones, trims
-    the range to the outermost kept levels and records each level's largest
-    entry in ``sizes`` (0 for a pruned level) and the kept count in ``kept``.
+    every level by ``_negligible``, zeroes the pruned ones, trims the range
+    to the outermost kept levels and records each level's largest entry in
+    ``sizes`` (0 for a pruned level) and the kept count in ``kept``.
     """
 
     __slots__ = ("lo", "hi", "mats", "scale", "sizes", "kept")
@@ -411,11 +426,8 @@ class _Stack:
     def finish(self) -> "_Stack":
         if self.sizes is None:
             sizes = _level_max(self.mats)
-            # an overflowed level has size and scale inf, and inf <= ZERO_RTOL * inf
-            if not np.isfinite(sizes).all():
-                raise NonFiniteContent()
-            # GradedSum.finish's test size <= ZERO_RTOL * max(size, scale), since size >= 0
-            pruned = sizes <= ZERO_RTOL * self.scale
+            # an overflowed level has size and scale inf, and is raised, not pruned
+            pruned = _negligible(sizes, self.scale)
             dropped = int(np.count_nonzero(pruned))
             self.kept = len(sizes) - dropped
             if dropped:

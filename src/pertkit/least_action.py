@@ -22,14 +22,21 @@ Ann. Phys. 326, 2793, 2011).
 H0 is diagonal, so [H0, X] is the elementwise (E_i - E_j) X_ij: H0 is never
 multiplied, and a shift of H0 by c*1 changes no order >= 1 output.  Only
 cross-block energy differences are divided by, so levels degenerate inside
-a block are accepted.  Each sum over 0 < k < n is one stacked matmul whose
-operand scale is its largest product, so the recursion spends O(N^2)
-products through order N.  The generator is the logarithm
+a block are accepted.  The recursion, ``_la_orders``, runs on per-order
+matrices: each order's W, Y, R and U' is one d x d matrix or None, pruned by
+``graded._negligible`` (the rule of the graded containers) against the
+largest single product or summand that fed it.  Each sum over 0 < k < n is
+one stacked matmul whose operand scale is its largest product, so the
+recursion spends O(N^2) products through order N.  The generator is the
+logarithm
 
     S = log(1 + U') = sum_m (-1)^m / (m + 1) P_m,
 
 with P_m = U'^(m + 1) level m of one product ``NestedSeries`` over U', which
-spends O(N^3) products in O(N^2) numpy calls.
+spends O(N^3) products in O(N^2) numpy calls; it is the only part of
+``run_la`` that uses a ``NestedSeries``.  Callers that read only the
+corrections, the fig3 experiment and the la convergence scan, call
+``_la_orders`` alone and compute no generator.
 """
 
 from __future__ import annotations
@@ -44,13 +51,20 @@ from .engine import (
     EigenFrame,
     Mask,
     TransformResult,
-    _by_order,
     _require_hermitian_graded,
     _require_physical_units,
     _require_static_diagonal_order0,
     _solve,
 )
-from .graded import GradedOperator, GradedSum, NestedSeries, ProductTally, freeze_series
+from .graded import (
+    GradedOperator,
+    GradedSum,
+    NestedSeries,
+    ProductTally,
+    _max_abs,
+    _negligible,
+    freeze_series,
+)
 
 
 @dataclass(frozen=True)
@@ -83,38 +97,50 @@ def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
     return blocks.cross_mask().complement_project(g)
 
 
-def _convolve(total: GradedSum, n: int, left: dict[int, np.ndarray],
-              right: dict[int, np.ndarray], weight: float, tally: ProductTally) -> None:
-    """Add ``weight`` times sum_{0<k<n} left[k] right[n-k] at key (n, 0).
-
-    The products are one stacked matmul; the key's operand scale is the
-    largest of them.
-    """
-    pairs = [(left[k], right[n - k]) for k in range(1, n) if k in left and n - k in right]
-    if not pairs:
-        return
-    lefts, rights = zip(*pairs)
-    prods = np.stack(lefts) @ np.stack(rights)
-    tally.count += len(prods)
-    total.add((n, 0), weight * prods.sum(axis=0), abs(weight) * float(np.abs(prods).max()))
+def _finished(n: int, mat: np.ndarray | None,
+              scale: float) -> tuple[np.ndarray | None, float]:
+    """An order-n matrix and its largest entry, or (None, 0.0) if ``_negligible`` drops it."""
+    if mat is None:
+        return None, 0.0
+    size = _max_abs(mat)
+    if _negligible(size, scale, (n, 0)):
+        return None, 0.0
+    return mat, size
 
 
-def run_la(
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """a + b, where None is zero."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _convolve(n: int, left: dict[int, np.ndarray],
+              right: dict[int, np.ndarray]) -> tuple[np.ndarray | None, float, int]:
+    """sum_{0<k<n} left[k] right[n-k] (None if no pair is present), its largest
+    product and the number of products, all formed by one stacked matmul."""
+    ks = [k for k in range(1, n) if k in left and n - k in right]
+    if not ks:
+        return None, 0.0, 0
+    prods = np.array([left[k] for k in ks]) @ np.array([right[n - k] for k in ks])
+    return prods.sum(axis=0), _max_abs(prods), len(ks)
+
+
+def _la_orders(
     h: GradedOperator,
     blocks: BlockStructure | list[int] | tuple[int, ...],
     max_order: int,
     hbar: float = 1.0,
     deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
-) -> TransformResult:
-    """Least-action block diagonalization of a static Hamiltonian.
+) -> tuple[EigenFrame, Mask, dict[int, np.ndarray | None], dict[int, np.ndarray], int]:
+    """The least-action recursion on per-order matrices (module docstring).
 
-    Solves U = 1 + U' order by order, with U' = W + V, W = -1/2 U'^dag U'
-    from unitarity and V cross-block from the elimination condition, and
-    returns the corrections of U^dag H U and the generator S = log(1 + U')
-    (module docstring).  One path serves every number of blocks.  The
-    order-0 part must be diagonal; levels may be degenerate inside a block.
-    Time-periodic input is not supported.
+    Validates the input and returns the frame, the mask, the correction of
+    every order 0 .. ``max_order`` (None where it vanishes), the nonzero
+    U'^(n) and the number of dense products spent.  Each order's W, Y, R and
+    U' is one matrix or None, judged by ``_negligible`` against the largest
+    single product or summand that fed it.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
@@ -130,49 +156,84 @@ def run_la(
     mask = blocks.cross_mask()
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = frame.energies[:, None] - frame.energies[None, :]
-    base = _by_order(h)
-    h_mats = {j: entry.terms[(j, 0)] for j, entry in base.items()}
-    tally = ProductTally()
-    # U'^(n) as sums, for the logarithm, and the nonzero U'^(n), U'^(n)^dag
-    # and Y^(n) as matrices
-    u: dict[int, GradedSum] = {}
-    u_mats: dict[int, np.ndarray] = {}
+    h_mats = {j: mat for (j, _), mat in h.items()}
+    products = 0
+    # the nonzero U'^(n), U'^(n)^dag and Y^(n)
+    u: dict[int, np.ndarray] = {}
     u_dag: dict[int, np.ndarray] = {}
     y_mats: dict[int, np.ndarray] = {}
-    corrections: dict[int, GradedSum] = {0: base[0].finish()}
+    corrections: dict[int, np.ndarray | None] = {0: h_mats[0]}
     for n in range(1, max_order + 1):
-        w = GradedSum()
-        _convolve(w, n, u_dag, u_mats, -0.5, tally)
-        y = GradedSum()
-        for mat in w.finish().terms.values():
-            commuted = gaps * mat
-            y.add((n, 0), commuted, float(np.abs(commuted).max()))
-        if n in base:
-            y.add_scaled(base[n], 1.0)
-        _convolve(y, n, h_mats, u_mats, 1.0, tally)
-        r = GradedSum()
-        r.add_scaled(y, 1.0)
-        _convolve(r, n, u_dag, y_mats, 1.0, tally)
-        target = r.where(mask.eliminate)
-        v = _solve(n, target, frame, mask, hbar, None, res_tol)
-        # the elimination condition: [H0, V^(n)] = -T_n
-        y.add_scaled(target, -1.0)
-        r.add_scaled(target, -1.0)
+        w, w_scale, count = _convolve(n, u_dag, u)
+        products += count
+        if w is not None:
+            w *= -0.5
+        w, w_size = _finished(n, w, 0.5 * w_scale)
+        y, y_scale = None, 0.0
+        if w is not None:
+            y = gaps * w
+            y_scale = _max_abs(y)
+        if n in h_mats:
+            y = _plus(y, h_mats[n])
+            y_scale = max(y_scale, _max_abs(h_mats[n]))
+        hu, hu_scale, count = _convolve(n, h_mats, u)
+        products += count
+        y, y_size = _finished(n, _plus(y, hu), max(y_scale, hu_scale))
+        uy, uy_scale, count = _convolve(n, u_dag, y_mats)
+        products += count
+        r_scale = max(y_size, uy_scale)
+        r, _ = _finished(n, _plus(y, uy), r_scale)
+        target = None if r is None else np.where(mask.eliminate, r, 0.0)
+        target, t_size = _finished(n, target, 0.0)
+        v, v_size = None, 0.0
+        if target is not None:
+            solved = _solve(n, GradedSum({(n, 0): target}), frame, mask, hbar, None, res_tol)
+            v, v_size = solved.terms.get((n, 0)), solved.sizes.get((n, 0), 0.0)
+            # the elimination condition: [H0, V^(n)] = -T_n; a pruned Y^(n)
+            # restarts from it alone
+            y_scale = t_size if y is None else max(y_scale, t_size)
+            y, _ = _finished(n, _plus(y, -target), y_scale)
+            r, _ = _finished(n, r - target, max(r_scale, t_size))
         corrections[n] = r
-        u[n] = GradedSum()
-        u[n].add_scaled(w, 1.0)
-        u[n].add_scaled(v, 1.0)
-        if (n, 0) in u[n].finish().terms:
-            u_mats[n] = u[n].terms[(n, 0)]
-            u_dag[n] = u_mats[n].conj().T
-        if (n, 0) in y.finish().terms:
-            y_mats[n] = y.terms[(n, 0)]
-    powers = NestedSeries(u, u, tally, commutator=False)
+        u_n, _ = _finished(n, _plus(w, v), max(w_size, v_size))
+        if u_n is not None:
+            u[n] = u_n
+            u_dag[n] = u_n.conj().T
+        if y is not None:
+            y_mats[n] = y
+    return frame, mask, corrections, u, products
+
+
+def run_la(
+    h: GradedOperator,
+    blocks: BlockStructure | list[int] | tuple[int, ...],
+    max_order: int,
+    hbar: float = 1.0,
+    deg_tol: float | None = None,
+    res_tol: float = DEFAULT_RES_TOL,
+) -> TransformResult:
+    """Least-action block diagonalization of a static Hamiltonian.
+
+    Solves U = 1 + U' order by order, with U' = W + V, W = -1/2 U'^dag U'
+    from unitarity and V cross-block from the elimination condition, on
+    per-order matrices (``_la_orders``), and returns the corrections of
+    U^dag H U and the generator S = log(1 + U'), the only part that runs on
+    a ``NestedSeries`` (module docstring).  One path serves every number of
+    blocks.  The order-0 part must be diagonal; levels may be degenerate
+    inside a block.  Time-periodic input is not supported.
+    """
+    frame, mask, corrections, u, products = _la_orders(
+        h, blocks, max_order, hbar, deg_tol, res_tol)
+    tally = ProductTally(products)
+    factors = {n: GradedSum({(n, 0): mat}) for n, mat in u.items()}
+    powers = NestedSeries(factors, factors, tally, commutator=False)
     log_weights = np.array([(-1.0) ** m / (m + 1) for m in range(max_order)])
     generator: dict[int, GradedSum] = {}
     for n in range(1, max_order + 1):
         powers.extend(n)
         generator[n] = powers.weighted_sum(n, log_weights)
+    corrections = {n: GradedSum(None if mat is None else {(n, 0): mat})
+                   for n, mat in corrections.items()}
     return TransformResult(
         corrections=freeze_series(corrections, h.dim, None),
         generator=freeze_series(generator, h.dim, None),

@@ -9,15 +9,15 @@ algebra, the relative spectral distance eta, and order/lambda scans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .engine import TransformResult
 from .errors import IllConditionedBlocks
-from .graded import GradedOperator
-from .least_action import BlockStructure, run_la
+from .graded import GradedOperator, Key
+from .least_action import BlockStructure, _la_orders
 from . import engine
 
 #: Smallest admissible eigenvalue of B(X^dag) B(X).
@@ -176,8 +176,14 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def partial_sum_matrix(result: TransformResult, order: int, lam: float) -> np.ndarray:
     """Corrections through ``order``, collapsed at a numeric lambda (static)."""
-    total = np.zeros((result.dim, result.dim), dtype=complex)
-    for n, corr in result.corrections.items():
+    return _partial_sum(result.dim, result.corrections, order, lam)
+
+
+def _partial_sum(dim: int, corrections: Mapping[int, Mapping[Key, np.ndarray]],
+                 order: int, lam: float) -> np.ndarray:
+    """``partial_sum_matrix`` of a series whose entries map (order, harmonic) to a matrix."""
+    total = np.zeros((dim, dim), dtype=complex)
+    for n, corr in corrections.items():
         if n > order:
             continue
         for (j, k), mat in corr.items():
@@ -209,10 +215,12 @@ def convergence_scan(
             raise ValueError("the la scan needs a block structure")
         if not isinstance(blocks, BlockStructure):
             blocks = BlockStructure(tuple(blocks))
-        result = run_la(h, blocks, top, hbar=hbar)
+        # the scan reads only the corrections: no generator is computed
+        corrections = {n: {} if mat is None else {(n, 0): mat}
+                       for n, mat in _la_orders(h, blocks, top, hbar=hbar)[2].items()}
         oracle_blocks = blocks
     elif method == "fd":
-        result = engine.run_fd(h, top, hbar=hbar)
+        corrections = engine.run_fd(h, top, hbar=hbar).corrections
         oracle_blocks = BlockStructure((1,) * h.dim)
     else:
         raise ValueError(f"unknown scan method {method!r}")
@@ -221,6 +229,6 @@ def convergence_scan(
         exact = evaluate_at(h, lam)
         _, h_exact = exact_block_diagonalize(exact, oracle_blocks)
         for n in orders:
-            approx = partial_sum_matrix(result, n, lam)
+            approx = _partial_sum(h.dim, corrections, n, lam)
             rows.append((n, float(lam), spectral_distance(h_exact, approx)))
     return rows

@@ -263,6 +263,21 @@ def test_experiment_fig3_byte_identical(tmp_path):
     assert len(lines) == 1 + 4 * 4
 
 
+@pytest.mark.parametrize("doc, extra", [
+    ({"kind": "fig3", "count": 2, "max_order": 2}, ["--instances", "0"]),
+    ({"kind": "fig3", "count": 2, "max_order": 2, "dim_min": 6, "dim_max": 6,
+      "blocks_min": 4, "blocks_max": 4}, []),
+], ids=["zero-instances", "too-many-blocks"])
+def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
+    # an ensemble the spec cannot honour is a precondition failure, not a run
+    # of some other ensemble
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, doc)
+    out = tmp_path / "eta.csv"
+    assert main(["experiment", str(spec_path), "--out", str(out)] + extra) == 3
+    assert not out.exists()
+
+
 def test_experiment_ace_demo_masked_zero(tmp_path):
     spec = {"kind": "ace", "dim": 10, "seed": 11, "max_order": 3}
     spec_path = tmp_path / "spec.json"

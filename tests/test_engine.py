@@ -840,6 +840,16 @@ def test_overflowing_series_raises():
         run_fd(h, max_order=60)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_la_series_raises():
+    # the same diverging series in least action's per-order loop: the
+    # overflowed orders must raise, not be pruned as vanishing
+    off = np.ones((3, 3)) - np.eye(3)
+    h = GradedOperator(3, {(0, 0): np.diag([0.0, 1e-7, 1.0]), (1, 0): off})
+    with pytest.raises(NonFiniteContent):
+        run_la(h, (1, 1, 1), max_order=60)
+
+
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
 @pytest.mark.parametrize("method", ["swt", "fd", "ace", "la"])
 def test_hbar_must_be_finite_and_positive(method, hbar):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pertkit.experiments import (
     EnsembleSpec,
@@ -29,6 +30,21 @@ def test_sample_instance_deterministic():
     assert b1.sizes == b2.sizes
     for key in h1.keys():
         np.testing.assert_array_equal(h1.term(*key), h2.term(*key))
+
+
+def test_spec_rejects_more_blocks_than_its_smallest_dimension_holds():
+    # d = 6 holds at most three blocks of two levels; a four-block minimum
+    # used to draw d = 8 instances, outside the declared dimension range
+    with pytest.raises(ValueError, match="blocks"):
+        EnsembleSpec(dim_min=6, dim_max=6, blocks_min=4, blocks_max=4)
+
+
+def test_spec_at_the_block_limit_draws_within_its_ranges():
+    spec = EnsembleSpec(count=4, dim_min=6, dim_max=6, blocks_min=3, blocks_max=3, seed=5)
+    for index in range(spec.count):
+        h, blocks = sample_instance(spec, index)
+        assert h.dim == 6
+        assert blocks.sizes == (2, 2, 2)
 
 
 def test_sample_instances_differ():

@@ -11,6 +11,7 @@ from pertkit.engine import Mask, rotate_operator, run_fd, run_swt
 from pertkit.errors import DegenerateSpectrum
 from pertkit.graded import GradedOperator, GradedSum, ProductTally, zero_operator
 from pertkit.least_action import BlockStructure, block_project, run_la
+from pertkit.models import random_bd_hamiltonian
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
 
 RNG = np.random.default_rng(909)
@@ -419,6 +420,18 @@ def test_three_block_la_accepts_degenerate_levels_inside_a_block():
     assert etas[1] < 1e-4
     assert etas[-1] < 1e-13
     assert etas[-1] < 1e-8 * etas[1]
+
+
+@pytest.mark.parametrize("sizes, seed, order, products", [
+    ((4, 4, 4), 101, 8, 64),
+    ((4, 4, 4), 101, 14, 317),
+    ((4, 4, 4), 102, 10, 122),
+    ((6, 6), 3, 8, 64),
+])
+def test_la_product_counts(sizes, seed, order, products):
+    # the recursion's three convolutions per order plus the logarithm's powers
+    result = run_la(random_bd_hamiltonian(sizes, seed), sizes, order)
+    assert result.diagnostics.products == products
 
 
 def test_convolution_prunes_against_its_largest_product():
