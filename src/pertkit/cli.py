@@ -45,24 +45,18 @@ def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
         mask = Mask.block_off_diagonal(spec.block_sizes)
         h_blocks = mask.complement_project(h)
         v = mask.project(h)
-        return run_swt(
-            h_blocks, v, spec.block_sizes, spec.max_order,
-            hbar=spec.hbar, deg_tol=deg_tol, res_tol=res_tol,
-        )
+        return run_swt(h_blocks, v, spec.block_sizes, spec.max_order,
+                       hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "fd":
+        # the degeneracy tolerance is fd's alone: no other routine reads it
         return run_fd(h, spec.max_order, hbar=spec.hbar, deg_tol=deg_tol, res_tol=res_tol)
     if spec.method == "ace":
-        return run_ace(
-            h, spec.build_mask(), spec.max_order,
-            hbar=spec.hbar, deg_tol=deg_tol, res_tol=res_tol,
-        )
+        return run_ace(h, spec.build_mask(), spec.max_order, hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "la":
         if spec.block_sizes is None:
             raise io.ProblemFormatError("the la method requires block_sizes")
-        return run_la(
-            h, BlockStructure(spec.block_sizes), spec.max_order,
-            hbar=spec.hbar, deg_tol=deg_tol, res_tol=res_tol,
-        )
+        return run_la(h, BlockStructure(spec.block_sizes), spec.max_order,
+                      hbar=spec.hbar, res_tol=res_tol)
     raise io.ProblemFormatError(f"unknown method {spec.method!r}")
 
 
@@ -118,6 +112,13 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _given(doc: dict, overrides: dict, **casts) -> dict:
+    """``doc``'s keys among ``casts``, converted, then the non-None ``overrides``."""
+    out = {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
+    out.update((key, value) for key, value in overrides.items() if value is not None)
+    return out
+
+
 def cmd_experiment(args) -> int:
     with open(args.spec, "rb") as fh:
         try:
@@ -126,28 +127,21 @@ def cmd_experiment(args) -> int:
             raise io.ProblemFormatError(f"invalid JSON: {err}") from err
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
-        spec = EnsembleSpec(
-            count=int(args.instances if args.instances is not None else doc.get("count", 50)),
-            dim_min=int(doc.get("dim_min", 6)),
-            dim_max=int(doc.get("dim_max", 14)),
-            blocks_min=int(doc.get("blocks_min", 2)),
-            blocks_max=int(doc.get("blocks_max", 4)),
-            coupling=float(doc.get("coupling", 0.05)),
-            seed=int(args.seed if args.seed is not None else doc.get("seed", 7)),
-        )
-        rows, skipped = run_fig3_experiment(spec, max_order=int(doc.get("max_order", 8)))
+        spec = EnsembleSpec(**_given(
+            doc, {"count": args.instances, "seed": args.seed}, count=int, dim_min=int,
+            dim_max=int, blocks_min=int, blocks_max=int, coupling=float, seed=int))
+        rows, skipped = run_fig3_experiment(spec, **_given(doc, {}, max_order=int))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eta_rows_to_csv(rows))
         for index, reason in skipped:
             print(f"skipped instance {index}: {reason}", file=sys.stderr)
         return EXIT_OK
     if kind == "ace":
-        demo = ace_demo(
-            d=int(doc.get("dim", 12)),
-            seed=int(args.seed if args.seed is not None else doc.get("seed", 11)),
-            max_order=int(doc.get("max_order", 3)),
-            coupling=float(doc.get("coupling", 0.05)),
-        )
+        params = _given(doc, {"seed": args.seed}, dim=int, seed=int, max_order=int,
+                        coupling=float)
+        if "dim" in params:
+            params["d"] = params.pop("dim")
+        demo = ace_demo(**params)
         io.write_document(
             args.out,
             {

@@ -31,6 +31,11 @@ corrections and the generator handed out in the ``TransformResult`` are
 frozen into ``GradedOperator``s, without a copy.  ``rotate_operator`` runs
 the same recursion over an arbitrary operator; its generator obeys no
 generator condition, so there [O0, S^(n)] is a product like any other.
+
+Every routine, least action's recursion included, validates its input and
+builds its ``EigenFrame`` in one place, ``_prepare``, whose thresholds are
+relative (order-0 content to half the level spread, couplings to their
+own size), so no shift or rescale of H0 flips a verdict.
 """
 
 from __future__ import annotations
@@ -60,27 +65,17 @@ DEFAULT_RES_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EigenFrame:
-    """Spectrum of the diagonal unperturbed part, with degeneracy classes."""
+    """Spectrum of the diagonal unperturbed part and fd's degeneracy tolerance."""
 
     energies: np.ndarray
     deg_tol: float
-    classes: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_energies(energies: np.ndarray, deg_tol: float | None = None) -> "EigenFrame":
-        e = np.array(energies, dtype=float)  # own copy; frozen below
-        scale = _spread(e)
-        tol = deg_tol if deg_tol is not None else DEFAULT_DEG_TOL * (scale or 1.0)
-        order = np.argsort(e, kind="stable")
-        classes: list[list[int]] = []
-        for idx in order:
-            if classes and abs(e[idx] - e[classes[-1][-1]]) <= tol:
-                classes[-1].append(int(idx))
-            else:
-                classes.append([int(idx)])
-        frozen = tuple(tuple(sorted(c)) for c in classes)
+        e = np.array(energies, dtype=float)  # own copy, frozen
         e.flags.writeable = False
-        return EigenFrame(e, tol, frozen)
+        tol = deg_tol if deg_tol is not None else DEFAULT_DEG_TOL * (_spread(e) or 1.0)
+        return EigenFrame(e, tol)
 
     @property
     def dim(self) -> int:
@@ -120,10 +115,6 @@ class Mask:
     @property
     def dim(self) -> int:
         return self.eliminate.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.eliminate.any()
 
     @staticmethod
     def full_off_diagonal(dim: int) -> "Mask":
@@ -246,35 +237,73 @@ def _solve(
 
 
 # ---------------------------------------------------------------------------
-# Shared transformation loop
+# The problem boundary and the shared transformation loop
 # ---------------------------------------------------------------------------
 
 
-def _merged_omega(*ops: GradedOperator) -> float | None:
-    omega = None
-    for op in ops:
-        if op.omega_d is not None:
-            if omega is not None and op.omega_d != omega:
-                raise ValueError("omega_d mismatch between inputs")
-            omega = op.omega_d
-    return omega
+def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: float,
+             deg_tol: float | None = None) -> EigenFrame:
+    """The one problem boundary of every routine: validate, return the frame.
 
-
-def _require_static_diagonal_order0(h: GradedOperator) -> np.ndarray:
-    """Validate the order-0 part: one static, diagonal matrix."""
-    for (j, k) in h.keys():
-        if j == 0 and k != 0:
-            raise PertError("the unperturbed part must be static (harmonic 0)")
+    The mask must fit ``h``; ``h`` must be hermitian-graded with a static,
+    real, diagonal order-0 part, judged against half the level spread, which
+    a shift of H0 leaves and a rescale scales along; fd's coupled levels must
+    be nondegenerate to ``deg_tol``; ``max_order`` >= 0; ``hbar``, and with
+    a nonzero harmonic ``h.omega_d``, finite and positive.
+    """
+    if mask.dim != h.dim:
+        raise ValueError(f"the mask covers {mask.dim} levels, the operator {h.dim}")
+    _require_hermitian_graded(h, "the Hamiltonian")
+    if any(j == 0 and k != 0 for j, k in h.keys()):
+        raise PertError("the unperturbed part must be static (harmonic 0)")
     if (0, 0) not in h.keys():
         raise PertError("an order-0 term is required")
     h0 = h.term(0, 0)
-    off = h0 - np.diag(np.diag(h0))
-    if np.abs(off).max() > ZERO_RTOL * max(np.abs(h0).max(), 1.0):
-        raise PertError("the order-0 part must be supplied diagonal")
     diag = np.diag(h0)
-    if np.abs(diag.imag).max() > 1e-12 * max(np.abs(diag).max(), 1.0):
+    frame = EigenFrame.from_energies(diag.real, deg_tol)
+    # the spectrum's half-width: blind to a shift, never above max|E|, and 0
+    # for coinciding levels, next to which any such content counts
+    width = _spread(frame.energies) / 2
+    if np.abs(h0 - np.diag(diag)).max() > ZERO_RTOL * width:
+        raise PertError("the order-0 part must be supplied diagonal")
+    if np.abs(diag.imag).max() > 1e-12 * width:
         raise PertError("the order-0 diagonal must be real")
-    return diag.real.copy()
+    if method == "fd":
+        _check_no_degenerate_coupling(h, frame)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise PertError(f"hbar must be finite and positive, got {hbar}")
+    if any(k != 0 for k in h.harmonics()) and not (
+            h.omega_d is not None and math.isfinite(h.omega_d) and h.omega_d > 0):
+        raise PertError(f"omega_d must be finite and positive, got {h.omega_d}")
+    return frame
+
+
+def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
+    if not op.is_hermitian_graded():
+        raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
+
+
+def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
+    """Reject static input couplings between degenerate levels.
+
+    Each coupling is judged against its own largest entry, so a rescale of
+    ``h`` never changes the verdict.
+    """
+    degenerate = (
+        np.abs(frame.energies[:, None] - frame.energies[None, :]) <= frame.deg_tol
+    ) & ~np.eye(frame.dim, dtype=bool)
+    if not degenerate.any():
+        return
+    for (j, k), mat in h.items():
+        if j == 0 or k != 0:
+            continue
+        size = np.abs(mat)
+        coupled = degenerate & (size > ZERO_RTOL * size.max())
+        if coupled.any():
+            i, jdx = np.argwhere(coupled)[0]
+            raise DegenerateSpectrum(int(i), int(jdx), float(frame.energies[i]))
 
 
 def _inverse_factorials(top: int) -> np.ndarray:
@@ -293,16 +322,14 @@ def _by_order(op: GradedOperator) -> dict[int, GradedSum]:
 def _transform(
     method: str,
     h: GradedOperator,
-    frame: EigenFrame,
     mask: Mask,
     max_order: int,
     hbar: float,
-    omega_d: float | None,
     res_tol: float,
+    deg_tol: float | None = None,
 ) -> TransformResult:
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    _require_physical_units(h, hbar, omega_d)
+    frame = _prepare(method, h, mask, max_order, hbar, deg_tol)
+    omega_d = h.omega_d
     tally = ProductTally()
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
@@ -342,7 +369,6 @@ def run_swt(
     block_sizes: list[int] | tuple[int, ...],
     max_order: int,
     hbar: float = 1.0,
-    deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
 ) -> TransformResult:
     """Schrieffer-Wolff transformation eliminating inter-block couplings.
@@ -357,16 +383,13 @@ def run_swt(
     _require_hermitian_graded(h_blocks, "h_blocks")
     _require_hermitian_graded(v, "the perturbation")
     mask = Mask.block_off_diagonal(block_sizes)
-    if mask.dim != h_blocks.dim:
-        raise ValueError("block sizes must sum to the operator dimension")
-    if not mask.project(h_blocks).is_zero:
+    # a mask of the wrong size is reported by _prepare
+    if mask.dim == v.dim and not mask.project(h_blocks).is_zero:
         raise PertError("h_blocks has content outside its declared blocks")
     if 0 in v.orders():
         raise PertError("the perturbation must not carry an order-0 term")
-    omega_d = _merged_omega(h_blocks, v)
-    diag = _require_static_diagonal_order0(h_blocks)
-    frame = EigenFrame.from_energies(diag, deg_tol)
-    return _transform("swt", h_blocks + v, frame, mask, max_order, hbar, omega_d, res_tol)
+    # the sum checks that the drive frequencies agree
+    return _transform("swt", h_blocks + v, mask, max_order, hbar, res_tol)
 
 
 def run_fd(
@@ -379,15 +402,10 @@ def run_fd(
     """Full diagonalization: eliminate every off-diagonal coupling.
 
     Requires the order-0 part diagonal and nondegenerate on every statically
-    coupled pair of levels.
+    coupled pair of levels; ``deg_tol`` (default 1e-9 of the level spread)
+    is the gap below which two levels count as degenerate.
     """
-    _require_hermitian_graded(h, "the Hamiltonian")
-    mask = Mask.full_off_diagonal(h.dim)
-    diag = _require_static_diagonal_order0(h)
-    frame = EigenFrame.from_energies(diag, deg_tol)
-    _check_no_degenerate_coupling(h, frame)
-    omega_d = _merged_omega(h)
-    return _transform("fd", h, frame, mask, max_order, hbar, omega_d, res_tol)
+    return _transform("fd", h, Mask.full_off_diagonal(h.dim), max_order, hbar, res_tol, deg_tol)
 
 
 def run_ace(
@@ -395,7 +413,6 @@ def run_ace(
     mask: Mask,
     max_order: int,
     hbar: float = 1.0,
-    deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
 ) -> TransformResult:
     """Arbitrary-coupling elimination: zero exactly the masked entries.
@@ -403,43 +420,7 @@ def run_ace(
     Unmasked off-diagonal content is retained in the corrections.  An empty
     mask yields the identity transformation.
     """
-    if mask.dim != h.dim:
-        raise ValueError(f"mask dimension {mask.dim} does not match operator {h.dim}")
-    _require_hermitian_graded(h, "the Hamiltonian")
-    diag = _require_static_diagonal_order0(h)
-    frame = EigenFrame.from_energies(diag, deg_tol)
-    omega_d = _merged_omega(h)
-    return _transform("ace", h, frame, mask, max_order, hbar, omega_d, res_tol)
-
-
-def _require_physical_units(h: GradedOperator, hbar: float, omega_d: float | None) -> None:
-    """hbar finite and > 0; omega_d too when ``h`` carries a nonzero harmonic."""
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise PertError(f"hbar must be finite and positive, got {hbar}")
-    if any(k != 0 for k in h.harmonics()) and not (
-            omega_d is not None and math.isfinite(omega_d) and omega_d > 0):
-        raise PertError(f"omega_d must be finite and positive, got {omega_d}")
-
-
-def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
-    if not op.is_hermitian_graded():
-        raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
-
-
-def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
-    """Reject static input couplings between degenerate levels."""
-    degenerate = (
-        np.abs(frame.energies[:, None] - frame.energies[None, :]) <= frame.deg_tol
-    ) & ~np.eye(frame.dim, dtype=bool)
-    if not degenerate.any():
-        return
-    for (j, k), mat in h.items():
-        if j == 0 or k != 0:
-            continue
-        coupled = degenerate & (np.abs(mat) > ZERO_RTOL * max(np.abs(mat).max(), 1.0))
-        if coupled.any():
-            i, jdx = np.argwhere(coupled)[0]
-            raise DegenerateSpectrum(int(i), int(jdx), float(frame.energies[i]))
+    return _transform("ace", h, mask, max_order, hbar, res_tol)
 
 
 def rotate_operator(
@@ -449,19 +430,23 @@ def rotate_operator(
 ) -> GradedOperator:
     """Rotate an arbitrary operator into the frame of a solved generator.
 
-    Returns exp(-S) O exp(S) truncated at total order ``up_to_order``, with
-    S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``), which
-    must hold every order up to ``up_to_order``.  The order-n term is
+    Returns exp(-S) O exp(S) truncated at total order ``up_to_order`` >= 0,
+    with S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``),
+    which must hold every order up to ``up_to_order``.  The order-n term is
     sum_m C_m^(n) / m! with C_0 = O.
     """
+    if up_to_order < 0:
+        raise ValueError(f"rotation order must be >= 0, got {up_to_order}")
     missing = [n for n in range(1, up_to_order + 1) if n not in generator]
     if missing:
         raise ValueError(
             f"rotation order {up_to_order} exceeds solved order {missing[0] - 1}"
         )
-    if any(s_n.dim != operator.dim for s_n in generator.values()):
-        raise ValueError("operator dimension does not match the generator")
-    omega_d = _merged_omega(operator, *generator.values())
+    merged = operator
+    for s_n in generator.values():
+        merged._check_compatible(s_n)  # dimension and drive frequency
+        if merged.omega_d is None:
+            merged = s_n
     factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
     base = _by_order(operator)
     chains = NestedSeries(base, factors, ProductTally(), commutator=True)
@@ -471,4 +456,4 @@ def rotate_operator(
     for n in range(1, up_to_order + 1):
         chains.extend(n)
         total.add_scaled(chains.weighted_sum(n, weights), 1.0)
-    return GradedOperator._adopt(operator.dim, total, omega_d)
+    return GradedOperator._adopt(operator.dim, total, merged.omega_d)

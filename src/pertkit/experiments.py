@@ -3,14 +3,16 @@
 The block-diagonalization benchmark draws Hamiltonians with in-block
 couplings at first order and cross-block couplings at second order, runs the
 least-action recursion and tabulates the relative spectral distance eta(n)
-against the exact oracle.  It reads only the corrections, so it computes no
-generator, and takes eta at every order from one batched spectral norm.
+against the exact oracle by one la ``convergence_scan`` at lambda = 1 per
+instance, which computes no generator and takes every eta from one batched
+norm; an instance builds its block mask once, with its ``BlockStructure``.
 The elimination demo applies a third-order arbitrary-coupling elimination to
 a dense random instance and reports the before/mask/after panels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import median
 
@@ -19,9 +21,9 @@ import numpy as np
 from .engine import Mask, run_ace
 from .errors import PertError
 from .graded import GradedOperator
-from .least_action import BlockStructure, _la_orders
+from .least_action import BlockStructure
 from .models import _random_bd, random_ace_hamiltonian
-from .oracle import evaluate_at, exact_block_diagonalize, partial_sum_matrix
+from .oracle import convergence_scan, evaluate_at, partial_sum_matrix
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class EnsembleSpec:
         if 2 * self.blocks_min > self.dim_min:
             raise ValueError(f"dim_min {self.dim_min} cannot hold {self.blocks_min} blocks "
                              "of at least two levels")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
 
 
 def sample_instance(spec: EnsembleSpec, index: int) -> tuple[GradedOperator, BlockStructure]:
@@ -56,8 +60,8 @@ def sample_instance(spec: EnsembleSpec, index: int) -> tuple[GradedOperator, Blo
     sizes = np.full(n_blocks, 2)
     for _ in range(d - 2 * n_blocks):
         sizes[int(rng.integers(n_blocks))] += 1
-    h = _random_bd(rng, tuple(int(s) for s in sizes), spec.coupling)
-    return h, BlockStructure(tuple(int(s) for s in sizes))
+    blocks = BlockStructure(tuple(int(s) for s in sizes))
+    return _random_bd(rng, blocks.cross_mask(), spec.coupling), blocks
 
 
 @dataclass
@@ -71,22 +75,8 @@ class EtaRow:
 
 def _instance_rows(spec: EnsembleSpec, index: int, max_order: int) -> list[EtaRow]:
     h, blocks = sample_instance(spec, index)
-    corrections = _la_orders(h, blocks, max_order)[2]
-    _, h_exact = exact_block_diagonalize(evaluate_at(h, 1.0), blocks)
-    # spectral_distance(h_exact, partial_sum_matrix(result, n, 1.0)) for every
-    # n, bit for bit: one running partial sum adds the corrections in the same
-    # sequence, and one batched norm takes h_exact and every h_exact - partial
-    h_exact = np.asarray(h_exact, dtype=complex)
-    partial = np.zeros_like(h_exact)
-    diffs = [h_exact]
-    for n, mat in corrections.items():
-        if mat is not None:
-            partial += mat
-        if n >= 1:
-            diffs.append(h_exact - partial)
-    norms = np.linalg.norm(np.stack(diffs), 2, axis=(1, 2))
-    return [EtaRow(index, n, 1.0, float(norms[n] / norms[0]), spec.seed)
-            for n in range(1, len(norms))]
+    return [EtaRow(index, n, lam, eta, spec.seed)
+            for n, lam, eta in convergence_scan(h, "la", range(1, max_order + 1), [1.0], blocks)]
 
 
 def run_fig3_experiment(

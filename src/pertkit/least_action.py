@@ -34,14 +34,14 @@ logarithm
 
 with P_m = U'^(m + 1) level m of one product ``NestedSeries`` over U', which
 spends O(N^3) products in O(N^2) numpy calls; it is the only part of
-``run_la`` that uses a ``NestedSeries``.  Callers that read only the
-corrections, the fig3 experiment and the la convergence scan, call
-``_la_orders`` alone and compute no generator.
+``run_la`` that uses a ``NestedSeries``.  The la convergence scan, and
+through it the fig3 experiment, calls ``_la_orders`` alone and computes no
+generator.  Input checks and the frame come from the engine's ``_prepare``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,7 @@ from .engine import (
     EigenFrame,
     Mask,
     TransformResult,
-    _require_hermitian_graded,
-    _require_physical_units,
-    _require_static_diagonal_order0,
+    _prepare,
     _solve,
 )
 from .graded import (
@@ -69,15 +67,17 @@ from .graded import (
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Ordered contiguous blocks partitioning the basis indices."""
+    """Ordered contiguous blocks partitioning the basis indices; builds its mask once."""
 
     sizes: tuple[int, ...]
+    _mask: Mask = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = tuple(int(s) for s in self.sizes)
         if not normalized or any(s < 1 for s in normalized):
             raise ValueError("block sizes must be positive integers")
         object.__setattr__(self, "sizes", normalized)
+        object.__setattr__(self, "_mask", Mask.block_off_diagonal(normalized))
 
     @property
     def dim(self) -> int:
@@ -85,11 +85,11 @@ class BlockStructure:
 
     def in_block(self) -> np.ndarray:
         """Read-only boolean d x d matrix, True where both indices share a block."""
-        return self.cross_mask().keep
+        return self._mask.keep
 
     def cross_mask(self) -> Mask:
         """Engine mask targeting every cross-block entry."""
-        return Mask.block_off_diagonal(self.sizes)
+        return self._mask
 
 
 def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
@@ -131,12 +131,12 @@ def _la_orders(
     blocks: BlockStructure | list[int] | tuple[int, ...],
     max_order: int,
     hbar: float = 1.0,
-    deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
 ) -> tuple[EigenFrame, Mask, dict[int, np.ndarray | None], dict[int, np.ndarray], int]:
     """The least-action recursion on per-order matrices (module docstring).
 
-    Validates the input and returns the frame, the mask, the correction of
+    Checks that the input is static, validates the problem with the engine's
+    ``_prepare`` and returns the frame, the mask, the correction of
     every order 0 .. ``max_order`` (None where it vanishes), the nonzero
     U'^(n) and the number of dense products spent.  Each order's W, Y, R and
     U' is one matrix or None, judged by ``_negligible`` against the largest
@@ -144,16 +144,10 @@ def _la_orders(
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
-    if blocks.dim != h.dim:
-        raise ValueError(f"block sizes sum to {blocks.dim}, operator dim is {h.dim}")
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    _require_hermitian_graded(h, "the Hamiltonian")
-    _require_physical_units(h, hbar, None)
-    frame = EigenFrame.from_energies(_require_static_diagonal_order0(h), deg_tol)
     mask = blocks.cross_mask()
+    frame = _prepare("la", h, mask, max_order, hbar)
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = frame.energies[:, None] - frame.energies[None, :]
     h_mats = {j: mat for (j, _), mat in h.items()}
@@ -209,7 +203,6 @@ def run_la(
     blocks: BlockStructure | list[int] | tuple[int, ...],
     max_order: int,
     hbar: float = 1.0,
-    deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
 ) -> TransformResult:
     """Least-action block diagonalization of a static Hamiltonian.
@@ -223,7 +216,7 @@ def run_la(
     inside a block.  Time-periodic input is not supported.
     """
     frame, mask, corrections, u, products = _la_orders(
-        h, blocks, max_order, hbar, deg_tol, res_tol)
+        h, blocks, max_order, hbar, res_tol)
     tally = ProductTally(products)
     factors = {n: GradedSum({(n, 0): mat}) for n, mat in u.items()}
     powers = NestedSeries(factors, factors, tally, commutator=False)

@@ -367,14 +367,14 @@ def random_bd_hamiltonian(block_sizes, seed, scale: float = 0.05) -> GradedOpera
     shrinks uniformly by one power of ``scale`` per order.
     """
     rng = np.random.default_rng(seed)
-    return _random_bd(rng, tuple(int(s) for s in block_sizes), scale)
+    return _random_bd(rng, Mask.block_off_diagonal(block_sizes), scale)
 
 
-def _random_bd(rng: np.random.Generator, sizes: tuple[int, ...], scale: float) -> GradedOperator:
-    d = sum(sizes)
+def _random_bd(rng: np.random.Generator, mask: Mask, scale: float) -> GradedOperator:
+    d = mask.dim
     diag = _ladder_diagonal(rng, d)
     spacing = (diag[-1] - diag[0]) / (d - 1)
-    same_block = Mask.block_off_diagonal(sizes).keep
+    same_block = mask.keep
     off = _random_hermitian(rng, d)
     off -= np.diag(np.diag(off))
     in_block = scale * spacing * np.where(same_block, off, 0.0)

@@ -220,6 +220,23 @@ def test_rotate_order_beyond_solved(two_level_problem, tmp_path):
     ]) == 3
 
 
+def test_rotate_negative_order_exit_code(two_level_problem, tmp_path):
+    # a negative order used to write O^(0) alone and exit 0
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    op_path = tmp_path / "op.json"
+    write_json(
+        op_path,
+        {"terms": [{"order": 0, "harmonic": 0, "matrix": mat_json(np.eye(2))}]},
+    )
+    out = tmp_path / "x.json"
+    assert main([
+        "rotate", str(two_level_problem), str(result), str(op_path),
+        "--order", "-2", "--out", str(out),
+    ]) == 3
+    assert not out.exists()
+
+
 def test_oracle_on_block_diagonal_input(tmp_path):
     doc = {
         "dim": 2,
@@ -267,10 +284,17 @@ def test_experiment_fig3_byte_identical(tmp_path):
     ({"kind": "fig3", "count": 2, "max_order": 2}, ["--instances", "0"]),
     ({"kind": "fig3", "count": 2, "max_order": 2, "dim_min": 6, "dim_max": 6,
       "blocks_min": 4, "blocks_max": 4}, []),
-], ids=["zero-instances", "too-many-blocks"])
+    ({"kind": "fig3", "count": 3, "coupling": float("nan")}, []),
+    ({"kind": "fig3", "count": 3, "coupling": float("inf")}, []),
+    ({"kind": "fig3", "count": 3, "coupling": 0.0}, []),
+    ({"kind": "fig3", "count": 3, "coupling": -0.05}, []),
+    ({"kind": "fig3", "count": 2, "max_order": 0}, []),
+], ids=["zero-instances", "too-many-blocks", "nan-coupling", "inf-coupling",
+        "zero-coupling", "negative-coupling", "order-zero"])
 def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
     # an ensemble the spec cannot honour is a precondition failure, not a run
-    # of some other ensemble
+    # of some other ensemble (a NaN coupling used to exit 0 with an empty
+    # table, every instance skipped as non-finite)
     spec_path = tmp_path / "spec.json"
     write_json(spec_path, doc)
     out = tmp_path / "eta.csv"

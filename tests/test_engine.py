@@ -287,6 +287,13 @@ def test_rotate_rejects_order_beyond_solved():
         rotate_operator(identity_operator(2), result.generator, up_to_order=3)
 
 
+def test_rotate_rejects_negative_order():
+    h, v = two_level_inputs()
+    result = run_swt(h, v, [1, 1], max_order=2)
+    with pytest.raises(ValueError, match=">= 0"):
+        rotate_operator(identity_operator(2), result.generator, up_to_order=-5)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
@@ -574,7 +581,8 @@ def test_transform_never_multiplies_h0(method):
 
 def test_degeneracy_tolerance_follows_the_spread():
     frame = EigenFrame.from_energies(np.array([1e8, 1e8 + 0.05, 1e8 + 0.1]))
-    assert frame.classes == ((0,), (1,), (2,))
+    # the float spread of these levels, 0.1 to within their spacing of 1.5e-8
+    assert frame.deg_tol == 1e-9 * ((1e8 + 0.1) - 1e8)
     assert frame.energy_scale() == (1e8 + 0.1) - 1e8
     assert EigenFrame.from_energies(np.array([3.0, 3.0])).energy_scale() == 1.0
 
@@ -762,6 +770,67 @@ def test_hermiticity_is_judged_per_key(offset):
     assert not h.is_hermitian_graded()
     assert not GradedOperator(2, {(0, 0): h0, (1, 0): 1j * skew}).is_anti_hermitian_graded()
     with pytest.raises(PertError, match="hermitian"):
+        run_fd(h, max_order=2)
+
+
+def order0_problem(routine, h0, coupling):
+    """Run ``routine`` on H0 plus an order-1 coupling, with blocks (2, 1)."""
+    h = GradedOperator(3, {(0, 0): h0, (1, 0): coupling})
+    if routine == "swt":
+        return run_swt(GradedOperator(3, {(0, 0): h0}), GradedOperator(3, {(1, 0): coupling}),
+                       [2, 1], max_order=2)
+    if routine == "fd":
+        return run_fd(h, max_order=2)
+    if routine == "ace":
+        return run_ace(h, Mask.block_off_diagonal([2, 1]), max_order=2)
+    return run_la(h, [2, 1], max_order=2)
+
+
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-20)],
+                         ids=["plain", "offset-1e8", "scale-1e-20"])
+@pytest.mark.parametrize("content", ["off-diagonal", "imaginary"])
+@pytest.mark.parametrize("routine", ["swt", "fd", "ace", "la"])
+def test_order0_content_is_judged_against_the_spread(routine, content, offset, scale):
+    # order-0 content the levels cannot absorb is rejected, and content far
+    # below the spread is accepted, whatever the offset and the scale of H0:
+    # a large offset or a tiny scale used to hide 1e-7 off-diagonal and 1e-5i
+    # imaginary order-0 parts, which were then silently dropped
+    levels = np.diag([offset, offset + 0.05, offset + 1.0])
+    unit = sigma_x() if content == "off-diagonal" else 1j * np.eye(2)
+    coupling = scale * 0.01 * (np.ones((3, 3)) - np.eye(3))
+
+    def h0(size):
+        stray = np.zeros((3, 3), dtype=complex)
+        stray[:2, :2] = size * unit
+        return scale * (levels + stray)
+
+    with pytest.raises(PertError):
+        order0_problem(routine, h0(1e-7 if content == "off-diagonal" else 1e-5), coupling)
+    negligible = order0_problem(routine, h0(1e-17), coupling)
+    assert negligible.frame.energies[1] - negligible.frame.energies[0] > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+@pytest.mark.parametrize("routine", ["swt", "fd", "ace", "la"])
+def test_order0_content_of_coinciding_levels_is_rejected_at_any_scale(routine, scale):
+    # with no spread to absorb it, off-diagonal order-0 content is content at
+    # any scale; judged against a floor of 1 it used to pass at 1e-20, and the
+    # frame then ignored it
+    h0 = scale * (np.eye(3) + 1e-3 * np.pad(sigma_x(), ((0, 1), (0, 1))))
+    with pytest.raises(PertError, match="order-0"):
+        order0_problem(routine, h0, scale * 0.01 * (np.ones((3, 3)) - np.eye(3)))
+
+
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-20)],
+                         ids=["plain", "offset-1e8", "scale-1e-20"])
+def test_degenerate_coupling_is_judged_against_its_own_size(offset, scale):
+    # a coupling between exactly degenerate levels is a degeneracy at any
+    # scale: a tiny one used to pass the check and fail later as a resonance
+    h = GradedOperator(3, {
+        (0, 0): scale * np.diag([offset, offset, offset + 1.0]),
+        (1, 0): scale * 0.05 * (np.ones((3, 3)) - np.eye(3)),
+    })
+    with pytest.raises(DegenerateSpectrum):
         run_fd(h, max_order=2)
 
 

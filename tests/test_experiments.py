@@ -11,6 +11,7 @@ from pertkit.experiments import (
     run_fig3_experiment,
     sample_instance,
 )
+from pertkit.engine import Mask
 from pertkit.errors import PertError
 from pertkit.least_action import run_la
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, partial_sum_matrix, spectral_distance
@@ -45,6 +46,27 @@ def test_spec_at_the_block_limit_draws_within_its_ranges():
         h, blocks = sample_instance(spec, index)
         assert h.dim == 6
         assert blocks.sizes == (2, 2, 2)
+
+
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), 0.0, -0.05])
+def test_spec_rejects_a_coupling_that_is_not_finite_and_positive(coupling):
+    with pytest.raises(ValueError, match="coupling"):
+        EnsembleSpec(coupling=coupling)
+
+
+def test_instance_builds_its_block_mask_once(monkeypatch):
+    # the draw, the least-action recursion and the oracle share one mask
+    built = []
+    init = Mask.__init__
+
+    def counting(self, eliminate):
+        built.append(1)
+        init(self, eliminate)
+
+    monkeypatch.setattr(Mask, "__init__", counting)
+    rows = _instance_rows(EnsembleSpec(count=1, seed=7), 0, 8)
+    assert len(rows) == 8
+    assert len(built) == 1
 
 
 def test_sample_instances_differ():

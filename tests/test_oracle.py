@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from pertkit.engine import run_fd
 from pertkit.errors import IllConditionedBlocks
 from pertkit.graded import GradedOperator
-from pertkit.least_action import BlockStructure
+from pertkit.least_action import BlockStructure, run_la
 from pertkit.oracle import (
     convergence_scan,
     evaluate_at,
     exact_block_diagonalize,
     ordered_eigensystem,
+    partial_sum_matrix,
     spectral_distance,
     _inverse_sqrt_psd,
 )
@@ -229,3 +231,28 @@ def test_scan_fd_mode_uses_diagonal_oracle():
     rows = convergence_scan(h, "fd", orders=[2, 4], lambdas=[0.5])
     assert rows[0][2] > rows[1][2]
     assert rows[1][2] < 1e-6
+
+
+@pytest.mark.parametrize("method", ["la", "fd"])
+def test_scan_rows_equal_the_spectral_distance_of_each_partial_sum(method):
+    # the running partial sum and the batched norm give the bits of
+    # spectral_distance on partial_sum_matrix, at lambda != 1 too
+    h, blocks = scan_instance()
+    orders, lambdas = [0, 1, 3, 4, 6], [1.0, 0.5, 0.3, 0.25]
+    if method == "la":
+        result, oracle_blocks = run_la(h, blocks, 6), blocks
+    else:
+        result, oracle_blocks = run_fd(h, 6), (1,) * h.dim
+    want = []
+    for lam in lambdas:
+        _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
+        want += [(n, lam, spectral_distance(h_exact, partial_sum_matrix(result, n, lam)))
+                 for n in orders]
+    assert convergence_scan(h, method, orders, lambdas, blocks) == want
+
+
+@pytest.mark.parametrize("orders", [[], [-1, 2]])
+def test_scan_rejects_missing_or_negative_orders(orders):
+    h, blocks = scan_instance()
+    with pytest.raises(ValueError, match="orders"):
+        convergence_scan(h, "la", orders, [0.5], blocks)
