@@ -1,13 +1,13 @@
 """Command-line front end: transform, rotate, oracle, experiment.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
+Exit codes: 0 success, 2 parse error (a document ``io`` cannot read or
+convert), 3 precondition violation (a converted value that breaks a rule),
 4 resonance or degeneracy, 5 ill-conditioned oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io
@@ -37,9 +37,9 @@ EXIT_ILL_CONDITIONED = 5
 
 def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
     h = spec.to_graded()
+    if spec.method in ("swt", "la") and spec.block_sizes is None:
+        raise io.ProblemFormatError(f"the {spec.method} method requires block_sizes")
     if spec.method == "swt":
-        if spec.block_sizes is None:
-            raise io.ProblemFormatError("the swt method requires block_sizes")
         # the off-block content of the terms is the perturbation to eliminate;
         # relabeling in-block content as part of H leaves the result unchanged
         mask = Mask.block_off_diagonal(spec.block_sizes)
@@ -53,8 +53,6 @@ def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
     if spec.method == "ace":
         return run_ace(h, spec.build_mask(), spec.max_order, hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "la":
-        if spec.block_sizes is None:
-            raise io.ProblemFormatError("the la method requires block_sizes")
         return run_la(h, BlockStructure(spec.block_sizes), spec.max_order,
                       hbar=spec.hbar, res_tol=res_tol)
     raise io.ProblemFormatError(f"unknown method {spec.method!r}")
@@ -80,10 +78,6 @@ def cmd_rotate(args) -> int:
         raise PertError(
             "result document was produced from a different problem file "
             f"(hash {view.problem_sha256[:12]}... != {digest[:12]}...)"
-        )
-    if args.order > view.max_order:
-        raise PertError(
-            f"rotation order {args.order} exceeds solved order {view.max_order}"
         )
     operator = io.load_operator(args.operator, view.dim, view.omega_d)
     rotated = rotate_operator(operator, view.generator, args.order)
@@ -114,17 +108,14 @@ def cmd_oracle(args) -> int:
 
 def _given(doc: dict, overrides: dict, **casts) -> dict:
     """``doc``'s keys among ``casts``, converted, then the non-None ``overrides``."""
-    out = {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
+    with io.converting("experiment spec"):
+        out = {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
     out.update((key, value) for key, value in overrides.items() if value is not None)
     return out
 
 
 def cmd_experiment(args) -> int:
-    with open(args.spec, "rb") as fh:
-        try:
-            doc = json.loads(fh.read())
-        except json.JSONDecodeError as err:
-            raise io.ProblemFormatError(f"invalid JSON: {err}") from err
+    doc, _ = io.read_document(args.spec)
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
         spec = EnsembleSpec(**_given(
@@ -202,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.ProblemFormatError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (io.ProblemFormatError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (ResonantDenominator, DegenerateSpectrum) as err:

@@ -133,8 +133,8 @@ class Mask:
     def from_pairs(dim: int, pairs) -> "Mask":
         el = np.zeros((dim, dim), dtype=bool)
         for i, j in pairs:
-            if i == j:
-                raise ValueError("mask pairs must be off-diagonal")
+            if i == j or not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"mask pair ({i}, {j}) must join two levels among 0..{dim - 1}")
             el[i, j] = el[j, i] = True
         return Mask(el)
 
@@ -194,12 +194,15 @@ def solve_generator_order(
     """Solve [H0, S] - i*hbar*dS/dt = -target elementwise in the eigenbasis.
 
     ``target`` must be hermitian-graded, live at a single order and be
-    supported on masked entries only (callers project first).  Masked entries
-    whose target is zero get S = 0 even when the denominator vanishes; a
-    nonzero target on a resonant denominator raises ResonantDenominator.
+    supported on masked entries only (callers project first); a target with
+    nonzero harmonics needs ``omega_d``.  Masked entries whose target is zero
+    get S = 0 even when the denominator vanishes; a nonzero target on a
+    resonant denominator raises ResonantDenominator.
     """
     if target.is_zero:
         return zero_operator(frame.dim, omega_d)
+    if omega_d is None and any(k != 0 for _, k in target.keys()):
+        raise ValueError("omega_d is required for nonzero harmonics")
     orders = target.orders()
     if len(orders) != 1:
         raise ValueError(f"target must hold a single order, found {orders}")
@@ -221,8 +224,6 @@ def _solve(
     tol = res_tol * frame.energy_scale()
     out = GradedSum()
     for (_, k), mat in target.terms.items():
-        if k != 0 and omega_d is None:
-            raise ValueError("omega_d is required for nonzero harmonics")
         shift = hbar * k * (omega_d or 0.0)
         denom = energies[None, :] - energies[:, None] - shift
         size = np.abs(mat)

@@ -127,19 +127,15 @@ def ace_demo(
     d: int = 12,
     seed: int = 11,
     max_order: int = 3,
-    mask: Mask | str = "checkerboard",
     coupling: float = 0.05,
 ) -> dict:
-    """Third-order elimination on a dense random instance.
+    """Third-order elimination of the checkerboard mask on a dense random instance.
 
     Returns the three panels: the input matrix, the boolean mask and the
     transformed matrix (corrections summed at lambda = 1), in which every
     masked entry is exactly zero.
     """
-    if isinstance(mask, str):
-        if mask != "checkerboard":
-            raise ValueError(f"unknown mask preset {mask!r}")
-        mask = checkerboard_mask(d)
+    mask = checkerboard_mask(d)
     h = random_ace_hamiltonian(d, seed, scale=coupling)
     result = run_ace(h, mask, max_order)
     before = evaluate_at(h, 1.0).matrix

@@ -1,10 +1,10 @@
-"""Problem/result documents and deterministic JSON serialization.
+"""Problem, result, operator and experiment documents; deterministic JSON.
 
-A problem file is a single JSON document: dimension, physical constants, the
-graded terms (complex entries as [re, im] pairs), the method and its block
-or mask description, and optional tolerance overrides.  Result documents
-echo a hash of the problem bytes, then carry the per-order corrections and
-generator matrices keyed by order ("j") and (order, harmonic) ("j,k").
+Every input is a JSON object read by ``read_document`` and converted inside
+``converting``; a failure of either raises ProblemFormatError.  Problems and
+operators share one ``terms`` list of {order, harmonic = 0, matrix} entries,
+each key at most once.  Result documents echo a hash of the problem bytes and
+carry corrections and generator keyed by order ("j") and key ("j,k").
 
 All output floats are rendered with 17 significant digits so identical
 inputs produce byte-identical documents.  Matrices travel as float arrays of
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -96,6 +97,61 @@ def problem_hash(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def read_document(path: str) -> tuple[dict, bytes]:
+    """The JSON object stored at ``path`` and its raw bytes, or ProblemFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = json.loads(raw)
+    except (OSError, ValueError) as err:
+        raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{path} must hold a JSON object")
+    return doc, raw
+
+
+@contextmanager
+def converting(what: str):
+    """A field of ``what`` that does not convert raises ProblemFormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise ProblemFormatError(f"malformed {what}: {err}") from err
+
+
+def _ints(values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
+def _terms_from_json(entries, dim: int) -> dict[tuple[int, int], np.ndarray]:
+    """A ``terms`` list of {order, harmonic = 0, matrix} entries, each key once."""
+    if not isinstance(entries, list):
+        raise TypeError("terms must be a list of {order, harmonic, matrix} entries")
+    terms: dict[tuple[int, int], np.ndarray] = {}
+    for entry in entries:
+        key = (int(entry["order"]), int(entry.get("harmonic", 0)))
+        if key in terms:
+            raise ValueError(f"duplicate term key {key}")
+        terms[key] = matrix_from_json(entry["matrix"], dim)
+    return terms
+
+
+def _mask_spec_from_json(spec, dim: int):
+    """The ace mask spec as a Mask constructor and its converted arguments;
+    ``build_mask`` calls it, so its rule checks raise ValueError, not parse errors."""
+    if spec is None:
+        return None
+    if isinstance(spec, dict) and "block_sizes" in spec:
+        return Mask.block_off_diagonal, (_ints(spec["block_sizes"]),)
+    if isinstance(spec, dict) and "entries" in spec:
+        return Mask.from_pairs, (dim, tuple((int(i), int(j)) for i, j in spec["entries"]))
+    if isinstance(spec, list):
+        return Mask, (np.asarray(spec, dtype=bool),)
+    raise TypeError("mask must be a boolean matrix, {block_sizes} or {entries}")
+
+
 # ---------------------------------------------------------------------------
 # problem documents
 # ---------------------------------------------------------------------------
@@ -110,59 +166,36 @@ class ProblemSpec:
     max_order: int
     terms: dict[tuple[int, int], np.ndarray]
     block_sizes: tuple[int, ...] | None = None
-    mask_spec: Any = None
+    mask_spec: tuple[Callable[..., Mask], tuple] | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
 
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
-        try:
+        with converting("problem document"):
             dim = int(doc["dim"])
-            method = str(doc["method"])
-            max_order = int(doc["max_order"])
-            raw_terms = doc["terms"]
-        except (KeyError, TypeError, ValueError) as err:
-            raise ProblemFormatError(f"missing or malformed required field: {err}") from err
-        if method not in METHODS:
-            raise ProblemFormatError(f"unknown method {method!r}; expected one of {METHODS}")
-        if not isinstance(raw_terms, list) or not raw_terms:
+            block_sizes = doc.get("block_sizes")
+            spec = ProblemSpec(
+                dim=dim, hbar=float(doc.get("hbar", 1.0)), method=str(doc["method"]),
+                omega_d=None if doc.get("omega_d") is None else float(doc["omega_d"]),
+                max_order=int(doc["max_order"]), terms=_terms_from_json(doc["terms"], dim),
+                block_sizes=None if block_sizes is None else _ints(block_sizes),
+                mask_spec=_mask_spec_from_json(doc.get("mask"), dim),
+                tolerances={str(k): float(v) for k, v in (doc.get("tolerances") or {}).items()},
+            )
+        if spec.method not in METHODS:
+            raise ProblemFormatError(f"unknown method {spec.method!r}; expected one of {METHODS}")
+        if not spec.terms:
             raise ProblemFormatError("terms must be a nonempty list")
-        terms: dict[tuple[int, int], np.ndarray] = {}
-        for entry in raw_terms:
-            try:
-                key = (int(entry["order"]), int(entry.get("harmonic", 0)))
-                mat = matrix_from_json(entry["matrix"], dim)
-            except (KeyError, TypeError, ValueError) as err:
-                raise ProblemFormatError(f"malformed term entry: {err}") from err
-            if key in terms:
-                raise ProblemFormatError(f"duplicate term key {key}")
-            terms[key] = mat
-        hbar = float(doc.get("hbar", 1.0))
-        omega_d = doc.get("omega_d")
-        omega_d = None if omega_d is None else float(omega_d)
-        block_sizes = doc.get("block_sizes")
-        if block_sizes is not None:
-            block_sizes = tuple(int(s) for s in block_sizes)
-        tolerances = {str(k): float(v) for k, v in (doc.get("tolerances") or {}).items()}
-        return ProblemSpec(
-            dim=dim, hbar=hbar, omega_d=omega_d, method=method,
-            max_order=max_order, terms=terms, block_sizes=block_sizes,
-            mask_spec=doc.get("mask"), tolerances=tolerances,
-        )
+        return spec
 
     def to_graded(self) -> GradedOperator:
         return GradedOperator(self.dim, self.terms, omega_d=self.omega_d)
 
     def build_mask(self) -> Mask:
-        spec = self.mask_spec
-        if spec is None:
+        if self.mask_spec is None:
             raise ProblemFormatError(f"method {self.method!r} requires a mask")
-        if isinstance(spec, dict) and "block_sizes" in spec:
-            return Mask.block_off_diagonal([int(s) for s in spec["block_sizes"]])
-        if isinstance(spec, dict) and "entries" in spec:
-            return Mask.from_pairs(self.dim, [(int(i), int(j)) for i, j in spec["entries"]])
-        if isinstance(spec, list):
-            return Mask(np.asarray(spec, dtype=bool))
-        raise ProblemFormatError("mask must be a boolean matrix, {block_sizes} or {entries}")
+        build, args = self.mask_spec
+        return build(*args)
 
     def resolved_tolerances(self, deg_override=None, res_override=None):
         deg = deg_override if deg_override is not None else self.tolerances.get("degeneracy")
@@ -173,14 +206,7 @@ class ProblemSpec:
 
 
 def load_problem(path: str) -> tuple[ProblemSpec, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ProblemFormatError(f"invalid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("problem document must be a JSON object")
+    doc, raw = read_document(path)
     return ProblemSpec.from_dict(doc), problem_hash(raw)
 
 
@@ -237,30 +263,22 @@ class ResultView:
     problem_sha256: str
     dim: int
     max_order: int
-    hbar: float
     omega_d: float | None
-    corrections: dict[int, GradedOperator]
     generator: dict[int, GradedOperator]
 
 
 def load_result(path: str) -> ResultView:
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read())
-    try:
+    doc, _ = read_document(path)
+    with converting("result document"):
         dim = int(doc["dim"])
-        omega_d = doc.get("omega_d")
-        omega_d = None if omega_d is None else float(omega_d)
+        omega_d = None if doc.get("omega_d") is None else float(doc["omega_d"])
         return ResultView(
             problem_sha256=str(doc["problem_sha256"]),
             dim=dim,
             max_order=int(doc["max_order"]),
-            hbar=float(doc["hbar"]),
             omega_d=omega_d,
-            corrections=_series_from_json(doc["corrections"], dim, omega_d),
             generator=_series_from_json(doc["generator"], dim, omega_d),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ProblemFormatError(f"malformed result document: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +287,11 @@ def load_result(path: str) -> ResultView:
 
 
 def load_operator(path: str, dim: int, omega_d: float | None) -> GradedOperator:
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read())
-    if not isinstance(doc, dict) or "terms" not in doc:
-        raise ProblemFormatError("operator document must carry a terms list")
-    own_omega = doc.get("omega_d")
-    own_omega = None if own_omega is None else float(own_omega)
-    terms = {}
-    for entry in doc["terms"]:
-        try:
-            key = (int(entry["order"]), int(entry.get("harmonic", 0)))
-            terms[key] = matrix_from_json(entry["matrix"], dim)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ProblemFormatError(f"malformed operator term: {err}") from err
+    """An operator document's terms; its own ``omega_d``, if any, wins."""
+    doc, _ = read_document(path)
+    with converting("operator document"):
+        own_omega = None if doc.get("omega_d") is None else float(doc["omega_d"])
+        terms = _terms_from_json(doc["terms"], dim)
     return GradedOperator(dim, terms, omega_d=own_omega if own_omega is not None else omega_d)
 
 

@@ -67,9 +67,10 @@ def _as_matrix(h: NumericHamiltonian | np.ndarray) -> np.ndarray:
     mat = h.matrix if isinstance(h, NumericHamiltonian) else np.asarray(h, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.conj().T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian to 1e-12 relative")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(mat - mat.conj().T).max() > 1e-12 * np.abs(mat).max():
+        raise ValueError("matrix is not Hermitian to 1e-12 of its largest entry")
     return mat
 
 
@@ -146,17 +147,16 @@ def exact_block_diagonalize(
         raise ValueError("block sizes must sum to the matrix dimension")
     keep = blocks.in_block()
 
-    def attempt(use_solver: bool) -> tuple[np.ndarray, np.ndarray]:
+    def attempt(use_solver: bool) -> np.ndarray:
         eig = ordered_eigensystem(mat, use_assignment_solver=use_solver)
         bx = np.where(keep, eig.X, 0.0)
         gram = bx.conj().T @ bx
-        u_dagger = eig.X.conj().T @ bx @ _inverse_sqrt_psd(gram)
-        return u_dagger, eig.X
+        return eig.X.conj().T @ bx @ _inverse_sqrt_psd(gram)
 
     try:
-        u_dagger, _ = attempt(False)
+        u_dagger = attempt(False)
     except IllConditionedBlocks:
-        u_dagger, _ = attempt(True)
+        u_dagger = attempt(True)
     u = u_dagger.conj().T
     h_block = u @ mat @ u_dagger
     return u_dagger, h_block

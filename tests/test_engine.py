@@ -74,6 +74,15 @@ def test_solve_exact_drive_resonance_raises():
     assert err.value.harmonic == 1
 
 
+def test_solve_driven_target_requires_omega_d():
+    frame = EigenFrame.from_energies(np.array([0.0, 1.0]))
+    mask = Mask.from_pairs(2, [(0, 1)])
+    target = GradedOperator(2, {(1, 1): 0.05 * sigma_x(), (1, -1): 0.05 * sigma_x()},
+                            omega_d=0.5)
+    with pytest.raises(ValueError, match="omega_d"):
+        solve_generator_order(target, frame, mask, omega_d=None)
+
+
 def test_solve_degenerate_masked_zero_target_is_fine():
     # degenerate pair is masked but carries no coupling: S entry stays 0
     frame = EigenFrame.from_energies(np.array([0.0, 0.0, 1.0]))

@@ -110,6 +110,19 @@ def test_rejects_non_hermitian():
         exact_block_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 1])
 
 
+@pytest.mark.parametrize("mat", [
+    1e-20 * np.array([[0.0, 1.0], [2.0, 0.0]]),
+    np.array([[0.0, np.nan], [np.nan, 1.0]]),
+    np.array([[0.0, np.inf], [np.inf, 1.0]]),
+], ids=["tiny-non-hermitian", "nan", "inf"])
+def test_rejects_non_hermitian_or_non_finite_at_any_scale(mat):
+    # hermiticity is judged against the largest entry, with no absolute
+    # floor: eigh would silently read one triangle of the tiny matrix, and a
+    # NaN matrix used to come back as a NaN result
+    with pytest.raises(ValueError):
+        exact_block_diagonalize(mat, [1, 1])
+
+
 def test_inverse_sqrt_guards_conditioning():
     nearly_singular = np.diag([1.0, 1e-12])
     with pytest.raises(IllConditionedBlocks):

@@ -1,0 +1,66 @@
+"""The README's examples, run as written: the library quick start, and the
+minimal problem file through the command line in a separate process, so
+that the exit status a shell sees is the one the README documents."""
+
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def fenced_block(after: str, language: str) -> str:
+    """The first ``language`` code block that follows the line ``after``."""
+    start = README.index(after)
+    match = re.compile(rf"^```{language}\n(.*?)^```", re.S | re.M).search(README, start)
+    assert match is not None, f"no {language} block after {after!r}"
+    return match.group(1)
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "pertkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_quick_start_prints_the_second_order_shifts():
+    code = fenced_block("## Library quick start", "python")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    number = r"[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?"
+    values = [float(x) for x in re.findall(number, printed.getvalue())]
+    np.testing.assert_allclose(values, [-0.01, 0.01], rtol=1e-12)
+
+
+def test_minimal_problem_runs_through_the_command_line(tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(fenced_block("A minimal problem file:", "json"), encoding="utf-8")
+    out = tmp_path / "result.json"
+    proc = run_cli("transform", str(problem), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    corrections = json.loads(out.read_text())["corrections"]["2"]["2,0"]
+    np.testing.assert_allclose([corrections[0][0][0], corrections[1][1][0]], [-0.1**2, 0.1**2],
+                               rtol=1e-12)
+
+
+def test_malformed_problem_exits_with_the_parse_error_code(tmp_path):
+    doc = json.loads(fenced_block("A minimal problem file:", "json"))
+    doc["hbar"] = [1.0]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "result.json"
+    proc = run_cli("transform", str(problem), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
