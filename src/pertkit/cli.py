@@ -8,6 +8,7 @@ convert), 3 precondition violation (a converted value that breaks a rule),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -119,17 +120,18 @@ def cmd_experiment(args) -> int:
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
         spec = EnsembleSpec(**_given(
-            doc, {"count": args.instances, "seed": args.seed}, count=int, dim_min=int,
-            dim_max=int, blocks_min=int, blocks_max=int, coupling=float, seed=int))
-        rows, skipped = run_fig3_experiment(spec, **_given(doc, {}, max_order=int))
+            doc, {"count": args.instances, "seed": args.seed}, count=io.as_int,
+            dim_min=io.as_int, dim_max=io.as_int, blocks_min=io.as_int, blocks_max=io.as_int,
+            coupling=float, seed=io.as_int))
+        rows, skipped = run_fig3_experiment(spec, **_given(doc, {}, max_order=io.as_int))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eta_rows_to_csv(rows))
         for index, reason in skipped:
             print(f"skipped instance {index}: {reason}", file=sys.stderr)
         return EXIT_OK
     if kind == "ace":
-        params = _given(doc, {"seed": args.seed}, dim=int, seed=int, max_order=int,
-                        coupling=float)
+        params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,
+                        max_order=io.as_int, coupling=float)
         if "dim" in params:
             params["d"] = params.pop("dim")
         demo = ace_demo(**params)
@@ -147,7 +149,9 @@ def cmd_experiment(args) -> int:
     raise io.ProblemFormatError(f"unknown experiment kind {kind!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pertkit",
         description="Order-by-order effective Hamiltonians with exact oracles.",
@@ -189,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (io.ProblemFormatError, FileNotFoundError) as err:

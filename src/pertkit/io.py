@@ -1,14 +1,17 @@
 """Problem, result, operator and experiment documents; deterministic JSON.
 
 Every input is a JSON object read by ``read_document`` and converted inside
-``converting``; a failure of either raises ProblemFormatError.  Problems and
-operators share one ``terms`` list of {order, harmonic = 0, matrix} entries,
-each key at most once.  Result documents echo a hash of the problem bytes and
-carry corrections and generator keyed by order ("j") and key ("j,k").
+``converting``; a failure of either raises ProblemFormatError.  Every integer
+field goes through ``as_int``, and a problem document admits only
+``PROBLEM_KEYS`` and ``TOLERANCE_KEYS``.  Problems and operators share one
+``terms`` list of {order, harmonic = 0, matrix} entries, each key at most
+once.  Result documents echo a hash of the problem bytes and carry
+corrections and generator keyed by order ("j") and key ("j,k").
 
 All output floats are rendered with 17 significant digits so identical
 inputs produce byte-identical documents.  Matrices travel as float arrays of
-[re, im] pairs and are rendered one row per format call.
+[re, im] pairs and are rendered with one format call per matrix, which
+formats only the parts that are not +0.0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .engine import DEFAULT_RES_TOL, Mask, TransformResult
 from .graded import GradedOperator, ZERO_RTOL
 
 METHODS = ("swt", "fd", "ace", "la")
+PROBLEM_KEYS = ("dim", "hbar", "omega_d", "method", "max_order", "terms", "block_sizes",
+                "mask", "tolerances")
+TOLERANCE_KEYS = ("degeneracy", "resonance")
 
 
 class ProblemFormatError(ValueError):
@@ -42,14 +48,22 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: One template per [re, im] pair, indexed by (re is live) + 2 * (im is live).
+_PAIR_TEMPLATES = np.array(["[0,0]", "[%.17g,0]", "[0,%.17g]", "[%.17g,%.17g]"], dtype=object)
+
+
 def _pairs_json(arr: np.ndarray) -> str:
-    """A (rows, cols, 2) float array as nested lists, one format call per row."""
+    """A (rows, cols, 2) float array as nested lists, one format call per matrix.
+
+    Only live parts are formatted: a +0.0 part is written as the literal "0",
+    which is what ``%.17g`` gives for it; -0.0 is live, since it renders "-0".
+    """
     if not np.isfinite(arr).all():
         raise ValueError("cannot serialize non-finite float")
-    rows, cols, _ = arr.shape
-    row_format = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
-    lines = arr.reshape(rows, 2 * cols).tolist()
-    return "[" + ",".join(row_format % tuple(row) for row in lines) + "]"
+    live = (arr != 0) | np.signbit(arr)
+    pairs = _PAIR_TEMPLATES[live[..., 0] + 2 * live[..., 1]].tolist()
+    template = "[" + ",".join(["[" + row + "]" for row in map(",".join, pairs)]) + "]"
+    return template % tuple(arr[live].tolist())
 
 
 def canonical_json(obj: Any) -> str:
@@ -119,10 +133,35 @@ def converting(what: str):
         raise ProblemFormatError(f"malformed {what}: {err}") from err
 
 
+def as_int(value) -> int:
+    """An integer field: an integer, or a float with an integral value such as 2.0.
+
+    Booleans, strings and non-integral numbers raise ProblemFormatError, where
+    ``int`` would truncate 2.7 to 2 and read true as 1.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ProblemFormatError(f"expected an integer, got {value!r}")
+
+
 def _ints(values) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise TypeError(f"expected a list of integers, got {values!r}")
-    return tuple(int(v) for v in values)
+    return tuple(as_int(v) for v in values)
+
+
+def _mask_flag(value) -> bool:
+    if value in (0, 1):  # true, false, 0 and 1 (or 0.0 and 1.0); no string equals them
+        return bool(value)
+    raise ProblemFormatError(f"a mask entry must be true, false, 0 or 1, got {value!r}")
+
+
+def _reject_unknown(doc: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ProblemFormatError(f"unknown {what} key {unknown[0]!r}; expected among {known}")
 
 
 def _terms_from_json(entries, dim: int) -> dict[tuple[int, int], np.ndarray]:
@@ -131,7 +170,7 @@ def _terms_from_json(entries, dim: int) -> dict[tuple[int, int], np.ndarray]:
         raise TypeError("terms must be a list of {order, harmonic, matrix} entries")
     terms: dict[tuple[int, int], np.ndarray] = {}
     for entry in entries:
-        key = (int(entry["order"]), int(entry.get("harmonic", 0)))
+        key = (as_int(entry["order"]), as_int(entry.get("harmonic", 0)))
         if key in terms:
             raise ValueError(f"duplicate term key {key}")
         terms[key] = matrix_from_json(entry["matrix"], dim)
@@ -146,9 +185,9 @@ def _mask_spec_from_json(spec, dim: int):
     if isinstance(spec, dict) and "block_sizes" in spec:
         return Mask.block_off_diagonal, (_ints(spec["block_sizes"]),)
     if isinstance(spec, dict) and "entries" in spec:
-        return Mask.from_pairs, (dim, tuple((int(i), int(j)) for i, j in spec["entries"]))
+        return Mask.from_pairs, (dim, tuple((as_int(i), as_int(j)) for i, j in spec["entries"]))
     if isinstance(spec, list):
-        return Mask, (np.asarray(spec, dtype=bool),)
+        return Mask, (np.array([[_mask_flag(x) for x in row] for row in spec], dtype=bool),)
     raise TypeError("mask must be a boolean matrix, {block_sizes} or {entries}")
 
 
@@ -171,17 +210,19 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
+        _reject_unknown(doc, PROBLEM_KEYS, "problem document")
         with converting("problem document"):
-            dim = int(doc["dim"])
+            dim = as_int(doc["dim"])
             block_sizes = doc.get("block_sizes")
             spec = ProblemSpec(
                 dim=dim, hbar=float(doc.get("hbar", 1.0)), method=str(doc["method"]),
                 omega_d=None if doc.get("omega_d") is None else float(doc["omega_d"]),
-                max_order=int(doc["max_order"]), terms=_terms_from_json(doc["terms"], dim),
+                max_order=as_int(doc["max_order"]), terms=_terms_from_json(doc["terms"], dim),
                 block_sizes=None if block_sizes is None else _ints(block_sizes),
                 mask_spec=_mask_spec_from_json(doc.get("mask"), dim),
                 tolerances={str(k): float(v) for k, v in (doc.get("tolerances") or {}).items()},
             )
+            _reject_unknown(spec.tolerances, TOLERANCE_KEYS, "tolerances")
         if spec.method not in METHODS:
             raise ProblemFormatError(f"unknown method {spec.method!r}; expected one of {METHODS}")
         if not spec.terms:
@@ -270,12 +311,12 @@ class ResultView:
 def load_result(path: str) -> ResultView:
     doc, _ = read_document(path)
     with converting("result document"):
-        dim = int(doc["dim"])
+        dim = as_int(doc["dim"])
         omega_d = None if doc.get("omega_d") is None else float(doc["omega_d"])
         return ResultView(
             problem_sha256=str(doc["problem_sha256"]),
             dim=dim,
-            max_order=int(doc["max_order"]),
+            max_order=as_int(doc["max_order"]),
             omega_d=omega_d,
             generator=_series_from_json(doc["generator"], dim, omega_d),
         )

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from pertkit.cli import main
-from pertkit.io import canonical_json, load_problem, matrix_from_json
+from pertkit.cli import build_parser, main
+from pertkit.io import (
+    ProblemFormatError, ProblemSpec, canonical_json, load_problem, matrix_from_json,
+)
 
 
 def mat_json(mat):
@@ -183,6 +185,104 @@ def test_problem_field_that_does_not_convert_exit_code(two_level_problem, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.5), ("max_order", 2.7), ("max_order", True), ("max_order", "2"),
+    ("block_sizes", [1.9, 1]), ("block_sizes", [True, 1]),
+], ids=["dim-fraction", "order-fraction", "order-bool", "order-string", "size-fraction",
+        "size-bool"])
+def test_problem_integer_field_that_is_not_an_integer_exit_code(two_level_problem, tmp_path,
+                                                                field, value):
+    # int() used to truncate 2.7 to 2 and read true as 1, and the run exited 0
+    doc = json.loads(two_level_problem.read_text())
+    doc[field] = value
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("order", 1.5), ("harmonic", 0.5), ("order", "1")])
+def test_term_key_that_is_not_an_integer_exit_code(two_level_problem, tmp_path, key, value):
+    # a term of order 1.5 used to load as order 1
+    doc = json.loads(two_level_problem.read_text())
+    doc["terms"][1][key] = value
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_integral_floats_are_integers(two_level_problem, tmp_path):
+    doc = json.loads(two_level_problem.read_text())
+    doc.update(dim=2.0, max_order=2.0, block_sizes=[1.0, 1.0])
+    doc["terms"][1]["order"] = 1.0
+    write_json(two_level_problem, doc)
+    spec = ProblemSpec.from_dict(doc)
+    assert (spec.dim, spec.max_order, spec.block_sizes) == (2, 2, (1, 1))
+    assert all(type(j) is int and type(k) is int for j, k in spec.terms)
+    assert main(["transform", str(two_level_problem), "--out", str(tmp_path / "o.json")]) == 0
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("tolerances", {"resonnance": 1e-3}, "resonnance"), ("comment", "two levels", "comment"),
+], ids=["tolerance-key", "top-level-key"])
+def test_problem_unknown_key_exit_code(two_level_problem, tmp_path, capsys, field, value, key):
+    # an unknown key, such as a misspelt tolerance, used to be silently ignored
+    doc = json.loads(two_level_problem.read_text())
+    doc[field] = value
+    write_json(two_level_problem, doc)
+    with pytest.raises(ProblemFormatError, match=f"unknown .* key '{key}'"):
+        ProblemSpec.from_dict(doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_problem_known_tolerance_keys_are_read(two_level_problem):
+    doc = json.loads(two_level_problem.read_text())
+    doc["tolerances"] = {"degeneracy": 1e-6, "resonance": 1e-5}
+    assert ProblemSpec.from_dict(doc).resolved_tolerances() == (1e-6, 1e-5)
+
+
+@pytest.mark.parametrize("field, value", [("dim", 2.5), ("max_order", 2.5), ("max_order", "2")],
+                         ids=["dim-fraction", "order-fraction", "order-string"])
+def test_rotate_result_header_that_is_not_an_integer_exit_code(two_level_problem, tmp_path,
+                                                               field, value):
+    # the header's integers used to be truncated, and the rotation exited 0
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    doc = json.loads(result.read_text())
+    doc[field] = value
+    write_json(result, doc)
+    op_path = tmp_path / "op.json"
+    write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]})
+    out = tmp_path / "x.json"
+    assert main([
+        "rotate", str(two_level_problem), str(result), str(op_path),
+        "--order", "1", "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
+def test_main_runs_repeatedly_in_one_process(two_level_problem, tmp_path):
+    # the parser is built once per process: one call's flags must not reach
+    # the next, and a call argparse rejects must not break the calls after it
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "o1.json", tmp_path / "o2.json"
+    assert main(["transform", str(two_level_problem), "--max-order", "1",
+                 "--out", str(first)]) == 0
+    assert main(["transform", str(two_level_problem), "--out", str(second)]) == 0
+    assert json.loads(first.read_text())["max_order"] == 1
+    assert json.loads(second.read_text())["max_order"] == 2
+    with pytest.raises(SystemExit) as rejected:
+        main(["transform", str(two_level_problem), "--max-order", "x", "--out", str(first)])
+    assert rejected.value.code == 2
+    third = tmp_path / "o3.json"
+    assert main(["transform", str(two_level_problem), "--out", str(third)]) == 0
+    assert third.read_bytes() == second.read_bytes()
+
+
 def ace_problem(tmp_path, mask):
     coupling = 0.1 * (np.ones((3, 3)) - np.eye(3))
     doc = {
@@ -210,8 +310,16 @@ def ace_problem(tmp_path, mask):
     ({"block_sizes": 5}, 2),
     ({"block_sizes": [0, 3]}, 3),
     ([[False, True, False], [False, False, False], [False, False, False]], 3),
+    ({"entries": [[0, 1.5]]}, 2),
+    ({"entries": [[0, True]]}, 2),
+    ({"block_sizes": [1, 2.5]}, 2),
+    ([["", "x", ""], ["x", "", ""], ["", "", ""]], 2),
+    ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 0),
+    ([[False, True, False], [True, False, False], [False, False, False]], 0),
 ], ids=["pair", "negative-index", "index-too-large", "triple", "string-index",
-        "entries-number", "sizes-number", "size-zero", "asymmetric"])
+        "entries-number", "sizes-number", "size-zero", "asymmetric", "fraction-index",
+        "bool-index", "fraction-size", "string-flags", "flag-two", "flags-01", "flags-bool"])
 def test_ace_mask_exit_code(tmp_path, mask, code):
     # a mask spec that does not convert is a parse error (2), a converted mask
     # that breaks a rule a precondition failure (3); a negative index used to
@@ -402,7 +510,12 @@ def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
     {"kind": "fig3", "count": [1]},
     {"kind": "fig3", "coupling": "strong"},
     {"kind": "ace", "dim": [3]},
-], ids=["not-an-object", "count-list", "coupling-string", "ace-dim-list"])
+    {"kind": "fig3", "count": 2.5, "max_order": 2},
+    {"kind": "fig3", "count": 2, "max_order": 2.5},
+    {"kind": "ace", "dim": 4.5},
+    {"kind": "ace", "seed": True},
+], ids=["not-an-object", "count-list", "coupling-string", "ace-dim-list", "count-fraction",
+        "order-fraction", "ace-dim-fraction", "ace-seed-bool"])
 def test_experiment_malformed_spec_exit_code(tmp_path, doc):
     spec_path = tmp_path / "spec.json"
     write_json(spec_path, doc)
