@@ -88,7 +88,10 @@ def cmd_rotate(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec, digest = io.load_problem(args.input)
-    blocks = [int(s) for s in args.blocks.split(",")] if args.blocks else spec.block_sizes
+    blocks = spec.block_sizes
+    if args.blocks:
+        with io.converting("--blocks"):
+            blocks = [io.as_int(float(s)) for s in args.blocks.split(",")]
     if blocks is None:
         raise io.ProblemFormatError("oracle needs --blocks or block_sizes in the problem")
     h = spec.to_graded()
@@ -122,7 +125,7 @@ def cmd_experiment(args) -> int:
         spec = EnsembleSpec(**_given(
             doc, {"count": args.instances, "seed": args.seed}, count=io.as_int,
             dim_min=io.as_int, dim_max=io.as_int, blocks_min=io.as_int, blocks_max=io.as_int,
-            coupling=float, seed=io.as_int))
+            coupling=io.as_float, seed=io.as_int))
         rows, skipped = run_fig3_experiment(spec, **_given(doc, {}, max_order=io.as_int))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eta_rows_to_csv(rows))
@@ -131,7 +134,7 @@ def cmd_experiment(args) -> int:
         return EXIT_OK
     if kind == "ace":
         params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,
-                        max_order=io.as_int, coupling=float)
+                        max_order=io.as_int, coupling=io.as_float)
         if "dim" in params:
             params["d"] = params.pop("dim")
         demo = ace_demo(**params)

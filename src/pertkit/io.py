@@ -2,7 +2,8 @@
 
 Every input is a JSON object read by ``read_document`` and converted inside
 ``converting``; a failure of either raises ProblemFormatError.  Every integer
-field goes through ``as_int``, and a problem document admits only
+field goes through ``as_int`` and every real field through ``as_float``, and
+a problem document admits only
 ``PROBLEM_KEYS`` and ``TOLERANCE_KEYS``.  Problems and operators share one
 ``terms`` list of {order, harmonic = 0, matrix} entries, each key at most
 once.  Result documents echo a hash of the problem bytes and carry
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -25,6 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .engine import DEFAULT_RES_TOL, Mask, TransformResult
+from .errors import PertError
 from .graded import GradedOperator, ZERO_RTOL
 
 METHODS = ("swt", "fd", "ace", "la")
@@ -129,7 +132,7 @@ def converting(what: str):
     """A field of ``what`` that does not convert raises ProblemFormatError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
         raise ProblemFormatError(f"malformed {what}: {err}") from err
 
 
@@ -144,6 +147,21 @@ def as_int(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ProblemFormatError(f"expected an integer, got {value!r}")
+
+
+def as_float(value) -> float:
+    """A real field: an integer or a float.
+
+    Booleans and strings raise ProblemFormatError, where ``float`` would read
+    true as 1.0 and "0.5" as 0.5.  A NaN or infinite value converts but breaks
+    the rule that every real field is finite, so it raises PertError.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ProblemFormatError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise PertError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -215,12 +233,12 @@ class ProblemSpec:
             dim = as_int(doc["dim"])
             block_sizes = doc.get("block_sizes")
             spec = ProblemSpec(
-                dim=dim, hbar=float(doc.get("hbar", 1.0)), method=str(doc["method"]),
-                omega_d=None if doc.get("omega_d") is None else float(doc["omega_d"]),
+                dim=dim, hbar=as_float(doc.get("hbar", 1.0)), method=str(doc["method"]),
+                omega_d=None if doc.get("omega_d") is None else as_float(doc["omega_d"]),
                 max_order=as_int(doc["max_order"]), terms=_terms_from_json(doc["terms"], dim),
                 block_sizes=None if block_sizes is None else _ints(block_sizes),
                 mask_spec=_mask_spec_from_json(doc.get("mask"), dim),
-                tolerances={str(k): float(v) for k, v in (doc.get("tolerances") or {}).items()},
+                tolerances={str(k): as_float(v) for k, v in (doc.get("tolerances") or {}).items()},
             )
             _reject_unknown(spec.tolerances, TOLERANCE_KEYS, "tolerances")
         if spec.method not in METHODS:
@@ -312,7 +330,7 @@ def load_result(path: str) -> ResultView:
     doc, _ = read_document(path)
     with converting("result document"):
         dim = as_int(doc["dim"])
-        omega_d = None if doc.get("omega_d") is None else float(doc["omega_d"])
+        omega_d = None if doc.get("omega_d") is None else as_float(doc["omega_d"])
         return ResultView(
             problem_sha256=str(doc["problem_sha256"]),
             dim=dim,
@@ -331,7 +349,7 @@ def load_operator(path: str, dim: int, omega_d: float | None) -> GradedOperator:
     """An operator document's terms; its own ``omega_d``, if any, wins."""
     doc, _ = read_document(path)
     with converting("operator document"):
-        own_omega = None if doc.get("omega_d") is None else float(doc["omega_d"])
+        own_omega = None if doc.get("omega_d") is None else as_float(doc["omega_d"])
         terms = _terms_from_json(doc["terms"], dim)
     return GradedOperator(dim, terms, omega_d=own_omega if own_omega is not None else omega_d)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,17 +176,39 @@ def test_nonpositive_hbar_exit_code(two_level_problem, tmp_path, hbar):
     ("hbar", "x"), ("hbar", [1]), ("omega_d", [1]), ("block_sizes", 5),
     ("block_sizes", "11"), ("tolerances", [1]), ("tolerances", {"resonance": "x"}),
     ("terms", 5), ("terms", [{"order": 0, "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, 7]),
+    ("hbar", "0.5"), ("omega_d", True), ("tolerances", {"resonance": True}), ("hbar", 10 ** 400),
+    ("terms", [{"order": 0, "matrix": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}]),
 ], ids=["hbar-string", "hbar-list", "omega-list", "blocks-number", "blocks-string",
-        "tolerances-list", "tolerance-string", "terms-number", "term-number"])
+        "tolerances-list", "tolerance-string", "terms-number", "term-number",
+        "hbar-numeric-string", "omega-bool", "tolerance-bool", "hbar-huge-int", "entry-huge-int"])
 def test_problem_field_that_does_not_convert_exit_code(two_level_problem, tmp_path, field, value):
     # a field that does not convert is a parse error, whatever the field; a
-    # list-valued hbar used to end in a traceback and a string hbar in exit 3
+    # list-valued hbar used to end in a traceback and a string hbar in exit 3;
+    # "0.5" and true used to be read as 0.5 and 1.0, and an integer too large
+    # for a float ended in a traceback
     doc = json.loads(two_level_problem.read_text())
     doc[field] = value
     write_json(two_level_problem, doc)
     out = tmp_path / "o.json"
     assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hbar", float("nan")), ("omega_d", float("inf")),
+    ("tolerances", {"resonance": float("nan")}), ("tolerances", {"degeneracy": float("inf")}),
+], ids=["hbar-nan", "omega-inf", "resonance-nan", "degeneracy-inf"])
+def test_problem_real_field_that_is_not_finite_exit_code(two_level_problem, tmp_path, capsys,
+                                                         field, value):
+    # json.loads reads NaN and Infinity; a NaN resonance tolerance used to
+    # pass every denominator check and the run exited 0
+    doc = json.loads(two_level_problem.read_text())
+    doc[field] = value
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -460,6 +486,45 @@ def test_oracle_on_block_diagonal_input(tmp_path):
     )
 
 
+@pytest.mark.parametrize("blocks", ["1,x", "1.5,1", "1,", "true,1"])
+def test_oracle_blocks_that_are_not_integers_exit_code(tmp_path, capsys, blocks):
+    # --blocks used to be parsed with a bare int(), so "1,x" exited 3
+    doc = {"dim": 2, "method": "la", "max_order": 2,
+           "terms": [{"order": 0, "matrix": mat_json(np.diag([0.0, 2.0]))}]}
+    path = tmp_path / "problem.json"
+    write_json(path, doc)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", str(path), "--blocks", blocks, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "malformed --blocks" in capsys.readouterr().err
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # the package depends on numpy alone; scipy is a test-only dependency
+    problem = tmp_path / "problem.json"
+    write_json(problem, {
+        "dim": 3, "method": "la", "max_order": 2, "block_sizes": [1, 2],
+        "terms": [{"order": 0, "matrix": mat_json(np.diag([0.0, 1.0, 1.5]))},
+                  {"order": 1, "matrix": mat_json(0.1 * (np.ones((3, 3)) - np.eye(3)))}]})
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"kind": "fig3", "count": 1, "max_order": 2, "dim_min": 4, "dim_max": 4})
+    probe = ("import runpy, sys\n"
+             "sys.argv = ['pertkit'] + sys.argv[1:]\n"
+             "try:\n"
+             "    runpy.run_module('pertkit.cli', run_name='__main__')\n"
+             "except SystemExit as stop:\n"
+             "    print(stop.code, 'scipy' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for argv in (["transform", str(problem), "--out", str(tmp_path / "r.json")],
+                 ["oracle", str(problem), "--out", str(tmp_path / "o.json")],
+                 ["experiment", str(spec), "--out", str(tmp_path / "eta.csv")]):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], (argv[0], proc.stdout, proc.stderr)
+
+
 def test_experiment_fig3_byte_identical(tmp_path):
     spec = {
         "kind": "fig3",
@@ -514,8 +579,11 @@ def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
     {"kind": "fig3", "count": 2, "max_order": 2.5},
     {"kind": "ace", "dim": 4.5},
     {"kind": "ace", "seed": True},
+    {"kind": "fig3", "coupling": True},
+    {"kind": "ace", "coupling": "0.1"},
 ], ids=["not-an-object", "count-list", "coupling-string", "ace-dim-list", "count-fraction",
-        "order-fraction", "ace-dim-fraction", "ace-seed-bool"])
+        "order-fraction", "ace-dim-fraction", "ace-seed-bool", "coupling-bool",
+        "ace-coupling-numeric-string"])
 def test_experiment_malformed_spec_exit_code(tmp_path, doc):
     spec_path = tmp_path / "spec.json"
     write_json(spec_path, doc)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,54 @@ def test_least_action_unitary_is_closest_to_identity():
             redress = np.eye(4, dtype=complex)
             redress[:2, :2] = local
             assert dist_oracle < np.linalg.norm(redress @ u_oracle - np.eye(4))
+
+
+def _block_objective(vecs, labels, assign):
+    """sum_b ||X_bb||_* with eigenvector e (column e of vecs) placed in block assign[e]."""
+    return sum(np.linalg.svd(vecs[np.ix_(labels == b, assign == b)], compute_uv=False).sum()
+               for b in range(labels.max() + 1))
+
+
+def test_assignment_is_the_least_action_one_against_brute_force():
+    # every assignment of eigenvectors to blocks, d <= 7: the oracle's must be
+    # the global maximum of sum_b ||X_bb||_* whenever the certificate
+    # L + s1 + s2 < 2 holds, never below greedy, and no cross-block swap may
+    # raise it; couplings up to 3x the spacing make the certificate fail
+    rng = np.random.default_rng(2024)
+    certified = uncertified = climbed = 0
+    for _ in range(120):
+        d = int(rng.integers(3, 8))
+        cuts = np.sort(rng.choice(np.arange(1, d), int(rng.integers(1, min(4, d))), replace=False))
+        sizes = tuple(int(n) for n in np.diff(np.r_[0, cuts, d]))
+        coupling = float(np.exp(rng.uniform(np.log(0.03), np.log(3.0))))
+        h = np.diag(np.sort(rng.uniform(0, d, size=d))) + coupling * random_hermitian(d, rng)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        _, vecs = np.linalg.eigh(h)
+
+        greedy = labels[np.abs(ordered_eigensystem(h).X @ vecs).argmax(axis=0)]
+        loss = 1 - np.array([np.sum(np.abs(vecs[labels == greedy[e], e]) ** 2) for e in range(d)])
+        tops = np.sort(np.sqrt(np.clip(loss, 0, None)))[-2:]
+
+        u = exact_block_diagonalize(h, sizes)[0].conj().T
+        chosen = np.array([np.linalg.norm(u[labels == b] @ vecs, axis=0) ** 2
+                           for b in range(len(sizes))]).argmax(axis=0)
+        value = _block_objective(vecs, labels, chosen)
+        assert abs(np.trace(u).real - value) < 1e-9
+        assert value >= _block_objective(vecs, labels, greedy) - 1e-9
+        for i in range(d):
+            for j in range(i + 1, d):
+                swapped = chosen.copy()
+                swapped[[i, j]] = chosen[[j, i]]
+                assert _block_objective(vecs, labels, swapped) <= value + 1e-9
+        if loss.sum() + tops.sum() < 2:
+            certified += 1
+            best = max(_block_objective(vecs, labels, np.array(a))
+                       for a in set(itertools.permutations(labels)))
+            assert value >= best - 1e-9
+        else:
+            uncertified += 1
+            climbed += value > _block_objective(vecs, labels, greedy) + 1e-9
+    assert certified > 30 and uncertified > 30 and climbed > 3, (certified, uncertified, climbed)
 
 
 # ---------------------------------------------------------------------------
