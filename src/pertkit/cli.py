@@ -118,38 +118,46 @@ def _given(doc: dict, overrides: dict, **casts) -> dict:
     return out
 
 
-def cmd_experiment(args) -> int:
-    doc, _ = io.read_document(args.spec)
+def _experiment_call(args, doc: dict, raw: bytes):
+    """The experiment a spec document asks for: its kind and converted arguments."""
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
         spec = EnsembleSpec(**_given(
             doc, {"count": args.instances, "seed": args.seed}, count=io.as_int,
             dim_min=io.as_int, dim_max=io.as_int, blocks_min=io.as_int, blocks_max=io.as_int,
             coupling=io.as_float, seed=io.as_int))
-        rows, skipped = run_fig3_experiment(spec, **_given(doc, {}, max_order=io.as_int))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(eta_rows_to_csv(rows))
-        for index, reason in skipped:
-            print(f"skipped instance {index}: {reason}", file=sys.stderr)
-        return EXIT_OK
+        return kind, {"spec": spec, **_given(doc, {}, max_order=io.as_int)}
     if kind == "ace":
         params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,
                         max_order=io.as_int, coupling=io.as_float)
         if "dim" in params:
             params["d"] = params.pop("dim")
-        demo = ace_demo(**params)
-        io.write_document(
-            args.out,
-            {
-                "before": io.matrix_to_json(demo["before"]),
-                "mask": [[bool(x) for x in row] for row in demo["mask"]],
-                "after": io.matrix_to_json(demo["after"]),
-                "max_order": demo["max_order"],
-                "seed": demo["seed"],
-            },
-        )
-        return EXIT_OK
+        return kind, params
     raise io.ProblemFormatError(f"unknown experiment kind {kind!r}")
+
+
+def cmd_experiment(args) -> int:
+    # the run stays outside the read: the collector is back on while it runs
+    kind, params = io.read_document(args.spec, functools.partial(_experiment_call, args))
+    if kind == "fig3":
+        rows, skipped = run_fig3_experiment(**params)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(eta_rows_to_csv(rows))
+        for index, reason in skipped:
+            print(f"skipped instance {index}: {reason}", file=sys.stderr)
+        return EXIT_OK
+    demo = ace_demo(**params)
+    io.write_document(
+        args.out,
+        {
+            "before": io.matrix_to_json(demo["before"]),
+            "mask": [[bool(x) for x in row] for row in demo["mask"]],
+            "after": io.matrix_to_json(demo["after"]),
+            "max_order": demo["max_order"],
+            "seed": demo["seed"],
+        },
+    )
+    return EXIT_OK
 
 
 @functools.cache

@@ -61,6 +61,9 @@ from .graded import (
 DEFAULT_DEG_TOL = 1e-9
 #: Default tolerance, relative to the level spread, declaring a denominator resonant.
 DEFAULT_RES_TOL = 1e-9
+#: Deviation from anti-hermiticity, relative to each generator term, that rotation
+#: accepts as round-off; an order 8 term built from cancelling products carries ~1e-10.
+GENERATOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -243,15 +246,19 @@ def _solve(
 
 
 def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: float,
-             deg_tol: float | None = None) -> EigenFrame:
+             res_tol: float, deg_tol: float | None = None) -> EigenFrame:
     """The one problem boundary of every routine: validate, return the frame.
 
     The mask must fit ``h``; ``h`` must be hermitian-graded with a static,
     real, diagonal order-0 part, judged against half the level spread, which
     a shift of H0 leaves and a rescale scales along; fd's coupled levels must
-    be nondegenerate to ``deg_tol``; ``max_order`` >= 0; ``hbar``, and with
-    a nonzero harmonic ``h.omega_d``, finite and positive.
+    be nondegenerate to ``deg_tol``; ``max_order`` >= 0; ``hbar``,
+    ``res_tol``, ``deg_tol`` when given, and with a nonzero harmonic
+    ``h.omega_d``, finite and positive.
     """
+    for name, value in (("res_tol", res_tol), ("deg_tol", deg_tol)):
+        if value is not None and not _finite_positive(value):
+            raise PertError(f"{name} must be finite and positive, got {value}")
     if mask.dim != h.dim:
         raise ValueError(f"the mask covers {mask.dim} levels, the operator {h.dim}")
     _require_hermitian_graded(h, "the Hamiltonian")
@@ -273,12 +280,16 @@ def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: f
         _check_no_degenerate_coupling(h, frame)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if not (math.isfinite(hbar) and hbar > 0):
+    if not _finite_positive(hbar):
         raise PertError(f"hbar must be finite and positive, got {hbar}")
     if any(k != 0 for k in h.harmonics()) and not (
-            h.omega_d is not None and math.isfinite(h.omega_d) and h.omega_d > 0):
+            h.omega_d is not None and _finite_positive(h.omega_d)):
         raise PertError(f"omega_d must be finite and positive, got {h.omega_d}")
     return frame
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
@@ -329,7 +340,7 @@ def _transform(
     res_tol: float,
     deg_tol: float | None = None,
 ) -> TransformResult:
-    frame = _prepare(method, h, mask, max_order, hbar, deg_tol)
+    frame = _prepare(method, h, mask, max_order, hbar, res_tol, deg_tol)
     omega_d = h.omega_d
     tally = ProductTally()
     base = _by_order(h)
@@ -433,7 +444,8 @@ def rotate_operator(
 
     Returns exp(-S) O exp(S) truncated at total order ``up_to_order`` >= 0,
     with S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``),
-    which must hold every order up to ``up_to_order``.  The order-n term is
+    which must hold every order up to ``up_to_order``, each anti-hermitian-
+    graded, so that exp(S) is unitary.  The order-n term is
     sum_m C_m^(n) / m! with C_0 = O.
     """
     if up_to_order < 0:
@@ -443,6 +455,10 @@ def rotate_operator(
         raise ValueError(
             f"rotation order {up_to_order} exceeds solved order {missing[0] - 1}"
         )
+    for n in range(1, up_to_order + 1):
+        if not generator[n].is_anti_hermitian_graded(GENERATOR_RTOL):
+            raise PertError(f"the order-{n} generator is not anti-hermitian-graded "
+                            "(S[j, k]^dag != -S[j, -k])")
     merged = operator
     for s_n in generator.values():
         merged._check_compatible(s_n)  # dimension and drive frequency

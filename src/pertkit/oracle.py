@@ -21,13 +21,14 @@ greedy assignment until none improves it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import TransformResult
-from .errors import IllConditionedBlocks
+from .errors import IllConditionedBlocks, PertError
 from .graded import GradedOperator
 from .least_action import BlockStructure, _la_orders
 from . import engine
@@ -63,7 +64,12 @@ class OrderedEigensystem:
 def evaluate_at(
     g: GradedOperator, lam: float, t: float | None = None
 ) -> NumericHamiltonian:
-    """Collapse the grading: sum_{j,k} lambda^j exp(i k omega_d t) M[j, k]."""
+    """Collapse the grading: sum_{j,k} lambda^j exp(i k omega_d t) M[j, k].
+
+    ``lam``, and ``t`` when given, must be finite.
+    """
+    if not math.isfinite(lam) or (t is not None and not math.isfinite(t)):
+        raise PertError(f"lambda and t must be finite, got lambda={lam}, t={t}")
     has_harmonics = any(k != 0 for _, k in g.keys())
     if has_harmonics and t is None:
         raise ValueError("a time value is required for harmonically graded operators")

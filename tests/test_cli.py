@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -660,3 +661,150 @@ def test_problem_loader_round_trip(two_level_problem):
     assert spec.method == "swt"
     assert (1, 0) in spec.terms
     assert len(digest) == 64
+
+
+def resonant_ace_problem(tmp_path, tolerances=None):
+    # the masked pair (0, 1) sits 1e-12 apart: resonant at the default tolerance
+    doc = {
+        "dim": 3,
+        "method": "ace",
+        "max_order": 2,
+        "mask": {"entries": [[0, 1]]},
+        "terms": [
+            {"order": 0, "matrix": mat_json(np.diag([0.0, 1e-12, 1.0]))},
+            {"order": 1, "matrix": mat_json(0.1 * (np.ones((3, 3)) - np.eye(3)))},
+        ],
+    }
+    if tolerances is not None:
+        doc["tolerances"] = tolerances
+    path = tmp_path / "resonant.json"
+    write_json(path, doc)
+    return path
+
+
+def test_resonant_ace_problem_exits_with_the_resonance_code(tmp_path):
+    out = tmp_path / "o.json"
+    assert main(["transform", str(resonant_ace_problem(tmp_path)), "--out", str(out)]) == 4
+    assert main(["transform", str(resonant_ace_problem(tmp_path)), "--tol-resonance", "1e-13",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flags, tolerances", [
+    (["--tol-resonance", "nan"], None),
+    (["--tol-resonance", "-1"], None),
+    (["--tol-resonance", "0"], None),
+    (["--tol-resonance", "inf"], None),
+    ([], {"resonance": -1}),
+    ([], {"resonance": 0}),
+], ids=["flag-nan", "flag-negative", "flag-zero", "flag-inf", "document-negative",
+        "document-zero"])
+def test_resonance_tolerance_that_is_not_finite_and_positive_exit_code(tmp_path, capsys, flags,
+                                                                      tolerances):
+    # each used to turn the resonance check off: the resonant problem exited 0
+    out = tmp_path / "o.json"
+    path = resonant_ace_problem(tmp_path, tolerances)
+    assert main(["transform", str(path), "--out", str(out)] + flags) == 3
+    assert not out.exists()
+    assert "res_tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, tolerances", [
+    (["--tol-degeneracy", "nan"], None),
+    (["--tol-degeneracy=-1e-9"], None),
+    ([], {"degeneracy": 0}),
+], ids=["flag-nan", "flag-negative", "document-zero"])
+def test_degeneracy_tolerance_that_is_not_finite_and_positive_exit_code(two_level_problem,
+                                                                       tmp_path, flags,
+                                                                       tolerances):
+    # fd reads the degeneracy tolerance; each used to run and exit 0
+    doc = json.loads(two_level_problem.read_text())
+    doc["method"] = "fd"
+    if tolerances is not None:
+        doc["tolerances"] = tolerances
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)] + flags) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lam", "inf"], ["--lam", "nan"], ["--lam=-inf"], ["--time", "nan"], ["--time", "inf"],
+], ids=["lam-inf", "lam-nan", "lam-minus-inf", "time-nan", "time-inf"])
+def test_oracle_lambda_and_time_that_are_not_finite_exit_code(two_level_problem, tmp_path,
+                                                              flags):
+    # --lam inf used to print a RuntimeWarning before exiting 3, and a NaN
+    # --time on a static problem exited 0
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", str(two_level_problem), "--out", str(out)] + flags) == 3
+    assert not out.exists()
+
+
+def rotate_with_generator(problem, tmp_path, edit, order="2"):
+    """Exit code of a rotation against a result whose generator ``edit`` changed."""
+    result = tmp_path / "result.json"
+    assert main(["transform", str(problem), "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    edit(doc["generator"])
+    write_json(result, doc)
+    op_path = tmp_path / "op.json"
+    write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.diag([0.0, 1.0]))}]})
+    out = tmp_path / "x.json"
+    code = main(["rotate", str(problem), str(result), str(op_path),
+                 "--order", order, "--out", str(out)])
+    assert out.exists() == (code == 0)
+    return code
+
+
+def _rekey(entry, old, new):
+    entry[new] = entry.pop(old)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: _rekey(g["1"], "1,0", "2,0"),
+    lambda g: _rekey(g["1"], "1,0", "1_0,0"),
+    lambda g: g["1"].update({"01,0": g["1"]["1,0"]}),
+    lambda g: _rekey(g["1"], "1,0", "1,+0"),
+    lambda g: _rekey(g["1"], "1,0", " 1,0"),
+    lambda g: _rekey(g, "1", "01"),
+    lambda g: _rekey(g, "2", "2_"),
+], ids=["order-mismatch", "underscore", "two-spellings", "plus-sign", "space",
+        "order-leading-zero", "order-underscore"])
+def test_rotate_result_generator_key_that_is_not_canonical_exit_code(two_level_problem, tmp_path,
+                                                                     edit):
+    # each used to rotate and exit 0: "2,0" filed under order 1 was used as
+    # order 1, "1_0,0" read as order 10, and "01,0" overwrote "1,0"
+    assert rotate_with_generator(two_level_problem, tmp_path, edit) == 2
+
+
+def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp_path):
+    # json.loads keeps the last of two equal keys; the document is malformed
+    def repeat(generator):
+        generator["1"]["1,0"] = "REPEAT"
+
+    result = tmp_path / "result.json"
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    first = json.dumps(doc["generator"]["1"]["1,0"])
+    repeat(doc["generator"])
+    text = json.dumps(doc).replace('"1,0": "REPEAT"', f'"1,0": {first}, "1,0": {first}')
+    result.write_text(text, encoding="utf-8")
+    op_path = tmp_path / "op.json"
+    write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]})
+    assert main(["rotate", str(two_level_problem), str(result), str(op_path),
+                 "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_rotate_result_with_canonical_keys_runs(two_level_problem, tmp_path):
+    assert rotate_with_generator(two_level_problem, tmp_path, lambda g: None) == 0
+
+
+def test_rotate_generator_that_is_not_anti_hermitian_exit_code(two_level_problem, tmp_path,
+                                                               capsys):
+    # a generator entry edited to 5.0 used to rotate by a non-unitary exp(S)
+    def edit(generator):
+        generator["1"]["1,0"][0][1][0] = 5.0
+
+    assert rotate_with_generator(two_level_problem, tmp_path, edit) == 3
+    assert "anti-hermitian" in capsys.readouterr().err

@@ -303,6 +303,16 @@ def test_rotate_rejects_negative_order():
         rotate_operator(identity_operator(2), result.generator, up_to_order=-5)
 
 
+def test_rotate_rejects_a_generator_that_is_not_anti_hermitian():
+    # exp(S) is unitary only for an anti-Hermitian S
+    h, v = two_level_inputs()
+    generator = dict(run_swt(h, v, [1, 1], max_order=2).generator)
+    generator[2] = GradedOperator(2, {(2, 0): 0.01 * sigma_x()})
+    rotate_operator(identity_operator(2), generator, up_to_order=1)  # order 2 unused
+    with pytest.raises(PertError, match="order-2 generator is not anti-hermitian"):
+        rotate_operator(identity_operator(2), generator, up_to_order=2)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
@@ -946,6 +956,31 @@ def test_hbar_must_be_finite_and_positive(method, hbar):
             run_ace(h0 + v, Mask.full_off_diagonal(2), max_order=2, hbar=hbar)
         else:
             run_la(h0 + v, [1, 1], max_order=2, hbar=hbar)
+
+
+@pytest.mark.parametrize("res_tol", [0.0, -1e-9, np.inf, np.nan])
+@pytest.mark.parametrize("method", ["swt", "fd", "ace", "la"])
+def test_resonance_tolerance_must_be_finite_and_positive(method, res_tol):
+    # a NaN, zero or negative tolerance used to switch the resonance check off
+    h0 = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0])})
+    v = GradedOperator(2, {(1, 0): 0.1 * sigma_x()})
+    with pytest.raises(PertError, match="res_tol"):
+        if method == "swt":
+            run_swt(h0, v, [1, 1], max_order=2, res_tol=res_tol)
+        elif method == "fd":
+            run_fd(h0 + v, max_order=2, res_tol=res_tol)
+        elif method == "ace":
+            run_ace(h0 + v, Mask.full_off_diagonal(2), max_order=2, res_tol=res_tol)
+        else:
+            run_la(h0 + v, [1, 1], max_order=2, res_tol=res_tol)
+
+
+@pytest.mark.parametrize("deg_tol", [0.0, -1e-9, np.inf, np.nan])
+def test_degeneracy_tolerance_must_be_finite_and_positive(deg_tol):
+    # a NaN tolerance used to find no degenerate pair at all
+    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 0): 0.1 * sigma_x()})
+    with pytest.raises(PertError, match="deg_tol"):
+        run_fd(h, max_order=2, deg_tol=deg_tol)
 
 
 @pytest.mark.parametrize("omega_d", [0.0, -2.3, np.inf, np.nan])

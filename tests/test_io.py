@@ -1,14 +1,22 @@
-"""Fast matrix serialization against the element-by-element renderer."""
+"""Fast matrix serialization against the element-by-element renderer, and
+document reads with the cyclic collector paused."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
+import pertkit.cli as cli
 from pertkit.cli import main
 from pertkit.engine import run_fd
+from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
-from pertkit.io import canonical_json, matrix_to_json, operator_document, result_document
+from pertkit.io import (
+    ProblemFormatError, canonical_json, load_operator, load_problem, load_result, matrix_to_json,
+    operator_document, read_document, result_document, write_document,
+)
+from pertkit.models import TransmonParams, build_transmon_resonator
 
 
 def reference_canonical_json(obj):
@@ -203,3 +211,128 @@ def test_non_finite_matrix_raises(bad, part):
         mat[2, 0] = complex(0.0, bad)
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json({"m": matrix_to_json(mat)})
+
+
+# ---------------------------------------------------------------------------
+# reads with the cyclic collector paused
+# ---------------------------------------------------------------------------
+
+
+def pair_rows(mat):
+    return matrix_to_json(mat).tolist()
+
+
+TWO_LEVEL = {"order": 0, "matrix": pair_rows(np.diag([0.0, 1.0]))}
+GENERATOR = pair_rows(0.1 * np.array([[0, -1], [1, 0]]))
+PROBLEM = {"dim": 2, "method": "fd", "max_order": 1, "terms": [TWO_LEVEL]}
+RESULT = {"problem_sha256": "0" * 64, "dim": 2, "max_order": 1, "omega_d": None,
+          "generator": {"1": {"1,0": GENERATOR}}}
+OPERATOR = {"terms": [TWO_LEVEL]}
+LOADERS = {"problem": load_problem, "result": load_result,
+           "operator": lambda path: load_operator(path, 2, None)}
+
+#: Per loader: a document it reads, one that does not convert (exit 2) and
+#: one whose converted value breaks a rule (exit 3).
+READS = [
+    ("problem", PROBLEM, None),
+    ("problem", {**PROBLEM, "dim": "2"}, ProblemFormatError),
+    ("problem", {**PROBLEM, "hbar": float("nan")}, PertError),
+    ("result", RESULT, None),
+    ("result", {**RESULT, "generator": {"1": {"01,0": GENERATOR}}}, ProblemFormatError),
+    ("result", {**RESULT, "omega_d": float("inf")}, PertError),
+    ("operator", OPERATOR, None),
+    ("operator", {"terms": 5}, ProblemFormatError),
+    ("operator", {**OPERATOR, "omega_d": float("nan")}, PertError),
+]
+READ_IDS = [f"{loader}-{'ok' if error is None else error.__name__}"
+            for loader, _, error in READS]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector's state before a read, restored after the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("loader, doc, error", READS, ids=READ_IDS)
+def test_every_read_restores_the_collector_state(tmp_path, collector, loader, doc, error):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if error is None:
+        LOADERS[loader](str(path))
+    else:
+        with pytest.raises(error):
+            LOADERS[loader](str(path))
+    assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("text", [b"[1]", b"{", b'{"a": 1, "a": 2}'],
+                         ids=["not-an-object", "invalid", "repeated-key"])
+def test_a_document_that_does_not_decode_restores_the_collector_state(tmp_path, collector,
+                                                                      text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    with pytest.raises(ProblemFormatError):
+        read_document(str(path), lambda doc, raw: doc)
+    with pytest.raises(ProblemFormatError):
+        read_document(str(tmp_path / "missing.json"), lambda doc, raw: doc)
+    assert gc.isenabled() == collector
+
+
+def test_the_collector_is_paused_through_the_conversion(tmp_path, collector):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(PROBLEM), encoding="utf-8")
+
+    def fail(doc, raw):
+        raise KeyError("dim")
+
+    assert read_document(str(path), lambda doc, raw: gc.isenabled()) is False
+    with pytest.raises(KeyError):
+        read_document(str(path), fail)
+    assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("spec, code", [
+    ({"kind": "fig3", "count": 1, "max_order": 2}, 0),
+    ({"kind": "fig3", "coupling": "strong"}, 2),
+    ({"kind": "fig3", "coupling": float("nan")}, 3),
+    ({"kind": "cubic"}, 2),
+], ids=["ok", "malformed", "not-finite", "unknown-kind"])
+def test_experiment_runs_with_the_collector_in_its_prior_state(tmp_path, monkeypatch, collector,
+                                                               spec, code):
+    # only the spec read is paused: the run's skipped instances raise, and
+    # their tracebacks form cycles the collector must be free to reclaim
+    seen = []
+
+    def run(spec, max_order=8):
+        seen.append(gc.isenabled())
+        return [], []
+
+    monkeypatch.setattr(cli, "run_fig3_experiment", run)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["experiment", str(path), "--out", str(tmp_path / "eta.csv")]) == code
+    assert seen == ([collector] if code == 0 else [])
+    assert gc.isenabled() == collector
+
+
+def test_a_d64_result_read_leaves_no_cyclic_garbage(tmp_path):
+    # the premise of the pause: a read creates nothing only the collector frees
+    h = build_transmon_resonator(TransmonParams(omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05))
+    result = run_fd(h, max_order=4)
+    path = tmp_path / "result.json"
+    write_document(str(path), result_document(result, "0" * 64))
+    was_enabled = gc.isenabled()
+    gc.disable()  # no automatic pass may reclaim cycles between the two counts
+    try:
+        gc.collect()
+        view = load_result(str(path))
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert view.dim == 64 and sorted(view.generator) == [1, 2, 3, 4]
+    assert unreachable == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pertkit.engine import run_fd
-from pertkit.errors import IllConditionedBlocks
+from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
 from pertkit.least_action import BlockStructure, run_la
 from pertkit.oracle import (
@@ -58,6 +58,15 @@ def test_evaluate_requires_time_for_harmonics():
     g = GradedOperator(2, {(1, 1): np.eye(2)}, omega_d=1.0)
     with pytest.raises(ValueError, match="time"):
         evaluate_at(g, 1.0)
+
+
+@pytest.mark.parametrize("lam, t", [(np.inf, None), (np.nan, None), (1.0, np.nan),
+                                    (1.0, -np.inf)])
+def test_evaluate_requires_finite_lambda_and_time(lam, t):
+    # t is checked even where no harmonic reads it
+    g = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 0): np.eye(2)})
+    with pytest.raises(PertError, match="finite"):
+        evaluate_at(g, lam, t=t)
 
 
 # ---------------------------------------------------------------------------
