@@ -18,7 +18,6 @@ from .engine import (
     solve_generator_order,
 )
 from .errors import (
-    DegenerateSpectrum,
     IllConditionedBlocks,
     NonFiniteContent,
     PertError,
@@ -36,7 +35,6 @@ from .least_action import (
     run_la,
 )
 from .oracle import (
-    NumericHamiltonian,
     OrderedEigensystem,
     convergence_scan,
     evaluate_at,
@@ -47,13 +45,11 @@ from .oracle import (
 
 __all__ = [
     "BlockStructure",
-    "DegenerateSpectrum",
     "EigenFrame",
     "GradedOperator",
     "IllConditionedBlocks",
     "Mask",
     "NonFiniteContent",
-    "NumericHamiltonian",
     "OrderedEigensystem",
     "PertError",
     "ResonantDenominator",

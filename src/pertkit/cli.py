@@ -1,8 +1,9 @@
 """Command-line front end: transform, rotate, oracle, experiment.
 
 Exit codes: 0 success, 2 parse error (a document ``io`` cannot read or
-convert), 3 precondition violation (a converted value that breaks a rule),
-4 resonance or degeneracy, 5 ill-conditioned oracle.
+convert, or a path that cannot be opened), 3 precondition violation (a
+converted value that breaks a rule), 4 resonance (a static one is a
+coupling between degenerate levels), 5 ill-conditioned oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from .engine import (
     run_fd,
     run_swt,
 )
-from .errors import (
-    DegenerateSpectrum,
-    IllConditionedBlocks,
-    PertError,
-    ResonantDenominator,
-)
+from .errors import IllConditionedBlocks, PertError, ResonantDenominator
 from .experiments import EnsembleSpec, ace_demo, eta_rows_to_csv, run_fig3_experiment
 from .least_action import BlockStructure, run_la
 from .oracle import exact_block_diagonalize, evaluate_at
@@ -36,7 +32,7 @@ EXIT_RESONANCE = 4
 EXIT_ILL_CONDITIONED = 5
 
 
-def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
+def _run_problem(spec: io.ProblemSpec, res_tol):
     h = spec.to_graded()
     if spec.method in ("swt", "la") and spec.block_sizes is None:
         raise io.ProblemFormatError(f"the {spec.method} method requires block_sizes")
@@ -49,8 +45,7 @@ def _run_problem(spec: io.ProblemSpec, deg_tol, res_tol):
         return run_swt(h_blocks, v, spec.block_sizes, spec.max_order,
                        hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "fd":
-        # the degeneracy tolerance is fd's alone: no other routine reads it
-        return run_fd(h, spec.max_order, hbar=spec.hbar, deg_tol=deg_tol, res_tol=res_tol)
+        return run_fd(h, spec.max_order, hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "ace":
         return run_ace(h, spec.build_mask(), spec.max_order, hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "la":
@@ -65,8 +60,7 @@ def cmd_transform(args) -> int:
         spec.max_order = args.max_order
     if args.method is not None:
         spec.method = args.method
-    deg_tol, res_tol = spec.resolved_tolerances(args.tol_degeneracy, args.tol_resonance)
-    result = _run_problem(spec, deg_tol, res_tol)
+    result = _run_problem(spec, spec.resolved_tolerance(args.tol_resonance))
     io.write_document(args.out, io.result_document(result, digest))
     return EXIT_OK
 
@@ -174,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--max-order", type=int, default=None)
     p_tr.add_argument("--method", choices=io.METHODS, default=None)
-    p_tr.add_argument("--tol-degeneracy", type=float, default=None)
     p_tr.add_argument("--tol-resonance", type=float, default=None)
     p_tr.set_defaults(func=cmd_transform)
 
@@ -207,10 +200,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (io.ProblemFormatError, FileNotFoundError) as err:
+    except (io.ProblemFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ResonantDenominator, DegenerateSpectrum) as err:
+    except ResonantDenominator as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESONANCE
     except IllConditionedBlocks as err:

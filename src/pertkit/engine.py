@@ -34,8 +34,11 @@ generator condition, so there [O0, S^(n)] is a product like any other.
 
 Every routine, least action's recursion included, validates its input and
 builds its ``EigenFrame`` in one place, ``_prepare``, whose thresholds are
-relative (order-0 content to half the level spread, couplings to their
-own size), so no shift or rescale of H0 flips a verdict.
+relative to half the level spread, so no shift or rescale of H0 flips a
+verdict.  One rule judges every denominator: a significant masked entry
+whose |E_j - E_i - hbar*k*omega_d| falls below ``res_tol`` of the level
+spread raises ResonantDenominator at the order that needs it.  A static
+coupling between degenerate levels is the k = 0 case of that rule.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, PertError, ResonantDenominator
+from .errors import PertError, ResonantDenominator
 from .graded import (
     GradedOperator,
     GradedSum,
@@ -57,8 +60,6 @@ from .graded import (
     zero_operator,
 )
 
-#: Default tolerance, relative to the level spread, declaring two levels degenerate.
-DEFAULT_DEG_TOL = 1e-9
 #: Default tolerance, relative to the level spread, declaring a denominator resonant.
 DEFAULT_RES_TOL = 1e-9
 #: Deviation from anti-hermiticity, relative to each generator term, that rotation
@@ -68,17 +69,15 @@ GENERATOR_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class EigenFrame:
-    """Spectrum of the diagonal unperturbed part and fd's degeneracy tolerance."""
+    """Spectrum of the diagonal unperturbed part, the levels every denominator joins."""
 
     energies: np.ndarray
-    deg_tol: float
 
     @staticmethod
-    def from_energies(energies: np.ndarray, deg_tol: float | None = None) -> "EigenFrame":
+    def from_energies(energies: np.ndarray) -> "EigenFrame":
         e = np.array(energies, dtype=float)  # own copy, frozen
         e.flags.writeable = False
-        tol = deg_tol if deg_tol is not None else DEFAULT_DEG_TOL * (_spread(e) or 1.0)
-        return EigenFrame(e, tol)
+        return EigenFrame(e)
 
     @property
     def dim(self) -> int:
@@ -245,20 +244,19 @@ def _solve(
 # ---------------------------------------------------------------------------
 
 
-def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: float,
-             res_tol: float, deg_tol: float | None = None) -> EigenFrame:
+def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
+             res_tol: float) -> EigenFrame:
     """The one problem boundary of every routine: validate, return the frame.
 
     The mask must fit ``h``; ``h`` must be hermitian-graded with a static,
     real, diagonal order-0 part, judged against half the level spread, which
-    a shift of H0 leaves and a rescale scales along; fd's coupled levels must
-    be nondegenerate to ``deg_tol``; ``max_order`` >= 0; ``hbar``,
-    ``res_tol``, ``deg_tol`` when given, and with a nonzero harmonic
-    ``h.omega_d``, finite and positive.
+    a shift of H0 leaves and a rescale scales along; ``max_order`` >= 0;
+    ``hbar``, ``res_tol``, and with a nonzero harmonic ``h.omega_d``, finite
+    and positive.  Degenerate levels are not judged here: ``_solve`` rejects
+    a coupling between them as a resonance at the order that needs it.
     """
-    for name, value in (("res_tol", res_tol), ("deg_tol", deg_tol)):
-        if value is not None and not _finite_positive(value):
-            raise PertError(f"{name} must be finite and positive, got {value}")
+    if not _finite_positive(res_tol):
+        raise PertError(f"res_tol must be finite and positive, got {res_tol}")
     if mask.dim != h.dim:
         raise ValueError(f"the mask covers {mask.dim} levels, the operator {h.dim}")
     _require_hermitian_graded(h, "the Hamiltonian")
@@ -268,7 +266,7 @@ def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: f
         raise PertError("an order-0 term is required")
     h0 = h.term(0, 0)
     diag = np.diag(h0)
-    frame = EigenFrame.from_energies(diag.real, deg_tol)
+    frame = EigenFrame.from_energies(diag.real)
     # the spectrum's half-width: blind to a shift, never above max|E|, and 0
     # for coinciding levels, next to which any such content counts
     width = _spread(frame.energies) / 2
@@ -276,8 +274,6 @@ def _prepare(method: str, h: GradedOperator, mask: Mask, max_order: int, hbar: f
         raise PertError("the order-0 part must be supplied diagonal")
     if np.abs(diag.imag).max() > 1e-12 * width:
         raise PertError("the order-0 diagonal must be real")
-    if method == "fd":
-        _check_no_degenerate_coupling(h, frame)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     if not _finite_positive(hbar):
@@ -295,27 +291,6 @@ def _finite_positive(value: float) -> bool:
 def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
     if not op.is_hermitian_graded():
         raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
-
-
-def _check_no_degenerate_coupling(h: GradedOperator, frame: EigenFrame) -> None:
-    """Reject static input couplings between degenerate levels.
-
-    Each coupling is judged against its own largest entry, so a rescale of
-    ``h`` never changes the verdict.
-    """
-    degenerate = (
-        np.abs(frame.energies[:, None] - frame.energies[None, :]) <= frame.deg_tol
-    ) & ~np.eye(frame.dim, dtype=bool)
-    if not degenerate.any():
-        return
-    for (j, k), mat in h.items():
-        if j == 0 or k != 0:
-            continue
-        size = np.abs(mat)
-        coupled = degenerate & (size > ZERO_RTOL * size.max())
-        if coupled.any():
-            i, jdx = np.argwhere(coupled)[0]
-            raise DegenerateSpectrum(int(i), int(jdx), float(frame.energies[i]))
 
 
 def _inverse_factorials(top: int) -> np.ndarray:
@@ -338,9 +313,8 @@ def _transform(
     max_order: int,
     hbar: float,
     res_tol: float,
-    deg_tol: float | None = None,
 ) -> TransformResult:
-    frame = _prepare(method, h, mask, max_order, hbar, res_tol, deg_tol)
+    frame = _prepare(h, mask, max_order, hbar, res_tol)
     omega_d = h.omega_d
     tally = ProductTally()
     base = _by_order(h)
@@ -408,16 +382,17 @@ def run_fd(
     h: GradedOperator,
     max_order: int,
     hbar: float = 1.0,
-    deg_tol: float | None = None,
     res_tol: float = DEFAULT_RES_TOL,
 ) -> TransformResult:
     """Full diagonalization: eliminate every off-diagonal coupling.
 
-    Requires the order-0 part diagonal and nondegenerate on every statically
-    coupled pair of levels; ``deg_tol`` (default 1e-9 of the level spread)
-    is the gap below which two levels count as degenerate.
+    Requires the order-0 part diagonal and a nondegenerate coupled spectrum:
+    a coupling between two levels closer than ``res_tol`` of the level
+    spread raises ResonantDenominator (harmonic 0) at the first order whose
+    known content holds it, so a pair coupled only above ``max_order``
+    solves.
     """
-    return _transform("fd", h, Mask.full_off_diagonal(h.dim), max_order, hbar, res_tol, deg_tol)
+    return _transform("fd", h, Mask.full_off_diagonal(h.dim), max_order, hbar, res_tol)
 
 
 def run_ace(

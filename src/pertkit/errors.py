@@ -37,18 +37,6 @@ class NonFiniteContent(PertError):
         )
 
 
-class DegenerateSpectrum(PertError):
-    """Full diagonalization asked to eliminate a coupling between degenerate levels."""
-
-    def __init__(self, i: int, j: int, energy: float):
-        self.i = i
-        self.j = j
-        super().__init__(
-            f"levels {i} and {j} are degenerate (E = {energy:.12g}) but coupled; "
-            "full diagonalization requires a nondegenerate coupled spectrum"
-        )
-
-
 class IllConditionedBlocks(PertError):
     """The block-projected eigenvector matrix is too close to singular.
 

@@ -138,7 +138,7 @@ def ace_demo(
     mask = checkerboard_mask(d)
     h = random_ace_hamiltonian(d, seed, scale=coupling)
     result = run_ace(h, mask, max_order)
-    before = evaluate_at(h, 1.0).matrix
+    before = evaluate_at(h, 1.0)
     after = partial_sum_matrix(result, max_order, 1.0)
     return {
         "before": before,

@@ -42,7 +42,7 @@ from .graded import GradedOperator, ZERO_RTOL
 METHODS = ("swt", "fd", "ace", "la")
 PROBLEM_KEYS = ("dim", "hbar", "omega_d", "method", "max_order", "terms", "block_sizes",
                 "mask", "tolerances")
-TOLERANCE_KEYS = ("degeneracy", "resonance")
+TOLERANCE_KEYS = ("resonance",)
 
 T = TypeVar("T")
 
@@ -157,7 +157,7 @@ def read_document(path: str, convert: Callable[[dict, bytes], T]) -> T:
             with open(path, "rb") as fh:
                 raw = fh.read()
             doc = json.loads(raw, object_pairs_hook=_unique_keys)
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
         if not isinstance(doc, dict):
             raise ProblemFormatError(f"{path} must hold a JSON object")
@@ -295,12 +295,11 @@ class ProblemSpec:
         build, args = self.mask_spec
         return build(*args)
 
-    def resolved_tolerances(self, deg_override=None, res_override=None):
-        deg = deg_override if deg_override is not None else self.tolerances.get("degeneracy")
-        res = res_override if res_override is not None else self.tolerances.get(
-            "resonance", DEFAULT_RES_TOL
-        )
-        return deg, res
+    def resolved_tolerance(self, override=None) -> float:
+        """The resonance tolerance: ``override``, else the document's, else the default."""
+        if override is not None:
+            return override
+        return self.tolerances.get("resonance", DEFAULT_RES_TOL)
 
 
 def load_problem(path: str) -> tuple[ProblemSpec, str]:

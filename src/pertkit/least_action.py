@@ -147,7 +147,7 @@ def _la_orders(
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
     mask = blocks.cross_mask()
-    frame = _prepare("la", h, mask, max_order, hbar, res_tol)
+    frame = _prepare(h, mask, max_order, hbar, res_tol)
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = frame.energies[:, None] - frame.energies[None, :]
     h_mats = {j: mat for (j, _), mat in h.items()}

@@ -22,7 +22,7 @@ greedy assignment until none improves it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,18 +42,6 @@ SWAP_GAIN_FLOOR = 1e-12
 
 
 @dataclass
-class NumericHamiltonian:
-    """A plain Hermitian matrix plus a record of how it was produced."""
-
-    matrix: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
 class OrderedEigensystem:
     """Diagonalizing frame X (rows are eigenvectors) with fixed order/phase."""
 
@@ -63,8 +51,8 @@ class OrderedEigensystem:
 
 def evaluate_at(
     g: GradedOperator, lam: float, t: float | None = None
-) -> NumericHamiltonian:
-    """Collapse the grading: sum_{j,k} lambda^j exp(i k omega_d t) M[j, k].
+) -> np.ndarray:
+    """Collapse the grading: sum_{j,k} lambda^j exp(i k omega_d t) M[j, k], a dense matrix.
 
     ``lam``, and ``t`` when given, must be finite.
     """
@@ -79,14 +67,11 @@ def evaluate_at(
         if k != 0:
             weight = weight * np.exp(1j * k * g.omega_d * t)
         total += weight * mat
-    return NumericHamiltonian(
-        matrix=total,
-        provenance={"lambda": lam, "t": t, "omega_d": g.omega_d},
-    )
+    return total
 
 
-def _as_matrix(h: NumericHamiltonian | np.ndarray) -> np.ndarray:
-    mat = h.matrix if isinstance(h, NumericHamiltonian) else np.asarray(h, dtype=complex)
+def _as_matrix(h: np.ndarray) -> np.ndarray:
+    mat = np.asarray(h, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
@@ -115,7 +100,7 @@ def _greedy_assignment(weights: np.ndarray) -> np.ndarray:
     return perm
 
 
-def ordered_eigensystem(h: NumericHamiltonian | np.ndarray) -> OrderedEigensystem:
+def ordered_eigensystem(h: np.ndarray) -> OrderedEigensystem:
     """Eigendecompose with eigenvectors labeled by their dominant basis index.
 
     Columns are matched to basis indices greedily by descending weight
@@ -180,7 +165,7 @@ def _inverse_sqrt_psd(mat: np.ndarray, threshold: float = CONDITION_FLOOR) -> np
 
 
 def exact_block_diagonalize(
-    h: NumericHamiltonian | np.ndarray,
+    h: np.ndarray,
     blocks: BlockStructure | Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-action block diagonalization by dense linear algebra.

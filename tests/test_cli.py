@@ -91,6 +91,33 @@ def test_fd_degeneracy_exit_code(tmp_path, capsys):
     assert "0" in err and "1" in err  # names the offending pair
 
 
+@pytest.mark.parametrize("command", ["rotate", "transform", "experiment"])
+def test_path_that_is_a_directory_exit_code(two_level_problem, tmp_path, capsys, command):
+    # each open raised IsADirectoryError, which ended in a traceback (exit 1)
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"kind": "fig3", "count": 1, "max_order": 2, "dim_min": 4, "dim_max": 4})
+    argv = {
+        "rotate": ["rotate", str(tmp_path), "r.json", "op.json", "--order", "1",
+                   "--out", str(tmp_path / "o.json")],
+        "transform": ["transform", str(two_level_problem), "--out", str(tmp_path)],
+        "experiment": ["experiment", str(spec), "--out", str(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_document_nested_too_deep_exit_code(tmp_path, capsys):
+    # json.loads raises RecursionError here, which ended in a traceback (exit 1)
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "terms": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "cannot read a JSON document" in capsys.readouterr().err
+
+
 def test_nondiagonal_order0_precondition_exit_code(tmp_path):
     doc = {
         "dim": 2,
@@ -197,8 +224,8 @@ def test_problem_field_that_does_not_convert_exit_code(two_level_problem, tmp_pa
 
 @pytest.mark.parametrize("field, value", [
     ("hbar", float("nan")), ("omega_d", float("inf")),
-    ("tolerances", {"resonance": float("nan")}), ("tolerances", {"degeneracy": float("inf")}),
-], ids=["hbar-nan", "omega-inf", "resonance-nan", "degeneracy-inf"])
+    ("tolerances", {"resonance": float("nan")}),
+], ids=["hbar-nan", "omega-inf", "resonance-nan"])
 def test_problem_real_field_that_is_not_finite_exit_code(two_level_problem, tmp_path, capsys,
                                                          field, value):
     # json.loads reads NaN and Infinity; a NaN resonance tolerance used to
@@ -252,7 +279,8 @@ def test_integral_floats_are_integers(two_level_problem, tmp_path):
 
 @pytest.mark.parametrize("field, value, key", [
     ("tolerances", {"resonnance": 1e-3}, "resonnance"), ("comment", "two levels", "comment"),
-], ids=["tolerance-key", "top-level-key"])
+    ("tolerances", {"degeneracy": 1e-9}, "degeneracy"),
+], ids=["tolerance-key", "top-level-key", "degeneracy-key"])
 def test_problem_unknown_key_exit_code(two_level_problem, tmp_path, capsys, field, value, key):
     # an unknown key, such as a misspelt tolerance, used to be silently ignored
     doc = json.loads(two_level_problem.read_text())
@@ -268,8 +296,8 @@ def test_problem_unknown_key_exit_code(two_level_problem, tmp_path, capsys, fiel
 
 def test_problem_known_tolerance_keys_are_read(two_level_problem):
     doc = json.loads(two_level_problem.read_text())
-    doc["tolerances"] = {"degeneracy": 1e-6, "resonance": 1e-5}
-    assert ProblemSpec.from_dict(doc).resolved_tolerances() == (1e-6, 1e-5)
+    doc["tolerances"] = {"resonance": 1e-5}
+    assert ProblemSpec.from_dict(doc).resolved_tolerance() == 1e-5
 
 
 @pytest.mark.parametrize("field, value", [("dim", 2.5), ("max_order", 2.5), ("max_order", "2")],
@@ -708,22 +736,13 @@ def test_resonance_tolerance_that_is_not_finite_and_positive_exit_code(tmp_path,
     assert "res_tol must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, tolerances", [
-    (["--tol-degeneracy", "nan"], None),
-    (["--tol-degeneracy=-1e-9"], None),
-    ([], {"degeneracy": 0}),
-], ids=["flag-nan", "flag-negative", "document-zero"])
-def test_degeneracy_tolerance_that_is_not_finite_and_positive_exit_code(two_level_problem,
-                                                                       tmp_path, flags,
-                                                                       tolerances):
-    # fd reads the degeneracy tolerance; each used to run and exit 0
-    doc = json.loads(two_level_problem.read_text())
-    doc["method"] = "fd"
-    if tolerances is not None:
-        doc["tolerances"] = tolerances
-    write_json(two_level_problem, doc)
+def test_degeneracy_tolerance_flag_is_gone(two_level_problem, tmp_path):
+    # the resonance tolerance is the only one: it judges degenerate levels too
     out = tmp_path / "o.json"
-    assert main(["transform", str(two_level_problem), "--out", str(out)] + flags) == 3
+    with pytest.raises(SystemExit) as rejected:
+        main(["transform", str(two_level_problem), "--out", str(out),
+              "--tol-degeneracy", "1e-9"])
+    assert rejected.value.code == 2
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from pertkit.engine import (
     run_swt,
     solve_generator_order,
 )
-from pertkit.errors import DegenerateSpectrum, NonFiniteContent, PertError, ResonantDenominator
+from pertkit.errors import NonFiniteContent, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
 from pertkit.io import result_document
 from pertkit.least_action import run_la
@@ -202,9 +202,32 @@ def test_fd_degenerate_coupled_levels_raise():
     mat = np.zeros((3, 3), dtype=complex)
     mat[0, 1] = mat[1, 0] = 0.1
     h = GradedOperator(3, {(0, 0): np.diag([0.5, 0.5, 2.0]), (1, 0): mat})
-    with pytest.raises(DegenerateSpectrum) as err:
+    with pytest.raises(ResonantDenominator) as err:
         run_fd(h, max_order=2)
     assert {err.value.i, err.value.j} == {0, 1}
+    assert (err.value.harmonic, err.value.order) == (0, 1)
+
+
+def _degenerate_pair_coupled_at_order_two() -> GradedOperator:
+    # levels 0 and 1 are degenerate, and only the order-2 term couples them
+    v1 = np.zeros((3, 3), dtype=complex)
+    v1[0, 2] = v1[2, 0] = 0.1
+    v2 = np.zeros((3, 3), dtype=complex)
+    v2[0, 1] = v2[1, 0] = 0.05
+    return GradedOperator(3, {(0, 0): np.diag([0.5, 0.5, 2.0]), (1, 0): v1, (2, 0): v2})
+
+
+def test_fd_degenerate_pair_coupled_above_max_order_solves():
+    result = run_fd(_degenerate_pair_coupled_at_order_two(), max_order=1)
+    assert result.corrections[1].is_zero
+    np.testing.assert_array_equal(result.generator[1].term(1, 0)[0, 2], 0.1 / 1.5)
+
+
+def test_fd_degenerate_pair_coupled_at_max_order_is_resonant():
+    with pytest.raises(ResonantDenominator) as err:
+        run_fd(_degenerate_pair_coupled_at_order_two(), max_order=2)
+    assert {err.value.i, err.value.j} == {0, 1}
+    assert (err.value.harmonic, err.value.order) == (0, 2)
 
 
 def test_fd_degenerate_uncoupled_levels_pass():
@@ -605,7 +628,6 @@ def test_transform_never_multiplies_h0(method):
 def test_degeneracy_tolerance_follows_the_spread():
     frame = EigenFrame.from_energies(np.array([1e8, 1e8 + 0.05, 1e8 + 0.1]))
     # the float spread of these levels, 0.1 to within their spacing of 1.5e-8
-    assert frame.deg_tol == 1e-9 * ((1e8 + 0.1) - 1e8)
     assert frame.energy_scale() == (1e8 + 0.1) - 1e8
     assert EigenFrame.from_energies(np.array([3.0, 3.0])).energy_scale() == 1.0
 
@@ -847,14 +869,16 @@ def test_order0_content_of_coinciding_levels_is_rejected_at_any_scale(routine, s
 @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-20)],
                          ids=["plain", "offset-1e8", "scale-1e-20"])
 def test_degenerate_coupling_is_judged_against_its_own_size(offset, scale):
-    # a coupling between exactly degenerate levels is a degeneracy at any
-    # scale: a tiny one used to pass the check and fail later as a resonance
+    # a coupling between exactly degenerate levels is a static resonance at
+    # any offset and scale
     h = GradedOperator(3, {
         (0, 0): scale * np.diag([offset, offset, offset + 1.0]),
         (1, 0): scale * 0.05 * (np.ones((3, 3)) - np.eye(3)),
     })
-    with pytest.raises(DegenerateSpectrum):
+    with pytest.raises(ResonantDenominator) as err:
         run_fd(h, max_order=2)
+    assert {err.value.i, err.value.j} == {0, 1}
+    assert (err.value.harmonic, err.value.order) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -973,14 +997,6 @@ def test_resonance_tolerance_must_be_finite_and_positive(method, res_tol):
             run_ace(h0 + v, Mask.full_off_diagonal(2), max_order=2, res_tol=res_tol)
         else:
             run_la(h0 + v, [1, 1], max_order=2, res_tol=res_tol)
-
-
-@pytest.mark.parametrize("deg_tol", [0.0, -1e-9, np.inf, np.nan])
-def test_degeneracy_tolerance_must_be_finite_and_positive(deg_tol):
-    # a NaN tolerance used to find no degenerate pair at all
-    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 0): 0.1 * sigma_x()})
-    with pytest.raises(PertError, match="deg_tol"):
-        run_fd(h, max_order=2, deg_tol=deg_tol)
 
 
 @pytest.mark.parametrize("omega_d", [0.0, -2.3, np.inf, np.nan])

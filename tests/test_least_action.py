@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from composition_reference import positive_compositions, product_over_composition
 from la_reference import _convolve, compute_epsilon, compute_la_generator
 from pertkit.engine import Mask, rotate_operator, run_fd, run_swt
-from pertkit.errors import DegenerateSpectrum
+from pertkit.errors import ResonantDenominator
 from pertkit.graded import GradedOperator, GradedSum, ProductTally, zero_operator
 from pertkit.least_action import BlockStructure, block_project, run_la
 from pertkit.models import random_bd_hamiltonian
@@ -358,7 +358,7 @@ def test_two_block_la_accepts_degenerate_levels_inside_a_block():
     off[0, 2] = off[2, 0] = 0.05
     off[1, 3], off[3, 1] = 0.02 - 0.01j, 0.02 + 0.01j
     h = GradedOperator(d, {(0, 0): np.diag([0.0, 0.0, 2.0, 3.1]), (1, 0): off})
-    with pytest.raises(DegenerateSpectrum):
+    with pytest.raises(ResonantDenominator):
         run_fd(h, max_order=4)
     la = run_la(h, [2, 2], max_order=6)
     mask = Mask.block_off_diagonal([2, 2])
@@ -404,7 +404,7 @@ def test_three_block_la_accepts_degenerate_levels_inside_a_block():
     off -= np.diag(np.diag(off))
     h = GradedOperator(6, {(0, 0): np.diag([0.0, 0.0, 2.0, 3.1, 5.0, 6.3]), (1, 0): off})
     blocks = BlockStructure((2, 2, 2))
-    with pytest.raises(DegenerateSpectrum):
+    with pytest.raises(ResonantDenominator):
         run_fd(h, max_order=4)
     la = run_la(h, blocks, max_order=10)
     cross = ~blocks.in_block()

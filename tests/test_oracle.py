@@ -33,13 +33,13 @@ def random_hermitian(d, rng=RNG):
 def test_evaluate_lambda_zero_keeps_order0():
     h0 = np.diag([1.0, 2.0])
     g = GradedOperator(2, {(0, 0): h0, (1, 0): random_hermitian(2)})
-    np.testing.assert_allclose(evaluate_at(g, 0.0).matrix, h0)
+    np.testing.assert_allclose(evaluate_at(g, 0.0), h0)
 
 
 def test_evaluate_lambda_one_static_sums_orders():
     a, b = random_hermitian(3), random_hermitian(3)
     g = GradedOperator(3, {(0, 0): a, (2, 0): b})
-    np.testing.assert_allclose(evaluate_at(g, 1.0).matrix, a + b)
+    np.testing.assert_allclose(evaluate_at(g, 1.0), a + b)
 
 
 def test_evaluate_hermitian_graded_gives_hermitian_matrix():
@@ -50,7 +50,7 @@ def test_evaluate_hermitian_graded_gives_hermitian_matrix():
         {(0, 0): random_hermitian(3, rng), (1, 1): m, (1, -1): m.conj().T},
         omega_d=0.9,
     )
-    out = evaluate_at(g, 0.7, t=1.3).matrix
+    out = evaluate_at(g, 0.7, t=1.3)
     assert np.abs(out - out.conj().T).max() < 1e-12
 
 

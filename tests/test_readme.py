@@ -1,7 +1,9 @@
 """The README's examples, run as written: the library quick start, and the
 minimal problem file through the command line in a separate process, so
-that the exit status a shell sees is the one the README documents."""
+that the exit status a shell sees is the one the README documents; and the
+command synopsis, which must name every long option the parser takes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from pertkit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -64,3 +68,16 @@ def test_malformed_problem_exits_with_the_parse_error_code(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_synopsis_names_every_long_option():
+    synopsis = fenced_block("## Command line", "sh").splitlines()
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.items():
+        (line,) = [s for s in synopsis if s.startswith(f"pertkit {name} ")]
+        words = set(re.findall(r"--[\w-]+", line))
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert option in words, (name, option)
