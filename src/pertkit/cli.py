@@ -1,15 +1,20 @@
 """Command-line front end: transform, rotate, oracle, experiment.
 
 Exit codes: 0 success, 2 parse error (a document ``io`` cannot read or
-convert, or a path that cannot be opened), 3 precondition violation (a
-converted value that breaks a rule), 4 resonance (a static one is a
-coupling between degenerate levels), 5 ill-conditioned oracle.
+convert, or a path that cannot be opened; an ``--out`` that is a directory
+or lies in a missing directory is reported before any work), 3
+precondition violation (a converted value that breaks a rule), 4 resonance
+(a static one is a coupling between degenerate levels), 5 ill-conditioned
+oracle.  Each error is reported as one ``error:`` line of at most
+``MAX_MESSAGE`` characters of message.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 
 from . import io
@@ -31,6 +36,18 @@ EXIT_PRECONDITION = 3
 EXIT_RESONANCE = 4
 EXIT_ILL_CONDITIONED = 5
 
+#: Exit code of each error type; the first match wins, since a
+#: ``ProblemFormatError`` is a ``ValueError``.
+EXIT_CODES = (
+    ((io.ProblemFormatError, OSError), EXIT_PARSE),
+    (ResonantDenominator, EXIT_RESONANCE),
+    (IllConditionedBlocks, EXIT_ILL_CONDITIONED),
+    ((PertError, ValueError), EXIT_PRECONDITION),
+)
+
+#: Longest error message printed, in characters; a longer one is cut.
+MAX_MESSAGE = 500
+
 
 def _run_problem(spec: io.ProblemSpec, res_tol):
     h = spec.to_graded()
@@ -48,18 +65,14 @@ def _run_problem(spec: io.ProblemSpec, res_tol):
         return run_fd(h, spec.max_order, hbar=spec.hbar, res_tol=res_tol)
     if spec.method == "ace":
         return run_ace(h, spec.build_mask(), spec.max_order, hbar=spec.hbar, res_tol=res_tol)
-    if spec.method == "la":
-        return run_la(h, BlockStructure(spec.block_sizes), spec.max_order,
-                      hbar=spec.hbar, res_tol=res_tol)
-    raise io.ProblemFormatError(f"unknown method {spec.method!r}")
+    return run_la(h, BlockStructure(spec.block_sizes), spec.max_order,
+                  hbar=spec.hbar, res_tol=res_tol)
 
 
 def cmd_transform(args) -> int:
     spec, digest = io.load_problem(args.input)
     if args.max_order is not None:
         spec.max_order = args.max_order
-    if args.method is not None:
-        spec.method = args.method
     result = _run_problem(spec, spec.resolved_tolerance(args.tol_resonance))
     io.write_document(args.out, io.result_document(result, digest))
     return EXIT_OK
@@ -167,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("input")
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--max-order", type=int, default=None)
-    p_tr.add_argument("--method", choices=io.METHODS, default=None)
     p_tr.add_argument("--tol-resonance", type=float, default=None)
     p_tr.set_defaults(func=cmd_transform)
 
@@ -196,22 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` would, before any work is done.
+
+    Nothing is created or truncated: the file is written only once its
+    command has succeeded.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, "no such directory for the output", path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
-    except (io.ProblemFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResonantDenominator as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except IllConditionedBlocks as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
-    except (PertError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except (PertError, ValueError, OSError) as err:
+        code = next(code for kinds, code in EXIT_CODES if isinstance(err, kinds))
+        message = str(err)
+        if len(message) > MAX_MESSAGE:
+            message = message[:MAX_MESSAGE] + "..."
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

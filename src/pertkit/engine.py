@@ -54,7 +54,6 @@ from .graded import (
     GradedOperator,
     GradedSum,
     NestedSeries,
-    ProductTally,
     ZERO_RTOL,
     freeze_series,
     zero_operator,
@@ -316,10 +315,9 @@ def _transform(
 ) -> TransformResult:
     frame = _prepare(h, mask, max_order, hbar, res_tol)
     omega_d = h.omega_d
-    tally = ProductTally()
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
-    chains = NestedSeries(base, generator, tally, commutator=True)
+    chains = NestedSeries(base, generator, max_order, commutator=True)
     weights = _inverse_factorials(max_order)
     corrections: dict[int, GradedSum] = {0: base[0].finish()}
     for n in range(1, max_order + 1):
@@ -340,7 +338,7 @@ def _transform(
         max_order=max_order,
         hbar=hbar,
         omega_d=omega_d,
-        diagnostics=Diagnostics(products=tally.count),
+        diagnostics=Diagnostics(products=chains.products),
     )
 
 
@@ -441,7 +439,7 @@ def rotate_operator(
             merged = s_n
     factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
     base = _by_order(operator)
-    chains = NestedSeries(base, factors, ProductTally(), commutator=True)
+    chains = NestedSeries(base, factors, up_to_order, commutator=True)
     weights = _inverse_factorials(up_to_order)
     total = GradedSum()
     total.add_scaled(base.get(0, GradedSum()), 1.0)

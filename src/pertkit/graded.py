@@ -34,12 +34,15 @@ whose coefficient depends only on the nestedness m (1/m! or (-1)^m / (m + 1)).
     C_m^(n) = sum_s op(C_{m-1}^(n-s), F^(s)),    C_0 = base,
 
 with op a commutator or a product.  Filling it through order N takes O(N^3)
-dense products.  It stores every nestedness level of one (order, harmonic)
-key as one contiguous (levels, d, d) stack with one operand scale per level,
-so all levels m of one term of the sum over s are formed by one batched
-matmul (two for a commutator): O(N^2) numpy calls in all.  Each level is
-pruned on its own.  ``GradedSum.finish``, the stacks and least action's
-per-order loop all prune by one rule, ``_negligible``.
+dense products.  Every factor has order >= 1, so a chain of order n nests
+at most n deep, and only the base fills level 0: the levels of one order-n
+(order, harmonic) key are one contiguous stack, allocated once, (n + 1, d, d)
+for a key the base holds and (n, d, d) for any other, with one operand scale
+per level, so all levels m of one term of the sum over s are formed by one
+batched matmul (two for a commutator) over the stack's kept span, its first
+kept level to its last: O(N^2) numpy calls in all.  Each level is pruned on
+its own.  ``GradedSum.finish``, the stacks and least action's per-order loop
+all prune by one rule, ``_negligible``.
 """
 
 from __future__ import annotations
@@ -378,69 +381,53 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 # ---------------------------------------------------------------------------
 
 
-class ProductTally:
-    """Count of the dense d x d matrix products spent by graded products."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int = 0) -> None:
-        self.count = count
-
-
 def _level_max(stack: np.ndarray) -> np.ndarray:
     """Largest entry of each matrix in a (levels, d, d) stack."""
     return _amax(np.abs(stack), axis=(1, 2))
 
 
 class _Stack:
-    """Nestedness levels lo .. hi - 1 of one (order, harmonic) key, stored contiguously.
+    """Nestedness levels lo .. n of one order-n (order, harmonic) key, stored contiguously.
 
-    ``mats[i]`` is level lo + i and ``scale[i]`` its operand scale, the
-    largest single product or summand added to it.  ``finish`` raises
-    ``NonFiniteContent`` if a level holds NaN or inf; otherwise it prunes
-    every level by ``_negligible``, zeroes the pruned ones, trims the range
-    to the outermost kept levels and records each level's largest entry in
-    ``sizes`` (0 for a pruned level) and the kept count in ``kept``.
+    A chain of order n nests at most n deep and only the base fills level 0,
+    so lo is 0 for a stack the base starts and 1 for any other: ``mats[m - lo]``
+    is level m and ``scale[m - lo]`` its operand scale, the largest single
+    product or summand added to it.  ``top`` is one past the last row added
+    to; chains often nest less deep (swt, drive harmonics, la), and ``finish``
+    reads the rows below it only.  It raises ``NonFiniteContent`` if a level
+    holds NaN or inf; otherwise it prunes each level by ``_negligible``, zeroes
+    the pruned ones and records each level's largest entry in ``sizes`` (0 if
+    pruned), the kept count in ``kept`` and the rows from the first kept to
+    the last in ``span``: the rows read as operands and summed.
     """
 
-    __slots__ = ("lo", "hi", "mats", "scale", "sizes", "kept")
+    __slots__ = ("lo", "top", "mats", "scale", "sizes", "kept", "span")
 
-    def __init__(self, lo: int, hi: int, dim: int):
-        self.lo, self.hi = lo, hi
-        self.mats = np.zeros((hi - lo, dim, dim), dtype=complex)
-        self.scale = np.zeros(hi - lo)
+    def __init__(self, lo: int, n: int, dim: int):
+        self.lo, self.top = lo, 0
+        self.mats = np.zeros((n + 1 - lo, dim, dim), dtype=complex)
+        self.scale = np.zeros(n + 1 - lo)
         self.sizes: np.ndarray | None = None
-        self.kept = 0
-
-    def cover(self, lo: int, hi: int) -> None:
-        """Widen the level range, if needed, to include lo .. hi - 1; reopens the stack."""
-        self.sizes = None
-        if self.lo <= lo and hi <= self.hi:
-            return
-        wider = _Stack(min(lo, self.lo), max(hi, self.hi), self.mats.shape[1])
-        at = slice(self.lo - wider.lo, self.hi - wider.lo)
-        wider.mats[at] = self.mats
-        wider.scale[at] = self.scale
-        self.lo, self.hi, self.mats, self.scale = wider.lo, wider.hi, wider.mats, wider.scale
+        self.kept, self.span = 0, slice(0, 0)
 
     def finish(self) -> "_Stack":
         if self.sizes is None:
-            sizes = _level_max(self.mats)
+            mats, scale = self.mats[:self.top], self.scale[:self.top]
+            sizes = _level_max(mats)
             # an overflowed level has size and scale inf, and is raised, not pruned
-            pruned = _negligible(sizes, self.scale)
-            dropped = int(np.count_nonzero(pruned))
-            self.kept = len(sizes) - dropped
-            if dropped:
-                # a pruned level restarts from its next summand, as an absent key does
-                self.mats[pruned] = 0.0
-                self.scale[pruned] = 0.0
-                sizes[pruned] = 0.0
-                if pruned[0] or pruned[-1]:
-                    kept = np.flatnonzero(~pruned)
-                    first, last = (kept[0], kept[-1] + 1) if len(kept) else (0, 0)
-                    self.lo, self.hi = self.lo + first, self.lo + last
-                    self.mats, self.scale, sizes = (
-                        self.mats[first:last], self.scale[first:last], sizes[first:last])
+            pruned = _negligible(sizes, scale)
+            self.kept, self.span = len(sizes), slice(0, len(sizes))
+            if pruned.any():
+                kept = np.flatnonzero(~pruned).tolist()
+                self.kept = len(kept)
+                self.span = slice(kept[0], kept[-1] + 1) if self.kept else slice(0, 0)
+                # a level never added to is zero with scale 0 already
+                dropped = pruned & (scale > 0)
+                if dropped.any():
+                    # a pruned level restarts from its next summand, as an absent key does
+                    mats[dropped] = 0.0
+                    scale[dropped] = 0.0
+                    sizes[dropped] = 0.0
             self.sizes = sizes
         return self
 
@@ -454,35 +441,32 @@ class NestedSeries:
 
     with op the commutator [C, F] or the product C F and F the ``factors``,
     a dict of finished sums keyed by order that is held by reference, so
-    orders a caller solves later are seen.  The base is copied in as level 0.
+    orders a caller solves later are seen.  The base is copied in as level 0
+    through ``max_order``, the last order the series is extended to; callers
+    add to levels m >= 1 only.
 
     Every nestedness level of one (order, harmonic) key lives in one
-    contiguous (levels, d, d) array, a ``_Stack``, over the range of levels
-    that can be nonzero.  ``extend(n)`` therefore fills order n of every
+    contiguous array, a ``_Stack``, so ``extend(n)`` fills order n of every
     level with one batched matmul (two for a commutator) per factor order s
-    and harmonic pair (k1, k2): all levels of the order-(n - s) stack at
-    harmonic k1 times the factor's harmonic-k2 matrix, added into levels
-    one higher of the order-n stack at k1 + k2.  A run through order N thus
-    makes O(N^2) numpy calls for its O(N^3) dense products.  Each level
-    keeps the largest single product that fed it, and finishing a stack,
-    when it is read as an operand or summed, prunes each level against it
-    alone, as ``GradedSum.finish`` prunes a key.  ``tally`` counts the dense
-    products of the kept levels, the same count as one product per level.
+    and harmonic pair (k1, k2): the kept span of the order-(n - s) stack at
+    harmonic k1 times the factor's harmonic-k2 matrix, added into the
+    levels one higher of the order-n stack at k1 + k2.  A run through order
+    N thus makes O(N^2) numpy calls for its O(N^3) dense products.  Each
+    level keeps the largest single product that fed it, and finishing a
+    stack, when it is read as an operand or summed, prunes each level
+    against it alone, as ``GradedSum.finish`` prunes a key.  ``products``
+    counts the dense products: one per kept operand level (two for a commutator).
     """
 
-    def __init__(
-        self,
-        base: Mapping[int, GradedSum],
-        factors: Mapping[int, GradedSum],
-        tally: ProductTally,
-        commutator: bool,
-    ):
+    def __init__(self, base: Mapping[int, GradedSum], factors: Mapping[int, GradedSum],
+                 max_order: int, commutator: bool):
         self.stacks: dict[int, dict[int, _Stack]] = {}  # order -> harmonic -> levels
         self.factors = factors
-        self.tally = tally
         self.commutator = commutator
+        self.products = 0
         for n, entry in base.items():
-            self.add(n, 0, entry, 1.0)
+            if n <= max_order:
+                self.add(n, 0, entry, 1.0)
 
     def _finished(self, n: int) -> dict[int, _Stack]:
         """The order-n stacks, each finished; stacks with no level left are dropped."""
@@ -491,66 +475,57 @@ class NestedSeries:
             del stacks[k]
         return stacks
 
+    def _stack(self, n: int, k: int, lo: int, dim: int) -> _Stack:
+        """The order-n stack at harmonic k, made from level lo if absent; reopened."""
+        stacks = self.stacks.setdefault(n, {})
+        stack = stacks.get(k)
+        if stack is None:
+            stack = stacks[k] = _Stack(lo, n, dim)
+        stack.sizes = None
+        return stack
+
     def extend(self, n: int) -> None:
         """Fill order n of every level m >= 1 from the factor orders present."""
-        jobs = []
-        spans: dict[int, tuple[int, int]] = {}
+        per_level = 2 if self.commutator else 1
         for s in range(1, n + 1):
             right = self.factors.get(s)
             if right is None or n - s not in self.stacks:
                 continue
             factor_terms = right.finish().terms.items()
             for k1, left in self._finished(n - s).items():
-                lo, hi = left.lo + 1, left.hi + 1
+                mats = left.mats[left.span]
+                first = left.lo + left.span.start + 1  # the level mats[0] feeds
                 for (_, k2), f in factor_terms:
-                    k = k1 + k2
-                    jobs.append((k, left, f))
-                    span = spans.get(k)
-                    spans[k] = (lo, hi) if span is None else (min(span[0], lo), max(span[1], hi))
-        if not jobs:
-            return
-        stacks = self.stacks.setdefault(n, {})
-        dim = jobs[0][2].shape[0]
-        for k, (lo, hi) in spans.items():
-            if k in stacks:
-                stacks[k].cover(lo, hi)
-            else:
-                stacks[k] = _Stack(lo, hi, dim)
-        per_level = 2 if self.commutator else 1
-        for k, left, f in jobs:
-            out = stacks[k]
-            prod = left.mats @ f
-            sizes = _level_max(prod)
-            if self.commutator:
-                reverse = f @ left.mats
-                np.maximum(sizes, _level_max(reverse), out=sizes)
-                prod -= reverse
-            at = slice(left.lo + 1 - out.lo, left.hi + 1 - out.lo)
-            np.maximum(out.scale[at], sizes, out=out.scale[at])
-            out.mats[at] += prod
-            self.tally.count += per_level * left.kept
+                    out = self._stack(n, k1 + k2, 1, f.shape[0])
+                    at = slice(first - out.lo, first - out.lo + len(mats))
+                    out.top = max(out.top, at.stop)
+                    prod = mats @ f
+                    sizes = _level_max(prod)
+                    if self.commutator:
+                        reverse = f @ mats
+                        np.maximum(sizes, _level_max(reverse), out=sizes)
+                        prod -= reverse
+                    np.maximum(out.scale[at], sizes, out=out.scale[at])
+                    out.mats[at] += prod
+                    self.products += per_level * left.kept
 
     def add(self, n: int, m: int, entry: GradedSum, weight: complex) -> None:
         """Add ``weight`` times ``entry``, a sum of order-n keys, into level m of order n."""
         sizes = entry.finish().sizes
-        stacks = self.stacks.setdefault(n, {})
         for key, mat in entry.terms.items():
-            stack = stacks.get(key[1])
-            if stack is None:
-                stack = stacks[key[1]] = _Stack(m, m + 1, mat.shape[0])
-            else:
-                stack.cover(m, m + 1)
-            i = m - stack.lo
-            stack.mats[i] += weight * mat
-            stack.scale[i] = max(stack.scale[i], abs(weight) * sizes[key])
+            stack = self._stack(n, key[1], min(m, 1), mat.shape[0])
+            row = m - stack.lo
+            if row < 0:
+                raise ValueError(f"level 0 of order {n} holds the base alone")
+            stack.top = max(stack.top, row + 1)
+            stack.mats[row] += weight * mat
+            stack.scale[row] = max(stack.scale[row], abs(weight) * sizes[key])
 
     def weighted_sum(self, n: int, weights: np.ndarray) -> GradedSum:
-        """sum_m weights[m] * C_m^(n), one contraction over the levels per key."""
+        """sum_m weights[m] * C_m^(n), one contraction over the kept span per key."""
         total = GradedSum()
-        abs_weights = np.abs(weights)
         for k, stack in self._finished(n).items():
-            mats = stack.mats
-            w = weights[stack.lo:stack.hi]
+            mats, w = stack.mats[stack.span], weights[stack.lo:][stack.span]
             total.terms[(n, k)] = np.dot(w, mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
-            total.scale[(n, k)] = float(_amax(abs_weights[stack.lo:stack.hi] * stack.sizes))
+            total.scale[(n, k)] = float(_amax(np.abs(w) * stack.sizes[stack.span]))
         return total

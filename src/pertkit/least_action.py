@@ -58,7 +58,6 @@ from .graded import (
     GradedOperator,
     GradedSum,
     NestedSeries,
-    ProductTally,
     _max_abs,
     _negligible,
     freeze_series,
@@ -217,9 +216,8 @@ def run_la(
     """
     frame, mask, corrections, u, products = _la_orders(
         h, blocks, max_order, hbar, res_tol)
-    tally = ProductTally(products)
     factors = {n: GradedSum({(n, 0): mat}) for n, mat in u.items()}
-    powers = NestedSeries(factors, factors, tally, commutator=False)
+    powers = NestedSeries(factors, factors, max_order, commutator=False)
     log_weights = np.array([(-1.0) ** m / (m + 1) for m in range(max_order)])
     generator: dict[int, GradedSum] = {}
     for n in range(1, max_order + 1):
@@ -236,5 +234,5 @@ def run_la(
         max_order=max_order,
         hbar=hbar,
         omega_d=None,
-        diagnostics=Diagnostics(products=tally.count),
+        diagnostics=Diagnostics(products=products + powers.products),
     )

@@ -208,16 +208,15 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def partial_sum_matrix(result: TransformResult, order: int, lam: float) -> np.ndarray:
-    """Corrections through ``order``, collapsed at a numeric lambda (static)."""
-    total = np.zeros((result.dim, result.dim), dtype=complex)
-    for n, corr in result.corrections.items():
-        if n > order:
-            continue
-        for (j, k), mat in corr.items():
-            if k != 0:
-                raise ValueError("partial sums are defined for static results only")
-            total += (lam ** j) * mat
-    return total
+    """Corrections through ``order``, collapsed at a numeric lambda (static).
+
+    An order beyond the solved one raises ``ValueError``, as
+    ``TransformResult.effective_hamiltonian`` does.
+    """
+    h_eff = result.effective_hamiltonian(order)
+    if any(k != 0 for k in h_eff.harmonics()):
+        raise ValueError("partial sums are defined for static results only")
+    return evaluate_at(h_eff, lam)
 
 
 def convergence_scan(

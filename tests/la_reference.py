@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from pertkit.graded import GradedOperator, GradedSum, NestedSeries, ProductTally, freeze_series
+from pertkit.graded import GradedOperator, GradedSum, NestedSeries, freeze_series
 from pertkit.least_action import BlockStructure
 
 
@@ -56,11 +56,9 @@ class LASeries:
     products: int = 0
 
 
-def _powers(
-    series: dict[int, GradedSum], max_order: int, tally: ProductTally
-) -> NestedSeries:
+def _powers(series: dict[int, GradedSum], max_order: int) -> NestedSeries:
     """Level m, order n: sum of all products series^(s0) ... series^(sm) of order n."""
-    powers = NestedSeries(series, series, tally, commutator=False)
+    powers = NestedSeries(series, series, max_order, commutator=False)
     for n in range(1, max_order + 1):
         powers.extend(n)
     return powers
@@ -75,14 +73,14 @@ def _convolve(
     a: Mapping[int, GradedSum],
     b: Mapping[int, GradedSum],
     n: int,
-    tally: ProductTally,
-) -> GradedSum:
-    """The order-n part of (I + a)(I + b) - I.
+) -> tuple[GradedSum, int]:
+    """The order-n part of (I + a)(I + b) - I and the number of products spent.
 
     The products a^(j) b^(n-j), 0 < j < n, landing on one key are formed by
     one stacked matmul; the key's operand scale is the largest of them.
     """
     total = GradedSum()
+    count = 0
     if n in b:
         total.add_scaled(b[n], 1.0)
     pairs: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
@@ -97,11 +95,11 @@ def _convolve(
                 rights.append(m2)
     for k, (lefts, rights) in pairs.items():
         prods = np.stack(lefts) @ np.stack(rights)
-        tally.count += len(prods)
+        count += len(prods)
         total.add((n, k), prods.sum(axis=0), float(np.abs(prods).max()))
     if n in a:
         total.add_scaled(a[n], 1.0)
-    return total
+    return total, count
 
 
 def compute_la_generator(
@@ -122,11 +120,10 @@ def compute_la_generator(
     """
     if dim is None:
         dim = next(iter(z.values())).dim if z else blocks.dim
-    tally = ProductTally()
     keep = blocks.cross_mask().keep
 
     exp_weights = _power_weights(max_order, lambda m: 1.0 / math.factorial(m))
-    z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order, tally)
+    z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order)
     x_dag = {n: z_powers.weighted_sum(n, exp_weights) for n in range(1, max_order + 1)}
     x_weights = _power_weights(max_order, lambda m: (-1.0) ** m / math.factorial(m))
     x = {n: z_powers.weighted_sum(n, x_weights) for n in range(1, max_order + 1)}
@@ -134,33 +131,40 @@ def compute_la_generator(
     bx = {n: op.where(keep) for n, op in x.items()}
 
     # eps^(1) = B(Z^(1)) - B(Z^(1)) vanishes, so eps starts at order 2
-    epsilon = {n: _convolve(bx_dag, bx, n, tally) for n in range(2, max_order + 1)}
-    eps_powers = _powers(epsilon, max_order, tally)
+    epsilon: dict[int, GradedSum] = {}
+    products = 0
+    for n in range(2, max_order + 1):
+        epsilon[n], count = _convolve(bx_dag, bx, n)
+        products += count
+    eps_powers = _powers(epsilon, max_order)
     inv_sqrt_weights = _power_weights(max_order, _half_binomial)
     inv_sqrt = {n: eps_powers.weighted_sum(n, inv_sqrt_weights) for n in range(2, max_order + 1)}
 
     w: dict[int, GradedSum] = {}
     u: dict[int, GradedSum] = {}
     s: dict[int, GradedSum] = {}
-    s_powers = NestedSeries({}, s, tally, commutator=False)
+    # level m of order n holds the order-n part of S^m; S^(n) joins level 1 once solved
+    s_powers = NestedSeries({}, s, max_order, commutator=False)
+    s_weights = np.array([1.0 / math.factorial(m) for m in range(max_order + 1)])
     for n in range(1, max_order + 1):
-        w[n] = _convolve(x_dag, bx, n, tally)
-        u[n] = _convolve(w, inv_sqrt, n, tally)
+        w[n], w_count = _convolve(x_dag, bx, n)
+        u[n], u_count = _convolve(w, inv_sqrt, n)
+        products += w_count + u_count
         s_powers.extend(n)
         # S^(n) itself is not known yet, so the sum starts at the square
-        higher = s_powers.weighted_sum(n, exp_weights)
+        higher = s_powers.weighted_sum(n, s_weights)
         s_n = GradedSum()
         s_n.add_scaled(u[n], 1.0)
         s_n.add_scaled(higher, -1.0)
         s[n] = s_n
-        s_powers.add(n, 0, s_n, 1.0)
+        s_powers.add(n, 1, s_n, 1.0)
     return LASeries(
         Z=dict(z),
         epsilon=freeze_series(epsilon, dim, None),
         W=freeze_series(w, dim, None),
         U=freeze_series(u, dim, None),
         S=freeze_series(s, dim, None),
-        products=tally.count,
+        products=products + z_powers.products + eps_powers.products + s_powers.products,
     )
 
 

@@ -58,6 +58,44 @@ def test_transform_byte_identical_runs(two_level_problem, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+FAR_ORDER = 10**9
+FAR_TERM = {"order": FAR_ORDER, "harmonic": 0, "matrix": mat_json(0.3 * np.eye(2))}
+
+
+@pytest.mark.parametrize("method", ["swt", "fd", "la"])
+def test_term_far_above_max_order_changes_nothing(two_level_problem, tmp_path, method):
+    # a series stack is sized by its order: one for a base order of 10^9
+    # would ask for 10^9 levels, although no order above max_order is read
+    doc = json.loads(two_level_problem.read_text())
+    doc["method"] = method
+    write_json(two_level_problem, doc)
+    near = tmp_path / "near.json"
+    assert main(["transform", str(two_level_problem), "--out", str(near)]) == 0
+    doc["terms"].append(FAR_TERM)
+    far_problem = tmp_path / "far-problem.json"
+    write_json(far_problem, doc)
+    far = tmp_path / "far.json"
+    assert main(["transform", str(far_problem), "--out", str(far)]) == 0
+    near_doc, far_doc = json.loads(near.read_text()), json.loads(far.read_text())
+    for part in ("corrections", "generator"):
+        assert far_doc[part] == near_doc[part]
+
+
+def test_rotate_operator_term_far_above_the_order_changes_nothing(two_level_problem, tmp_path):
+    result = tmp_path / "result.json"
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    rotated = {}
+    for name, extra in [("near", []), ("far", [FAR_TERM])]:
+        op_path = tmp_path / f"{name}-op.json"
+        terms = [{"order": 0, "harmonic": 0, "matrix": mat_json(np.diag([1.0, -1.0]))}]
+        write_json(op_path, {"terms": terms + extra})
+        out = tmp_path / f"{name}-rotated.json"
+        assert main(["rotate", str(two_level_problem), str(result), str(op_path),
+                     "--order", "2", "--out", str(out)]) == 0
+        rotated[name] = json.loads(out.read_text())["terms"]
+    assert rotated["far"] == rotated["near"]
+
+
 def test_transform_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -105,6 +143,46 @@ def test_path_that_is_a_directory_exit_code(two_level_problem, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_long_offending_value_gives_one_bounded_error_line(two_level_problem, tmp_path, capsys):
+    # the message quotes the value; a 1,000,000-character one made a
+    # 1,000,063-byte stderr line
+    doc = json.loads(two_level_problem.read_text())
+    doc["block_sizes"] = ["x" * 1_000_000, 1]
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unusable_out_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, where):
+    # the experiment used to run to the end before its output failed to open
+    def must_not_run(**kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("pertkit.cli.run_fig3_experiment", must_not_run)
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"kind": "fig3", "count": 50, "seed": 7, "max_order": 8})
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "t.csv"
+    before = sorted(tmp_path.iterdir())
+    assert main(["experiment", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_failed_run_leaves_an_existing_output_untouched(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"kind": "fig3", "count": 2, "max_order": 0})
+    out = tmp_path / "eta.csv"
+    out.write_text("earlier table\n", encoding="utf-8")
+    assert main(["experiment", str(spec), "--out", str(out)]) == 3
+    assert out.read_text(encoding="utf-8") == "earlier table\n"
 
 
 def test_document_nested_too_deep_exit_code(tmp_path, capsys):
@@ -742,6 +820,15 @@ def test_degeneracy_tolerance_flag_is_gone(two_level_problem, tmp_path):
     with pytest.raises(SystemExit) as rejected:
         main(["transform", str(two_level_problem), "--out", str(out),
               "--tol-degeneracy", "1e-9"])
+    assert rejected.value.code == 2
+    assert not out.exists()
+
+
+def test_method_flag_is_gone(two_level_problem, tmp_path):
+    # the problem document's method is the only one
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as rejected:
+        main(["transform", str(two_level_problem), "--method", "fd", "--out", str(out)])
     assert rejected.value.code == 2
     assert not out.exists()
 

@@ -16,7 +16,7 @@ from pertkit.errors import NonFiniteContent, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
 from pertkit.io import result_document
 from pertkit.least_action import run_la
-from pertkit.models import random_bd_hamiltonian
+from pertkit.models import build_edsr, random_bd_hamiltonian
 from pertkit.oracle import evaluate_at, exact_block_diagonalize
 
 
@@ -499,6 +499,34 @@ def test_first_order_spends_no_products(method):
         result = run_ace(driven_instance(6), Mask.full_off_diagonal(4), max_order=1)
     assert 1 in result.generator and not result.generator[1].is_zero
     assert result.diagnostics.products == 0
+
+
+@pytest.mark.parametrize("method, order, products", [
+    ("fd", 8, 194), ("fd", 14, 960),
+    ("swt", 8, 58), ("swt", 14, 348),
+    ("ace", 8, 194), ("ace", 14, 960),
+])
+def test_product_counts(method, order, products):
+    # one dense product per kept nestedness level of each left operand and
+    # factor key (two for a commutator); the stacks' storage must not change it
+    h = random_bd_hamiltonian((4, 4, 4), 101)
+    if method == "fd":
+        result = run_fd(h, order)
+    elif method == "swt":
+        mask = Mask.block_off_diagonal([4, 4, 4])
+        result = run_swt(mask.complement_project(h), mask.project(h), [4, 4, 4], order)
+    else:
+        checkerboard = np.add.outer(np.arange(h.dim), np.arange(h.dim)) % 2 == 1
+        result = run_ace(h, Mask(checkerboard), order)
+    assert result.diagnostics.products == products
+
+
+def test_driven_edsr_product_count(edsr_params):
+    # harmonics +-1 of the drive fill several stacks per order
+    h_blocks, v, drive = build_edsr(edsr_params)
+    n = edsr_params.n_max
+    result = run_swt(h_blocks, v + drive, [n, n], max_order=4)
+    assert result.diagnostics.products == 74
 
 
 def count_constructions(monkeypatch):

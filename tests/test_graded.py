@@ -16,7 +16,6 @@ from pertkit.graded import (
     GradedOperator,
     GradedSum,
     NestedSeries,
-    ProductTally,
     commutator,
     identity_operator,
     zero_operator,
@@ -377,10 +376,9 @@ def run_nested(base, factors, top, commutator_op):
     off as the weighted sum with weight 1 on m and 0 elsewhere."""
     dim = next(iter(base.values())).dim
     omega_d = next(iter(base.values())).omega_d
-    tally = ProductTally()
     series = NestedSeries({n: GradedSum.of(op) for n, op in base.items()},
                           {n: GradedSum.of(op) for n, op in factors.items()},
-                          tally, commutator=commutator_op)
+                          top, commutator=commutator_op)
     levels = {}
     for n in range(1, top + 1):
         series.extend(n)
@@ -388,7 +386,7 @@ def run_nested(base, factors, top, commutator_op):
             weights = np.zeros(top + 1)
             weights[m] = 1.0
             levels[(m, n)] = GradedOperator._adopt(dim, series.weighted_sum(n, weights), omega_d)
-    return levels, tally.count
+    return levels, series.products
 
 
 def reference_level(base, factors, m, n, commutator_op):
@@ -503,7 +501,28 @@ def test_overflowed_nested_level_is_never_pruned():
     # 1e200 * 1e200 overflows: the level's size and its operand scale are
     # both inf, and inf <= ZERO_RTOL * inf holds
     big = {1: GradedSum({(1, 0): 1e200 * np.eye(2, dtype=complex)})}
-    series = NestedSeries(big, big, ProductTally(), commutator=False)
+    series = NestedSeries(big, big, 2, commutator=False)
     series.extend(2)
     with pytest.raises(NonFiniteContent):
         series.weighted_sum(2, np.ones(3))
+
+
+def test_base_orders_above_max_order_are_left_out():
+    # an order-n stack is sized by n; one for a base order of 10^9 would ask
+    # for 10^9 levels, although the series never reaches that order
+    eye = np.eye(2, dtype=complex)
+    base = {0: GradedSum({(0, 0): eye}), 10**9: GradedSum({(10**9, 0): eye})}
+    series = NestedSeries(base, {1: GradedSum({(1, 0): eye})}, 3, commutator=False)
+    assert sorted(series.stacks) == [0]
+    for n in range(1, 4):
+        series.extend(n)
+    np.testing.assert_array_equal(series.weighted_sum(3, np.ones(4)).terms[(3, 0)], eye)
+
+
+def test_level_zero_holds_the_base_alone():
+    # a stack the base does not start is stored without level 0
+    one = {1: GradedSum({(1, 0): np.eye(2, dtype=complex)})}
+    series = NestedSeries(one, one, 2, commutator=False)
+    series.extend(2)
+    with pytest.raises(ValueError, match="holds the base alone"):
+        series.add(2, 0, GradedSum({(2, 0): np.eye(2, dtype=complex)}), 1.0)

@@ -323,6 +323,16 @@ def test_scan_rows_equal_the_spectral_distance_of_each_partial_sum(method):
     assert convergence_scan(h, method, orders, lambdas, blocks) == want
 
 
+def test_partial_sum_beyond_the_solved_order_is_rejected():
+    # it used to return the sum through the solved order without a word
+    h, _ = scan_instance()
+    result = run_fd(h, 4)
+    np.testing.assert_array_equal(partial_sum_matrix(result, 4, 0.5),
+                                  evaluate_at(result.effective_hamiltonian(), 0.5))
+    with pytest.raises(ValueError, match="exceeds solved order"):
+        partial_sum_matrix(result, 5, 0.5)
+
+
 @pytest.mark.parametrize("orders", [[], [-1, 2]])
 def test_scan_rejects_missing_or_negative_orders(orders):
     h, blocks = scan_instance()
