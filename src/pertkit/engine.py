@@ -35,10 +35,16 @@ generator condition, so there [O0, S^(n)] is a product like any other.
 Every routine, least action's recursion included, validates its input and
 builds its ``EigenFrame`` in one place, ``_prepare``, whose thresholds are
 relative to half the level spread, so no shift or rescale of H0 flips a
-verdict.  One rule judges every denominator: a significant masked entry
-whose |E_j - E_i - hbar*k*omega_d| falls below ``res_tol`` of the level
-spread raises ResonantDenominator at the order that needs it.  A static
-coupling between degenerate levels is the k = 0 case of that rule.
+verdict.  ``_prepare`` returns the run's ``EliminationTable``, built once
+from the frame, the mask, hbar, omega_d and ``res_tol``: per harmonic k it
+holds the denominators E_j - E_i - hbar*k*omega_d and the masked entries
+closer to zero than the tolerance, so no order recomputes them.  Its
+``solve`` is the only elimination in the package; ``_transform``,
+``solve_generator_order`` and least action's ``_la_orders`` all call it.
+One rule judges every denominator: a significant masked entry whose
+|E_j - E_i - hbar*k*omega_d| falls below ``res_tol`` of the level spread
+raises ResonantDenominator at the order that needs it.  A static coupling
+between degenerate levels is the k = 0 case of that rule.
 """
 
 from __future__ import annotations
@@ -184,6 +190,60 @@ class TransformResult:
         return GradedOperator._adopt(self.dim, total, self.omega_d)
 
 
+class EliminationTable:
+    """The denominators of one run, built once from its frame, mask, hbar,
+    omega_d and resonance tolerance; solves each order's masked target.
+
+    For each harmonic k it holds D_k = E_j - E_i - hbar*k*omega_d, made when
+    k is first met, with the masked entries whose |D_k| falls below ``tol``
+    (``res_tol`` times the level spread), or None where there are none.
+    """
+
+    __slots__ = ("frame", "mask", "tol", "_shift", "_harmonics")
+
+    def __init__(self, frame: EigenFrame, mask: Mask, hbar: float,
+                 omega_d: float | None, res_tol: float):
+        self.frame = frame
+        self.mask = mask
+        self.tol = res_tol * frame.energy_scale()
+        self._shift = (hbar, omega_d or 0.0)
+        self._harmonics: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+
+    def _denominators(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """D_k and its masked entries closer to zero than ``tol`` (None if none)."""
+        entry = self._harmonics.get(k)
+        if entry is None:
+            hbar, omega_d = self._shift
+            energies = self.frame.energies
+            denom = energies[None, :] - energies[:, None] - hbar * k * omega_d
+            near = self.mask.eliminate & (np.abs(denom) < self.tol)
+            entry = self._harmonics[k] = (denom, near if near.any() else None)
+        return entry
+
+    def solve(self, order: int, k: int, mat: np.ndarray) -> np.ndarray:
+        """The order-``order`` generator matrix of harmonic k for a masked target ``mat``.
+
+        Masked entries whose target is not negligible next to its largest
+        entry are divided by D_k, every other entry is 0; a significant entry
+        on a resonant denominator raises ResonantDenominator.
+        """
+        denom, near = self._denominators(k)
+        size = np.abs(mat)
+        significant = self.mask.eliminate & (size > ZERO_RTOL * size.max())
+        if near is not None:
+            resonant = significant & near
+            if resonant.any():
+                i, j = np.argwhere(resonant)[0]
+                raise ResonantDenominator(int(i), int(j), k, float(denom[i, j]), order)
+        safe = np.where(significant, denom, 1.0)
+        return np.where(significant, mat / safe, 0.0)
+
+    def solve_sum(self, order: int, target: GradedSum) -> GradedSum:
+        """``solve`` for every key of an order-``order`` target, as a finished sum."""
+        return GradedSum({(order, k): self.solve(order, k, mat)
+                          for (_, k), mat in target.terms.items()}).finish()
+
+
 def solve_generator_order(
     target: GradedOperator,
     frame: EigenFrame,
@@ -207,35 +267,9 @@ def solve_generator_order(
     orders = target.orders()
     if len(orders) != 1:
         raise ValueError(f"target must hold a single order, found {orders}")
-    s = _solve(orders[0], GradedSum.of(target), frame, mask, hbar, omega_d, res_tol)
+    table = EliminationTable(frame, mask, hbar, omega_d, res_tol)
+    s = table.solve_sum(orders[0], GradedSum.of(target))
     return GradedOperator._adopt(frame.dim, s, omega_d)
-
-
-def _solve(
-    order: int,
-    target: GradedSum,
-    frame: EigenFrame,
-    mask: Mask,
-    hbar: float,
-    omega_d: float | None,
-    res_tol: float,
-) -> GradedSum:
-    """The order-``order`` generator for a masked ``target``, as a finished sum."""
-    energies = frame.energies
-    tol = res_tol * frame.energy_scale()
-    out = GradedSum()
-    for (_, k), mat in target.terms.items():
-        shift = hbar * k * (omega_d or 0.0)
-        denom = energies[None, :] - energies[:, None] - shift
-        size = np.abs(mat)
-        significant = mask.eliminate & (size > ZERO_RTOL * size.max())
-        resonant = significant & (np.abs(denom) < tol)
-        if resonant.any():
-            i, j = np.argwhere(resonant)[0]
-            raise ResonantDenominator(int(i), int(j), k, float(denom[i, j]), order)
-        safe = np.where(significant, denom, 1.0)
-        out.terms[(order, k)] = np.where(significant, mat / safe, 0.0)
-    return out.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +278,15 @@ def _solve(
 
 
 def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
-             res_tol: float) -> EigenFrame:
-    """The one problem boundary of every routine: validate, return the frame.
+             res_tol: float) -> EliminationTable:
+    """The one problem boundary of every routine: validate, return the run's
+    elimination table, which holds the frame.
 
     The mask must fit ``h``; ``h`` must be hermitian-graded with a static,
     real, diagonal order-0 part, judged against half the level spread, which
     a shift of H0 leaves and a rescale scales along; ``max_order`` >= 0;
     ``hbar``, ``res_tol``, and with a nonzero harmonic ``h.omega_d``, finite
-    and positive.  Degenerate levels are not judged here: ``_solve`` rejects
+    and positive.  Degenerate levels are not judged here: the table rejects
     a coupling between them as a resonance at the order that needs it.
     """
     if not _finite_positive(res_tol):
@@ -280,7 +315,7 @@ def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
     if any(k != 0 for k in h.harmonics()) and not (
             h.omega_d is not None and _finite_positive(h.omega_d)):
         raise PertError(f"omega_d must be finite and positive, got {h.omega_d}")
-    return frame
+    return EliminationTable(frame, mask, hbar, h.omega_d, res_tol)
 
 
 def _finite_positive(value: float) -> bool:
@@ -313,7 +348,8 @@ def _transform(
     hbar: float,
     res_tol: float,
 ) -> TransformResult:
-    frame = _prepare(h, mask, max_order, hbar, res_tol)
+    table = _prepare(h, mask, max_order, hbar, res_tol)
+    frame = table.frame
     omega_d = h.omega_d
     base = _by_order(h)
     generator: dict[int, GradedSum] = {}
@@ -324,7 +360,7 @@ def _transform(
         chains.extend(n)
         known = chains.weighted_sum(n, weights)
         masked = known.where(mask.eliminate)
-        generator[n] = _solve(n, masked, frame, mask, hbar, omega_d, res_tol)
+        generator[n] = table.solve_sum(n, masked)
         # the generator condition: [H0, S^(n)] - i*hbar*dS^(n)/dt = -masked
         chains.add(n, 1, masked, -1.0)
         known.add_scaled(masked, -1.0)

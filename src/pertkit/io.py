@@ -31,6 +31,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, TypeVar
 
 import numpy as np
@@ -113,12 +114,29 @@ def matrix_to_json(mat: np.ndarray) -> np.ndarray:
 
 
 def matrix_from_json(data, dim: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (dim, dim, 2):
-        raise ProblemFormatError(
-            f"matrix must be {dim}x{dim} of [re, im] pairs, got shape {arr.shape}"
-        )
-    return arr[..., 0] + 1j * arr[..., 1]
+    """A ``dim`` x ``dim`` list of [re, im] pairs as a complex matrix.
+
+    Every row must be a list of ``dim`` pairs and every part a JSON number,
+    an int or a float: a string such as "0" or a boolean raises
+    ProblemFormatError, where a float conversion would read them as 0.0 and
+    1.0.  The pairs are split into their real and imaginary parts in one
+    pass, which also requires each of them to hold exactly two items.
+    """
+    shape = f"matrix must be {dim}x{dim} of [re, im] pairs"
+    if (type(data) is not list or len(data) != dim
+            or set(map(type, data)) != {list} or set(map(len, data)) != {dim}):
+        raise ProblemFormatError(shape)
+    try:
+        parts = list(zip(*chain.from_iterable(data), strict=True))
+    except (TypeError, ValueError):  # a pair that is not a sequence, or two of unequal length
+        raise ProblemFormatError(shape) from None
+    if len(parts) != 2:
+        raise ProblemFormatError(shape)
+    if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
+        bad = next(v for v in chain(*parts) if type(v) not in (int, float))
+        raise ProblemFormatError(f"a matrix entry must be a number, got {bad!r}")
+    arr = np.array(parts, dtype=float).reshape(2, dim, dim)
+    return arr[0] + 1j * arr[1]
 
 
 def problem_hash(raw: bytes) -> str:

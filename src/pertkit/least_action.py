@@ -12,8 +12,9 @@ U^dag H U = H0 + U^dag ([H0, U'] + H' U):
     R^(n) = Y^(n) + sum_{0<a<n} U'^(a)^dag Y^(n-a),    taken with V^(n) = 0.
 
 W follows from unitarity and is Hermitian.  The cross-block part T_n of
-R^(n) fixes V^(n) through [H0, V^(n)] = -T_n, solved elementwise by the
-engine's ``_solve``; the order-n correction is R^(n) - T_n, and Y^(n) gains
+R^(n) fixes V^(n) through [H0, V^(n)] = -T_n, solved elementwise on the
+plain matrix by the run's ``EliminationTable``, which ``_prepare`` builds
+once; the order-n correction is R^(n) - T_n, and Y^(n) gains
 [H0, V^(n)] = -T_n, known without a product.  Since B(V) = 0,
 B(U) = 1 + B(W) is Hermitian for any number of blocks; for two blocks U is
 the direct rotation, i.e. Schrieffer-Wolff (Bravyi, DiVincenzo and Loss,
@@ -36,7 +37,9 @@ with P_m = U'^(m + 1) level m of one product ``NestedSeries`` over U', which
 spends O(N^3) products in O(N^2) numpy calls; it is the only part of
 ``run_la`` that uses a ``NestedSeries``.  The la convergence scan, and
 through it the fig3 experiment, calls ``_la_orders`` alone and computes no
-generator.  Input checks and the frame come from the engine's ``_prepare``.
+generator.  Input checks, the frame and the elimination table come from
+the engine's ``_prepare``: no order wraps its target in a ``GradedSum`` or
+recomputes the denominators and the resonant entries.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ import numpy as np
 from .engine import (
     DEFAULT_RES_TOL,
     Diagnostics,
-    EigenFrame,
+    EliminationTable,
     Mask,
     TransformResult,
     _prepare,
-    _solve,
 )
 from .graded import (
     GradedOperator,
@@ -131,24 +133,25 @@ def _la_orders(
     max_order: int,
     hbar: float = 1.0,
     res_tol: float = DEFAULT_RES_TOL,
-) -> tuple[EigenFrame, Mask, dict[int, np.ndarray | None], dict[int, np.ndarray], int]:
+) -> tuple[EliminationTable, dict[int, np.ndarray | None], dict[int, np.ndarray], int]:
     """The least-action recursion on per-order matrices (module docstring).
 
     Checks that the input is static, validates the problem with the engine's
-    ``_prepare`` and returns the frame, the mask, the correction of
-    every order 0 .. ``max_order`` (None where it vanishes), the nonzero
-    U'^(n) and the number of dense products spent.  Each order's W, Y, R and
-    U' is one matrix or None, judged by ``_negligible`` against the largest
-    single product or summand that fed it.
+    ``_prepare`` and returns the run's elimination table (which holds the
+    frame and the mask), the correction of every order 0 .. ``max_order``
+    (None where it vanishes), the nonzero U'^(n) and the number of dense
+    products spent.  Each order's W, Y, R and U' is one matrix or None,
+    judged by ``_negligible`` against the largest single product or summand
+    that fed it.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
-    mask = blocks.cross_mask()
-    frame = _prepare(h, mask, max_order, hbar, res_tol)
+    table = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
+    energies, eliminate = table.frame.energies, table.mask.eliminate
     # [H0, X]_ij = (E_i - E_j) X_ij
-    gaps = frame.energies[:, None] - frame.energies[None, :]
+    gaps = energies[:, None] - energies[None, :]
     h_mats = {j: mat for (j, _), mat in h.items()}
     products = 0
     # the nonzero U'^(n), U'^(n)^dag and Y^(n)
@@ -176,12 +179,11 @@ def _la_orders(
         products += count
         r_scale = max(y_size, uy_scale)
         r, _ = _finished(n, _plus(y, uy), r_scale)
-        target = None if r is None else np.where(mask.eliminate, r, 0.0)
+        target = None if r is None else np.where(eliminate, r, 0.0)
         target, t_size = _finished(n, target, 0.0)
         v, v_size = None, 0.0
         if target is not None:
-            solved = _solve(n, GradedSum({(n, 0): target}), frame, mask, hbar, None, res_tol)
-            v, v_size = solved.terms.get((n, 0)), solved.sizes.get((n, 0), 0.0)
+            v, v_size = _finished(n, table.solve(n, 0, target), 0.0)
             # the elimination condition: [H0, V^(n)] = -T_n; a pruned Y^(n)
             # restarts from it alone
             y_scale = t_size if y is None else max(y_scale, t_size)
@@ -194,7 +196,7 @@ def _la_orders(
             u_dag[n] = u_n.conj().T
         if y is not None:
             y_mats[n] = y
-    return frame, mask, corrections, u, products
+    return table, corrections, u, products
 
 
 def run_la(
@@ -214,8 +216,7 @@ def run_la(
     blocks.  The order-0 part must be diagonal; levels may be degenerate
     inside a block.  Time-periodic input is not supported.
     """
-    frame, mask, corrections, u, products = _la_orders(
-        h, blocks, max_order, hbar, res_tol)
+    table, corrections, u, products = _la_orders(h, blocks, max_order, hbar, res_tol)
     factors = {n: GradedSum({(n, 0): mat}) for n, mat in u.items()}
     powers = NestedSeries(factors, factors, max_order, commutator=False)
     log_weights = np.array([(-1.0) ** m / (m + 1) for m in range(max_order)])
@@ -228,8 +229,8 @@ def run_la(
     return TransformResult(
         corrections=freeze_series(corrections, h.dim, None),
         generator=freeze_series(generator, h.dim, None),
-        frame=frame,
-        mask=mask,
+        frame=table.frame,
+        mask=table.mask,
         method="la",
         max_order=max_order,
         hbar=hbar,

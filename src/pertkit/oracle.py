@@ -16,7 +16,8 @@ sum_b ||X_bb||_F^2 = d - L, as no singular value of X_bb exceeds 1; any other
 assignment moves at least two eigenvectors out of their blocks, and a nuclear
 norm is at most the sum of its row norms, so it scores at most
 d - 2 + s1 + s2.  Otherwise pairwise cross-block swaps climb the sum from the
-greedy assignment until none improves it.
+greedy assignment until none improves it; the swaps of one row with the
+rows of one partner block are scored by one stacked SVD.
 """
 
 from __future__ import annotations
@@ -108,7 +109,11 @@ def ordered_eigensystem(h: np.ndarray) -> OrderedEigensystem:
     entry of X is real and positive.  In the perturbative regime X is then
     close to the identity.
     """
-    mat = _as_matrix(h)
+    return _ordered_eigensystem(_as_matrix(h))
+
+
+def _ordered_eigensystem(mat: np.ndarray) -> OrderedEigensystem:
+    """``ordered_eigensystem`` of a matrix ``_as_matrix`` has already validated."""
     w, v = np.linalg.eigh(mat)
     perm = _greedy_assignment(np.abs(v) ** 2)
     v = v[:, perm]
@@ -132,8 +137,17 @@ def _nuclear_norm(mat: np.ndarray) -> float:
 
 
 def _swap_ascent(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """x with rows swapped across blocks while a swap raises sum_b ||X_bb||_*."""
+    """x with rows swapped across blocks while a swap raises sum_b ||X_bb||_*.
+
+    Row i of block a is tried against every later row j of the blocks after
+    a, in order, and the first swap that gains more than SWAP_GAIN_FLOOR is
+    taken; sweeps repeat until none does.  The swaps of row i with the rows
+    of one partner block b are scored together: one stacked SVD of the
+    trial blocks a and one of the trial blocks b.  After a taken swap the
+    rest of block b is scored again from the new x.
+    """
     x = x.copy()
+    d = x.shape[0]
     ends = np.cumsum(blocks.sizes)
     spans = [slice(end - size, end) for size, end in zip(blocks.sizes, ends)]
     label = np.repeat(np.arange(len(spans)), blocks.sizes)
@@ -141,17 +155,31 @@ def _swap_ascent(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     improved = True
     while improved:
         improved = False
-        for i in range(x.shape[0]):
+        for i in range(d):
             a = label[i]
-            for j in range(ends[a], x.shape[0]):
+            sa = spans[a]
+            j = int(ends[a])
+            while j < d:
                 b = label[j]
-                x[[i, j]] = x[[j, i]]
-                trial = [_nuclear_norm(x[spans[c], spans[c]]) for c in (a, b)]
-                if sum(trial) > norms[a] + norms[b] + SWAP_GAIN_FLOOR:
-                    norms[a], norms[b] = trial
-                    improved = True
-                else:
+                sb = spans[b]
+                rows = np.arange(j, sb.stop)
+                # block a with row i replaced by row j, block b with row j by row i
+                trial_a = np.repeat(x[None, sa, sa], rows.size, axis=0)
+                trial_a[:, i - sa.start] = x[rows, sa]
+                trial_b = np.repeat(x[None, sb, sb], rows.size, axis=0)
+                trial_b[np.arange(rows.size), rows - sb.start] = x[i, sb]
+                norm_a = np.linalg.svd(trial_a, compute_uv=False).sum(axis=1)
+                norm_b = np.linalg.svd(trial_b, compute_uv=False).sum(axis=1)
+                gains = np.flatnonzero(norm_a + norm_b > norms[a] + norms[b] + SWAP_GAIN_FLOOR)
+                if gains.size:
+                    k = gains[0]
+                    j = int(rows[k])
                     x[[i, j]] = x[[j, i]]
+                    norms[a], norms[b] = float(norm_a[k]), float(norm_b[k])
+                    improved = True
+                    j += 1
+                else:
+                    j = sb.stop
     return x
 
 
@@ -177,6 +205,8 @@ def exact_block_diagonalize(
     optimal (see the module docstring), else the local maximum that pairwise
     cross-block swaps reach from it.  Raises IllConditionedBlocks if
     B(X^dag) B(X) of that assignment has an eigenvalue below CONDITION_FLOOR.
+    The matrix is validated once, here: the eigensystem is taken of the
+    validated copy without a second check.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(tuple(blocks))
@@ -184,7 +214,7 @@ def exact_block_diagonalize(
     if blocks.dim != mat.shape[0]:
         raise ValueError("block sizes must sum to the matrix dimension")
     keep = blocks.in_block()
-    x = ordered_eigensystem(mat).X
+    x = _ordered_eigensystem(mat).X
     if not _certified_optimal(x, keep):
         x = _swap_ascent(x, blocks)
     bx = np.where(keep, x, 0.0)
@@ -233,7 +263,9 @@ def convergence_scan(
     the largest requested order; each row compares the collapsed partial sum
     against the exact block diagonalization of the collapsed input.  Per
     lambda, one running partial sum and one batched spectral norm give every
-    order's eta, bit for bit ``spectral_distance`` of ``partial_sum_matrix``.
+    order's eta, bit for bit ``spectral_distance`` of ``partial_sum_matrix``;
+    the differences h_exact - partial_n are written into one stack allocated
+    once per scan.
     """
     orders = sorted(set(int(n) for n in orders))
     if not orders or orders[0] < 0:
@@ -245,7 +277,7 @@ def convergence_scan(
         if not isinstance(blocks, BlockStructure):
             blocks = BlockStructure(tuple(blocks))
         # the scan reads only the corrections: no generator is computed
-        corrections = _la_orders(h, blocks, top, hbar=hbar)[2]
+        corrections = _la_orders(h, blocks, top, hbar=hbar)[1]
         oracle_blocks = blocks
     elif method == "fd":
         corrections = {n: None if corr.is_zero else corr.term(n, 0)
@@ -254,17 +286,21 @@ def convergence_scan(
     else:
         raise ValueError(f"unknown scan method {method!r}")
     rows: list[tuple[int, float, float]] = []
+    # h_exact, then h_exact - partial_n for each requested order n
+    diffs = np.empty((len(orders) + 1, h.dim, h.dim), dtype=complex)
     for lam in lambdas:
         _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
         # partial_sum_matrix's sums in its own sequence, one order at a time
         partial = np.zeros_like(h_exact)
-        diffs = [h_exact]
+        diffs[0] = h_exact
+        row = 1
         for n, mat in corrections.items():
             if mat is not None:
                 partial += (lam ** n) * mat
             if n in orders:
-                diffs.append(h_exact - partial)
-        norms = np.linalg.norm(np.stack(diffs), 2, axis=(1, 2))
+                np.subtract(h_exact, partial, out=diffs[row])
+                row += 1
+        norms = np.linalg.norm(diffs, 2, axis=(1, 2))
         if norms[0] == 0:
             raise ValueError("reference matrix has zero spectral norm")
         rows += [(n, float(lam), float(norm / norms[0])) for n, norm in zip(orders, norms[1:])]

@@ -573,6 +573,74 @@ def test_rotate_malformed_operator_exit_code(two_level_problem, tmp_path, operat
     assert not out.exists()
 
 
+def _with_entry(matrix, value):
+    """A JSON matrix of [re, im] pairs with the real part of entry (0, 0) replaced."""
+    out = json.loads(json.dumps(matrix))
+    out[0][0][0] = value
+    return out
+
+
+@pytest.mark.parametrize("value", ["0", True, False, None, {"re": 0}],
+                         ids=["numeric-string", "true", "false", "null", "object"])
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_matrix_entry_that_is_not_a_number_exit_code(two_level_problem, tmp_path, capsys,
+                                                      document, value):
+    # a float conversion read "0" and false as 0.0 and true as 1.0, so the
+    # run went on (exit 0, or 4 once true made the levels degenerate)
+    out = tmp_path / "x.json"
+    if document == "problem":
+        doc = json.loads(two_level_problem.read_text())
+        doc["terms"][0]["matrix"] = _with_entry(doc["terms"][0]["matrix"], value)
+        write_json(two_level_problem, doc)
+        argv = ["transform", str(two_level_problem)]
+    else:
+        result = tmp_path / "result.json"
+        assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+        op = {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]}
+        if document == "operator":
+            op["terms"][0]["matrix"] = _with_entry(op["terms"][0]["matrix"], value)
+        else:
+            doc = json.loads(result.read_text())
+            doc["generator"]["1"]["1,0"] = _with_entry(doc["generator"]["1"]["1,0"], value)
+            write_json(result, doc)
+        op_path = tmp_path / "op.json"
+        write_json(op_path, op)
+        argv = ["rotate", str(two_level_problem), str(result), str(op_path), "--order", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "matrix entry must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[0, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[0, 0, 0], [0]], [[0, 0], [1, 0]]],
+    [[[0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+    [[[0, 0], [0, 0]], "ab"],
+    [[[0, 0], 5], [[0, 0], [1, 0]]],
+    [[["0", 0], [0, 0]], [[0, 0], [1, 0]]],
+], ids=["pair-of-three", "three-and-one", "long-row", "string-row", "number-pair", "string-part"])
+def test_matrix_that_is_not_a_grid_of_pairs_exit_code(two_level_problem, tmp_path, matrix):
+    # a pair of three and one of one hold four parts together, as two pairs do
+    doc = json.loads(two_level_problem.read_text())
+    doc["terms"][0]["matrix"] = matrix
+    write_json(two_level_problem, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_matrix_from_json_keeps_the_float_conversion_and_its_zero_signs():
+    # the float conversion's arithmetic, zero signs included: -0.0 + 1j * 0.0 is +0.0
+    for matrix in ([[[-0.0, 0], [0.5, -0.0]], [[0, -0.0], [-1, 2]]],
+                   [[[-0.0, -0.0], [2 ** 53 + 1, 1e-300]], [[-0.0, 0.0], [5e-324, -7]]]):
+        arr = np.asarray(matrix, dtype=float)
+        want = arr[..., 0] + 1j * arr[..., 1]
+        got = matrix_from_json(matrix, 2)
+        np.testing.assert_array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
 def test_oracle_on_block_diagonal_input(tmp_path):
     doc = {
         "dim": 2,

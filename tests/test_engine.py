@@ -83,6 +83,13 @@ def test_solve_driven_target_requires_omega_d():
         solve_generator_order(target, frame, mask, omega_d=None)
 
 
+def test_solve_target_of_two_orders_is_rejected():
+    frame = EigenFrame.from_energies(np.array([0.0, 1.0]))
+    target = GradedOperator(2, {(1, 0): 0.1 * sigma_x(), (2, 0): 0.2 * sigma_x()})
+    with pytest.raises(ValueError, match="single order"):
+        solve_generator_order(target, frame, Mask.full_off_diagonal(2))
+
+
 def test_solve_degenerate_masked_zero_target_is_fine():
     # degenerate pair is masked but carries no coupling: S entry stays 0
     frame = EigenFrame.from_energies(np.array([0.0, 0.0, 1.0]))

@@ -373,6 +373,47 @@ def test_two_block_la_accepts_degenerate_levels_inside_a_block():
     assert spectral_distance(exact, partial) < 1e-8
 
 
+def _degenerate_cross_block_pair(coupled: bool) -> GradedOperator:
+    # levels 1 and 2 are degenerate and sit in different blocks of (2, 2);
+    # order 1 couples only (0, 3), order 2 couples (1, 2) when asked
+    v1 = np.zeros((4, 4), dtype=complex)
+    v1[0, 3] = v1[3, 0] = 0.1
+    terms = {(0, 0): np.diag([0.0, 1.0, 1.0, 3.0]), (1, 0): v1}
+    if coupled:
+        v2 = np.zeros((4, 4), dtype=complex)
+        v2[1, 2] = v2[2, 1] = 0.05
+        terms[(2, 0)] = v2
+    return GradedOperator(4, terms)
+
+
+def test_la_reports_a_resonant_cross_block_pair_as_fd_and_swt_do():
+    # one elimination table judges every routine's denominators
+    h = _degenerate_cross_block_pair(coupled=True)
+    mask = Mask.block_off_diagonal([2, 2])
+    runs = {
+        "la": lambda: run_la(h, [2, 2], max_order=3),
+        "fd": lambda: run_fd(h, max_order=3),
+        "swt": lambda: run_swt(mask.complement_project(h), mask.project(h), [2, 2], max_order=3),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ResonantDenominator) as err:
+            run()
+        got = err.value
+        assert (got.i, got.j, got.harmonic, got.order, got.denominator) == (1, 2, 0, 2, 0.0), name
+
+
+def test_la_solves_when_the_resonant_pair_carries_no_target():
+    # the degenerate cross-block pair is never coupled, so its target stays
+    # exactly zero and is never divided by
+    h = _degenerate_cross_block_pair(coupled=False)
+    la = run_la(h, [2, 2], max_order=6)
+    swt_mask = Mask.block_off_diagonal([2, 2])
+    swt = run_swt(swt_mask.complement_project(h), swt_mask.project(h), [2, 2], max_order=6)
+    for n in range(1, 7):
+        assert (la.corrections[n] - swt.corrections[n]).max_abs() <= 1e-15, n
+        assert not la.generator[n].term(n, 0)[[1, 2], [2, 1]].any(), n
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     sizes=st.sampled_from([(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2),

@@ -7,14 +7,18 @@ from pertkit.engine import run_fd
 from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
 from pertkit.least_action import BlockStructure, run_la
+from pertkit.models import TransmonParams, build_transmon_resonator
 from pertkit.oracle import (
+    SWAP_GAIN_FLOOR,
     convergence_scan,
     evaluate_at,
     exact_block_diagonalize,
     ordered_eigensystem,
     partial_sum_matrix,
     spectral_distance,
+    _certified_optimal,
     _inverse_sqrt_psd,
+    _swap_ascent,
 )
 
 RNG = np.random.default_rng(63)
@@ -240,6 +244,65 @@ def test_assignment_is_the_least_action_one_against_brute_force():
             uncertified += 1
             climbed += value > _block_objective(vecs, labels, greedy) + 1e-9
     assert certified > 30 and uncertified > 30 and climbed > 3, (certified, uncertified, climbed)
+
+
+def swap_ascent_loop(x, blocks):
+    """The ascent as a double loop with two SVDs per trial swap: the reference."""
+    def nuclear_norm(mat):
+        return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+    x = x.copy()
+    ends = np.cumsum(blocks.sizes)
+    spans = [slice(end - size, end) for size, end in zip(blocks.sizes, ends)]
+    label = np.repeat(np.arange(len(spans)), blocks.sizes)
+    norms = [nuclear_norm(x[s, s]) for s in spans]
+    improved = True
+    while improved:
+        improved = False
+        for i in range(x.shape[0]):
+            a = label[i]
+            for j in range(ends[a], x.shape[0]):
+                b = label[j]
+                x[[i, j]] = x[[j, i]]
+                trial = [nuclear_norm(x[spans[c], spans[c]]) for c in (a, b)]
+                if sum(trial) > norms[a] + norms[b] + SWAP_GAIN_FLOOR:
+                    norms[a], norms[b] = trial
+                    improved = True
+                else:
+                    x[[i, j]] = x[[j, i]]
+    return x
+
+
+def uncertified_frames():
+    """(X, blocks) pairs whose greedy assignment the certificate does not prove optimal."""
+    for g in (0.5, 1.5):
+        p = TransmonParams(omega_t=5.0, omega_r=7.0, alpha=-0.3, g=g)
+        with pytest.warns(UserWarning):  # the coupling is far from dispersive
+            h = build_transmon_resonator(p)
+        yield ordered_eigensystem(evaluate_at(h, 1.0)).X, BlockStructure((p.n_r_max,) * p.n_t_max)
+    rng = np.random.default_rng(99)
+    while True:
+        d = int(rng.integers(4, 13))
+        cuts = np.sort(rng.choice(np.arange(1, d), int(rng.integers(1, min(5, d))), replace=False))
+        blocks = BlockStructure(tuple(int(n) for n in np.diff(np.r_[0, cuts, d])))
+        h = np.diag(np.sort(rng.uniform(0, d, size=d))) + rng.uniform(0.5, 3.0) * random_hermitian(d, rng)
+        x = ordered_eigensystem(h).X
+        if not _certified_optimal(x, blocks.in_block()):
+            yield x, blocks
+
+
+def test_swap_ascent_takes_the_swaps_of_the_loop():
+    # batching a row's candidate swaps per partner block scores each trial
+    # with the same SVD and keeps the first improving swap, so the final
+    # assignment is the loop's, bit for bit
+    frames = uncertified_frames()
+    moved = 0
+    for _ in range(42):
+        x, blocks = next(frames)
+        want = swap_ascent_loop(x, blocks)
+        np.testing.assert_array_equal(_swap_ascent(x, blocks), want)
+        moved += not np.array_equal(want, x)
+    assert moved >= 15, moved
 
 
 # ---------------------------------------------------------------------------
