@@ -18,13 +18,7 @@ import os
 import sys
 
 from . import io
-from .engine import (
-    Mask,
-    rotate_operator,
-    run_ace,
-    run_fd,
-    run_swt,
-)
+from .engine import _transform, rotate_operator
 from .errors import IllConditionedBlocks, PertError, ResonantDenominator
 from .experiments import EnsembleSpec, ace_demo, eta_rows_to_csv, run_fig3_experiment
 from .least_action import BlockStructure, run_la
@@ -50,23 +44,11 @@ MAX_MESSAGE = 500
 
 
 def _run_problem(spec: io.ProblemSpec, res_tol):
-    h = spec.to_graded()
-    if spec.method in ("swt", "la") and spec.block_sizes is None:
-        raise io.ProblemFormatError(f"the {spec.method} method requires block_sizes")
-    if spec.method == "swt":
-        # the off-block content of the terms is the perturbation to eliminate;
-        # relabeling in-block content as part of H leaves the result unchanged
-        mask = Mask.block_off_diagonal(spec.block_sizes)
-        h_blocks = mask.complement_project(h)
-        v = mask.project(h)
-        return run_swt(h_blocks, v, spec.block_sizes, spec.max_order,
-                       hbar=spec.hbar, res_tol=res_tol)
-    if spec.method == "fd":
-        return run_fd(h, spec.max_order, hbar=spec.hbar, res_tol=res_tol)
-    if spec.method == "ace":
-        return run_ace(h, spec.build_mask(), spec.max_order, hbar=spec.hbar, res_tol=res_tol)
-    return run_la(h, BlockStructure(spec.block_sizes), spec.max_order,
-                  hbar=spec.hbar, res_tol=res_tol)
+    """The document's whole Hamiltonian through its method's one routine."""
+    h, structure = spec.to_graded(), spec.structure()
+    if spec.method == "la":
+        return run_la(h, structure, spec.max_order, hbar=spec.hbar, res_tol=res_tol)
+    return _transform(spec.method, h, structure, spec.max_order, spec.hbar, res_tol)
 
 
 def cmd_transform(args) -> int:

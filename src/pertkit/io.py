@@ -39,6 +39,7 @@ import numpy as np
 from .engine import DEFAULT_RES_TOL, Mask, TransformResult
 from .errors import PertError
 from .graded import GradedOperator, ZERO_RTOL
+from .least_action import BlockStructure
 
 METHODS = ("swt", "fd", "ace", "la")
 PROBLEM_KEYS = ("dim", "hbar", "omega_d", "method", "max_order", "terms", "block_sizes",
@@ -135,8 +136,10 @@ def matrix_from_json(data, dim: int) -> np.ndarray:
     if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
         bad = next(v for v in chain(*parts) if type(v) not in (int, float))
         raise ProblemFormatError(f"a matrix entry must be a number, got {bad!r}")
-    arr = np.array(parts, dtype=float).reshape(2, dim, dim)
-    return arr[0] + 1j * arr[1]
+    out = np.empty((dim, dim), dtype=complex)
+    # assigned, not summed: re + 1j * im would turn a -0.0 part into +0.0
+    out.real, out.imag = np.array(parts, dtype=float).reshape(2, dim, dim)
+    return out
 
 
 def problem_hash(raw: bytes) -> str:
@@ -254,7 +257,7 @@ def _terms_from_json(entries, dim: int) -> dict[tuple[int, int], np.ndarray]:
 
 def _mask_spec_from_json(spec, dim: int):
     """The ace mask spec as a Mask constructor and its converted arguments;
-    ``build_mask`` calls it, so its rule checks raise ValueError, not parse errors."""
+    ``ProblemSpec.structure`` calls it, so its rule checks raise ValueError, not parse errors."""
     if spec is None:
         return None
     if isinstance(spec, dict) and "block_sizes" in spec:
@@ -307,11 +310,25 @@ class ProblemSpec:
     def to_graded(self) -> GradedOperator:
         return GradedOperator(self.dim, self.terms, omega_d=self.omega_d)
 
-    def build_mask(self) -> Mask:
-        if self.mask_spec is None:
-            raise ProblemFormatError(f"method {self.method!r} requires a mask")
-        build, args = self.mask_spec
-        return build(*args)
+    def structure(self) -> Mask | BlockStructure:
+        """What the document's method eliminates, in the form its routine takes.
+
+        fd: every off-diagonal entry; ace: the document's mask; swt: every
+        entry between two ``block_sizes`` blocks; la: those blocks.  A method
+        whose structure the document lacks raises ProblemFormatError.
+        """
+        if self.method == "fd":
+            return Mask.full_off_diagonal(self.dim)
+        if self.method == "ace":
+            if self.mask_spec is None:
+                raise ProblemFormatError("the ace method requires a mask")
+            build, args = self.mask_spec
+            return build(*args)
+        if self.block_sizes is None:
+            raise ProblemFormatError(f"the {self.method} method requires block_sizes")
+        if self.method == "la":
+            return BlockStructure(self.block_sizes)
+        return Mask.block_off_diagonal(self.block_sizes)
 
     def resolved_tolerance(self, override=None) -> float:
         """The resonance tolerance: ``override``, else the document's, else the default."""

@@ -227,6 +227,109 @@ def test_non_hermitian_input_exit_code(tmp_path):
     assert not out.exists()
 
 
+def one_error_line(capsys) -> str:
+    """stderr of a failed command: one ``error:`` line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def two_level_doc(method, block_sizes=(1, 1)):
+    """A two-level problem of ``method``, with the structure that method reads."""
+    doc = {
+        "dim": 2,
+        "method": method,
+        "max_order": 2,
+        "terms": [
+            {"order": 0, "matrix": mat_json(np.diag([0.0, 1.0]))},
+            {"order": 1, "matrix": mat_json(0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))},
+        ],
+    }
+    if method in ("swt", "la"):
+        doc["block_sizes"] = list(block_sizes)
+    if method == "ace":
+        doc["mask"] = {"block_sizes": list(block_sizes)}
+    return doc
+
+
+def _driven_order_0(doc):
+    doc["omega_d"] = 0.5
+    coupling = mat_json(0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    doc["terms"] += [{"order": 0, "harmonic": k, "matrix": coupling} for k in (1, -1)]
+
+
+#: (failure, methods that meet it at the shared boundary, edit, message)
+SHARED_FAILURES = [
+    ("blocks-too-large", ("swt", "ace", "la"), None,
+     "the mask covers 3 levels, the operator 2"),
+    ("non-hermitian", ("swt", "fd", "ace", "la"),
+     lambda doc: doc["terms"][1].update(matrix=mat_json([[0.0, 0.1], [0.3, 0.0]])),
+     "the Hamiltonian is not hermitian-graded"),
+    ("order-0-off-diagonal", ("swt", "fd", "ace", "la"),
+     lambda doc: doc["terms"][0].update(matrix=mat_json([[0.0, 0.3], [0.3, 1.0]])),
+     "the order-0 part must be supplied diagonal"),
+    ("driven-order-0", ("swt", "fd", "ace"), _driven_order_0,
+     "the unperturbed part must be static"),
+]
+
+
+@pytest.mark.parametrize("method, edit, message", [
+    (method, edit, message) for _, methods, edit, message in SHARED_FAILURES for method in methods
+], ids=[f"{method}-{name}" for name, methods, _, _ in SHARED_FAILURES for method in methods])
+def test_every_method_fails_with_the_shared_boundary_message(tmp_path, capsys, method, edit,
+                                                             message):
+    # swt split H into in-block and off-block parts before the shared checks:
+    # blocks too large ended in numpy's broadcast error, and the others blamed
+    # "the perturbation", a name the document never uses
+    doc = two_level_doc(method, block_sizes=(2, 1) if edit is None else (1, 1))
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "problem.json"
+    write_json(path, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert one_error_line(capsys).startswith(f"error: {message}")
+
+
+def _without(key):
+    return lambda doc: doc.pop(key)
+
+
+def _terms(*orders):
+    def edit(doc):
+        doc["terms"] = [{"order": n, "matrix": mat_json(np.diag([0.0, 1.0]))} for n in orders]
+    return edit
+
+
+@pytest.mark.parametrize("method, edit, flags, code, message", [
+    ("swt", _without("block_sizes"), [], 2, "the swt method requires block_sizes"),
+    ("la", _without("block_sizes"), [], 2, "the la method requires block_sizes"),
+    ("ace", _without("mask"), [], 2, "the ace method requires a mask"),
+    ("ace", lambda doc: doc.update(mask="checkerboard"), [], 2, "malformed problem document"),
+    ("fd", lambda doc: doc.update(method="sw"), [], 2, "unknown method 'sw'"),
+    ("fd", _terms(), [], 2, "terms must be a nonempty list"),
+    ("fd", _terms(1), [], 3, "an order-0 term is required"),
+    ("fd", _terms(0, -1), [], 3, "perturbative order must be >= 0"),
+    ("fd", None, ["--max-order", "-1"], 3, "max_order must be >= 0"),
+    ("la", lambda doc: doc.update(block_sizes=[0, 2]), [], 3, "block sizes must be positive"),
+    ("la", lambda doc: doc.update(block_sizes=[]), [], 3, "block sizes must be positive"),
+], ids=["swt-no-blocks", "la-no-blocks", "ace-no-mask", "string-mask", "unknown-method",
+        "empty-terms", "no-order-0", "negative-order", "negative-max-order", "la-zero-block",
+        "la-no-block"])
+def test_problem_boundary_exit_code(tmp_path, capsys, method, edit, flags, code, message):
+    doc = two_level_doc(method)
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "problem.json"
+    write_json(path, doc)
+    out = tmp_path / "o.json"
+    assert main(["transform", str(path), "--out", str(out)] + flags) == code
+    assert not out.exists()
+    assert message in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_offset_does_not_hide_non_hermitian_input(tmp_path, offset):
     # 1% non-hermitian couplings: the check judges each key on its own size
@@ -618,8 +721,11 @@ def test_matrix_entry_that_is_not_a_number_exit_code(two_level_problem, tmp_path
     [[[0, 0], [0, 0]], "ab"],
     [[[0, 0], 5], [[0, 0], [1, 0]]],
     [[["0", 0], [0, 0]], [[0, 0], [1, 0]]],
-], ids=["pair-of-three", "three-and-one", "long-row", "string-row", "number-pair", "string-part"])
-def test_matrix_that_is_not_a_grid_of_pairs_exit_code(two_level_problem, tmp_path, matrix):
+    [[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],
+], ids=["pair-of-three", "three-and-one", "long-row", "string-row", "number-pair", "string-part",
+        "pairs-of-three"])
+def test_matrix_that_is_not_a_grid_of_pairs_exit_code(two_level_problem, tmp_path, capsys,
+                                                      matrix):
     # a pair of three and one of one hold four parts together, as two pairs do
     doc = json.loads(two_level_problem.read_text())
     doc["terms"][0]["matrix"] = matrix
@@ -627,18 +733,19 @@ def test_matrix_that_is_not_a_grid_of_pairs_exit_code(two_level_problem, tmp_pat
     out = tmp_path / "o.json"
     assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
     assert not out.exists()
+    one_error_line(capsys)
 
 
-def test_matrix_from_json_keeps_the_float_conversion_and_its_zero_signs():
-    # the float conversion's arithmetic, zero signs included: -0.0 + 1j * 0.0 is +0.0
+def test_matrix_from_json_reads_each_part_with_its_zero_sign():
+    # re + 1j * im turned -0.0 parts into +0.0, so a written generator read
+    # back with other bits
     for matrix in ([[[-0.0, 0], [0.5, -0.0]], [[0, -0.0], [-1, 2]]],
                    [[[-0.0, -0.0], [2 ** 53 + 1, 1e-300]], [[-0.0, 0.0], [5e-324, -7]]]):
         arr = np.asarray(matrix, dtype=float)
-        want = arr[..., 0] + 1j * arr[..., 1]
-        got = matrix_from_json(matrix, 2)
-        np.testing.assert_array_equal(got, want)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+        got = matrix_from_json(json.loads(json.dumps(matrix)), 2)
+        for part, want in ((got.real, arr[..., 0]), (got.imag, arr[..., 1])):
+            np.testing.assert_array_equal(part, want)
+            assert np.array_equal(np.signbit(part), np.signbit(want))
 
 
 def test_oracle_on_block_diagonal_input(tmp_path):
@@ -672,6 +779,20 @@ def test_oracle_blocks_that_are_not_integers_exit_code(tmp_path, capsys, blocks)
     assert main(["oracle", str(path), "--blocks", blocks, "--out", str(out)]) == 2
     assert not out.exists()
     assert "malformed --blocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocks, code, message", [
+    (None, 2, "oracle needs --blocks or block_sizes"),
+    ("1,2", 3, "block sizes must sum to the matrix dimension"),
+], ids=["no-blocks", "blocks-too-large"])
+def test_oracle_without_usable_blocks_exit_code(tmp_path, capsys, blocks, code, message):
+    path = tmp_path / "problem.json"
+    write_json(path, two_level_doc("fd"))
+    out = tmp_path / "oracle.json"
+    flags = [] if blocks is None else ["--blocks", blocks]
+    assert main(["oracle", str(path), "--out", str(out)] + flags) == code
+    assert not out.exists()
+    assert message in one_error_line(capsys)
 
 
 def test_cli_commands_never_import_scipy(tmp_path):
@@ -732,9 +853,10 @@ def test_experiment_fig3_byte_identical(tmp_path):
     ({"kind": "fig3", "count": 3, "coupling": 0.0}, []),
     ({"kind": "fig3", "count": 3, "coupling": -0.05}, []),
     ({"kind": "fig3", "count": 2, "max_order": 0}, []),
+    ({"kind": "fig3", "count": 2, "max_order": 2, "blocks_min": 1}, []),
 ], ids=["zero-instances", "too-many-blocks", "nan-coupling", "inf-coupling",
-        "zero-coupling", "negative-coupling", "order-zero"])
-def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
+        "zero-coupling", "negative-coupling", "order-zero", "one-block"])
+def test_experiment_unsatisfiable_spec_exit_code(tmp_path, capsys, doc, extra):
     # an ensemble the spec cannot honour is a precondition failure, not a run
     # of some other ensemble (a NaN coupling used to exit 0 with an empty
     # table, every instance skipped as non-finite)
@@ -743,6 +865,30 @@ def test_experiment_unsatisfiable_spec_exit_code(tmp_path, doc, extra):
     out = tmp_path / "eta.csv"
     assert main(["experiment", str(spec_path), "--out", str(out)] + extra) == 3
     assert not out.exists()
+    one_error_line(capsys)
+
+
+def test_experiment_skips_an_instance_that_fails_a_precondition(tmp_path, capsys, monkeypatch):
+    from pertkit import experiments
+    from pertkit.errors import ResonantDenominator
+
+    rows_of = experiments._instance_rows
+
+    def resonant_at_1(spec, index, max_order):
+        if index == 1:
+            raise ResonantDenominator(0, 1, 0, 0.0, 2)
+        return rows_of(spec, index, max_order)
+
+    monkeypatch.setattr(experiments, "_instance_rows", resonant_at_1)
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, {"kind": "fig3", "count": 3, "max_order": 2})
+    out = tmp_path / "eta.csv"
+    assert main(["experiment", str(spec_path), "--out", str(out)]) == 0
+    instances = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert instances == ["0", "0", "2", "2"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("skipped instance 1: ResonantDenominator: ")
 
 
 @pytest.mark.parametrize("doc", [

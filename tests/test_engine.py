@@ -158,6 +158,12 @@ def test_swt_rejects_off_block_h():
         run_swt(h, zero_operator(2), [1, 1], max_order=2)
 
 
+def test_swt_rejects_operands_of_different_dimensions():
+    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0])})
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        run_swt(h, GradedOperator(3, {(1, 0): np.ones((3, 3))}), [1, 1], max_order=2)
+
+
 def test_swt_retains_in_block_v_content():
     h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0])})
     v = GradedOperator(2, {(1, 0): np.diag([0.3, -0.2]) + 0.1 * sigma_x()})

@@ -75,6 +75,16 @@ def test_add_rejects_dimension_mismatch():
         a + b
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: GradedOperator(0), ValueError, "dim must be a positive integer"),
+    (lambda: GradedOperator(2, {(1, 0): np.eye(3)}), ValueError, "shape"),
+    (lambda: GradedOperator(2, {(0, 0): np.eye(2)}) + 1, TypeError, "expected GradedOperator"),
+], ids=["no-levels", "wrong-shape-term", "add-a-number"])
+def test_malformed_operator_or_operand_raises(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_add_rejects_omega_mismatch():
     a = GradedOperator(2, {(1, 1): np.eye(2)}, omega_d=1.0)
     b = GradedOperator(2, {(1, 1): np.eye(2)}, omega_d=2.0)

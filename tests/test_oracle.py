@@ -129,7 +129,8 @@ def test_rejects_non_hermitian():
     1e-20 * np.array([[0.0, 1.0], [2.0, 0.0]]),
     np.array([[0.0, np.nan], [np.nan, 1.0]]),
     np.array([[0.0, np.inf], [np.inf, 1.0]]),
-], ids=["tiny-non-hermitian", "nan", "inf"])
+    np.ones((2, 3)),
+], ids=["tiny-non-hermitian", "nan", "inf", "non-square"])
 def test_rejects_non_hermitian_or_non_finite_at_any_scale(mat):
     # hermiticity is judged against the largest entry, with no absolute
     # floor: eigh would silently read one triangle of the tiny matrix, and a
@@ -394,6 +395,37 @@ def test_partial_sum_beyond_the_solved_order_is_rejected():
                                   evaluate_at(result.effective_hamiltonian(), 0.5))
     with pytest.raises(ValueError, match="exceeds solved order"):
         partial_sum_matrix(result, 5, 0.5)
+
+
+def driven_fd_result():
+    drive = 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 1): drive, (1, -1): drive},
+                       omega_d=0.3)
+    return run_fd(h, 1)
+
+
+def vanishing_at_one():
+    """H(lambda) = (1 - lambda) diag(1, 2), the zero matrix at lambda = 1."""
+    return GradedOperator(2, {(0, 0): np.diag([1.0, 2.0]), (1, 0): -np.diag([1.0, 2.0])})
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: spectral_distance(np.eye(2), np.eye(3)), "shape mismatch"),
+    (lambda: partial_sum_matrix(driven_fd_result(), 1, 0.5), "static results only"),
+    (lambda: convergence_scan(scan_instance()[0], "la", [1], [0.5]), "block structure"),
+    (lambda: convergence_scan(scan_instance()[0], "swt", [1], [0.5]), "unknown scan method"),
+    (lambda: convergence_scan(vanishing_at_one(), "fd", [1], [1.0]), "zero spectral norm"),
+], ids=["shape-mismatch", "driven-partial-sum", "la-scan-without-blocks",
+        "unknown-scan-method", "scan-zero-reference"])
+def test_oracle_rejects_unusable_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_scan_reads_blocks_given_as_a_list():
+    h, blocks = scan_instance()
+    assert (convergence_scan(h, "la", [1, 3], [0.5], list(blocks.sizes))
+            == convergence_scan(h, "la", [1, 3], [0.5], blocks))
 
 
 @pytest.mark.parametrize("orders", [[], [-1, 2]])

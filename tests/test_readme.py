@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pertkit.cli import build_parser
+from pertkit.cli import EXIT_CODES, EXIT_OK, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -81,3 +81,11 @@ def test_synopsis_names_every_long_option():
             for option in action.option_strings:
                 if option.startswith("--") and option != "--help":
                     assert option in words, (name, option)
+
+
+def test_exit_code_list_names_exactly_the_codes_main_returns():
+    start = README.index("Exit codes:")
+    paragraph = README[start:README.index("\n\n", start)]
+    # each code opens the list or follows a semicolon: "0 success; 2 parse error, ..."
+    named = [int(code) for code in re.findall(r"(?:Exit codes:|;)\s+(\d+)\s+[a-z]", paragraph)]
+    assert sorted(named) == sorted({EXIT_OK} | {code for _, code in EXIT_CODES})
