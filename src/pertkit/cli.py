@@ -42,6 +42,11 @@ EXIT_CODES = (
 #: Longest error message printed, in characters; a longer one is cut.
 MAX_MESSAGE = 500
 
+#: The keys an experiment spec of each kind admits.
+FIG3_KEYS = ("kind", "count", "dim_min", "dim_max", "blocks_min", "blocks_max", "coupling",
+             "seed", "max_order")
+ACE_KEYS = ("kind", "dim", "seed", "max_order", "coupling")
+
 
 def _run_problem(spec: io.ProblemSpec, res_tol):
     """The document's whole Hamiltonian through its method's one routine."""
@@ -92,8 +97,8 @@ def cmd_oracle(args) -> int:
             "problem_sha256": digest,
             "blocks": list(blocks),
             "lambda": args.lam,
-            "u_dagger": io.matrix_to_json(u_dagger),
-            "h_block": io.matrix_to_json(h_block),
+            "u_dagger": u_dagger,
+            "h_block": h_block,
         },
     )
     return EXIT_OK
@@ -111,12 +116,14 @@ def _experiment_call(args, doc: dict, raw: bytes):
     """The experiment a spec document asks for: its kind and converted arguments."""
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
+        io._reject_unknown(doc, FIG3_KEYS, "fig3 spec")
         spec = EnsembleSpec(**_given(
             doc, {"count": args.instances, "seed": args.seed}, count=io.as_int,
             dim_min=io.as_int, dim_max=io.as_int, blocks_min=io.as_int, blocks_max=io.as_int,
             coupling=io.as_float, seed=io.as_int))
         return kind, {"spec": spec, **_given(doc, {}, max_order=io.as_int)}
     if kind == "ace":
+        io._reject_unknown(doc, ACE_KEYS, "ace spec")
         params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,
                         max_order=io.as_int, coupling=io.as_float)
         if "dim" in params:
@@ -139,9 +146,9 @@ def cmd_experiment(args) -> int:
     io.write_document(
         args.out,
         {
-            "before": io.matrix_to_json(demo["before"]),
+            "before": demo["before"],
             "mask": [[bool(x) for x in row] for row in demo["mask"]],
-            "after": io.matrix_to_json(demo["after"]),
+            "after": demo["after"],
             "max_order": demo["max_order"],
             "seed": demo["seed"],
         },

@@ -57,9 +57,7 @@ def sample_instance(spec: EnsembleSpec, index: int) -> tuple[GradedOperator, Blo
     d = int(rng.integers(spec.dim_min, spec.dim_max + 1))
     max_blocks = min(spec.blocks_max, d // 2)
     n_blocks = int(rng.integers(spec.blocks_min, max_blocks + 1)) if max_blocks > spec.blocks_min else spec.blocks_min
-    sizes = np.full(n_blocks, 2)
-    for _ in range(d - 2 * n_blocks):
-        sizes[int(rng.integers(n_blocks))] += 1
+    sizes = 2 + np.bincount(rng.integers(n_blocks, size=d - 2 * n_blocks), minlength=n_blocks)
     blocks = BlockStructure(tuple(int(s) for s in sizes))
     return _random_bd(rng, blocks.cross_mask(), spec.coupling), blocks
 

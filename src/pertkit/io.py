@@ -18,9 +18,9 @@ CPython would otherwise start every 700 new containers, would only walk
 and promote the ~30,000 [re, im] lists of a d = 64 document.
 
 All output floats are rendered with 17 significant digits so identical
-inputs produce byte-identical documents.  Matrices travel as float arrays of
-[re, im] pairs and are rendered with one format call per matrix, which
-formats only the parts that are not +0.0.
+inputs produce byte-identical documents.  Matrices travel as complex arrays
+and are rendered as nested lists of [re, im] pairs, with one format call
+per matrix, which formats only the parts that are not +0.0.
 """
 
 from __future__ import annotations
@@ -68,12 +68,14 @@ def _format_float(x: float) -> str:
 _PAIR_TEMPLATES = np.array(["[0,0]", "[%.17g,0]", "[0,%.17g]", "[%.17g,%.17g]"], dtype=object)
 
 
-def _pairs_json(arr: np.ndarray) -> str:
-    """A (rows, cols, 2) float array as nested lists, one format call per matrix.
+def _pairs_json(mat: np.ndarray) -> str:
+    """A complex matrix as nested lists of [re, im] pairs, one format call per matrix.
 
-    Only live parts are formatted: a +0.0 part is written as the literal "0",
-    which is what ``%.17g`` gives for it; -0.0 is live, since it renders "-0".
+    The parts are read through a float view, not copied.  Only live parts
+    are formatted: a +0.0 part is written as the literal "0", which is what
+    ``%.17g`` gives for it; -0.0 is live, since it renders "-0".
     """
+    arr = np.ascontiguousarray(mat).view(np.float64).reshape(*mat.shape, 2)
     if not np.isfinite(arr).all():
         raise ValueError("cannot serialize non-finite float")
     live = (arr != 0) | np.signbit(arr)
@@ -85,11 +87,10 @@ def _pairs_json(arr: np.ndarray) -> str:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed 17-significant-digit floats.
 
-    A float array of shape (rows, cols, 2), as ``matrix_to_json`` returns,
-    renders exactly as the same nested lists of floats would.
+    A 2-D complex128 array renders exactly as the nested lists of its
+    [re, im] pairs would; any other array raises TypeError.
     """
-    if (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
-            and obj.ndim == 3 and obj.shape[2] == 2):
+    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 2:
         return _pairs_json(obj)
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
@@ -106,12 +107,6 @@ def canonical_json(obj: Any) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def matrix_to_json(mat: np.ndarray) -> np.ndarray:
-    """A complex matrix as a (rows, cols, 2) float array of [re, im] pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1)
 
 
 def matrix_from_json(data, dim: int) -> np.ndarray:
@@ -347,13 +342,8 @@ def load_problem(path: str) -> tuple[ProblemSpec, str]:
 
 
 def _series_to_json(series: dict[int, GradedOperator]) -> dict:
-    out: dict[str, dict] = {}
-    for order, op in series.items():
-        entry: dict[str, Any] = {}
-        for (j, k), mat in sorted(op.items()):
-            entry[f"{j},{k}"] = matrix_to_json(mat)
-        out[str(order)] = entry
-    return out
+    return {str(order): {f"{j},{k}": mat for (j, k), mat in op.items()}
+            for order, op in series.items()}
 
 
 def _canonical_int(text: str) -> int:
@@ -450,7 +440,7 @@ def operator_document(op: GradedOperator) -> dict:
         "dim": op.dim,
         "omega_d": op.omega_d,
         "terms": [
-            {"order": j, "harmonic": k, "matrix": matrix_to_json(mat)}
+            {"order": j, "harmonic": k, "matrix": mat}
             for (j, k), mat in sorted(op.items())
         ],
     }

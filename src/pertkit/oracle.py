@@ -118,10 +118,11 @@ def _ordered_eigensystem(mat: np.ndarray) -> OrderedEigensystem:
     perm = _greedy_assignment(np.abs(v) ** 2)
     v = v[:, perm]
     w = w[perm]
-    for i in range(mat.shape[0]):
-        pivot = v[i, i]
-        if abs(pivot) > 0:
-            v[:, i] *= np.conj(pivot) / abs(pivot)
+    # each factor from its scalar pivot: numpy's array complex division can
+    # differ in the last bit from its scalar division
+    pivots = v.diagonal()
+    live = np.abs(pivots) > 0
+    v[:, live] *= np.array([np.conj(p) / abs(p) for p in pivots[live]], dtype=complex)
     return OrderedEigensystem(X=v.conj().T, eigenvalues=w)
 
 

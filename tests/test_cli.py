@@ -913,6 +913,25 @@ def test_experiment_malformed_spec_exit_code(tmp_path, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, typo", [
+    ({"kind": "fig3", "count": 2, "dim_min": 6, "dim_max": 7, "blocks_min": 2, "blocks_max": 3,
+      "coupling": 0.05, "seed": 7, "max_order": 3}, "couplng"),
+    ({"kind": "ace", "dim": 6, "seed": 3, "max_order": 2, "coupling": 0.05}, "max_ordr"),
+], ids=["fig3", "ace"])
+def test_experiment_unknown_key_exit_code(tmp_path, capsys, doc, typo):
+    # a misspelt key is refused, not passed over in favour of its default
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "out"
+    write_json(spec_path, doc)
+    assert main(["experiment", str(spec_path), "--out", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    write_json(spec_path, {**doc, typo: 0.5})
+    assert main(["experiment", str(spec_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(typo) in one_error_line(capsys)
+
+
 def test_experiment_invalid_json_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(b"\xff{")

@@ -33,6 +33,19 @@ def test_sample_instance_deterministic():
         np.testing.assert_array_equal(h1.term(*key), h2.term(*key))
 
 
+@pytest.mark.parametrize("n_blocks", [2, 3, 4])
+def test_one_vector_draw_equals_one_scalar_draw_per_level(n_blocks):
+    # sample_instance draws its extra levels in one call; the fig3 ensemble
+    # stays the same only while that call consumes the generator as m
+    # scalar draws do and returns the same values
+    for seed in range(200):
+        for m in range(11):
+            vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = vector.integers(n_blocks, size=m)
+            assert drawn.tolist() == [int(scalar.integers(n_blocks)) for _ in range(m)]
+            assert vector.bit_generator.state == scalar.bit_generator.state
+
+
 def test_spec_rejects_more_blocks_than_its_smallest_dimension_holds():
     # d = 6 holds at most three blocks of two levels; a four-block minimum
     # used to draw d = 8 instances, outside the declared dimension range

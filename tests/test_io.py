@@ -13,7 +13,7 @@ from pertkit.engine import run_fd
 from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
 from pertkit.io import (
-    ProblemFormatError, canonical_json, load_operator, load_problem, load_result, matrix_to_json,
+    ProblemFormatError, canonical_json, load_operator, load_problem, load_result,
     operator_document, read_document, result_document, write_document,
 )
 from pertkit.models import TransmonParams, build_transmon_resonator
@@ -62,14 +62,14 @@ def awkward_matrix(d, seed):
 def test_matrix_rendering_matches_reference(d):
     for seed in range(5):
         mat = awkward_matrix(d, seed)
-        fast = canonical_json(matrix_to_json(mat))
+        fast = canonical_json(mat)
         assert fast == reference_canonical_json(reference_matrix_to_json(mat))
 
 
 def test_signed_zero_and_subnormal_render_as_before():
     mat = np.array([[complex(-0.0, 5e-324), complex(1e300, -1e-300)],
                     [complex(0.1, 1 / 3), complex(3.0, -0.0)]])
-    text = canonical_json(matrix_to_json(mat))
+    text = canonical_json(mat)
     assert text == reference_canonical_json(reference_matrix_to_json(mat))
     assert text.startswith("[[[-0,4.9406564584124654e-324],[1.0000000000000001e+300,")
     assert "[3,-0]" in text
@@ -85,7 +85,7 @@ def test_documents_match_reference():
 
     def as_lists(obj):
         if isinstance(obj, np.ndarray):
-            return obj.tolist()
+            return reference_matrix_to_json(obj)
         if isinstance(obj, dict):
             return {k: as_lists(v) for k, v in obj.items()}
         if isinstance(obj, list):
@@ -126,17 +126,14 @@ def zero_heavy_matrices():
 @pytest.mark.parametrize("name", sorted(zero_heavy_matrices()))
 def test_zero_heavy_matrix_rendering_matches_reference(name):
     mat = zero_heavy_matrices()[name]
-    assert canonical_json(matrix_to_json(mat)) == reference_canonical_json(
-        reference_matrix_to_json(mat))
+    assert canonical_json(mat) == reference_canonical_json(reference_matrix_to_json(mat))
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (5, 1), (1, 7), (3, 0), (0, 3)])
 def test_non_square_rendering_matches_reference(shape):
     rng = np.random.default_rng(sum(shape))
     mat = parts(rng.choice(AWKWARD, size=shape), rng.choice(AWKWARD, size=shape))
-    arr = matrix_to_json(mat)
-    assert arr.shape == shape + (2,)
-    assert canonical_json(arr) == reference_canonical_json(reference_matrix_to_json(mat))
+    assert canonical_json(mat) == reference_canonical_json(reference_matrix_to_json(mat))
 
 
 def test_sparse_d64_rendering_matches_reference():
@@ -144,8 +141,36 @@ def test_sparse_d64_rendering_matches_reference():
     mat = parts(rng.normal(size=(64, 64)), rng.choice(AWKWARD, size=(64, 64)))
     mat[rng.random((64, 64)) < 0.95] = 0.0
     mat[rng.random((64, 64)) < 0.01] = complex(-0.0, 0.0)
-    text = canonical_json({"m": matrix_to_json(mat)})
+    text = canonical_json({"m": mat})
     assert text == reference_canonical_json({"m": reference_matrix_to_json(mat)})
+
+
+def strided_views():
+    mat = awkward_matrix(5, 11)
+    mat[2, 2] = complex(-0.0, 0.25)  # in every view below
+    return {"transpose": mat.T, "adjoint": mat.conj().T, "column-slice": mat[:, ::2],
+            "row-slice": mat[::2], "negative-stride": mat[::-1, ::-1]}
+
+
+@pytest.mark.parametrize("name", sorted(strided_views()))
+def test_non_contiguous_matrix_renders_as_its_pairs(name):
+    view = strided_views()[name]
+    assert not view.flags.c_contiguous
+    text = canonical_json(view)
+    assert text == reference_canonical_json(reference_matrix_to_json(view))
+    assert "[-0,0.25]" in text or "[-0,-0.25]" in text
+
+
+@pytest.mark.parametrize("arr", [
+    np.zeros((2, 2, 2)),
+    np.eye(2),
+    np.zeros(3, dtype=complex),
+    np.zeros((1, 2, 2), dtype=complex),
+    np.zeros((2, 2), dtype=np.complex64),
+], ids=["stacked-pairs", "real-matrix", "complex-vector", "complex-3d", "complex64"])
+def test_other_arrays_are_not_serialized(arr):
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        canonical_json({"m": arr})
 
 
 def cli_documents(tmp_path):
@@ -210,7 +235,7 @@ def test_non_finite_matrix_raises(bad, part):
     else:
         mat[2, 0] = complex(0.0, bad)
     with pytest.raises(ValueError, match="non-finite"):
-        canonical_json({"m": matrix_to_json(mat)})
+        canonical_json({"m": mat})
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +243,8 @@ def test_non_finite_matrix_raises(bad, part):
 # ---------------------------------------------------------------------------
 
 
-def pair_rows(mat):
-    return matrix_to_json(mat).tolist()
-
-
-TWO_LEVEL = {"order": 0, "matrix": pair_rows(np.diag([0.0, 1.0]))}
-GENERATOR = pair_rows(0.1 * np.array([[0, -1], [1, 0]]))
+TWO_LEVEL = {"order": 0, "matrix": reference_matrix_to_json(np.diag([0.0, 1.0]))}
+GENERATOR = reference_matrix_to_json(0.1 * np.array([[0, -1], [1, 0]]))
 PROBLEM = {"dim": 2, "method": "fd", "max_order": 1, "terms": [TWO_LEVEL]}
 RESULT = {"problem_sha256": "0" * 64, "dim": 2, "max_order": 1, "omega_d": None,
           "generator": {"1": {"1,0": GENERATOR}}}
