@@ -312,9 +312,7 @@ def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
         raise ValueError("max_order must be >= 0")
     if not _finite_positive(hbar):
         raise PertError(f"hbar must be finite and positive, got {hbar}")
-    if any(k != 0 for k in h.harmonics()) and not (
-            h.omega_d is not None and _finite_positive(h.omega_d)):
-        raise PertError(f"omega_d must be finite and positive, got {h.omega_d}")
+    _require_drive((h,), h.omega_d)
     return EliminationTable(frame, mask, hbar, h.omega_d, res_tol)
 
 
@@ -322,14 +320,28 @@ def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
+def _require_drive(ops, omega_d: float | None) -> None:
+    """With a nonzero harmonic in any of ``ops``, ``omega_d`` must be finite and positive."""
+    if any(k != 0 for op in ops for k in op.harmonics()) and not (
+            omega_d is not None and _finite_positive(omega_d)):
+        raise PertError(f"omega_d must be finite and positive, got {omega_d}")
+
+
 def _require_hermitian_graded(op: GradedOperator, name: str) -> None:
     if not op.is_hermitian_graded():
         raise PertError(f"{name} is not hermitian-graded (M[j, k]^dag != M[j, -k])")
 
 
+def _inverse_factorial(m: int) -> float:
+    if m <= 170:  # m! is a finite double
+        return 1.0 / math.factorial(m)
+    # the exact quotient rounded once: subnormal up to m = 177, then 0.0
+    return 1 / math.factorial(m)
+
+
 def _inverse_factorials(top: int) -> np.ndarray:
     """1/m! for m = 0 .. top, the weight of nestedness m."""
-    return np.array([1.0 / math.factorial(m) for m in range(top + 1)])
+    return np.array([_inverse_factorial(m) for m in range(top + 1)])
 
 
 def _by_order(op: GradedOperator) -> dict[int, GradedSum]:
@@ -454,11 +466,14 @@ def rotate_operator(
     Returns exp(-S) O exp(S) truncated at total order ``up_to_order`` >= 0,
     with S = sum_n ``generator[n]`` (e.g. ``TransformResult.generator``),
     which must hold every order up to ``up_to_order``, each anti-hermitian-
-    graded, so that exp(S) is unitary.  The order-n term is
-    sum_m C_m^(n) / m! with C_0 = O.
+    graded, so that exp(S) is unitary, and no order below 1.  With a
+    nonzero harmonic, the drive frequency must be finite and positive.  The
+    order-n term is sum_m C_m^(n) / m! with C_0 = O.
     """
     if up_to_order < 0:
         raise ValueError(f"rotation order must be >= 0, got {up_to_order}")
+    if min(generator, default=1) < 1:
+        raise ValueError(f"a generator's orders start at 1, got order {min(generator)}")
     missing = [n for n in range(1, up_to_order + 1) if n not in generator]
     if missing:
         raise ValueError(
@@ -473,6 +488,7 @@ def rotate_operator(
         merged._check_compatible(s_n)  # dimension and drive frequency
         if merged.omega_d is None:
             merged = s_n
+    _require_drive((operator, *generator.values()), merged.omega_d)
     factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
     base = _by_order(operator)
     chains = NestedSeries(base, factors, up_to_order, commutator=True)

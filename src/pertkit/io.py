@@ -3,8 +3,9 @@
 Every input is a JSON object, each key given once, read by ``read_document``
 and converted inside ``converting``; a failure of either raises
 ProblemFormatError.  Every integer field goes through ``as_int`` and every
-real field through ``as_float``, and a problem document admits only
-``PROBLEM_KEYS`` and ``TOLERANCE_KEYS``.  Problems and operators share one
+real field through ``as_float``; a problem document admits only
+``PROBLEM_KEYS`` and ``TOLERANCE_KEYS``, an operator document only
+``OPERATOR_KEYS``.  Problems and operators share one
 ``terms`` list of {order, harmonic = 0, matrix} entries, each key at most
 once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
@@ -19,8 +20,16 @@ and promote the ~30,000 [re, im] lists of a d = 64 document.
 
 All output floats are rendered with 17 significant digits so identical
 inputs produce byte-identical documents.  Matrices travel as complex arrays
-and are rendered as nested lists of [re, im] pairs, with one format call
-per matrix, which formats only the parts that are not +0.0.
+and are rendered as nested lists of [re, im] pairs.  ``canonical_json``
+renders a whole document in one pass.  It walks the document once into a
+template with sorted keys, where a +0.0 matrix part is the literal "0" and
+every other part gets a placeholder after its sign; matrices of one shape
+are templated together.  The template is then filled by one ``%`` with the
+magnitudes' texts.  This keeps every byte, because for every finite double
+``'%.17g' % x == ('-' if signbit(x) else '') + '%.17g' % abs(x)``, -0.0
+included.  Corrections and generators are hermitian or anti-hermitian bit
+for bit, so about half their magnitudes repeat: each distinct magnitude is
+formatted once, unless most of a document's are distinct.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ METHODS = ("swt", "fd", "ace", "la")
 PROBLEM_KEYS = ("dim", "hbar", "omega_d", "method", "max_order", "terms", "block_sizes",
                 "mask", "tolerances")
 TOLERANCE_KEYS = ("resonance",)
+OPERATOR_KEYS = ("dim", "omega_d", "terms")
 
 T = TypeVar("T")
 
@@ -58,55 +68,141 @@ class ProblemFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError("cannot serialize non-finite float")
-    return f"{x:.17g}"
+def _pair_tokens(placeholder: str) -> np.ndarray:
+    """Each [re, im] pair with the separator after it, indexed by the state of
+    re + 3 * the state of im + 9 * (0 inside a row, 1 at a row's end, 2 at the
+    matrix's end).  A part's state is 0 for +0.0, written as the literal "0"
+    that ``%.17g`` gives for it, 1 for a positive part and 2 for a negative
+    one, -0.0 included; a live part's placeholder takes its magnitude."""
+    parts = ("0", placeholder, "-" + placeholder)
+    return np.array([f"[{re},{im}]{sep}" for sep in (",", "],[", "]]")
+                     for im in parts for re in parts], dtype=object)
 
 
-#: One template per [re, im] pair, indexed by (re is live) + 2 * (im is live).
-_PAIR_TEMPLATES = np.array(["[0,0]", "[%.17g,0]", "[0,%.17g]", "[%.17g,%.17g]"], dtype=object)
+_TOKENS = {placeholder: _pair_tokens(placeholder) for placeholder in ("%s", "%.17g")}
+
+#: Above this share of distinct magnitudes among a document's floats, each
+#: float is formatted directly: looking the texts up costs more than it saves.
+DISTINCT_SHARE = 0.75
 
 
-def _pairs_json(mat: np.ndarray) -> str:
-    """A complex matrix as nested lists of [re, im] pairs, one format call per matrix.
+def _literal(obj) -> str:
+    """JSON text that goes into a template as is, its every "%" escaped."""
+    return json.dumps(obj).replace("%", "%%")
 
-    The parts are read through a float view, not copied.  Only live parts
-    are formatted: a +0.0 part is written as the literal "0", which is what
-    ``%.17g`` gives for it; -0.0 is live, since it renders "-0".
+
+def _magnitude_texts(values: np.ndarray) -> tuple[str, tuple]:
+    """The placeholder for a document's live matrix parts and what fills them, in order.
+
+    Only magnitudes fill a template, since the sign is part of it: for every
+    finite double, ``%.17g`` of x is "-" if its sign bit is set (-0.0
+    included), followed by ``%.17g`` of |x|.  Each distinct magnitude is
+    formatted once, with one ``%.17g`` call for all of them, unless most
+    are distinct.  They are found by one argsort: ``np.unique`` costs twice
+    the time and, on its first call, up to 1.3 MB more resident memory.
     """
-    arr = np.ascontiguousarray(mat).view(np.float64).reshape(*mat.shape, 2)
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot serialize non-finite float")
-    live = (arr != 0) | np.signbit(arr)
-    pairs = _PAIR_TEMPLATES[live[..., 0] + 2 * live[..., 1]].tolist()
-    template = "[" + ",".join(["[" + row + "]" for row in map(",".join, pairs)]) + "]"
-    return template % tuple(arr[live].tolist())
+    magnitudes = np.abs(values)
+    order = np.argsort(magnitudes)
+    ranked = magnitudes[order]
+    first = np.ones(ranked.size, dtype=bool)  # each run of equal magnitudes starts anew
+    first[1:] = ranked[1:] != ranked[:-1]
+    distinct = ranked[first]
+    if distinct.size >= DISTINCT_SHARE * values.size:
+        return "%.17g", tuple(magnitudes.tolist())
+    which = np.empty(values.size, dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    texts = (",".join(["%.17g"] * distinct.size) % tuple(distinct.tolist())).split(",")
+    return "%s", tuple(np.array(texts, dtype=object)[which].tolist())
+
+
+class _Template:
+    """A document walked once into a template: its pieces of text, with a
+    slot for every nonempty matrix, set once the whole document is walked.
+    A scalar float is formatted where it stands; a document holds few.
+    (A method, not a closure, walks it: a recursive closure would be a
+    reference cycle holding the document's arrays.)"""
+
+    def __init__(self, obj: Any):
+        self.text: list = []  # the template's pieces; None at a slot
+        self.floats: list = []  # the live parts of each matrix, in document order
+        self.shapes: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = {}
+        self._walk(obj)
+
+    def _walk(self, obj) -> None:
+        text = self.text
+        if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 2:
+            if obj.size:
+                self.shapes.setdefault(obj.shape, []).append((len(text), len(self.floats), obj))
+                text.append(None)
+                self.floats.append(None)
+            else:
+                text.append("[" + ",".join(["[]"] * obj.shape[0]) + "]")
+        elif obj is None or obj is True or obj is False or isinstance(obj, str):
+            text.append(_literal(obj))
+        elif isinstance(obj, (int, np.integer)):
+            text.append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            if not math.isfinite(obj):
+                raise ValueError("cannot serialize non-finite float")
+            text.append("%.17g" % float(obj))  # digits, signs and "e": nothing to escape
+        elif isinstance(obj, dict):
+            text.append("{")
+            for i, (key, value) in enumerate(sorted(obj.items(), key=lambda kv: kv[0])):
+                text.append(("," if i else "") + _literal(str(key)) + ":")
+                self._walk(value)
+            text.append("}")
+        elif isinstance(obj, (list, tuple)):
+            text.append("[")
+            for i, value in enumerate(obj):
+                if i:
+                    text.append(",")
+                self._walk(value)
+            text.append("]")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    def _pair_states(self, group: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+        """The token index of every pair of a group of matrices of one shape.
+
+        The matrices are stacked into one copy and read through its float
+        view; each matrix's live parts, the ones not +0.0, fill its slot in
+        ``floats``.
+        """
+        rows, cols = group[0][2].shape
+        stacked = np.ascontiguousarray(np.stack([mat for _, _, mat in group]))
+        arr = stacked.view(np.float64).reshape(len(group), rows, cols, 2)
+        if not np.isfinite(arr).all():
+            raise ValueError("cannot serialize non-finite float")
+        state = np.where(np.signbit(arr), np.uint8(2), arr != 0)  # one byte: indices stay below 27
+        live = state.reshape(len(group), -1) != 0
+        ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
+        for (_, at_floats, _), parts in zip(group, np.split(arr.reshape(len(group), -1)[live], ends)):
+            self.floats[at_floats] = parts
+        where = np.zeros((rows, cols), dtype=np.uint8)
+        where[:, -1], where[-1, -1] = 9, 18
+        return (state[..., 0] + 3 * state[..., 1] + where).reshape(len(group), -1)
+
+    def render(self) -> str:
+        """The template's slots set, filled by one ``%``."""
+        text, floats = self.text, self.floats
+        states = [self._pair_states(group) for group in self.shapes.values()]
+        placeholder, fill = _magnitude_texts(np.concatenate(floats) if floats else np.empty(0))
+        for group, state in zip(self.shapes.values(), states):
+            for (at_text, _, _), tokens in zip(group, _TOKENS[placeholder][state].tolist()):
+                text[at_text] = "[[" + "".join(tokens)
+        return "".join(text) % fill
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed 17-significant-digit floats.
 
     A 2-D complex128 array renders exactly as the nested lists of its
-    [re, im] pairs would; any other array raises TypeError.
+    [re, im] pairs would; any other array raises TypeError.  The document
+    is walked once into a template with a placeholder for every live matrix
+    part; matrices of one shape are templated together, and the template is
+    filled by one ``%``.
     """
-    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 2:
-        return _pairs_json(obj)
-    if obj is None or obj is True or obj is False:
-        return json.dumps(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        body = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
-        return "{" + body + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _Template(obj).render()
 
 
 def matrix_from_json(data, dim: int) -> np.ndarray:
@@ -424,10 +520,17 @@ def _result_view(doc: dict, raw: bytes) -> ResultView:
 
 
 def load_operator(path: str, dim: int, omega_d: float | None) -> GradedOperator:
-    """An operator document's terms; its own ``omega_d``, if any, wins."""
+    """An operator document's terms; its own ``omega_d``, if any, wins.
+
+    The document admits only ``OPERATOR_KEYS``, and its ``dim``, if given,
+    must be ``dim``.
+    """
 
     def convert(doc: dict, raw: bytes) -> GradedOperator:
+        _reject_unknown(doc, OPERATOR_KEYS, "operator document")
         with converting("operator document"):
+            if "dim" in doc and as_int(doc["dim"]) != dim:
+                raise ValueError(f"dim {doc['dim']} does not match the result's {dim}")
             own_omega = None if doc.get("omega_d") is None else as_float(doc["omega_d"])
             terms = _terms_from_json(doc["terms"], dim)
         return GradedOperator(dim, terms, omega_d=own_omega if own_omega is not None else omega_d)

@@ -676,6 +676,73 @@ def test_rotate_malformed_operator_exit_code(two_level_problem, tmp_path, operat
     assert not out.exists()
 
 
+SIGMA_X = mat_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
+EYE_TERM = {"order": 0, "matrix": mat_json(np.eye(2))}
+
+
+@pytest.mark.parametrize("operator, code, message", [
+    ({"omega_d": -1, "terms": [{"order": 0, "harmonic": k, "matrix": SIGMA_X} for k in (1, -1)]},
+     3, "omega_d must be finite and positive, got -1.0"),
+    ({"bogus": True, "terms": [EYE_TERM]}, 2, "unknown operator document key 'bogus'"),
+    ({"dim": 7, "terms": [EYE_TERM]}, 2, "dim 7 does not match the result's 2"),
+], ids=["negative-omega-with-harmonics", "unknown-key", "dim-mismatch"])
+def test_rotate_operator_boundary_exit_code(two_level_problem, tmp_path, capsys, operator, code,
+                                            message):
+    # each of these used to rotate and exit 0
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    op_path = tmp_path / "op.json"
+    write_json(op_path, operator)
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main([
+        "rotate", str(two_level_problem), str(result), str(op_path),
+        "--order", "2", "--out", str(out),
+    ]) == code
+    assert message in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_rotated_operator_document_rotates_again(two_level_problem, tmp_path):
+    # what operator_document writes (dim, omega_d, terms) is an operator document
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    op_path, once, twice = tmp_path / "op.json", tmp_path / "once.json", tmp_path / "twice.json"
+    write_json(op_path, {"dim": 2, "omega_d": None, "terms": [EYE_TERM]})
+    for source, out in ((op_path, once), (once, twice)):
+        assert main(["rotate", str(two_level_problem), str(result), str(source),
+                     "--order", "2", "--out", str(out)]) == 0
+    assert set(json.loads(twice.read_text())) == {"dim", "omega_d", "terms"}
+
+
+def test_rotate_generator_at_order_0_exit_code(two_level_problem, tmp_path, capsys):
+    # it used to be dropped: the output matched the same document without it
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    doc = json.loads(result.read_text())
+    doc["generator"]["0"] = {"0,0": mat_json(0.3j * np.array([[0.0, 1.0], [1.0, 0.0]]))}
+    write_json(result, doc)
+    op_path = tmp_path / "op.json"
+    write_json(op_path, {"terms": [EYE_TERM]})
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main([
+        "rotate", str(two_level_problem), str(result), str(op_path),
+        "--order", "2", "--out", str(out),
+    ]) == 3
+    assert "a generator's orders start at 1, got order 0" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_transform_beyond_order_170(tmp_path):
+    # 1.0 / 171! overflowed: exit 1 with a traceback
+    problem, out = tmp_path / "fd.json", tmp_path / "out.json"
+    write_json(problem, two_level_doc("fd"))
+    assert main(["transform", str(problem), "--out", str(out), "--max-order", "171"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["max_order"] == 171 and sorted(map(int, doc["corrections"])) == list(range(172))
+
+
 def _with_entry(matrix, value):
     """A JSON matrix of [re, im] pairs with the real part of entry (0, 0) replaced."""
     out = json.loads(json.dumps(matrix))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pertkit.engine import (
     EigenFrame,
     Mask,
+    _inverse_factorials,
     rotate_operator,
     run_ace,
     run_fd,
@@ -347,6 +350,35 @@ def test_rotate_rejects_a_generator_that_is_not_anti_hermitian():
     rotate_operator(identity_operator(2), generator, up_to_order=1)  # order 2 unused
     with pytest.raises(PertError, match="order-2 generator is not anti-hermitian"):
         rotate_operator(identity_operator(2), generator, up_to_order=2)
+
+
+def test_rotate_rejects_a_generator_at_order_0():
+    # an order-0 generator used to be dropped without a word
+    h, v = two_level_inputs()
+    generator = dict(run_swt(h, v, [1, 1], max_order=2).generator)
+    generator[0] = GradedOperator(2, {(0, 0): 0.01j * sigma_x()})
+    with pytest.raises(ValueError, match="orders start at 1, got order 0"):
+        rotate_operator(identity_operator(2), generator, up_to_order=2)
+
+
+@pytest.mark.parametrize("omega_d", [-1.0, 0.0, float("nan")])
+def test_rotate_rejects_a_drive_without_a_usable_omega_d(omega_d):
+    h, v = two_level_inputs()
+    result = run_swt(h, v, [1, 1], max_order=2)
+    drive = GradedOperator(2, {(0, 1): sigma_x(), (0, -1): sigma_x()}, omega_d=omega_d)
+    with pytest.raises(PertError, match="omega_d must be finite and positive"):
+        rotate_operator(drive, result.generator, up_to_order=2)
+    static = GradedOperator(2, {(0, 0): sigma_x()}, omega_d=omega_d)
+    rotate_operator(static, result.generator, up_to_order=2)
+
+
+def test_weights_beyond_order_170_are_the_rounded_quotients():
+    # 1.0 / 171! overflowed converting 171! to a float
+    weights = _inverse_factorials(200)
+    assert [w.hex() for w in weights[:171].tolist()] == [
+        (1.0 / math.factorial(m)).hex() for m in range(171)]
+    assert weights[171:].tolist() == [1 / math.factorial(m) for m in range(171, 201)]
+    assert 0 < weights[177] < 1e-322 and not weights[178:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pertkit.cli as cli
 from pertkit.cli import main
@@ -47,6 +49,17 @@ def reference_matrix_to_json(mat):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
+def as_lists(obj):
+    """A document with every matrix as the nested lists of its [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        return reference_matrix_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
 AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1e-300, 0.1, 1 / 3, -2 / 3,
            1.0, -7.0, 2.0 ** 53, 123456789.0, 1e16, np.pi, -np.e, 2.5e-17]
 
@@ -82,18 +95,69 @@ def test_documents_match_reference():
     off -= np.diag(np.diag(off))
     h = GradedOperator(4, {(0, 0): np.diag([0.0, 1.0, 2.5, 4.0]), (1, 0): off})
     result = run_fd(h, max_order=4)
-
-    def as_lists(obj):
-        if isinstance(obj, np.ndarray):
-            return reference_matrix_to_json(obj)
-        if isinstance(obj, dict):
-            return {k: as_lists(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [as_lists(v) for v in obj]
-        return obj
-
     for doc in (result_document(result, "0" * 64), operator_document(h)):
         assert canonical_json(doc) == reference_canonical_json(as_lists(doc))
+
+
+#: Keys and strings that hold "%", "%s", "%%" and "%d", which a template must escape.
+PERCENT_TEXT = st.text(alphabet="%sd,a", max_size=4)
+#: Parts drawn from few magnitudes, so that they repeat across matrices and scalars.
+MAGNITUDE_POOLS = st.lists(st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False,
+                           allow_infinity=False)), min_size=1, max_size=6)
+
+
+@st.composite
+def renderable_documents(draw):
+    """Documents like the ones pertkit writes: hermitian, anti-hermitian and
+    generic complex matrices of several shapes, among scalars and strings."""
+    pool = draw(MAGNITUDE_POOLS)
+
+    def signed(shape):
+        values = draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        signs = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        return np.array([-v if neg else v for v, neg in zip(values, signs)]).reshape(shape)
+
+    def matrix():
+        kind = draw(st.sampled_from(["hermitian", "anti-hermitian", "generic"]))
+        if kind == "generic":
+            shape = draw(st.sampled_from([(1, 1), (2, 3), (3, 3), (4, 1), (0, 2), (2, 0)]))
+        else:
+            shape = (draw(st.integers(1, 4)),) * 2
+        mat = np.empty(shape, dtype=complex)
+        mat.real, mat.imag = signed(shape), signed(shape)
+        if kind != "generic":  # mirrored bit for bit, as the engine's outputs are
+            lower, diag = np.tril_indices(shape[0], -1), np.diag_indices(shape[0])
+            mat[lower] = (1 if kind == "hermitian" else -1) * mat.T[lower].conj()
+            (mat.imag if kind == "hermitian" else mat.real)[diag] = 0.0
+        return mat
+
+    def value(depth):
+        kind = draw(st.sampled_from(["matrix", "matrices", "floats", "float", "text", "int",
+                                     "constant"] + ["nested"] * (depth < 2)))
+        if kind == "matrix":
+            return matrix()
+        if kind == "matrices":
+            return [matrix() for _ in range(draw(st.integers(1, 3)))]
+        if kind == "floats":
+            return signed((draw(st.integers(0, 4)),)).tolist()
+        if kind == "float":
+            return float(signed((1,))[0])
+        if kind == "text":
+            return draw(PERCENT_TEXT)
+        if kind == "int":
+            return draw(st.integers())
+        if kind == "constant":
+            return draw(st.sampled_from([None, True, False]))
+        return {key: value(depth + 1) for key in draw(st.lists(PERCENT_TEXT, max_size=4))}
+
+    return {key: value(0) for key in draw(st.lists(PERCENT_TEXT, min_size=2, max_size=5))}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(renderable_documents())
+def test_rendered_documents_match_reference(doc):
+    assert canonical_json(doc) == reference_canonical_json(as_lists(doc))
 
 
 def parts(re, im):
