@@ -19,7 +19,8 @@ which solves [H0, S] - i*hbar*dS/dt = -T in the eigenbasis of the diagonal
 unperturbed part.  That closes the loop: the missing C_1^(n) term is -T_n,
 known without a product, so the order-n correction is K_n - T_n and -T_n
 joins C_1^(n) for the orders above.  H0 is never multiplied, so shifting
-it by c*1 changes no order >= 1 output.  Order n costs O(n^2) commutators,
+it by c*1 moves an order >= 1 output only by the round-off of the shifted
+differences E_j - E_i.  Order n costs O(n^2) commutators,
 so a run through order N costs O(N^3).
 
 Inside the loop the chains C_m^(n) live in a ``NestedSeries``, which forms

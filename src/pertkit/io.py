@@ -5,7 +5,8 @@ and converted inside ``converting``; a failure of either raises
 ProblemFormatError.  Every integer field goes through ``as_int`` and every
 real field through ``as_float``; a problem document admits only
 ``PROBLEM_KEYS`` and ``TOLERANCE_KEYS``, an operator document only
-``OPERATOR_KEYS``.  Problems and operators share one
+``OPERATOR_KEYS`` and a result document only ``RESULT_KEYS``, its
+generator holding the orders 1 .. max_order.  Problems and operators share one
 ``terms`` list of {order, harmonic = 0, matrix} entries, each key at most
 once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
@@ -55,6 +56,8 @@ PROBLEM_KEYS = ("dim", "hbar", "omega_d", "method", "max_order", "terms", "block
                 "mask", "tolerances")
 TOLERANCE_KEYS = ("resonance",)
 OPERATOR_KEYS = ("dim", "omega_d", "terms")
+RESULT_KEYS = ("problem_sha256", "method", "dim", "max_order", "hbar", "omega_d", "energies",
+               "corrections", "generator", "diagnostics")
 
 T = TypeVar("T")
 
@@ -502,16 +505,22 @@ def load_result(path: str) -> ResultView:
 
 
 def _result_view(doc: dict, raw: bytes) -> ResultView:
+    _reject_unknown(doc, RESULT_KEYS, "result document")
     with converting("result document"):
         dim = as_int(doc["dim"])
         omega_d = None if doc.get("omega_d") is None else as_float(doc["omega_d"])
-        return ResultView(
+        view = ResultView(
             problem_sha256=str(doc["problem_sha256"]),
             dim=dim,
             max_order=as_int(doc["max_order"]),
             omega_d=omega_d,
             generator=_series_from_json(doc["generator"], dim, omega_d),
         )
+        # an order below 1 converts, and rotate refuses it as a precondition
+        orders = sorted(n for n in view.generator if n >= 1)
+        if orders != list(range(1, view.max_order + 1)):
+            raise ValueError(f"the generator holds orders {orders}, not 1..{view.max_order}")
+    return view
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,20 @@ the direct rotation, i.e. Schrieffer-Wolff (Bravyi, DiVincenzo and Loss,
 Ann. Phys. 326, 2793, 2011).
 
 H0 is diagonal, so [H0, X] is the elementwise (E_i - E_j) X_ij: H0 is never
-multiplied, and a shift of H0 by c*1 changes no order >= 1 output.  Only
-cross-block energy differences are divided by, so levels degenerate inside
-a block are accepted.  The recursion, ``_la_orders``, runs on per-order
-matrices: each order's W, Y, R and U' is one d x d matrix or None, pruned by
-``graded._negligible`` (the rule of the graded containers) against the
-largest single product or summand that fed it.  Each sum over 0 < k < n is
-one stacked matmul whose operand scale is its largest product, so the
-recursion spends O(N^2) products through order N.  The generator is the
-logarithm
+multiplied, and a shift of H0 by c*1 moves an order >= 1 output only by the
+round-off of the shifted differences.  Only cross-block energy differences
+are divided by, so levels degenerate inside a block are accepted.  The
+recursion, ``_la_orders``, runs on per-order d x d matrices.  Order n's W,
+H U' and U'^dag Y sums read only lower orders: their products are one stacked
+matmul, each sum adds its slice in k order and one abs/reduce gives every
+product's largest entry, O(N^2) products through order N.  Only the three
+matrices that outlive an order are judged by ``graded._negligible`` (the
+graded containers' rule), each against the largest single product or summand
+that fed it: R^(n) - T_n and Y^(n), parts of the summands of R^(n), against
+[H0, W^(n)], H^(n) and the H U' and U'^dag Y products, and U'^(n) against
+V^(n) and W's products.  W, T, V and the partial Y and R are not pruned: a
+W^(n) that cancels (at odd n for two blocks coupled only across) enters as
+round-off.  The generator is the logarithm
 
     S = log(1 + U') = sum_m (-1)^m / (m + 1) P_m,
 
@@ -45,6 +50,7 @@ recomputes the denominators and the resonant entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from .graded import (
     GradedOperator,
     GradedSum,
     NestedSeries,
+    _amax,
     _max_abs,
     _negligible,
     freeze_series,
@@ -98,35 +105,6 @@ def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
     return blocks.cross_mask().complement_project(g)
 
 
-def _finished(n: int, mat: np.ndarray | None,
-              scale: float) -> tuple[np.ndarray | None, float]:
-    """An order-n matrix and its largest entry, or (None, 0.0) if ``_negligible`` drops it."""
-    if mat is None:
-        return None, 0.0
-    size = _max_abs(mat)
-    if _negligible(size, scale, (n, 0)):
-        return None, 0.0
-    return mat, size
-
-
-def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """a + b, where None is zero."""
-    if a is None:
-        return b
-    return a if b is None else a + b
-
-
-def _convolve(n: int, left: dict[int, np.ndarray],
-              right: dict[int, np.ndarray]) -> tuple[np.ndarray | None, float, int]:
-    """sum_{0<k<n} left[k] right[n-k] (None if no pair is present), its largest
-    product and the number of products, all formed by one stacked matmul."""
-    ks = [k for k in range(1, n) if k in left and n - k in right]
-    if not ks:
-        return None, 0.0, 0
-    prods = np.array([left[k] for k in ks]) @ np.array([right[n - k] for k in ks])
-    return prods.sum(axis=0), _max_abs(prods), len(ks)
-
-
 def _la_orders(
     h: GradedOperator,
     blocks: BlockStructure | list[int] | tuple[int, ...],
@@ -140,9 +118,8 @@ def _la_orders(
     ``_prepare`` and returns the run's elimination table (which holds the
     frame and the mask), the correction of every order 0 .. ``max_order``
     (None where it vanishes), the nonzero U'^(n) and the number of dense
-    products spent.  Each order's W, Y, R and U' is one matrix or None,
-    judged by ``_negligible`` against the largest single product or summand
-    that fed it.
+    products spent.  Each order forms its W, H U' and U'^dag Y products in
+    one stacked matmul and judges only the three matrices that outlive it.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
@@ -153,6 +130,7 @@ def _la_orders(
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = energies[:, None] - energies[None, :]
     h_mats = {j: mat for (j, _), mat in h.items()}
+    h_sizes = {j: _max_abs(mat) for j, mat in h_mats.items()}
     products = 0
     # the nonzero U'^(n), U'^(n)^dag and Y^(n)
     u: dict[int, np.ndarray] = {}
@@ -160,42 +138,50 @@ def _la_orders(
     y_mats: dict[int, np.ndarray] = {}
     corrections: dict[int, np.ndarray | None] = {0: h_mats[0]}
     for n in range(1, max_order + 1):
-        w, w_scale, count = _convolve(n, u_dag, u)
-        products += count
+        # every operand of the W, H U' and U'^dag Y sums lies below order n
+        groups = (
+            [(u_dag[k], u[n - k]) for k in range(1, n) if k in u and n - k in u],
+            [(h_mats[k], u[n - k]) for k in range(1, n) if k in h_mats and n - k in u],
+            [(u_dag[k], y_mats[n - k]) for k in range(1, n) if k in u and n - k in y_mats],
+        )
+        pairs = [pair for group in groups for pair in group]
+        products += len(pairs)
+        peaks: list[float] = []
+        if pairs:
+            prods = np.array([a for a, _ in pairs]) @ np.array([b for _, b in pairs])
+            peaks = _amax(np.abs(prods), axis=(1, 2)).tolist()
+        sums, scales, start = [], [], 0
+        for group in groups:
+            stop = start + len(group)
+            sums.append(np.add.reduce(prods[start:stop]) if group else None)
+            scales.append(max(peaks[start:stop], default=0.0))
+            start = stop
+        (w, hu, uy), (w_scale, hu_scale, uy_scale) = sums, scales
         if w is not None:
             w *= -0.5
-        w, w_size = _finished(n, w, 0.5 * w_scale)
-        y, y_scale = None, 0.0
-        if w is not None:
-            y = gaps * w
-            y_scale = _max_abs(y)
-        if n in h_mats:
-            y = _plus(y, h_mats[n])
-            y_scale = max(y_scale, _max_abs(h_mats[n]))
-        hu, hu_scale, count = _convolve(n, h_mats, u)
-        products += count
-        y, y_size = _finished(n, _plus(y, hu), max(y_scale, hu_scale))
-        uy, uy_scale, count = _convolve(n, u_dag, y_mats)
-        products += count
-        r_scale = max(y_size, uy_scale)
-        r, _ = _finished(n, _plus(y, uy), r_scale)
-        target = None if r is None else np.where(eliminate, r, 0.0)
-        target, t_size = _finished(n, target, 0.0)
-        v, v_size = None, 0.0
-        if target is not None:
-            v, v_size = _finished(n, table.solve(n, 0, target), 0.0)
-            # the elimination condition: [H0, V^(n)] = -T_n; a pruned Y^(n)
-            # restarts from it alone
-            y_scale = t_size if y is None else max(y_scale, t_size)
-            y, _ = _finished(n, _plus(y, -target), y_scale)
-            r, _ = _finished(n, r - target, max(r_scale, t_size))
-        corrections[n] = r
-        u_n, _ = _finished(n, _plus(w, v), max(w_size, v_size))
-        if u_n is not None:
-            u[n] = u_n
-            u_dag[n] = u_n.conj().T
+        gw = None if w is None else gaps * w
+        # Y^(n) before the elimination condition, and R^(n) = Y^(n) + sum U'^dag Y
+        fed = [m for m in (gw, h_mats.get(n), hu) if m is not None]
+        y = reduce(np.add, fed) if fed else None
+        r = uy if y is None else y if uy is None else y + uy
+        if r is None:
+            corrections[n] = None
+            continue
+        target = np.where(eliminate, r, 0.0)
+        v = table.solve(n, 0, target)
+        # the kept R^(n) - T_n, Y^(n) (which gains [H0, V^(n)] = -T_n) and
+        # U'^(n) = W^(n) + V^(n); then V^(n) and [H0, W^(n)], for the scales
+        mats = [r - target, -target if y is None else y - target, v if w is None else w + v, v]
+        sizes = _amax(np.abs(np.array(mats if gw is None else mats + [gw])), axis=(1, 2)).tolist()
+        # R^(n) - T_n and Y^(n) are in-block and cross parts of the summands of R^(n)
+        r_scale = max(sizes[4:] + [h_sizes.get(n, 0.0), hu_scale, uy_scale])
+        against = (r_scale, r_scale, max(0.5 * w_scale, sizes[3]))
+        corrections[n], y, u_n = (None if _negligible(size, scale, (n, 0)) else mat
+                                  for mat, size, scale in zip(mats, sizes, against))
         if y is not None:
             y_mats[n] = y
+        if u_n is not None:
+            u[n], u_dag[n] = u_n, u_n.conj().T
     return table, corrections, u, products
 
 
@@ -210,9 +196,10 @@ def run_la(
 
     Solves U = 1 + U' order by order, with U' = W + V, W = -1/2 U'^dag U'
     from unitarity and V cross-block from the elimination condition, on
-    per-order matrices (``_la_orders``), and returns the corrections of
-    U^dag H U and the generator S = log(1 + U'), the only part that runs on
-    a ``NestedSeries`` (module docstring).  One path serves every number of
+    per-order matrices (``_la_orders``, which judges only each order's
+    correction, Y and U'), and returns the corrections of U^dag H U and the
+    generator S = log(1 + U'), the only part that runs on a ``NestedSeries``
+    (module docstring).  One path serves every number of
     blocks.  The order-0 part must be diagonal; levels may be degenerate
     inside a block.  Time-periodic input is not supported.
     """

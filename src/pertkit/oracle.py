@@ -199,8 +199,10 @@ def exact_block_diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-action block diagonalization by dense linear algebra.
 
-    Returns (U_dagger, H_block) with H_block = U H U^dag exactly block
-    diagonal.  The eigenvector-to-block assignment maximizes
+    Returns (U_dagger, H_block) with H_block = U H U^dag block diagonal to
+    round-off: its cross-block entries are the product's, not zeroed, each
+    of order eps ||H||_2 (below 1e-15 ||H||_2 on transmon, d = 64, and EDSR,
+    d = 40).  The eigenvector-to-block assignment maximizes
     Re tr U = sum_b ||X_bb||_*: the greedy assignment of
     ``ordered_eigensystem`` when the certificate L + s1 + s2 < 2 proves it
     optimal (see the module docstring), else the local maximum that pairwise

@@ -17,6 +17,12 @@ diagonalization, and it spends O(N^3) products through order N.  The package
 solves the least-action unitary directly (``pertkit.least_action.run_la``);
 the tests compare the two, e.g. ``rotate_operator(h, S, N)`` with
 S = ``compute_la_generator(run_fd(h, N).generator, blocks, N).S``.
+
+``pruned_la_orders`` keeps a second reference: the direct recursion as it
+stood when every intermediate (W, the partial Y and R, T, V and U') was
+pruned on its own by ``_negligible``.  The package judges only the three
+matrices that outlive an order; the tests hold the two equal bit for bit
+wherever no intermediate cancels to round-off.
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ from typing import Mapping
 
 import numpy as np
 
-from pertkit.graded import GradedOperator, GradedSum, NestedSeries, freeze_series
+from pertkit.engine import DEFAULT_RES_TOL, EliminationTable, _prepare
+from pertkit.graded import (
+    GradedOperator,
+    GradedSum,
+    NestedSeries,
+    _max_abs,
+    _negligible,
+    freeze_series,
+)
 from pertkit.least_action import BlockStructure
 
 
@@ -176,3 +190,106 @@ def compute_epsilon(
         raise ValueError("epsilon terms start at order 2")
     return compute_la_generator(z, blocks, i).epsilon[i]
 
+
+
+# ---------------------------------------------------------------------------
+# the direct recursion with every intermediate pruned
+# ---------------------------------------------------------------------------
+
+
+def _finished(n: int, mat: np.ndarray | None,
+              scale: float) -> tuple[np.ndarray | None, float]:
+    """An order-n matrix and its largest entry, or (None, 0.0) if ``_negligible`` drops it."""
+    if mat is None:
+        return None, 0.0
+    size = _max_abs(mat)
+    if _negligible(size, scale, (n, 0)):
+        return None, 0.0
+    return mat, size
+
+
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """a + b, where None is zero."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _convolve_orders(n: int, left: dict[int, np.ndarray],
+                     right: dict[int, np.ndarray]) -> tuple[np.ndarray | None, float, int]:
+    """sum_{0<k<n} left[k] right[n-k] (None if no pair is present), its largest
+    product and the number of products, all formed by one stacked matmul."""
+    ks = [k for k in range(1, n) if k in left and n - k in right]
+    if not ks:
+        return None, 0.0, 0
+    prods = np.array([left[k] for k in ks]) @ np.array([right[n - k] for k in ks])
+    return prods.sum(axis=0), _max_abs(prods), len(ks)
+
+
+def pruned_la_orders(
+    h: GradedOperator,
+    blocks: BlockStructure | list[int] | tuple[int, ...],
+    max_order: int,
+    hbar: float = 1.0,
+    res_tol: float = DEFAULT_RES_TOL,
+) -> tuple[EliminationTable, dict[int, np.ndarray | None], dict[int, np.ndarray], int]:
+    """``pertkit.least_action._la_orders`` with W, Y, R, T, V and U' each
+    pruned by ``_negligible`` against the largest product or summand that fed it.
+
+    Returns the same four values: the elimination table, the corrections of
+    orders 0 .. ``max_order`` (None where pruned), the kept U'^(n) and the
+    number of dense products.
+    """
+    if not isinstance(blocks, BlockStructure):
+        blocks = BlockStructure(blocks)
+    if any(k != 0 for k in h.harmonics()):
+        raise ValueError("least-action transformation supports static input only")
+    table = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
+    energies, eliminate = table.frame.energies, table.mask.eliminate
+    # [H0, X]_ij = (E_i - E_j) X_ij
+    gaps = energies[:, None] - energies[None, :]
+    h_mats = {j: mat for (j, _), mat in h.items()}
+    products = 0
+    # the nonzero U'^(n), U'^(n)^dag and Y^(n)
+    u: dict[int, np.ndarray] = {}
+    u_dag: dict[int, np.ndarray] = {}
+    y_mats: dict[int, np.ndarray] = {}
+    corrections: dict[int, np.ndarray | None] = {0: h_mats[0]}
+    for n in range(1, max_order + 1):
+        w, w_scale, count = _convolve_orders(n, u_dag, u)
+        products += count
+        if w is not None:
+            w *= -0.5
+        w, w_size = _finished(n, w, 0.5 * w_scale)
+        y, y_scale = None, 0.0
+        if w is not None:
+            y = gaps * w
+            y_scale = _max_abs(y)
+        if n in h_mats:
+            y = _plus(y, h_mats[n])
+            y_scale = max(y_scale, _max_abs(h_mats[n]))
+        hu, hu_scale, count = _convolve_orders(n, h_mats, u)
+        products += count
+        y, y_size = _finished(n, _plus(y, hu), max(y_scale, hu_scale))
+        uy, uy_scale, count = _convolve_orders(n, u_dag, y_mats)
+        products += count
+        r_scale = max(y_size, uy_scale)
+        r, _ = _finished(n, _plus(y, uy), r_scale)
+        target = None if r is None else np.where(eliminate, r, 0.0)
+        target, t_size = _finished(n, target, 0.0)
+        v, v_size = None, 0.0
+        if target is not None:
+            v, v_size = _finished(n, table.solve(n, 0, target), 0.0)
+            # the elimination condition: [H0, V^(n)] = -T_n; a pruned Y^(n)
+            # restarts from it alone
+            y_scale = t_size if y is None else max(y_scale, t_size)
+            y, _ = _finished(n, _plus(y, -target), y_scale)
+            r, _ = _finished(n, r - target, max(r_scale, t_size))
+        corrections[n] = r
+        u_n, _ = _finished(n, _plus(w, v), max(w_size, v_size))
+        if u_n is not None:
+            u[n] = u_n
+            u_dag[n] = u_n.conj().T
+        if y is not None:
+            y_mats[n] = y
+    return table, corrections, u, products

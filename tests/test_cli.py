@@ -10,7 +10,7 @@ import pytest
 
 from pertkit.cli import build_parser, main
 from pertkit.io import (
-    ProblemFormatError, ProblemSpec, canonical_json, load_problem, matrix_from_json,
+    RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem, matrix_from_json,
 )
 
 
@@ -699,6 +699,30 @@ def test_rotate_operator_boundary_exit_code(two_level_problem, tmp_path, capsys,
         "rotate", str(two_level_problem), str(result), str(op_path),
         "--order", "2", "--out", str(out),
     ]) == code
+    assert message in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"bogus": True}, "unknown result document key 'bogus'"),
+    ({"max_order": 1}, "the generator holds orders [1, 2], not 1..1"),
+], ids=["unknown-key", "max-order-below-the-generator"])
+def test_rotate_refuses_a_result_document_pertkit_did_not_write(two_level_problem, tmp_path,
+                                                                capsys, edit, message):
+    # each of these used to rotate and exit 0
+    result = tmp_path / "result.json"
+    main(["transform", str(two_level_problem), "--out", str(result)])
+    doc = json.loads(result.read_text())
+    assert doc["max_order"] == 2 and set(RESULT_KEYS) == set(doc)
+    write_json(result, {**doc, **edit})
+    op_path = tmp_path / "op.json"
+    write_json(op_path, {"terms": [EYE_TERM]})
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main([
+        "rotate", str(two_level_problem), str(result), str(op_path),
+        "--order", "1", "--out", str(out),
+    ]) == 2
     assert message in one_error_line(capsys)
     assert not out.exists()
 

@@ -707,7 +707,7 @@ def test_degeneracy_tolerance_follows_the_spread():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    method=st.sampled_from(["fd", "swt"]),
+    method=st.sampled_from(["fd", "swt", "la"]),
     shift=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e8, 1e6, 1e8])),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -727,6 +727,8 @@ def test_corrections_invariant_under_energy_shift(method, shift, seed):
         h = GradedOperator(d, {(0, 0): h0, (1, 0): off})
         if method == "fd":
             return run_fd(h, max_order=4)
+        if method == "la":
+            return run_la(h, sizes, max_order=4)
         mask = Mask.block_off_diagonal(sizes)
         return run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=4)
 
@@ -823,6 +825,18 @@ def test_scaling_covariance(method, driven, log_a, seed):
     base = transform(method, h, mask)
     result = transform(method, scaled(h, a), mask)
     assert_covariant(result, base.corrections, base.generator, a, base.frame.energy_scale())
+
+
+@pytest.mark.parametrize("sizes, seed", [((2, 3), 1), ((4, 4, 4), 101), ((3, 2, 4, 3), 7)])
+def test_la_corrections_scale_with_the_energy_unit(sizes, seed):
+    # H -> 8H: every la correction of order >= 1 scales by 8 and the
+    # generator is unchanged, to 1e-13 of each order's content
+    h = random_bd_hamiltonian(sizes, seed)
+    base, result = run_la(h, sizes, max_order=8), run_la(scaled(h, 8.0), sizes, max_order=8)
+    for n in range(1, 9):
+        corr, gen = base.corrections[n], base.generator[n]
+        assert term_distance(result.corrections[n], corr, 8.0) <= 1e-13 * 8.0 * corr.max_abs(), n
+        assert term_distance(result.generator[n], gen, 1.0) <= 1e-13 * gen.max_abs(), n
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -6,11 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composition_reference import positive_compositions, product_over_composition
-from la_reference import _convolve, compute_epsilon, compute_la_generator
-from pertkit.engine import Mask, rotate_operator, run_fd, run_swt
+from la_reference import _convolve, compute_epsilon, compute_la_generator, pruned_la_orders
+from pertkit.engine import (
+    DEFAULT_RES_TOL,
+    EigenFrame,
+    EliminationTable,
+    Mask,
+    rotate_operator,
+    run_fd,
+    run_swt,
+)
 from pertkit.errors import ResonantDenominator
 from pertkit.graded import GradedOperator, GradedSum, zero_operator
-from pertkit.least_action import BlockStructure, block_project, run_la
+from pertkit.least_action import BlockStructure, _la_orders, block_project, run_la
 from pertkit.models import random_bd_hamiltonian
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
 
@@ -473,6 +481,59 @@ def test_la_product_counts(sizes, seed, order, products):
     # the recursion's three convolutions per order plus the logarithm's powers
     result = run_la(random_bd_hamiltonian(sizes, seed), sizes, order)
     assert result.diagnostics.products == products
+
+
+def test_an_all_zero_target_solves_to_zeros_on_a_resonant_pair():
+    # levels 1 and 2 are degenerate across the blocks of (2, 2): a zero target
+    # is never divided by, so the order's V is zero and nothing is raised
+    table = EliminationTable(EigenFrame.from_energies(np.array([0.0, 1.0, 1.0, 3.0])),
+                             Mask.block_off_diagonal([2, 2]), 1.0, None, DEFAULT_RES_TOL)
+    solved = table.solve(3, 0, np.zeros((4, 4), dtype=complex))
+    assert solved.shape == (4, 4) and not solved.any()
+
+
+def _bits(mat):
+    return None if mat is None else np.ascontiguousarray(mat).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    # two one-level blocks couple only across, where W cancels (the case below)
+    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4).filter(lambda s: 3 <= sum(s) <= 14),
+    dense=st.booleans(),
+    order=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_la_recursion_equals_the_pruned_reference_bit_for_bit(sizes, dense, order, seed):
+    # judging only the kept matrices changes no bit while no intermediate
+    # cancels to round-off: fig3's instances and dense order-1 couplings
+    h = block_instance(sizes, 0.05, seed)[0] if dense else random_bd_hamiltonian(sizes, seed)
+    _, corrections, u, products = _la_orders(h, sizes, order)
+    _, ref_corrections, ref_u, ref_products = pruned_la_orders(h, sizes, order)
+    assert products == ref_products
+    assert [_bits(corrections[n]) for n in range(order + 1)] == \
+        [_bits(ref_corrections[n]) for n in range(order + 1)]
+    assert {n: _bits(mat) for n, mat in u.items()} == {n: _bits(mat) for n, mat in ref_u.items()}
+
+
+def test_la_keeps_a_cancelled_w_within_round_off_of_the_pruned_reference():
+    # two blocks coupled only across: the generator holds odd orders only, so
+    # W^(n) = -1/2 sum U'^(k)^dag U'^(n-k) cancels at odd n.  The reference
+    # prunes it, the package keeps the round-off; both stay within 1e-14.
+    sizes, order = (2, 3), 10
+    h, levels = block_instance(sizes, 0.08, 4242)
+    cross = ~BlockStructure(sizes).in_block()
+    h = GradedOperator(5, {(0, 0): h.term(0, 0), (1, 0): np.where(cross, h.term(1, 0), 0.0)})
+    _, corrections, u, _ = _la_orders(h, sizes, order)
+    _, ref_corrections, ref_u, _ = pruned_la_orders(h, sizes, order)
+    w3 = ref_u[1].conj().T @ ref_u[2], ref_u[2].conj().T @ ref_u[1]
+    assert np.abs(w3[0] + w3[1]).max() <= 1e-14 * max(np.abs(w3[0]).max(), np.abs(w3[1]).max())
+    scale = 1e-14 * levels.max()
+    zero = np.zeros((5, 5))
+    for n in range(1, order + 1):
+        for got, ref in ((corrections[n], ref_corrections[n]), (u.get(n), ref_u.get(n))):
+            got, ref = zero if got is None else got, zero if ref is None else ref
+            assert np.abs(got - ref).max() <= scale, n
 
 
 def test_convolution_prunes_against_its_largest_product():

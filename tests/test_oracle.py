@@ -7,7 +7,7 @@ from pertkit.engine import run_fd
 from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
 from pertkit.least_action import BlockStructure, run_la
-from pertkit.models import TransmonParams, build_transmon_resonator
+from pertkit.models import EDSRParams, TransmonParams, build_edsr, build_transmon_resonator
 from pertkit.oracle import (
     SWAP_GAIN_FLOOR,
     convergence_scan,
@@ -118,6 +118,27 @@ def test_unitarity_and_block_structure_random():
         assert np.abs(u @ u_dagger - np.eye(6)).max() < 1e-10
         cross = ~blocks.in_block()
         assert np.abs(h_block[cross]).max() < 1e-10 * np.abs(h_block).max()
+
+
+def _transmon_d64():
+    p = TransmonParams(omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05, n_t_max=8, n_r_max=8)
+    return evaluate_at(build_transmon_resonator(p), 1.0), [8] * 8
+
+
+def _edsr_d40():
+    p = EDSRParams(omega=1.0, omega_z=0.6, omega_d=0.45, b_sl=0.02, e0=0.015, n_max=20)
+    h_b, v, drive = build_edsr(p)
+    return evaluate_at(h_b + v + drive, 1.0, 0.3), [20, 20]
+
+
+@pytest.mark.parametrize("model", [_transmon_d64, _edsr_d40], ids=["transmon-d64", "edsr-d40"])
+def test_block_diagonal_to_round_off_of_the_spectral_norm(model):
+    # the cross-block entries of U H U^dag are not zeroed: each is round-off,
+    # below 1e-15 of ||H||_2 on both models (1e-14 pinned)
+    h, sizes = model()
+    _, h_block = exact_block_diagonalize(h, sizes)
+    cross = ~BlockStructure(tuple(sizes)).in_block()
+    assert np.abs(h_block[cross]).max() <= 1e-14 * np.linalg.norm(h, 2)
 
 
 def test_rejects_non_hermitian():
