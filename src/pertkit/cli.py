@@ -137,8 +137,7 @@ def cmd_experiment(args) -> int:
     kind, params = io.read_document(args.spec, functools.partial(_experiment_call, args))
     if kind == "fig3":
         rows, skipped = run_fig3_experiment(**params)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(eta_rows_to_csv(rows))
+        io.write_output(args.out, eta_rows_to_csv(rows))
         for index, reason in skipped:
             print(f"skipped instance {index}: {reason}", file=sys.stderr)
         return EXIT_OK
@@ -200,8 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(path: str) -> None:
     """Raise the ``OSError`` that writing ``path`` would, before any work is done.
 
-    Nothing is created or truncated: the file is written only once its
-    command has succeeded.
+    Nothing is created or truncated here.  ``io.write_output`` writes the
+    file only once its command has succeeded, so a failing command leaves
+    an existing ``--out`` as it was.  A successful one overwrites it in
+    place and truncates it to the new length, unless it is not a regular
+    file (such as /dev/null); nothing is synced, so a kill during the
+    write leaves a corrupt file.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

@@ -31,6 +31,14 @@ magnitudes' texts.  This keeps every byte, because for every finite double
 included.  Corrections and generators are hermitian or anti-hermitian bit
 for bit, so about half their magnitudes repeat: each distinct magnitude is
 formatted once, unless most of a document's are distinct.
+
+Every output file, document or table, is written by ``write_output``.  An
+existing file is overwritten in place (the same file, no rename) and then
+cut to the new length; a target that is not a regular file, such as
+/dev/null, is written but not cut.  The command line calls it only once a
+command has succeeded, so a failing command writes nothing.  Nothing is
+ever synced, and the write is not atomic: a kill during it leaves a
+corrupt file, the new bytes followed by the old tail.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import gc
 import hashlib
 import json
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -558,7 +568,33 @@ def operator_document(op: GradedOperator) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def write_output(path: str, text: str) -> None:
+    """Make ``text``, UTF-8 encoded, the whole content of ``path``.
+
+    The file is opened without truncating it, so an existing one keeps its
+    inode and mode, and its blocks are written over rather than freed and
+    allocated again.  Once every byte is written, a regular file is cut to
+    their length; any other target (/dev/null, a FIFO, a terminal) is not.
+    A new file gets mode 0o666 under the umask, as ``open(path, "w")``
+    gives.  Nothing is synced.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def write_document(path: str, doc: dict) -> None:
-    text = canonical_json(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """``doc`` as canonical JSON and a newline, written over ``path`` by ``write_output``."""
+    write_output(path, canonical_json(doc) + "\n")

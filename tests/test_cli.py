@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -179,10 +181,71 @@ def test_unusable_out_is_rejected_before_any_work(tmp_path, monkeypatch, capsys,
 def test_failed_run_leaves_an_existing_output_untouched(tmp_path):
     spec = tmp_path / "spec.json"
     write_json(spec, {"kind": "fig3", "count": 2, "max_order": 0})
-    out = tmp_path / "eta.csv"
-    out.write_text("earlier table\n", encoding="utf-8")
-    assert main(["experiment", str(spec), "--out", str(out)]) == 3
-    assert out.read_text(encoding="utf-8") == "earlier table\n"
+    problem = tmp_path / "degenerate.json"  # a coupling between degenerate levels: resonant
+    doc = two_level_doc("fd")
+    doc["terms"][0]["matrix"] = mat_json(np.eye(2))
+    write_json(problem, doc)
+    for argv, code in ((["experiment", str(spec)], 3), (["transform", str(problem)], 4)):
+        out = tmp_path / "earlier.out"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert main(argv + ["--out", str(out)]) == code
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+def readme_fd_problem(tmp_path) -> Path:
+    """README's minimal problem file, its method switched to fd (which reads no block sizes)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("A minimal problem file:")
+    block = re.compile(r"^```json\n(.*?)^```", re.S | re.M).search(readme, start).group(1)
+    doc = {key: value for key, value in json.loads(block).items() if key != "block_sizes"}
+    path = tmp_path / "minimal-problem-fd.json"
+    write_json(path, {**doc, "method": "fd"})
+    return path
+
+
+def test_output_written_over_a_longer_one_equals_a_fresh_write(tmp_path):
+    # the file is overwritten in place, so without its final truncate the
+    # order-171 document's tail would follow the new one
+    problem = readme_fd_problem(tmp_path)
+    out, fresh = tmp_path / "result.json", tmp_path / "fresh.json"
+    assert main(["transform", str(problem), "--max-order", "171", "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    assert main(["transform", str(problem), "--out", str(out)]) == 0
+    assert main(["transform", str(problem), "--out", str(fresh)]) == 0
+    assert fresh.stat().st_size < longer
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_overwritten_output_keeps_its_inode_and_mode(two_level_problem, tmp_path):
+    out = tmp_path / "result.json"
+    out.write_text("earlier output\n", encoding="utf-8")
+    out.chmod(0o604)
+    before = out.stat()
+    assert main(["transform", str(two_level_problem), "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert after.st_size > before.st_size
+
+
+def test_new_output_gets_mode_0o666_under_the_umask(two_level_problem, tmp_path):
+    out = tmp_path / "result.json"
+    umask = os.umask(0o022)
+    try:
+        assert main(["transform", str(two_level_problem), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("command", ["transform", "experiment"])
+def test_output_to_the_null_device(two_level_problem, tmp_path, command):
+    # a target that is not a regular file is written but not truncated:
+    # ftruncate on /dev/null raises
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"kind": "fig3", "count": 2, "max_order": 3})
+    argv = {"transform": ["transform", str(two_level_problem)],
+            "experiment": ["experiment", str(spec)]}[command]
+    assert main(argv + ["--out", os.devnull]) == 0
 
 
 def test_document_nested_too_deep_exit_code(tmp_path, capsys):
