@@ -28,9 +28,12 @@ every other part gets a placeholder after its sign; matrices of one shape
 are templated together.  The template is then filled by one ``%`` with the
 magnitudes' texts.  This keeps every byte, because for every finite double
 ``'%.17g' % x == ('-' if signbit(x) else '') + '%.17g' % abs(x)``, -0.0
-included.  Corrections and generators are hermitian or anti-hermitian bit
-for bit, so about half their magnitudes repeat: each distinct magnitude is
-formatted once, unless most of a document's are distinct.
+included.  Each distinct magnitude is formatted once, unless most of a
+document's are distinct.  swt, fd and ace corrections and generators are
+hermitian or anti-hermitian bit for bit, so about half their magnitudes
+repeat.  la's differ from their adjoints in the last bits, and an oracle
+document's U^dag and H_block are not (anti-)hermitian bit for bit either:
+la and oracle documents are formatted float by float.
 
 Every output file, document or table, is written by ``write_output``.  An
 existing file is overwritten in place (the same file, no rename) and then

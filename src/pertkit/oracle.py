@@ -5,19 +5,32 @@ an ordered eigensystem with a stable basis assignment, the least-action
 unitary U^dag = X^dag B(X) {B(X^dag) B(X)}^(-1/2) evaluated with dense linear
 algebra, the relative spectral distance eta, and order/lambda scans.
 
-For a given assignment of eigenvectors to blocks the polar factor above is
-the block-diagonalizing unitary closest to 1, with Re tr U = sum_b ||X_bb||_*
-(the nuclear norm of block b's rows and columns of X).  The least-action
-assignment maximizes that sum.  The greedy per-index match is kept when a
-certificate proves it optimal: with w_i the weight of eigenvector i in its
-block, L = sum_i (1 - w_i) and s1 >= s2 the two largest sqrt(1 - w_i), no
-other assignment scores higher if L + s1 + s2 < 2.  The greedy sum is at least
+The block diagonalization first splits H into sectors, found from its exact
+zeros: the connected components of its off-diagonal nonzero pattern.  The
+direct rotation commutes with every symmetry that commutes with the block
+projectors (Bravyi, DiVincenzo and Loss, Ann. Phys. 326, 2793, 2011), so
+each sector is solved apart, with the blocks it induces, and every entry
+of U^dag and of U H U^dag between two sectors is exactly 0: it is never
+formed.  A matrix of one sector takes the whole-matrix path; when level 0
+couples to every other level, as in any dense input, one row settles it.
+Solving sectors apart keeps eigh's round-off, and its mixing of levels that
+are degenerate across sectors, out of the result.
+
+Within a sector, for a given assignment of eigenvectors to blocks the polar
+factor above is the block-diagonalizing unitary closest to 1, with
+Re tr U = sum_b ||X_bb||_* (the nuclear norm of block b's rows and columns
+of X).  The least-action assignment maximizes that sum, which adds up over
+sectors.  The greedy per-index match is kept when a certificate proves it
+optimal: with w_i the weight of eigenvector i in its block,
+L = sum_i (1 - w_i) and s1 >= s2 the two largest sqrt(1 - w_i), no other
+assignment scores higher if L + s1 + s2 < 2.  The greedy sum is at least
 sum_b ||X_bb||_F^2 = d - L, as no singular value of X_bb exceeds 1; any other
 assignment moves at least two eigenvectors out of their blocks, and a nuclear
 norm is at most the sum of its row norms, so it scores at most
 d - 2 + s1 + s2.  Otherwise pairwise cross-block swaps climb the sum from the
 greedy assignment until none improves it; the swaps of one row with the
-rows of one partner block are scored by one stacked SVD.
+rows of one partner block are scored by one stacked SVD.  The certificate,
+the swaps and the conditioning check each act on one sector at a time.
 """
 
 from __future__ import annotations
@@ -184,38 +197,49 @@ def _swap_ascent(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     return x
 
 
-def _inverse_sqrt_psd(mat: np.ndarray, threshold: float = CONDITION_FLOOR) -> np.ndarray:
-    """{M}^(-1/2) for Hermitian positive definite M via eigendecomposition."""
+def _inverse_sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """{M}^(-1/2) for Hermitian M via eigendecomposition; below CONDITION_FLOOR raises."""
     w, v = np.linalg.eigh(mat)
     smallest = float(w.min())
-    if smallest < threshold:
-        raise IllConditionedBlocks(smallest, threshold)
+    if smallest < CONDITION_FLOOR:
+        raise IllConditionedBlocks(smallest, CONDITION_FLOOR)
     return (v * (w ** -0.5)) @ v.conj().T
 
 
-def exact_block_diagonalize(
-    h: np.ndarray,
-    blocks: BlockStructure | Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-action block diagonalization by dense linear algebra.
+def _sectors(mat: np.ndarray) -> list[np.ndarray]:
+    """Index arrays of mat's sectors: the connected components of its off-diagonal nonzero pattern.
 
-    Returns (U_dagger, H_block) with H_block = U H U^dag block diagonal to
-    round-off: its cross-block entries are the product's, not zeroed, each
-    of order eps ||H||_2 (below 1e-15 ||H||_2 on transmon, d = 64, and EDSR,
-    d = 40).  The eigenvector-to-block assignment maximizes
-    Re tr U = sum_b ||X_bb||_*: the greedy assignment of
-    ``ordered_eigensystem`` when the certificate L + s1 + s2 < 2 proves it
-    optimal (see the module docstring), else the local maximum that pairwise
-    cross-block swaps reach from it.  Raises IllConditionedBlocks if
-    B(X^dag) B(X) of that assignment has an eigenvalue below CONDITION_FLOOR.
-    The matrix is validated once, here: the eigensystem is taken of the
-    validated copy without a second check.
+    An entry links its two levels when it or its mirror entry is nonzero.
+    When level 0 links to every other level, the matrix is one sector and
+    nothing more is read; otherwise a depth-first search over the nonzero
+    entries labels the levels.
     """
-    if not isinstance(blocks, BlockStructure):
-        blocks = BlockStructure(tuple(blocks))
-    mat = _as_matrix(h)
-    if blocks.dim != mat.shape[0]:
-        raise ValueError("block sizes must sum to the matrix dimension")
+    d = mat.shape[0]
+    if mat[0, 1:].all():
+        return [np.arange(d)]
+    linked = mat != 0
+    linked |= linked.T
+    neighbours: list[list[int]] = [[] for _ in range(d)]
+    for i, j in zip(*(index.tolist() for index in np.nonzero(linked))):
+        neighbours[i].append(j)
+    sector = [-1] * d
+    count = 0
+    for start in range(d):
+        if sector[start] < 0:
+            sector[start] = count
+            stack = [start]
+            while stack:
+                for j in neighbours[stack.pop()]:
+                    if sector[j] < 0:
+                        sector[j] = count
+                        stack.append(j)
+            count += 1
+    label = np.array(sector)
+    return [np.flatnonzero(label == s) for s in range(count)]
+
+
+def _block_diagonalize(mat: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(U_dagger, H_block) of one sector, from its eigensystem and least-action assignment."""
     keep = blocks.in_block()
     x = _ordered_eigensystem(mat).X
     if not _certified_optimal(x, keep):
@@ -225,6 +249,53 @@ def exact_block_diagonalize(
     u_dagger = x.conj().T @ bx @ _inverse_sqrt_psd(gram)
     u = u_dagger.conj().T
     h_block = u @ mat @ u_dagger
+    return u_dagger, h_block
+
+
+def exact_block_diagonalize(
+    h: np.ndarray,
+    blocks: BlockStructure | Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-action block diagonalization by dense linear algebra.
+
+    Returns (U_dagger, H_block) with H_block = U H U^dag block diagonal.
+    The matrix is validated once, here, and split into its sectors: sets of
+    levels that no nonzero off-diagonal entry links to a level outside the
+    set.  Each sector is solved on its own (module docstring), with the
+    blocks it induces (its level count in each block, empty blocks
+    dropped); a one-level sector is the identity.  Entries of U_dagger and
+    H_block between two sectors are exactly 0, because they are never
+    formed.  Inside a sector, the cross-block
+    entries of H_block are the product's, not zeroed, each of order
+    eps ||H||_2 (below 1e-15 ||H||_2 on transmon, d = 64, and EDSR,
+    d = 40).  In each sector the eigenvector-to-block assignment maximizes
+    Re tr U = sum_b ||X_bb||_*: the greedy assignment of
+    ``ordered_eigensystem`` when the certificate L + s1 + s2 < 2 proves it
+    optimal for that sector (see the module docstring), else the local
+    maximum that pairwise cross-block swaps within the sector reach from
+    it.  Raises IllConditionedBlocks if B(X^dag) B(X) of any sector's
+    assignment has an eigenvalue below CONDITION_FLOOR.
+    """
+    if not isinstance(blocks, BlockStructure):
+        blocks = BlockStructure(tuple(blocks))
+    mat = _as_matrix(h)
+    if blocks.dim != mat.shape[0]:
+        raise ValueError("block sizes must sum to the matrix dimension")
+    sectors = _sectors(mat)
+    if len(sectors) == 1:
+        return _block_diagonalize(mat, blocks)
+    label = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
+    u_dagger = np.zeros_like(mat)
+    h_block = np.zeros_like(mat)
+    for levels in sectors:
+        cell = np.ix_(levels, levels)
+        if levels.size == 1:
+            u_dagger[cell] = 1.0
+            h_block[cell] = mat[cell]
+            continue
+        counts = np.bincount(label[levels])
+        induced = BlockStructure(tuple(counts[counts > 0]))
+        u_dagger[cell], h_block[cell] = _block_diagonalize(mat[cell], induced)
     return u_dagger, h_block
 
 

@@ -8,6 +8,7 @@ from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
 from pertkit.least_action import BlockStructure, run_la
 from pertkit.models import EDSRParams, TransmonParams, build_edsr, build_transmon_resonator
+from pertkit import oracle
 from pertkit.oracle import (
     SWAP_GAIN_FLOOR,
     convergence_scan,
@@ -16,6 +17,7 @@ from pertkit.oracle import (
     ordered_eigensystem,
     partial_sum_matrix,
     spectral_distance,
+    _block_diagonalize,
     _certified_optimal,
     _inverse_sqrt_psd,
     _swap_ascent,
@@ -170,6 +172,75 @@ def test_inverse_sqrt_value():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     inv_sqrt = _inverse_sqrt_psd(m)
     np.testing.assert_allclose(inv_sqrt @ m @ inv_sqrt, np.eye(2), atol=1e-12)
+
+
+def degenerate_two_sectors(rng):
+    """d = 16, levels 2k and 2k + 1 in two sectors that carry one 8-level H.
+
+    Every level is exactly degenerate with its partner in the other sector.
+    """
+    h8 = np.diag(np.arange(8.0) + rng.uniform(-0.2, 0.2, size=8)) + 0.02 * random_hermitian(8, rng)
+    return np.kron(h8, np.eye(2))
+
+
+def test_sectors_are_solved_apart_on_levels_degenerate_across_them():
+    # blocks (3, 4, 4, 5) split the degenerate pairs (2, 3), (6, 7) and
+    # (10, 11); the whole-matrix eigensystem mixes the two sectors there
+    # (||U - 1||_2 from 0.047 to 0.40 on these ten), each sector alone does
+    # not (at most 0.054)
+    rng = np.random.default_rng(1616)
+    blocks = BlockStructure((3, 4, 4, 5))
+    parity = np.arange(16) % 2
+    between = parity[:, None] != parity[None, :]
+    for _ in range(10):
+        h = degenerate_two_sectors(rng)
+        u_dagger, h_block = exact_block_diagonalize(h, blocks)
+        assert not u_dagger[between].any() and not h_block[between].any()
+        assert np.linalg.norm(u_dagger - np.eye(16), 2) < 0.1
+        assert np.abs(u_dagger.conj().T @ u_dagger - np.eye(16)).max() < 1e-12
+        assert np.abs(h_block[~blocks.in_block()]).max() < 1e-14 * np.linalg.norm(h, 2)
+        np.testing.assert_allclose(np.linalg.eigvalsh(h_block), np.linalg.eigvalsh(h), atol=1e-12)
+
+
+def test_parity_sectors_of_the_transmon_match_the_whole_matrix_solve():
+    # in-sector entries agree with the eigensystem of the whole matrix to
+    # round-off; between the parity sectors they are exactly 0
+    p = TransmonParams(omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05, n_t_max=4, n_r_max=4)
+    h = evaluate_at(build_transmon_resonator(p), 1.0)
+    blocks = BlockStructure((4,) * 4)
+    parity = (np.arange(4)[:, None] + np.arange(4)[None, :]).ravel() % 2
+    within = parity[:, None] == parity[None, :]
+    assert oracle._sectors(h)[0].tolist() == np.flatnonzero(parity == 0).tolist()
+    u_dagger, h_block = exact_block_diagonalize(h, blocks)
+    whole_u, whole_h = _block_diagonalize(h, blocks)
+    norm = np.linalg.norm(h, 2)
+    assert np.abs(u_dagger - whole_u)[within].max() < 1e-12
+    assert np.abs(h_block - whole_h)[within].max() < 1e-12 * norm
+    assert not u_dagger[~within].any() and not h_block[~within].any()
+
+
+def test_a_diagonal_matrix_is_its_own_one_level_sectors():
+    h = np.diag([0.5, -1.0, 2.0, 0.0])
+    u_dagger, h_block = exact_block_diagonalize(h, [1, 3])
+    np.testing.assert_array_equal(u_dagger, np.eye(4))
+    np.testing.assert_array_equal(h_block, h)
+
+
+def test_one_ill_conditioned_sector_is_enough_to_raise(monkeypatch):
+    # sectors {0, 2} (weakly coupled across the blocks) and {1, 3} (strongly
+    # mixed): with the floor raised between their smallest B(X^dag) B(X)
+    # eigenvalues, the mixed sector alone fails and so does the whole problem
+    h = np.zeros((4, 4))
+    h[[0, 1, 2, 3], [0, 1, 2, 3]] = [0.0, 1.0, 1.0, 1.2]
+    h[0, 2] = h[2, 0] = 0.01
+    h[1, 3] = h[3, 1] = 1.0
+    exact_block_diagonalize(h, [2, 2])
+    monkeypatch.setattr(oracle, "CONDITION_FLOOR", 0.9)
+    exact_block_diagonalize(h[np.ix_([0, 2], [0, 2])], [1, 1])
+    with pytest.raises(IllConditionedBlocks):
+        exact_block_diagonalize(h[np.ix_([1, 3], [1, 3])], [1, 1])
+    with pytest.raises(IllConditionedBlocks):
+        exact_block_diagonalize(h, [2, 2])
 
 
 def test_eigen_ordering_is_shift_invariant():
@@ -361,6 +432,17 @@ def scan_instance():
     return h, blocks
 
 
+def two_sector_scan_instance():
+    """Levels {0, 2} and {1, 3}, coupled across the blocks (2, 2) only within each."""
+    rng = np.random.default_rng(405)
+    coupling = np.zeros((4, 4), dtype=complex)
+    for i, j in ((0, 2), (1, 3)):
+        coupling[i, j] = 0.1 * (rng.normal() + 1j * rng.normal())
+        coupling[j, i] = np.conj(coupling[i, j])
+    h = GradedOperator(4, {(0, 0): np.diag([0.0, 1.0, 2.6, 3.9]), (1, 0): coupling})
+    return h, BlockStructure((2, 2))
+
+
 def test_scan_eta_decreases_with_lambda():
     h, blocks = scan_instance()
     rows = convergence_scan(h, "la", orders=[3], lambdas=[1.0, 0.5, 0.25, 0.125], blocks=blocks)
@@ -394,18 +476,19 @@ def test_scan_fd_mode_uses_diagonal_oracle():
 def test_scan_rows_equal_the_spectral_distance_of_each_partial_sum(method):
     # the running partial sum and the batched norm give the bits of
     # spectral_distance on partial_sum_matrix, at lambda != 1 too
-    h, blocks = scan_instance()
+    # on one matrix of one sector and one that the oracle solves per sector
     orders, lambdas = [0, 1, 3, 4, 6], [1.0, 0.5, 0.3, 0.25]
-    if method == "la":
-        result, oracle_blocks = run_la(h, blocks, 6), blocks
-    else:
-        result, oracle_blocks = run_fd(h, 6), (1,) * h.dim
-    want = []
-    for lam in lambdas:
-        _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
-        want += [(n, lam, spectral_distance(h_exact, partial_sum_matrix(result, n, lam)))
-                 for n in orders]
-    assert convergence_scan(h, method, orders, lambdas, blocks) == want
+    for h, blocks in (scan_instance(), two_sector_scan_instance()):
+        if method == "la":
+            result, oracle_blocks = run_la(h, blocks, 6), blocks
+        else:
+            result, oracle_blocks = run_fd(h, 6), (1,) * h.dim
+        want = []
+        for lam in lambdas:
+            _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
+            want += [(n, lam, spectral_distance(h_exact, partial_sum_matrix(result, n, lam)))
+                     for n in orders]
+        assert convergence_scan(h, method, orders, lambdas, blocks) == want
 
 
 def test_partial_sum_beyond_the_solved_order_is_rejected():
