@@ -15,7 +15,6 @@ from .engine import (
     run_ace,
     run_fd,
     run_swt,
-    solve_generator_order,
 )
 from .errors import (
     IllConditionedBlocks,
@@ -31,7 +30,6 @@ from .graded import (
 )
 from .least_action import (
     BlockStructure,
-    block_project,
     run_la,
 )
 from .oracle import (
@@ -54,7 +52,6 @@ __all__ = [
     "PertError",
     "ResonantDenominator",
     "TransformResult",
-    "block_project",
     "commutator",
     "convergence_scan",
     "evaluate_at",
@@ -66,7 +63,6 @@ __all__ = [
     "run_fd",
     "run_la",
     "run_swt",
-    "solve_generator_order",
     "spectral_distance",
     "zero_operator",
 ]

@@ -26,8 +26,8 @@ so a run through order N costs O(N^3).
 Inside the loop the chains C_m^(n) live in a ``NestedSeries``, which forms
 all nestedness levels of one term of the sum over s in one batched product,
 and K_n, T_n and S^(n) are ``GradedSum``s that weighted terms are added
-into in place; every entry is pruned when it is read as an operand.  Inputs
-are read as views of their ``GradedOperator`` terms, and only the
+into in place; every entry is pruned when it is read as an operand.  Inputs,
+finished and frozen ``GradedSum``s, are read as they are, and only the
 corrections and the generator handed out in the ``TransformResult`` are
 frozen into ``GradedOperator``s, without a copy.  ``rotate_operator`` runs
 the same recursion over an arbitrary operator; its generator obeys no
@@ -40,8 +40,8 @@ verdict.  ``_prepare`` returns the run's ``EliminationTable``, built once
 from the frame, the mask, hbar, omega_d and ``res_tol``: per harmonic k it
 holds the denominators E_j - E_i - hbar*k*omega_d and the masked entries
 closer to zero than the tolerance, so no order recomputes them.  Its
-``solve`` is the only elimination in the package; ``_transform``,
-``solve_generator_order`` and least action's ``_la_orders`` all call it.
+``solve`` is the only elimination in the package; ``_transform`` (through
+``solve_sum``) and least action's ``_la_orders`` both call it.
 One rule judges every denominator: a significant masked entry whose
 |E_j - E_i - hbar*k*omega_d| falls below ``res_tol`` of the level spread
 raises ResonantDenominator at the order that needs it.  A static coupling
@@ -63,7 +63,6 @@ from .graded import (
     NestedSeries,
     ZERO_RTOL,
     freeze_series,
-    zero_operator,
 )
 
 #: Default tolerance, relative to the level spread, declaring a denominator resonant.
@@ -146,14 +145,6 @@ class Mask:
             el[i, j] = el[j, i] = True
         return Mask(el)
 
-    def project(self, g: GradedOperator) -> GradedOperator:
-        """Keep only masked entries, per (order, harmonic) key."""
-        return GradedOperator._adopt(g.dim, GradedSum.of(g).where(self.eliminate), g.omega_d)
-
-    def complement_project(self, g: GradedOperator) -> GradedOperator:
-        """Keep only unmasked entries, per (order, harmonic) key."""
-        return GradedOperator._adopt(g.dim, GradedSum.of(g).where(self.keep), g.omega_d)
-
 
 @dataclass
 class Diagnostics:
@@ -180,14 +171,16 @@ class TransformResult:
         return self.frame.dim
 
     def effective_hamiltonian(self, up_to_order: int | None = None) -> GradedOperator:
-        """Sum of the corrections through the given order (default: all)."""
+        """Sum of the corrections through the given order >= 0 (default: all)."""
         top = self.max_order if up_to_order is None else up_to_order
         if top > self.max_order:
             raise ValueError(f"order {top} exceeds solved order {self.max_order}")
+        if top < 0:
+            raise ValueError(f"order must be >= 0, got {top}")
         total = GradedSum()
         for n, corr in self.corrections.items():
             if n <= top:
-                total.add_scaled(GradedSum.of(corr), 1.0)
+                total.add_scaled(corr, 1.0)
         return GradedOperator._adopt(self.dim, total, self.omega_d)
 
 
@@ -243,34 +236,6 @@ class EliminationTable:
         """``solve`` for every key of an order-``order`` target, as a finished sum."""
         return GradedSum({(order, k): self.solve(order, k, mat)
                           for (_, k), mat in target.terms.items()}).finish()
-
-
-def solve_generator_order(
-    target: GradedOperator,
-    frame: EigenFrame,
-    mask: Mask,
-    hbar: float = 1.0,
-    omega_d: float | None = None,
-    res_tol: float = DEFAULT_RES_TOL,
-) -> GradedOperator:
-    """Solve [H0, S] - i*hbar*dS/dt = -target elementwise in the eigenbasis.
-
-    ``target`` must be hermitian-graded, live at a single order and be
-    supported on masked entries only (callers project first); a target with
-    nonzero harmonics needs ``omega_d``.  Masked entries whose target is zero
-    get S = 0 even when the denominator vanishes; a nonzero target on a
-    resonant denominator raises ResonantDenominator.
-    """
-    if target.is_zero:
-        return zero_operator(frame.dim, omega_d)
-    if omega_d is None and any(k != 0 for _, k in target.keys()):
-        raise ValueError("omega_d is required for nonzero harmonics")
-    orders = target.orders()
-    if len(orders) != 1:
-        raise ValueError(f"target must hold a single order, found {orders}")
-    table = EliminationTable(frame, mask, hbar, omega_d, res_tol)
-    s = table.solve_sum(orders[0], GradedSum.of(target))
-    return GradedOperator._adopt(frame.dim, s, omega_d)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +310,6 @@ def _inverse_factorials(top: int) -> np.ndarray:
     return np.array([_inverse_factorial(m) for m in range(top + 1)])
 
 
-def _by_order(op: GradedOperator) -> dict[int, GradedSum]:
-    """Views of an operator's terms, one sum per order."""
-    out: dict[int, GradedSum] = {}
-    for (j, k), mat in op.items():
-        out.setdefault(j, GradedSum()).terms[(j, k)] = mat
-    return out
-
-
 def _transform(
     method: str,
     h: GradedOperator,
@@ -364,11 +321,11 @@ def _transform(
     table = _prepare(h, mask, max_order, hbar, res_tol)
     frame = table.frame
     omega_d = h.omega_d
-    base = _by_order(h)
+    base = h.by_order()
     generator: dict[int, GradedSum] = {}
     chains = NestedSeries(base, generator, max_order, commutator=True)
     weights = _inverse_factorials(max_order)
-    corrections: dict[int, GradedSum] = {0: base[0].finish()}
+    corrections: dict[int, GradedSum] = {0: base[0]}
     for n in range(1, max_order + 1):
         chains.extend(n)
         known = chains.weighted_sum(n, weights)
@@ -417,7 +374,7 @@ def run_swt(
     _require_hermitian_graded(v, "the perturbation")
     mask = Mask.block_off_diagonal(block_sizes)
     # a mask of the wrong size is reported by _prepare
-    if mask.dim == v.dim and not mask.project(h_blocks).is_zero:
+    if mask.dim == v.dim and not h_blocks.where(mask.eliminate).is_zero:
         raise PertError("h_blocks has content outside its declared blocks")
     if 0 in v.orders():
         raise PertError("the perturbation must not carry an order-0 term")
@@ -490,9 +447,8 @@ def rotate_operator(
         if merged.omega_d is None:
             merged = s_n
     _require_drive((operator, *generator.values()), merged.omega_d)
-    factors = {n: GradedSum.of(s_n) for n, s_n in generator.items()}
-    base = _by_order(operator)
-    chains = NestedSeries(base, factors, up_to_order, commutator=True)
+    base = operator.by_order()
+    chains = NestedSeries(base, generator, up_to_order, commutator=True)
     weights = _inverse_factorials(up_to_order)
     total = GradedSum()
     total.add_scaled(base.get(0, GradedSum()), 1.0)

@@ -9,18 +9,18 @@ where lambda is the formal perturbation bookkeeping parameter, j >= 0 the
 perturbative order and k the integer drive harmonic.  Orders combine
 additively under products; harmonics likewise.  Absent keys are zero.
 
-Two containers hold such families.  ``GradedOperator`` is the immutable one
-the package hands out and takes in: its term matrices are read-only and
-negligible keys are pruned when it is built.  ``GradedSum`` is the working
-form of one series entry inside the engines' loops: a mutable dict
+One container holds such families.  ``GradedSum`` is a dict
 (order, harmonic) -> matrix into which products, commutators and weighted
 summands are added in place, with each key's operand scale (its largest
-single product or summand).  An entry is pruned once, by
-``GradedSum.finish``, when it is complete: when it is first read as an
-operand or handed out.  A key is judged only against its own operand scale,
-never against other keys, since lambda is formal and a small key is not a
-negligible one.  ``GradedOperator._adopt`` freezes a finished entry without
-copying its arrays; the engines call it only at the public boundary.
+single product or summand).  It is pruned once, by ``finish``, when it is
+complete: when it is first read as an operand or handed out.  A key is
+judged only against its own operand scale, never against other keys, since
+lambda is formal and a small key is not a negligible one.
+``GradedOperator``, what the package hands out and takes in, is a finished
+``GradedSum`` frozen with its dimension and drive frequency: its arrays are
+read-only, ``add`` raises, and it is read as an operand as it is.  Its
+constructor validates and copies the matrices; ``_adopt`` freezes a finished
+sum without a copy.
 
 The engines' transformed Hamiltonian and least action's logarithm are sums
 of left-nested chains
@@ -86,10 +86,9 @@ class GradedSum:
     """Mutable per-key sum of d x d matrices: one series entry in a loop.
 
     ``terms`` maps (order, harmonic) to a matrix, which the sum owns and adds
-    into in place unless it came from ``of``; ``scale`` maps each key to the
-    largest entry of any single product or summand added to it.  ``finish``
-    prunes once and records each kept key's largest entry in ``sizes``;
-    adding to a finished sum reopens it.
+    into in place; ``scale`` maps each key to the largest entry of any single
+    product or summand added to it.  ``finish`` prunes once and records each
+    kept key's largest entry in ``sizes``; adding to a finished sum reopens it.
     """
 
     __slots__ = ("terms", "scale", "sizes")
@@ -98,11 +97,6 @@ class GradedSum:
         self.terms: dict[Key, np.ndarray] = {} if terms is None else terms
         self.scale: dict[Key, float] = {}
         self.sizes: dict[Key, float] | None = None
-
-    @staticmethod
-    def of(op: "GradedOperator") -> "GradedSum":
-        """A read-only view of an operator's terms, for use as an operand."""
-        return GradedSum(dict(op._terms))
 
     def add(self, key: Key, mat: np.ndarray, size: float) -> None:
         """Add ``mat``, which the sum takes over, at ``key``; ``size`` is its largest entry."""
@@ -121,19 +115,6 @@ class GradedSum:
         sizes = other.finish().sizes
         for key, mat in other.terms.items():
             self.add(key, mat * weight, abs(weight) * sizes[key])
-
-    def add_product(self, a: "GradedSum", b: "GradedSum") -> None:
-        """Add the graded product a b of two finished sums."""
-        prod = _graded_product(a, b)
-        for key, mat in prod.terms.items():
-            self.add(key, mat, prod.scale[key])
-
-    def add_commutator(self, a: "GradedSum", b: "GradedSum") -> None:
-        """Add the graded commutator [a, b] of two finished sums."""
-        ab, ba = _graded_product(a, b), _graded_product(b, a)
-        for key, mat in ab.terms.items():
-            mat -= ba.terms[key]
-            self.add(key, mat, max(ab.scale[key], ba.scale[key]))
 
     def where(self, keep: np.ndarray) -> "GradedSum":
         """Per key, the entries where ``keep`` holds and zero elsewhere.
@@ -174,83 +155,87 @@ def _graded_product(a: GradedSum, b: GradedSum) -> GradedSum:
     return out
 
 
-def _as_term_matrix(dim: int, mat) -> np.ndarray:
-    out = np.array(mat, dtype=complex)  # own copy; frozen by the constructor
-    if out.shape != (dim, dim):
-        raise ValueError(f"term matrix has shape {out.shape}, expected ({dim}, {dim})")
-    return out
+class GradedOperator(GradedSum):
+    """A finished, frozen ``GradedSum`` of d x d complex matrices, with its
+    dimension ``dim`` and drive frequency ``omega_d``.
 
+    Its arrays are read-only and ``add`` raises ``TypeError``, so it is read
+    as an operand as it is.
+    """
 
-class GradedOperator:
-    """Immutable family of d x d complex matrices keyed by (order, harmonic)."""
-
-    __slots__ = ("dim", "omega_d", "_terms")
+    __slots__ = ("dim", "omega_d")
 
     def __init__(self, dim: int, terms: Mapping[Key, np.ndarray] | None = None,
                  omega_d: float | None = None):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
-        self.dim = int(dim)
-        self.omega_d = None if omega_d is None else float(omega_d)
-        staged: dict[Key, np.ndarray] = {}
+        dim = int(dim)
+        omega_d = None if omega_d is None else float(omega_d)
+        staged = GradedSum()
         for key, mat in (terms or {}).items():
             j, k = int(key[0]), int(key[1])
             if j < 0:
                 raise ValueError(f"perturbative order must be >= 0, got {j}")
-            if k != 0 and self.omega_d is None:
+            if k != 0 and omega_d is None:
                 raise ValueError("omega_d is required when nonzero harmonics are present")
-            staged[(j, k)] = _as_term_matrix(self.dim, mat)
-        self._terms = GradedSum(staged).finish().terms
-        for mat in self._terms.values():
-            mat.flags.writeable = False
+            own = np.array(mat, dtype=complex)  # own copy; frozen below
+            if own.shape != (dim, dim):
+                raise ValueError(f"term matrix has shape {own.shape}, expected ({dim}, {dim})")
+            staged.terms[(j, k)] = own
+        self._freeze(dim, staged, omega_d)
 
     @classmethod
     def _adopt(cls, dim: int, entry: GradedSum, omega_d: float | None) -> "GradedOperator":
         """Freeze a finished entry without copying; its arrays turn read-only.
 
         ``entry`` must hold complex dim x dim matrices, with ``omega_d`` set if
-        any harmonic is nonzero, and must not be added to afterwards.
+        any harmonic is nonzero, and must not be added to afterwards: the
+        operator takes over its dicts.
         """
-        op = object.__new__(cls)
-        op.dim = dim
-        op.omega_d = omega_d
-        op._terms = dict(entry.finish().terms)
-        for mat in op._terms.values():
+        return object.__new__(cls)._freeze(dim, entry, omega_d)
+
+    def _freeze(self, dim: int, entry: GradedSum, omega_d: float | None) -> "GradedOperator":
+        """Take over ``entry``'s terms, scales and sizes once it is finished."""
+        entry.finish()
+        self.dim, self.omega_d = dim, omega_d
+        self.terms, self.scale, self.sizes = entry.terms, entry.scale, entry.sizes
+        for mat in self.terms.values():
             mat.flags.writeable = False
-        return op
+        return self
+
+    def add(self, key: Key, mat: np.ndarray, size: float) -> None:
+        raise TypeError("a GradedOperator is frozen; add into a GradedSum instead")
 
     # -- basic queries -------------------------------------------------
 
     def term(self, order: int, harmonic: int = 0) -> np.ndarray:
         """Matrix at (order, harmonic); the zero matrix if absent."""
-        mat = self._terms.get((order, harmonic))
+        mat = self.terms.get((order, harmonic))
         if mat is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return mat
 
     def keys(self):
-        return self._terms.keys()
+        return self.terms.keys()
 
     def items(self):
-        return self._terms.items()
+        return self.terms.items()
 
     def orders(self) -> tuple[int, ...]:
-        return tuple(sorted({j for j, _ in self._terms}))
+        return tuple(sorted({j for j, _ in self.terms}))
 
     def harmonics(self) -> tuple[int, ...]:
-        return tuple(sorted({k for _, k in self._terms}))
+        return tuple(sorted({k for _, k in self.terms}))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     def max_abs(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(np.abs(m).max() for m in self._terms.values())
+        return max(self.sizes.values(), default=0.0)
 
     def __repr__(self) -> str:
-        keys = sorted(self._terms)
+        keys = sorted(self.terms)
         return f"GradedOperator(dim={self.dim}, keys={keys})"
 
     # -- structure tests -----------------------------------------------
@@ -269,10 +254,9 @@ class GradedOperator:
         Each key is judged against its own size and its partner's: lambda is
         formal, so a key small next to another order is not a negligible one.
         """
-        for (j, k), mat in self._terms.items():
-            partner = self.term(j, -k)
-            scale = max(_max_abs(mat), _max_abs(partner))
-            if _max_abs(mat.conj().T - sign * partner) > tol * scale:
+        for (j, k), mat in self.terms.items():
+            scale = max(self.sizes[(j, k)], self.sizes.get((j, -k), 0.0))
+            if _max_abs(mat.conj().T - sign * self.term(j, -k)) > tol * scale:
                 return False
         return True
 
@@ -281,10 +265,10 @@ class GradedOperator:
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         self._check_compatible(other)
         total = GradedSum()
-        total.add_scaled(GradedSum.of(self), 1.0)
+        total.add_scaled(self, 1.0)
         # a difference of nearly equal terms prunes to zero instead of
         # keeping round-off noise
-        total.add_scaled(GradedSum.of(other), 1.0)
+        total.add_scaled(other, 1.0)
         return GradedOperator._adopt(self.dim, total, self._merged_omega(other))
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
@@ -295,7 +279,7 @@ class GradedOperator:
 
     def __mul__(self, scalar: complex) -> "GradedOperator":
         total = GradedSum()
-        total.add_scaled(GradedSum.of(self), scalar)
+        total.add_scaled(self, scalar)
         return GradedOperator._adopt(self.dim, total, self.omega_d)
 
     __rmul__ = __mul__
@@ -303,15 +287,14 @@ class GradedOperator:
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         """Graded product: convolution over both orders and harmonics."""
         self._check_compatible(other)
-        total = GradedSum()
-        total.add_product(GradedSum.of(self), GradedSum.of(other))
-        return GradedOperator._adopt(self.dim, total, self._merged_omega(other))
+        return GradedOperator._adopt(self.dim, _graded_product(self, other),
+                                     self._merged_omega(other))
 
     def adjoint(self) -> "GradedOperator":
         """Termwise conjugate transpose with the harmonic negated."""
         return GradedOperator(
             self.dim,
-            {(j, -k): m.conj().T for (j, k), m in self._terms.items()},
+            {(j, -k): m.conj().T for (j, k), m in self.terms.items()},
             self.omega_d,
         )
 
@@ -322,20 +305,22 @@ class GradedOperator:
         time-dependent generator conditions is applied by callers.
         """
         derivative = GradedSum({(j, k): (1j * k * self.omega_d) * mat
-                                for (j, k), mat in self._terms.items() if k != 0})
+                                for (j, k), mat in self.terms.items() if k != 0})
         return GradedOperator._adopt(self.dim, derivative, self.omega_d)
 
-    def order_part(self, order: int) -> "GradedOperator":
-        """The sub-operator holding only the terms of one order."""
-        return GradedOperator(
-            self.dim,
-            {key: m for key, m in self._terms.items() if key[0] == order},
-            self.omega_d,
-        )
+    def where(self, keep: np.ndarray) -> "GradedOperator":
+        """Per key, the entries where ``keep`` holds and zero elsewhere, frozen."""
+        return GradedOperator._adopt(self.dim, super().where(keep), self.omega_d)
 
     def by_order(self) -> dict[int, "GradedOperator"]:
-        """Split into single-order operators, keyed by order."""
-        return {j: self.order_part(j) for j in self.orders()}
+        """Split into single-order operators, keyed by order; the matrices are shared."""
+        parts = {j: GradedSum() for j in self.orders()}
+        for part in parts.values():
+            part.sizes = {}  # finished: each key is one of this operator's
+        for key, mat in self.terms.items():
+            parts[key[0]].terms[key] = mat
+            parts[key[0]].sizes[key] = self.sizes[key]
+        return {j: GradedOperator._adopt(self.dim, part, self.omega_d) for j, part in parts.items()}
 
     # -- helpers ---------------------------------------------------------
 
@@ -371,9 +356,11 @@ def identity_operator(dim: int, omega_d: float | None = None) -> GradedOperator:
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     """[a, b] = a@b - b@a under the graded product."""
     a._check_compatible(b)
-    total = GradedSum()
-    total.add_commutator(GradedSum.of(a), GradedSum.of(b))
-    return GradedOperator._adopt(a.dim, total, a._merged_omega(b))
+    ab, ba = _graded_product(a, b), _graded_product(b, a)
+    for key, mat in ab.terms.items():
+        mat -= ba.terms[key]
+        ab.scale[key] = max(ab.scale[key], ba.scale[key])
+    return GradedOperator._adopt(a.dim, ab, a._merged_omega(b))
 
 
 # ---------------------------------------------------------------------------

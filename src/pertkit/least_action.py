@@ -100,11 +100,6 @@ class BlockStructure:
         return self._mask
 
 
-def block_project(g: GradedOperator, blocks: BlockStructure) -> GradedOperator:
-    """Zero all cross-block entries, per (order, harmonic) key."""
-    return blocks.cross_mask().complement_project(g)
-
-
 def _la_orders(
     h: GradedOperator,
     blocks: BlockStructure | list[int] | tuple[int, ...],

@@ -314,7 +314,7 @@ def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 def partial_sum_matrix(result: TransformResult, order: int, lam: float) -> np.ndarray:
     """Corrections through ``order``, collapsed at a numeric lambda (static).
 
-    An order beyond the solved one raises ``ValueError``, as
+    An order below 0 or beyond the solved one raises ``ValueError``, as
     ``TransformResult.effective_hamiltonian`` does.
     """
     h_eff = result.effective_hamiltonian(order)

@@ -20,9 +20,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from pertkit.engine import Mask, EigenFrame, solve_generator_order, DEFAULT_RES_TOL
+from pertkit.engine import Mask, EigenFrame, EliminationTable, DEFAULT_RES_TOL
 from pertkit.graded import GradedOperator, commutator, zero_operator
-from pertkit.least_action import BlockStructure, block_project
+from pertkit.least_action import BlockStructure
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +190,13 @@ def reference_transform(
     """
     frame = EigenFrame.from_energies(np.diag(h.term(0, 0)).real)
     omega_d = h.omega_d
+    table = EliminationTable(frame, mask, hbar, omega_d, res_tol)
     time_dependent = any(k != 0 for k in h.harmonics())
     base = h.by_order()
     cache = CommutatorCache()
     generator: dict[int, GradedOperator] = {}
     d_generator: dict[int, GradedOperator] = {}
-    corrections = {0: h.order_part(0)}
+    corrections = {0: base[0]}
     for n in range(1, max_order + 1):
         known = zero_operator(h.dim, omega_d)
         part = _chain_sum(base, n, generator, cache, "H", lambda m: 1.0 / math.factorial(m),
@@ -208,8 +209,8 @@ def reference_transform(
                               skip=Composition(n, ()), allow_zero_head=False)
             if part is not None:
                 known = known + part
-        masked = mask.project(known)
-        generator[n] = solve_generator_order(masked, frame, mask, hbar, omega_d, res_tol)
+        masked = known.where(mask.eliminate)
+        generator[n] = GradedOperator._adopt(h.dim, table.solve_sum(n, masked), omega_d)
         ds = generator[n].time_derivative()
         if not ds.is_zero:
             d_generator[n] = ds
@@ -249,7 +250,7 @@ def reference_la_generator(
         return product_over_composition(z, comp) if z else zero
 
     def bz(comp):
-        return block_project(z_prod(comp), blocks)
+        return z_prod(comp).where(blocks.in_block())
 
     def sign(comp):
         return -1.0 if len(comp) % 2 else 1.0
@@ -309,7 +310,7 @@ def reference_la(
     s = reference_la_generator(z, blocks, max_order, h.dim)["S"]
     base = h.by_order()
     cache = CommutatorCache()
-    corrections = {0: h.order_part(0)}
+    corrections = {0: base[0]}
     for n in range(1, max_order + 1):
         part = _chain_sum(base, n, s, cache, "H", lambda m: 1.0 / math.factorial(m))
         corrections[n] = part if part is not None else zero_operator(h.dim)

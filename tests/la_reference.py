@@ -137,7 +137,7 @@ def compute_la_generator(
     keep = blocks.cross_mask().keep
 
     exp_weights = _power_weights(max_order, lambda m: 1.0 / math.factorial(m))
-    z_powers = _powers({n: GradedSum.of(op) for n, op in z.items()}, max_order)
+    z_powers = _powers(z, max_order)
     x_dag = {n: z_powers.weighted_sum(n, exp_weights) for n in range(1, max_order + 1)}
     x_weights = _power_weights(max_order, lambda m: (-1.0) ** m / math.factorial(m))
     x = {n: z_powers.weighted_sum(n, x_weights) for n in range(1, max_order + 1)}

@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pertkit.engine import (
+    DEFAULT_RES_TOL,
     EigenFrame,
+    EliminationTable,
     Mask,
     _inverse_factorials,
     rotate_operator,
     run_ace,
     run_fd,
     run_swt,
-    solve_generator_order,
 )
 from pertkit.errors import NonFiniteContent, PertError, ResonantDenominator
 from pertkit.graded import GradedOperator, commutator, identity_operator, zero_operator
@@ -48,24 +49,29 @@ def collapse(g, lam, t=0.0):
 
 
 # ---------------------------------------------------------------------------
-# solve_generator_order
+# EliminationTable.solve_sum
 # ---------------------------------------------------------------------------
+
+
+def solve_order(target, frame, mask, hbar=1.0, omega_d=None):
+    """The frozen generator of a single-order masked target."""
+    table = EliminationTable(frame, mask, hbar, omega_d, DEFAULT_RES_TOL)
+    return GradedOperator._adopt(frame.dim, table.solve_sum(target.orders()[0], target), omega_d)
 
 
 def test_solve_two_level_static():
     frame = EigenFrame.from_energies(np.array([0.0, 1.0]))
     mask = Mask.full_off_diagonal(2)
     target = GradedOperator(2, {(1, 0): 0.1 * sigma_x()})
-    s = solve_generator_order(target, frame, mask, hbar=1.0)
+    s = solve_order(target, frame, mask, hbar=1.0)
     np.testing.assert_allclose(s.term(1, 0), np.array([[0, 0.1], [-0.1, 0]]), atol=1e-15)
     assert s.is_anti_hermitian_graded()
 
 
 def test_solve_zero_target_gives_zero():
     frame = EigenFrame.from_energies(np.array([0.0, 1.0, 2.0]))
-    mask = Mask.full_off_diagonal(3)
-    s = solve_generator_order(zero_operator(3), frame, mask)
-    assert s.is_zero
+    table = EliminationTable(frame, Mask.full_off_diagonal(3), 1.0, None, DEFAULT_RES_TOL)
+    assert not table.solve_sum(1, zero_operator(3)).terms
 
 
 def test_solve_exact_drive_resonance_raises():
@@ -73,24 +79,8 @@ def test_solve_exact_drive_resonance_raises():
     mask = Mask.from_pairs(2, [(0, 1)])
     target = GradedOperator(2, {(1, 1): 0.05 * sigma_x()}, omega_d=1.0)
     with pytest.raises(ResonantDenominator) as err:
-        solve_generator_order(target, frame, mask, hbar=1.0, omega_d=1.0)
+        solve_order(target, frame, mask, hbar=1.0, omega_d=1.0)
     assert err.value.harmonic == 1
-
-
-def test_solve_driven_target_requires_omega_d():
-    frame = EigenFrame.from_energies(np.array([0.0, 1.0]))
-    mask = Mask.from_pairs(2, [(0, 1)])
-    target = GradedOperator(2, {(1, 1): 0.05 * sigma_x(), (1, -1): 0.05 * sigma_x()},
-                            omega_d=0.5)
-    with pytest.raises(ValueError, match="omega_d"):
-        solve_generator_order(target, frame, mask, omega_d=None)
-
-
-def test_solve_target_of_two_orders_is_rejected():
-    frame = EigenFrame.from_energies(np.array([0.0, 1.0]))
-    target = GradedOperator(2, {(1, 0): 0.1 * sigma_x(), (2, 0): 0.2 * sigma_x()})
-    with pytest.raises(ValueError, match="single order"):
-        solve_generator_order(target, frame, Mask.full_off_diagonal(2))
 
 
 def test_solve_degenerate_masked_zero_target_is_fine():
@@ -100,7 +90,7 @@ def test_solve_degenerate_masked_zero_target_is_fine():
     mat = np.zeros((3, 3), dtype=complex)
     mat[0, 2] = mat[2, 0] = 0.1
     target = GradedOperator(3, {(1, 0): mat})
-    s = solve_generator_order(target, frame, mask)
+    s = solve_order(target, frame, mask)
     assert s.term(1, 0)[0, 1] == 0
     assert abs(s.term(1, 0)[0, 2] - 0.1) < 1e-15
 
@@ -416,7 +406,7 @@ def test_first_order_condition_static_and_driven(seed):
     result = run_fd(h, max_order=2)
     s1 = result.generator[1]
     h0 = GradedOperator(h.dim, {(0, 0): h.term(0, 0)}, omega_d=h.omega_d)
-    target = result.mask.project(h.order_part(1))
+    target = h.by_order()[1].where(result.mask.eliminate)
     residual = commutator(h0, s1) + target - s1.time_derivative() * (1j * result.hbar)
     scale = max(target.max_abs(), 1.0)
     assert residual.max_abs() < 1e-14 * scale
@@ -517,6 +507,15 @@ def test_effective_hamiltonian_keeps_every_correction():
     np.testing.assert_array_equal(total.term(8, 0), result.corrections[8].term(8, 0))
 
 
+@pytest.mark.parametrize("order", [-1, -5])
+def test_effective_hamiltonian_below_order_zero_is_rejected(order):
+    # a negative order names no partial sum
+    h, v = two_level_inputs()
+    result = run_swt(h, v, [1, 1], max_order=2)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        result.effective_hamiltonian(order)
+
+
 def test_product_count_grows_polynomially_with_order():
     # the (order, nestedness) recursion costs O(N^3) products, about 8x from
     # order 10 to 20; summing the 2^n chains of each order would cost ~1000x
@@ -559,7 +558,7 @@ def test_product_counts(method, order, products):
         result = run_fd(h, order)
     elif method == "swt":
         mask = Mask.block_off_diagonal([4, 4, 4])
-        result = run_swt(mask.complement_project(h), mask.project(h), [4, 4, 4], order)
+        result = run_swt(h.where(mask.keep), h.where(mask.eliminate), [4, 4, 4], order)
     else:
         checkerboard = np.add.outer(np.arange(h.dim), np.arange(h.dim)) % 2 == 1
         result = run_ace(h, Mask(checkerboard), order)
@@ -730,7 +729,7 @@ def test_corrections_invariant_under_energy_shift(method, shift, seed):
         if method == "la":
             return run_la(h, sizes, max_order=4)
         mask = Mask.block_off_diagonal(sizes)
-        return run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=4)
+        return run_swt(h.where(mask.keep), h.where(mask.eliminate), sizes, max_order=4)
 
     base, shifted = run(0.0), run(shift)
     tol = 1e-13 * (abs(shift) + levels.max() - levels.min())
@@ -778,7 +777,7 @@ def transform(method, h, mask, max_order=COVARIANCE_ORDER):
         return run_ace(h, mask, max_order=max_order)
     sizes = [2, 3]
     blocks = Mask.block_off_diagonal(sizes)
-    return run_swt(blocks.complement_project(h), blocks.project(h), sizes,
+    return run_swt(h.where(blocks.keep), h.where(blocks.eliminate), sizes,
                    max_order=max_order)
 
 

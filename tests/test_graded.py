@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composition_reference import (
     CommutatorCache,
@@ -11,6 +13,7 @@ from composition_reference import (
     positive_compositions,
     product_over_composition,
 )
+from pertkit.engine import rotate_operator, run_fd
 from pertkit.errors import NonFiniteContent
 from pertkit.graded import (
     GradedOperator,
@@ -20,6 +23,10 @@ from pertkit.graded import (
     identity_operator,
     zero_operator,
 )
+from pertkit.io import (
+    load_operator, load_result, operator_document, result_document, write_document,
+)
+from pertkit.least_action import run_la
 
 RNG = np.random.default_rng(20240813)
 
@@ -386,9 +393,7 @@ def run_nested(base, factors, top, commutator_op):
     off as the weighted sum with weight 1 on m and 0 elsewhere."""
     dim = next(iter(base.values())).dim
     omega_d = next(iter(base.values())).omega_d
-    series = NestedSeries({n: GradedSum.of(op) for n, op in base.items()},
-                          {n: GradedSum.of(op) for n, op in factors.items()},
-                          top, commutator=commutator_op)
+    series = NestedSeries(base, factors, top, commutator=commutator_op)
     levels = {}
     for n in range(1, top + 1):
         series.extend(n)
@@ -536,3 +541,98 @@ def test_level_zero_holds_the_base_alone():
     series.extend(2)
     with pytest.raises(ValueError, match="holds the base alone"):
         series.add(2, 0, GradedSum({(2, 0): np.eye(2, dtype=complex)}), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen operators: every way one is made
+# ---------------------------------------------------------------------------
+
+
+def test_an_operator_is_a_finished_graded_sum():
+    m = random_matrix(2)
+    op = GradedOperator(2, {(1, 0): m, (2, 0): np.zeros((2, 2))})
+    assert isinstance(op, GradedSum)
+    assert op.finish() is op
+    assert set(op.terms) == set(op.sizes) == {(1, 0)}
+    assert op.sizes[(1, 0)] == np.abs(m).max()
+
+
+def two_level_problem():
+    return GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]),
+                              (1, 0): 0.1 * np.array([[0, 1], [1, 0]])})
+
+
+@pytest.mark.parametrize("made", ["constructor", "run_fd", "load_operator"])
+def test_adding_into_an_operator_raises_and_leaves_it_unchanged(made, tmp_path):
+    # the terms dict is the operator's own: an inherited add would put a new
+    # key into it even though every array is read-only
+    op = two_level_problem()
+    if made == "run_fd":
+        op = run_fd(op, 2).corrections[2]
+    elif made == "load_operator":
+        write_document(str(tmp_path / "op.json"), operator_document(op))
+        op = load_operator(str(tmp_path / "op.json"), 2, None)
+    before = {key: mat.copy() for key, mat in op.items()}
+    with pytest.raises(TypeError, match="frozen"):
+        op.add((5, 0), np.eye(2, dtype=complex), 1.0)
+    with pytest.raises(TypeError, match="frozen"):
+        op.add_scaled(identity_operator(2), 1.0)
+    assert set(op.keys()) == set(before) == set(op.sizes)
+    for key, mat in before.items():
+        np.testing.assert_array_equal(op.term(*key), mat)
+
+
+def graded_adjoint_verdict(op, sign, tol=1e-12):
+    """``op``'s (anti-)hermitian grading judged from its matrices alone."""
+    zero = np.zeros((op.dim, op.dim))
+    for (j, k), mat in op.items():
+        partner = op.terms.get((j, -k), zero)
+        scale = max(np.abs(mat).max(), np.abs(partner).max())
+        if np.abs(mat.conj().T - sign * partner).max() > tol * scale:
+            return False
+    return True
+
+
+def assert_frozen_and_measured(op):
+    assert isinstance(op, GradedOperator)
+    assert set(op.sizes) == set(op.terms)
+    for key, mat in op.items():
+        assert not mat.flags.writeable, key
+        assert op.sizes[key] == np.abs(mat).max(), key
+    assert op.is_hermitian_graded() == graded_adjoint_verdict(op, 1.0)
+    assert op.is_anti_hermitian_graded() == graded_adjoint_verdict(op, -1.0)
+
+
+def drawn_operator(rng, dim, omega_d, grading):
+    keys = {(int(rng.integers(0, 3)), int(rng.integers(-1, 2))) for _ in range(3)}
+    op = GradedOperator(dim, {key: random_matrix(dim, rng) for key in keys}, omega_d)
+    if grading == "hermitian":
+        return op + op.adjoint()
+    if grading == "anti-hermitian":
+        return op - op.adjoint()
+    return op
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3),
+       grading=st.sampled_from(["hermitian", "anti-hermitian", "none"]))
+def test_every_made_operator_is_frozen_with_true_sizes(tmp_path_factory, seed, dim, grading):
+    rng = np.random.default_rng(seed)
+    a = drawn_operator(rng, dim, 0.7, grading)
+    b = drawn_operator(rng, dim, 0.7, grading)
+    levels = np.cumsum(rng.uniform(0.5, 1.5, dim))
+    coupling = 0.05 * hermitian(dim, rng)
+    h = GradedOperator(dim, {(0, 0): np.diag(levels), (1, 0): coupling - np.diag(np.diag(coupling))})
+    fd, la = run_fd(h, 2), run_la(h, (1, dim - 1), 2)
+    path = str(tmp_path_factory.getbasetemp() / "made.json")
+    write_document(path, operator_document(a))
+    loaded = load_operator(path, dim, None)
+    write_document(path, result_document(fd, "0" * 64))
+    made = [a, b, a + b, a * (0.5 - 2j), a @ b, commutator(a, b), a.adjoint(),
+            a.time_derivative(), a.where(rng.random((dim, dim)) < 0.5), loaded,
+            rotate_operator(h, fd.generator, 2), *a.by_order().values(),
+            *fd.corrections.values(), *fd.generator.values(),
+            *la.corrections.values(), *la.generator.values(),
+            *load_result(path).generator.values()]
+    for op in made:
+        assert_frozen_and_measured(op)

@@ -18,7 +18,7 @@ from pertkit.engine import (
 )
 from pertkit.errors import ResonantDenominator
 from pertkit.graded import GradedOperator, GradedSum, zero_operator
-from pertkit.least_action import BlockStructure, _la_orders, block_project, run_la
+from pertkit.least_action import BlockStructure, _la_orders, run_la
 from pertkit.models import random_bd_hamiltonian
 from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
 
@@ -41,19 +41,19 @@ def graded(d, order, mat):
 
 def test_block_project_single_block_is_identity_map():
     g = graded(3, 1, RNG.normal(size=(3, 3)))
-    out = block_project(g, BlockStructure((3,)))
+    out = g.where(BlockStructure((3,)).in_block())
     np.testing.assert_allclose(out.term(1, 0), g.term(1, 0))
 
 
 def test_block_project_unit_blocks_is_diagonal_projection():
     mat = RNG.normal(size=(4, 4))
-    out = block_project(graded(4, 1, mat), BlockStructure((1, 1, 1, 1)))
+    out = graded(4, 1, mat).where(BlockStructure((1, 1, 1, 1)).in_block())
     np.testing.assert_allclose(out.term(1, 0), np.diag(np.diag(mat)))
 
 
 def test_block_project_pattern():
     ones = np.ones((3, 3))
-    out = block_project(graded(3, 1, ones), BlockStructure((2, 1)))
+    out = graded(3, 1, ones).where(BlockStructure((2, 1)).in_block())
     expected = ones.copy()
     for i, j in [(0, 2), (1, 2), (2, 0), (2, 1)]:
         expected[i, j] = 0.0
@@ -98,8 +98,8 @@ def test_epsilon_second_order_closed_form():
     blocks = BlockStructure((2, 2))
     z1 = graded(4, 1, random_antihermitian(4))
     eps = compute_epsilon(2, {1: z1}, blocks)
-    bz = block_project(z1, blocks)
-    expected = block_project(z1 @ z1, blocks) - bz @ bz
+    bz = z1.where(blocks.in_block())
+    expected = (z1 @ z1).where(blocks.in_block()) - bz @ bz
     np.testing.assert_allclose(eps.term(2, 0), expected.term(2, 0), atol=1e-14)
 
 
@@ -328,7 +328,7 @@ def test_two_block_swt_equals_la_through_order_8(sizes, coupling, seed):
     # least-action one, so the series agree order by order
     h, levels = block_instance(sizes, coupling, seed)
     mask = Mask.block_off_diagonal(sizes)
-    swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
+    swt = run_swt(h.where(mask.keep), h.where(mask.eliminate), sizes, max_order=8)
     la = run_la(h, BlockStructure(sizes), max_order=8)
     scale = levels.max()
     for n in range(1, 9):
@@ -347,7 +347,7 @@ def test_two_block_least_action_recursion_equals_swt_through_order_8(sizes, coup
     # gives the direct rotation for two blocks, i.e. the SW series
     h, levels = block_instance(sizes, coupling, seed)
     mask = Mask.block_off_diagonal(sizes)
-    swt = run_swt(mask.complement_project(h), mask.project(h), sizes, max_order=8)
+    swt = run_swt(h.where(mask.keep), h.where(mask.eliminate), sizes, max_order=8)
     la = compute_la_generator(run_fd(h, max_order=8).generator, BlockStructure(sizes), 8, h.dim)
     rotated = rotate_operator(h, la.S, 8)
     scale = levels.max()
@@ -370,7 +370,7 @@ def test_two_block_la_accepts_degenerate_levels_inside_a_block():
         run_fd(h, max_order=4)
     la = run_la(h, [2, 2], max_order=6)
     mask = Mask.block_off_diagonal([2, 2])
-    swt = run_swt(mask.complement_project(h), mask.project(h), [2, 2], max_order=6)
+    swt = run_swt(h.where(mask.keep), h.where(mask.eliminate), [2, 2], max_order=6)
     assert la.method == "la"
     for n in range(1, 7):
         assert set(la.corrections[n].keys()) == set(swt.corrections[n].keys())
@@ -401,7 +401,7 @@ def test_la_reports_a_resonant_cross_block_pair_as_fd_and_swt_do():
     runs = {
         "la": lambda: run_la(h, [2, 2], max_order=3),
         "fd": lambda: run_fd(h, max_order=3),
-        "swt": lambda: run_swt(mask.complement_project(h), mask.project(h), [2, 2], max_order=3),
+        "swt": lambda: run_swt(h.where(mask.keep), h.where(mask.eliminate), [2, 2], max_order=3),
     }
     for name, run in runs.items():
         with pytest.raises(ResonantDenominator) as err:
@@ -416,7 +416,7 @@ def test_la_solves_when_the_resonant_pair_carries_no_target():
     h = _degenerate_cross_block_pair(coupled=False)
     la = run_la(h, [2, 2], max_order=6)
     swt_mask = Mask.block_off_diagonal([2, 2])
-    swt = run_swt(swt_mask.complement_project(h), swt_mask.project(h), [2, 2], max_order=6)
+    swt = run_swt(h.where(swt_mask.keep), h.where(swt_mask.eliminate), [2, 2], max_order=6)
     for n in range(1, 7):
         assert (la.corrections[n] - swt.corrections[n]).max_abs() <= 1e-15, n
         assert not la.generator[n].term(n, 0)[[1, 2], [2, 1]].any(), n

@@ -501,6 +501,14 @@ def test_partial_sum_beyond_the_solved_order_is_rejected():
         partial_sum_matrix(result, 5, 0.5)
 
 
+@pytest.mark.parametrize("order", [-1, -5])
+def test_partial_sum_below_order_zero_is_rejected(order):
+    # a negative order names no partial sum
+    h, _ = scan_instance()
+    with pytest.raises(ValueError, match="must be >= 0"):
+        partial_sum_matrix(run_fd(h, 4), order, 0.5)
+
+
 def driven_fd_result():
     drive = 0.1 * np.array([[1.0, 1.0], [1.0, -1.0]])
     h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 1): drive, (1, -1): drive},
