@@ -46,6 +46,14 @@ One rule judges every denominator: a significant masked entry whose
 |E_j - E_i - hbar*k*omega_d| falls below ``res_tol`` of the level spread
 raises ResonantDenominator at the order that needs it.  A static coupling
 between degenerate levels is the k = 0 case of that rule.
+
+A run computes in one field, picked at its boundary by
+``graded.common_field``: ``_prepare`` hands out H split by order as float64
+copies of its real parts when no term has a nonzero imaginary part, and as
+it is otherwise; ``rotate_operator`` does the same over the operator and
+the generator orders it uses.  The series, the sums and ``solve`` take the
+dtype of their operands, and the results are frozen back into complex128
+``GradedOperator``s.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from .graded import (
     GradedSum,
     NestedSeries,
     ZERO_RTOL,
+    common_field,
     freeze_series,
 )
 
@@ -244,9 +253,11 @@ class EliminationTable:
 
 
 def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
-             res_tol: float) -> EliminationTable:
+             res_tol: float) -> tuple[EliminationTable, dict[int, GradedSum]]:
     """The one problem boundary of every routine: validate, return the run's
-    elimination table, which holds the frame.
+    elimination table, which holds the frame, and ``h`` split by order in the
+    run's field (``graded.common_field``): float64 if no term of ``h`` has a
+    nonzero imaginary part, else complex128.
 
     The mask must fit ``h``; ``h`` must be hermitian-graded with a static,
     real, diagonal order-0 part, judged against half the level spread, which
@@ -279,7 +290,8 @@ def _prepare(h: GradedOperator, mask: Mask, max_order: int, hbar: float,
     if not _finite_positive(hbar):
         raise PertError(f"hbar must be finite and positive, got {hbar}")
     _require_drive((h,), h.omega_d)
-    return EliminationTable(frame, mask, hbar, h.omega_d, res_tol)
+    base, = common_field(h.by_order())
+    return EliminationTable(frame, mask, hbar, h.omega_d, res_tol), base
 
 
 def _finite_positive(value: float) -> bool:
@@ -318,10 +330,9 @@ def _transform(
     hbar: float,
     res_tol: float,
 ) -> TransformResult:
-    table = _prepare(h, mask, max_order, hbar, res_tol)
+    table, base = _prepare(h, mask, max_order, hbar, res_tol)
     frame = table.frame
     omega_d = h.omega_d
-    base = h.by_order()
     generator: dict[int, GradedSum] = {}
     chains = NestedSeries(base, generator, max_order, commutator=True)
     weights = _inverse_factorials(max_order)
@@ -426,7 +437,8 @@ def rotate_operator(
     which must hold every order up to ``up_to_order``, each anti-hermitian-
     graded, so that exp(S) is unitary, and no order below 1.  With a
     nonzero harmonic, the drive frequency must be finite and positive.  The
-    order-n term is sum_m C_m^(n) / m! with C_0 = O.
+    order-n term is sum_m C_m^(n) / m! with C_0 = O, computed in float64 if
+    neither O nor the generator orders used have a nonzero imaginary part.
     """
     if up_to_order < 0:
         raise ValueError(f"rotation order must be >= 0, got {up_to_order}")
@@ -447,8 +459,9 @@ def rotate_operator(
         if merged.omega_d is None:
             merged = s_n
     _require_drive((operator, *generator.values()), merged.omega_d)
-    base = operator.by_order()
-    chains = NestedSeries(base, generator, up_to_order, commutator=True)
+    base, factors = common_field(operator.by_order(),
+                                 {n: generator[n] for n in range(1, up_to_order + 1)})
+    chains = NestedSeries(base, factors, up_to_order, commutator=True)
     weights = _inverse_factorials(up_to_order)
     total = GradedSum()
     total.add_scaled(base.get(0, GradedSum()), 1.0)

@@ -1,6 +1,6 @@
 """Graded-operator arithmetic and nested-commutator series.
 
-A graded operator is a family of dense d x d complex matrices indexed by
+A graded operator is a family of dense d x d matrices indexed by
 (order, harmonic): it represents
 
     sum_{j,k} M[j, k] * lambda^j * exp(i k omega_d t),
@@ -17,10 +17,18 @@ complete: when it is first read as an operand or handed out.  A key is
 judged only against its own operand scale, never against other keys, since
 lambda is formal and a small key is not a negligible one.
 ``GradedOperator``, what the package hands out and takes in, is a finished
-``GradedSum`` frozen with its dimension and drive frequency: its arrays are
-read-only, ``add`` raises, and it is read as an operand as it is.  Its
+``GradedSum`` frozen with its dimension and drive frequency: its matrices are
+complex128 and read-only, its ``terms``, ``scale`` and ``sizes`` read-only
+mappings, ``add`` raises, and it is read as an operand as it is.  Its
 constructor validates and copies the matrices; ``_adopt`` freezes a finished
 sum without a copy.
+
+A run computes in one field, picked once by ``common_field`` from the
+operators it reads: float64 when no matrix of theirs has a nonzero imaginary
+part, as for a time-reversal-symmetric Hamiltonian written in a real basis,
+and complex128 otherwise.  There is one code path for both: sums, stacks
+and products take the dtype of their operands, and freezing casts a real
+result back to complex128, so every operator handed out is complex.
 
 The engines' transformed Hamiltonian and least action's logarithm are sums
 of left-nested chains
@@ -48,6 +56,7 @@ all prune by one rule, ``_negligible``.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -155,12 +164,32 @@ def _graded_product(a: GradedSum, b: GradedSum) -> GradedSum:
     return out
 
 
-class GradedOperator(GradedSum):
-    """A finished, frozen ``GradedSum`` of d x d complex matrices, with its
-    dimension ``dim`` and drive frequency ``omega_d``.
+def common_field(*series: Mapping[int, GradedSum]) -> list[Mapping[int, GradedSum]]:
+    """The series a run reads, in the one field the run computes in.
 
-    Its arrays are read-only and ``add`` raises ``TypeError``, so it is read
-    as an operand as it is.
+    If no matrix of theirs has a nonzero imaginary part, each entry becomes a
+    finished sum of contiguous float64 copies of its matrices' real parts,
+    with the same sizes; otherwise the series are returned as they are.
+    """
+    entries = [entry.finish() for one in series for entry in one.values()]
+    if any(mat.imag.any() for entry in entries for mat in entry.terms.values()):
+        return list(series)
+    return [{n: _real_copy(entry) for n, entry in one.items()} for one in series]
+
+
+def _real_copy(entry: GradedSum) -> GradedSum:
+    copy = GradedSum({key: np.ascontiguousarray(mat.real) for key, mat in entry.terms.items()})
+    copy.sizes = dict(entry.sizes)
+    return copy
+
+
+class GradedOperator(GradedSum):
+    """A finished, frozen ``GradedSum`` of d x d complex128 matrices, with
+    its dimension ``dim`` and drive frequency ``omega_d``.
+
+    Its arrays are read-only, its ``terms``, ``scale`` and ``sizes`` are
+    read-only mappings and ``add`` raises ``TypeError``, so it is read as an
+    operand as it is.
     """
 
     __slots__ = ("dim", "omega_d")
@@ -188,19 +217,25 @@ class GradedOperator(GradedSum):
     def _adopt(cls, dim: int, entry: GradedSum, omega_d: float | None) -> "GradedOperator":
         """Freeze a finished entry without copying; its arrays turn read-only.
 
-        ``entry`` must hold complex dim x dim matrices, with ``omega_d`` set if
-        any harmonic is nonzero, and must not be added to afterwards: the
-        operator takes over its dicts.
+        ``entry`` must hold dim x dim matrices, with ``omega_d`` set if any
+        harmonic is nonzero, and must not be added to afterwards: the
+        operator takes over its dicts.  A real matrix is replaced by its
+        complex128 copy.
         """
         return object.__new__(cls)._freeze(dim, entry, omega_d)
 
     def _freeze(self, dim: int, entry: GradedSum, omega_d: float | None) -> "GradedOperator":
-        """Take over ``entry``'s terms, scales and sizes once it is finished."""
+        """Take over ``entry``'s terms, scales and sizes once it is finished,
+        each matrix complex128, behind read-only mappings."""
         entry.finish()
         self.dim, self.omega_d = dim, omega_d
-        self.terms, self.scale, self.sizes = entry.terms, entry.scale, entry.sizes
-        for mat in self.terms.values():
+        terms = entry.terms
+        for key, mat in terms.items():
+            if mat.dtype != np.complex128:  # the result of a run in real arithmetic
+                terms[key] = mat = mat.astype(np.complex128)
             mat.flags.writeable = False
+        self.terms, self.scale, self.sizes = (
+            MappingProxyType(terms), MappingProxyType(entry.scale), MappingProxyType(entry.sizes))
         return self
 
     def add(self, key: Key, mat: np.ndarray, size: float) -> None:
@@ -341,7 +376,8 @@ class GradedOperator(GradedSum):
 
 def freeze_series(series: Mapping[int, GradedSum], dim: int,
                   omega_d: float | None) -> dict[int, GradedOperator]:
-    """Every entry of a finished series frozen into a ``GradedOperator``, without a copy."""
+    """Every entry of a finished series frozen into a ``GradedOperator``, without
+    a copy of a complex matrix."""
     return {n: GradedOperator._adopt(dim, entry, omega_d) for n, entry in series.items()}
 
 
@@ -390,9 +426,9 @@ class _Stack:
 
     __slots__ = ("lo", "top", "mats", "scale", "sizes", "kept", "span")
 
-    def __init__(self, lo: int, n: int, dim: int):
+    def __init__(self, lo: int, n: int, like: np.ndarray):
         self.lo, self.top = lo, 0
-        self.mats = np.zeros((n + 1 - lo, dim, dim), dtype=complex)
+        self.mats = np.zeros((n + 1 - lo, *like.shape), dtype=like.dtype)
         self.scale = np.zeros(n + 1 - lo)
         self.sizes: np.ndarray | None = None
         self.kept, self.span = 0, slice(0, 0)
@@ -462,12 +498,13 @@ class NestedSeries:
             del stacks[k]
         return stacks
 
-    def _stack(self, n: int, k: int, lo: int, dim: int) -> _Stack:
-        """The order-n stack at harmonic k, made from level lo if absent; reopened."""
+    def _stack(self, n: int, k: int, lo: int, like: np.ndarray) -> _Stack:
+        """The order-n stack at harmonic k, made from level lo if absent, each
+        level shaped and typed as ``like``; reopened."""
         stacks = self.stacks.setdefault(n, {})
         stack = stacks.get(k)
         if stack is None:
-            stack = stacks[k] = _Stack(lo, n, dim)
+            stack = stacks[k] = _Stack(lo, n, like)
         stack.sizes = None
         return stack
 
@@ -483,7 +520,7 @@ class NestedSeries:
                 mats = left.mats[left.span]
                 first = left.lo + left.span.start + 1  # the level mats[0] feeds
                 for (_, k2), f in factor_terms:
-                    out = self._stack(n, k1 + k2, 1, f.shape[0])
+                    out = self._stack(n, k1 + k2, 1, f)
                     at = slice(first - out.lo, first - out.lo + len(mats))
                     out.top = max(out.top, at.stop)
                     prod = mats @ f
@@ -500,7 +537,7 @@ class NestedSeries:
         """Add ``weight`` times ``entry``, a sum of order-n keys, into level m of order n."""
         sizes = entry.finish().sizes
         for key, mat in entry.terms.items():
-            stack = self._stack(n, key[1], min(m, 1), mat.shape[0])
+            stack = self._stack(n, key[1], min(m, 1), mat)
             row = m - stack.lo
             if row < 0:
                 raise ValueError(f"level 0 of order {n} holds the base alone")

@@ -42,9 +42,12 @@ with P_m = U'^(m + 1) level m of one product ``NestedSeries`` over U', which
 spends O(N^3) products in O(N^2) numpy calls; it is the only part of
 ``run_la`` that uses a ``NestedSeries``.  The la convergence scan, and
 through it the fig3 experiment, calls ``_la_orders`` alone and computes no
-generator.  Input checks, the frame and the elimination table come from
-the engine's ``_prepare``: no order wraps its target in a ``GradedSum`` or
-recomputes the denominators and the resonant entries.
+generator.  Input checks, the frame, the elimination table and H's
+per-order matrices come from the engine's ``_prepare``: no order wraps its
+target in a ``GradedSum`` or recomputes the denominators and the resonant
+entries.  The matrices are float64 when no term of H has a nonzero
+imaginary part and complex128 otherwise, and every product, sum and
+solve follows their dtype; ``run_la`` freezes its output complex128.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ from .graded import (
     GradedSum,
     NestedSeries,
     _amax,
-    _max_abs,
     _negligible,
     freeze_series,
 )
@@ -120,12 +122,12 @@ def _la_orders(
         blocks = BlockStructure(blocks)
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
-    table = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
+    table, base = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
     energies, eliminate = table.frame.energies, table.mask.eliminate
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = energies[:, None] - energies[None, :]
-    h_mats = {j: mat for (j, _), mat in h.items()}
-    h_sizes = {j: _max_abs(mat) for j, mat in h_mats.items()}
+    h_mats = {j: entry.terms[(j, 0)] for j, entry in base.items()}
+    h_sizes = {j: entry.sizes[(j, 0)] for j, entry in base.items()}
     products = 0
     # the nonzero U'^(n), U'^(n)^dag and Y^(n)
     u: dict[int, np.ndarray] = {}

@@ -244,11 +244,11 @@ def pruned_la_orders(
         blocks = BlockStructure(blocks)
     if any(k != 0 for k in h.harmonics()):
         raise ValueError("least-action transformation supports static input only")
-    table = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
+    table, base = _prepare(h, blocks.cross_mask(), max_order, hbar, res_tol)
     energies, eliminate = table.frame.energies, table.mask.eliminate
     # [H0, X]_ij = (E_i - E_j) X_ij
     gaps = energies[:, None] - energies[None, :]
-    h_mats = {j: mat for (j, _), mat in h.items()}
+    h_mats = {j: entry.terms[(j, 0)] for j, entry in base.items()}
     products = 0
     # the nonzero U'^(n), U'^(n)^dag and Y^(n)
     u: dict[int, np.ndarray] = {}

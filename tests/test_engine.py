@@ -864,6 +864,98 @@ def test_relabelling_covariance(method, driven, perm, seed):
 
 
 # ---------------------------------------------------------------------------
+# the field: real input runs in real arithmetic, complex input in complex
+# ---------------------------------------------------------------------------
+
+
+def real_part(h):
+    """``h`` with each matrix's imaginary part dropped: still hermitian-graded."""
+    return GradedOperator(h.dim, {key: mat.real for key, mat in h.items()}, h.omega_d)
+
+
+def gauged(h, phases):
+    """D h D^dag with D = diag(exp(i phases)): a change of basis that keeps H0."""
+    d = np.exp(1j * phases)
+    return GradedOperator(h.dim, {key: mat * np.outer(d, d.conj()) for key, mat in h.items()},
+                          h.omega_d)
+
+
+def gauge_routine(method, h, mask):
+    """The result of ``method`` through the covariance order (swt2, swt3: two or three blocks)."""
+    if method == "la":
+        return run_la(h, (2, 3), max_order=COVARIANCE_ORDER)
+    if method.startswith("swt"):
+        sizes = [2, 3] if method == "swt2" else [1, 2, 2]
+        blocks = Mask.block_off_diagonal(sizes)
+        return run_swt(h.where(blocks.keep), h.where(blocks.eliminate), sizes,
+                       max_order=COVARIANCE_ORDER)
+    return transform(method, h, mask)
+
+
+def assert_gauge_covariant(got, want, phases):
+    """``got`` equals D ``want`` D^dag to 1e-12 of each term's largest entry,
+    and both hold complex128 matrices only."""
+    moved = gauged(want, phases)
+    assert got.keys() == want.keys()
+    for key in got.keys():
+        assert got.term(*key).dtype == want.term(*key).dtype == np.complex128, key
+        scale = max(got.sizes[key], want.sizes[key])
+        assert np.abs(got.term(*key) - moved.term(*key)).max() <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("method, driven", [
+    ("fd", False), ("fd", True), ("ace", False), ("ace", True), ("swt2", False),
+    ("swt2", True), ("swt3", False), ("swt3", True), ("la", False)])
+@pytest.mark.parametrize("seed", [3, 16])
+def test_real_and_complex_fields_are_gauge_covariant(method, driven, seed):
+    # a real H runs in float64, its complex gauge copy D H D^dag in complex128;
+    # the outputs agree up to the same D, and every one is complex128.  The
+    # real run's outputs carry +0.0 imaginary parts only: complex arithmetic
+    # on zero imaginary parts leaves -0.0 ones, which documents write as "-0"
+    instance = covariance_instance(seed, driven)
+    assert instance is not None
+    h, mask = real_part(instance[0]), instance[1]
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, h.dim)
+    real, complex_ = gauge_routine(method, h, mask), gauge_routine(method, gauged(h, phases), mask)
+    operator = real_part(instance[0].by_order()[1]) + identity_operator(h.dim, h.omega_d)
+    rotated = rotate_operator(operator, real.generator, COVARIANCE_ORDER)
+    series = [(real.corrections, complex_.corrections), (real.generator, complex_.generator),
+              ({0: rotated}, {0: rotate_operator(gauged(operator, phases), complex_.generator,
+                                                 COVARIANCE_ORDER)})]
+    for want, got in series:
+        assert want.keys() == got.keys()
+        for n in want:
+            assert_gauge_covariant(got[n], want[n], phases)
+            assert not any(np.signbit(mat.imag).any() for mat in want[n].terms.values()), n
+
+
+@pytest.mark.parametrize("routine", ["fd", "la", "rotate"])
+def test_one_tiny_imaginary_entry_runs_complex(routine):
+    # the field test looks for any nonzero imaginary part, however small: with
+    # one 1e-300 entry the run is complex and its output keeps that content,
+    # which real arithmetic would have dropped
+    h = real_part(covariance_instance(3, False)[0])
+    tiny = np.zeros((h.dim, h.dim), dtype=complex)
+    tiny[0, 2], tiny[2, 0] = 1e-300j, -1e-300j
+    if routine == "rotate":
+        generator = run_fd(h, max_order=1).generator
+        s1 = generator[1].term(1, 0).real
+        rotated = rotate_operator(GradedOperator(h.dim, {(0, 0): h.term(1, 0) + tiny}), generator, 1)
+        got, want = rotated.term(1, 0).imag, tiny.imag @ s1 - s1 @ tiny.imag
+    else:
+        h = h + GradedOperator(h.dim, {(1, 0): tiny})
+        energies = np.diag(h.term(0, 0)).real
+        if routine == "fd":
+            result = run_fd(h, max_order=2)
+        else:  # levels 0 and 2 lie in different blocks
+            result = run_la(h, (2, 3), max_order=2)
+        got = result.generator[1].term(1, 0).imag
+        want = tiny.imag / np.where(tiny.imag != 0, energies[None, :] - energies[:, None], 1.0)
+    assert got.any()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------
 

@@ -564,8 +564,8 @@ def two_level_problem():
 
 @pytest.mark.parametrize("made", ["constructor", "run_fd", "load_operator"])
 def test_adding_into_an_operator_raises_and_leaves_it_unchanged(made, tmp_path):
-    # the terms dict is the operator's own: an inherited add would put a new
-    # key into it even though every array is read-only
+    # an inherited add, or an item written into ``terms``, would put a new key
+    # into the operator even though every array is read-only
     op = two_level_problem()
     if made == "run_fd":
         op = run_fd(op, 2).corrections[2]
@@ -577,7 +577,16 @@ def test_adding_into_an_operator_raises_and_leaves_it_unchanged(made, tmp_path):
         op.add((5, 0), np.eye(2, dtype=complex), 1.0)
     with pytest.raises(TypeError, match="frozen"):
         op.add_scaled(identity_operator(2), 1.0)
+    # nor can the mappings be written into directly
+    key = next(iter(before))
+    for mapping, value in ((op.terms, np.ones((2, 2))), (op.sizes, 1.0), (op.scale, 1.0)):
+        with pytest.raises(TypeError):
+            mapping[(5, 0)] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
     assert set(op.keys()) == set(before) == set(op.sizes)
+    assert op.max_abs() == max(np.abs(mat).max() for mat in before.values())
+    assert op.is_hermitian_graded()
     for key, mat in before.items():
         np.testing.assert_array_equal(op.term(*key), mat)
 
@@ -598,6 +607,7 @@ def assert_frozen_and_measured(op):
     assert set(op.sizes) == set(op.terms)
     for key, mat in op.items():
         assert not mat.flags.writeable, key
+        assert mat.dtype == np.complex128, key
         assert op.sizes[key] == np.abs(mat).max(), key
     assert op.is_hermitian_graded() == graded_adjoint_verdict(op, 1.0)
     assert op.is_anti_hermitian_graded() == graded_adjoint_verdict(op, -1.0)

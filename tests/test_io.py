@@ -1,6 +1,7 @@
 """Fast matrix serialization against the element-by-element renderer, and
 document reads with the cyclic collector paused."""
 
+import dataclasses
 import gc
 import json
 
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 
 import pertkit.cli as cli
 from pertkit.cli import main
-from pertkit.engine import run_fd
+from pertkit.engine import rotate_operator, run_fd, run_swt
 from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
 from pertkit.io import (
-    ProblemFormatError, canonical_json, load_operator, load_problem, load_result,
-    operator_document, read_document, result_document, write_document,
+    ProblemFormatError, _series_from_json, canonical_json, load_operator, load_problem,
+    load_result, operator_document, read_document, result_document, write_document,
 )
-from pertkit.models import TransmonParams, build_transmon_resonator
+from pertkit.models import (
+    EDSRParams, TransmonParams, build_edsr, build_transmon_resonator, kron, pauli,
+)
 
 
 def reference_canonical_json(obj):
@@ -421,3 +424,50 @@ def test_a_d64_result_read_leaves_no_cyclic_garbage(tmp_path):
             gc.enable()
     assert view.dim == 64 and sorted(view.generator) == [1, 2, 3, 4]
     assert unreachable == 0
+
+
+def _bits(mat):
+    """A matrix's bytes: equal only if every part is the same double, sign of zero included."""
+    return np.ascontiguousarray(mat).tobytes()
+
+
+def _assert_same_bits(read, written):
+    assert read.keys() == written.keys()
+    for key, mat in read.items():
+        assert _bits(mat) == _bits(written.terms[key]), key
+
+
+@pytest.mark.parametrize("model", ["transmon", "edsr"])
+def test_real_model_documents_read_back_bit_for_bit(tmp_path, model):
+    # a real problem runs in real arithmetic, which leaves no -0.0 imaginary
+    # parts; json.loads would read their "-0" back as +0
+    if model == "transmon":
+        h = build_transmon_resonator(TransmonParams(
+            omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05, n_t_max=4, n_r_max=4))
+        result = run_fd(h, max_order=4)
+        op = GradedOperator(h.dim, {(0, 0): kron(np.diag(np.arange(4.0)), np.eye(4))})
+    else:
+        params = EDSRParams(omega=1.0, omega_z=0.6, omega_d=0.45, b_sl=0.02, e0=0.015, n_max=6)
+        h_blocks, v, drive = build_edsr(params)
+        result = run_swt(h_blocks, v + drive, [6, 6], max_order=4)
+        op = GradedOperator(h_blocks.dim, {(0, 0): kron(pauli()[1], np.eye(6))})
+    rotated = rotate_operator(op, result.generator, 4)
+    result_path, rotated_path = tmp_path / "result.json", tmp_path / "rotated.json"
+    write_document(str(result_path), result_document(result, "0" * 64))
+    write_document(str(rotated_path), operator_document(rotated))
+
+    raw = result_path.read_bytes()
+    read = {"corrections": _series_from_json(json.loads(raw)["corrections"], result.dim,
+                                             result.omega_d),
+            "generator": load_result(str(result_path)).generator}
+    for part, series in read.items():
+        written = getattr(result, part)
+        assert series.keys() == written.keys()
+        for n, entry in series.items():
+            _assert_same_bits(entry, written[n])
+    again = result_document(dataclasses.replace(result, **read), "0" * 64)
+    assert (canonical_json(again) + "\n").encode() == raw
+
+    loaded = load_operator(str(rotated_path), rotated.dim, rotated.omega_d)
+    _assert_same_bits(loaded, rotated)
+    assert (canonical_json(operator_document(loaded)) + "\n").encode() == rotated_path.read_bytes()
