@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -93,13 +92,6 @@ def run_fig3_experiment(
         except PertError as err:
             skipped.append((index, f"{type(err).__name__}: {err}"))
     return rows, skipped
-
-
-def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:
-    by_order: dict[int, list[float]] = {}
-    for row in rows:
-        by_order.setdefault(row.order, []).append(row.eta)
-    return {n: median(values) for n, values in sorted(by_order.items())}
 
 
 def eta_rows_to_csv(rows: list[EtaRow]) -> str:

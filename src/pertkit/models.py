@@ -92,11 +92,7 @@ def project_onto_basis(mat: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EDSRParams:
-    """Parameters of the driven spin-resonator model (angular frequencies).
-
-    ``guard`` is the number of top Fock levels excluded from closed-form
-    comparisons so the finite truncation cannot contaminate them.
-    """
+    """Parameters of the driven spin-resonator model (angular frequencies)."""
 
     omega: float          # resonator frequency
     omega_z: float        # qubit frequency
@@ -105,16 +101,10 @@ class EDSRParams:
     e0: float             # drive amplitude
     hbar: float = 1.0
     n_max: int = 20
-    guard: int = 4
 
     def __post_init__(self):
         if self.n_max < 4:
             raise ValueError("n_max must be at least 4")
-
-    @property
-    def interior(self) -> int:
-        """Largest Fock index trusted for closed-form comparisons."""
-        return self.n_max - self.guard
 
     @property
     def delta_z(self) -> float:
@@ -157,17 +147,6 @@ def build_edsr(p: EDSRParams) -> tuple[GradedOperator, GradedOperator, GradedOpe
         dim, {(1, 1): drive_mat, (1, -1): drive_mat}, omega_d=p.omega_d
     )
     return h_blocks, v, drive
-
-
-def edsr_parity_mask(n_max: int) -> Mask:
-    """Mask every entry connecting opposite Fock parities (both spins).
-
-    This is the block pattern a standard SWT of the full driven model
-    eliminates: it separates even from odd oscillator excitation numbers and
-    removes both the slanting-field coupling and the direct drive.
-    """
-    fock = np.tile(np.arange(n_max), 2)
-    return Mask((fock[:, None] + fock[None, :]) % 2 == 1)
 
 
 def spin_sector(mat: np.ndarray, n_max: int) -> np.ndarray:
@@ -213,7 +192,6 @@ class TransmonParams:
     g: float              # coupling
     n_t_max: int = 8
     n_r_max: int = 8
-    guard: int = 4
 
     def __post_init__(self):
         if self.n_t_max < 4 or self.n_r_max < 4:
@@ -248,11 +226,6 @@ def build_transmon_resonator(p: TransmonParams) -> GradedOperator:
             stacklevel=2,
         )
     return GradedOperator(dim, {(0, 0): h0, (1, 0): v})
-
-
-def transmon_energy(p: TransmonParams, n_t: int, n_r: int) -> float:
-    """Bare level w_t n_t + w_r n_r + (alpha/2) n_t (n_t - 1)."""
-    return p.omega_t * n_t + p.omega_r * n_r + 0.5 * p.alpha * n_t * (n_t - 1)
 
 
 def dispersive_shift(p: TransmonParams, n_t: int, n_r: int) -> float:
@@ -311,11 +284,6 @@ def dispersive_shift(p: TransmonParams, n_t: int, n_r: int) -> float:
         + nonlinear_ck * n_t ** 2 * n_r
         + vacuum
     )
-
-
-def dispersive_nr_slope(p: TransmonParams, n_t: int) -> float:
-    """d(shift)/d(n_r): the resonator pull plus both cross-Kerr brackets."""
-    return dispersive_shift(p, n_t, 1) - dispersive_shift(p, n_t, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ The block diagonalization first splits H into sectors, found from its exact
 zeros: the connected components of its off-diagonal nonzero pattern.  The
 direct rotation commutes with every symmetry that commutes with the block
 projectors (Bravyi, DiVincenzo and Loss, Ann. Phys. 326, 2793, 2011), so
-each sector is solved apart, with the blocks it induces, and every entry
-of U^dag and of U H U^dag between two sectors is exactly 0: it is never
-formed.  A matrix of one sector takes the whole-matrix path; when level 0
-couples to every other level, as in any dense input, one row settles it.
-Solving sectors apart keeps eigh's round-off, and its mixing of levels that
-are degenerate across sectors, out of the result.
+each sector is solved apart, from its cell of the block mask and the block
+sizes it induces, and every entry of U^dag and of U H U^dag between two
+sectors is exactly 0: it is never formed.  A matrix of one sector takes the
+whole-matrix path; when level 0 couples to every other level, as in any
+dense input, one row settles it.  Solving sectors apart keeps eigh's
+round-off, and its mixing of levels degenerate across sectors, out of the
+result.
 
 Within a sector, for a given assignment of eigenvectors to blocks the polar
 factor above is the block-diagonalizing unitary closest to 1, with
@@ -36,6 +37,7 @@ the swaps and the conditioning check each act on one sector at a time.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -63,24 +65,33 @@ class OrderedEigensystem:
     eigenvalues: np.ndarray
 
 
-def evaluate_at(
-    g: GradedOperator, lam: float, t: float | None = None
-) -> np.ndarray:
+@contextmanager
+def _no_overflow(lam: float, t: float | None = None):
+    """Raise PertError where powers of lambda, or sums weighted by them, overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise PertError(f"the terms weighted at lambda={lam}, t={t} overflow a float") from None
+
+
+def evaluate_at(g: GradedOperator, lam: float, t: float | None = None) -> np.ndarray:
     """Collapse the grading: sum_{j,k} lambda^j exp(i k omega_d t) M[j, k], a dense matrix.
 
-    ``lam``, and ``t`` when given, must be finite.
+    ``lam``, and ``t`` when given, must be finite, and so must each weighted
+    term and the sum: an overflow raises ``PertError``.
     """
     if not math.isfinite(lam) or (t is not None and not math.isfinite(t)):
         raise PertError(f"lambda and t must be finite, got lambda={lam}, t={t}")
-    has_harmonics = any(k != 0 for _, k in g.keys())
-    if has_harmonics and t is None:
+    if t is None and any(k != 0 for _, k in g.keys()):
         raise ValueError("a time value is required for harmonically graded operators")
     total = np.zeros((g.dim, g.dim), dtype=complex)
-    for (j, k), mat in g.items():
-        weight = lam ** j
-        if k != 0:
-            weight = weight * np.exp(1j * k * g.omega_d * t)
-        total += weight * mat
+    with _no_overflow(lam, t):
+        for (j, k), mat in g.items():
+            weight = lam ** j
+            if k != 0:
+                weight = weight * np.exp(1j * k * g.omega_d * t)
+            total += weight * mat
     return total
 
 
@@ -90,8 +101,10 @@ def _as_matrix(h: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(mat - mat.conj().T).max() > 1e-12 * np.abs(mat).max():
-        raise ValueError("matrix is not Hermitian to 1e-12 of its largest entry")
+    spread = np.abs(mat)  # |H - c 1|, c the mean diagonal: no shift of H changes it
+    np.fill_diagonal(spread, np.abs(mat.diagonal() - mat.diagonal().real.mean()))
+    if np.abs(mat - mat.conj().T).max() > 1e-12 * spread.max():
+        raise ValueError("matrix is not Hermitian to 1e-12 of its entries less their mean diagonal")
     return mat
 
 
@@ -146,12 +159,8 @@ def _certified_optimal(x: np.ndarray, keep: np.ndarray) -> bool:
     return bool(loss.sum() + top.sum() < 2.0)
 
 
-def _nuclear_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
-
-
-def _swap_ascent(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
-    """x with rows swapped across blocks while a swap raises sum_b ||X_bb||_*.
+def _swap_ascent(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """x with rows swapped across blocks of ``sizes`` while a swap raises sum_b ||X_bb||_*.
 
     Row i of block a is tried against every later row j of the blocks after
     a, in order, and the first swap that gains more than SWAP_GAIN_FLOOR is
@@ -162,10 +171,10 @@ def _swap_ascent(x: np.ndarray, blocks: BlockStructure) -> np.ndarray:
     """
     x = x.copy()
     d = x.shape[0]
-    ends = np.cumsum(blocks.sizes)
-    spans = [slice(end - size, end) for size, end in zip(blocks.sizes, ends)]
-    label = np.repeat(np.arange(len(spans)), blocks.sizes)
-    norms = [_nuclear_norm(x[s, s]) for s in spans]
+    ends = np.cumsum(sizes)
+    spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    label = np.repeat(np.arange(len(spans)), sizes)
+    norms = [float(np.linalg.svd(x[s, s], compute_uv=False).sum()) for s in spans]
     improved = True
     while improved:
         improved = False
@@ -207,49 +216,36 @@ def _inverse_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _sectors(mat: np.ndarray) -> list[np.ndarray]:
-    """Index arrays of mat's sectors: the connected components of its off-diagonal nonzero pattern.
+    """Index arrays of mat's sectors, the connected components of its off-diagonal nonzero pattern.
 
     An entry links its two levels when it or its mirror entry is nonzero.
     When level 0 links to every other level, the matrix is one sector and
-    nothing more is read; otherwise a depth-first search over the nonzero
-    entries labels the levels.
+    nothing more is read.  Otherwise, until no label moves, each level
+    takes the smallest label among its own and its neighbours', then its
+    label's label, so each sector ends labelled by its lowest level.
     """
     d = mat.shape[0]
     if mat[0, 1:].all():
         return [np.arange(d)]
     linked = mat != 0
-    linked |= linked.T
-    neighbours: list[list[int]] = [[] for _ in range(d)]
-    for i, j in zip(*(index.tolist() for index in np.nonzero(linked))):
-        neighbours[i].append(j)
-    sector = [-1] * d
-    count = 0
-    for start in range(d):
-        if sector[start] < 0:
-            sector[start] = count
-            stack = [start]
-            while stack:
-                for j in neighbours[stack.pop()]:
-                    if sector[j] < 0:
-                        sector[j] = count
-                        stack.append(j)
-            count += 1
-    label = np.array(sector)
-    return [np.flatnonzero(label == s) for s in range(count)]
+    rows, cols = np.nonzero(linked | linked.T)
+    label, previous = np.arange(d), None
+    while not np.array_equal(label, previous):
+        previous = label
+        label = previous.copy()
+        np.minimum.at(label, rows, previous[cols])
+        label = label[label]
+    return [np.flatnonzero(label == root) for root in np.flatnonzero(label == np.arange(d))]
 
 
-def _block_diagonalize(mat: np.ndarray, blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """(U_dagger, H_block) of one sector, from its eigensystem and least-action assignment."""
-    keep = blocks.in_block()
+def _block_diagonalize(mat: np.ndarray, keep: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(U_dagger, H_block) of one sector, with in-block mask ``keep`` and block ``sizes``."""
     x = _ordered_eigensystem(mat).X
     if not _certified_optimal(x, keep):
-        x = _swap_ascent(x, blocks)
+        x = _swap_ascent(x, sizes)
     bx = np.where(keep, x, 0.0)
-    gram = bx.conj().T @ bx
-    u_dagger = x.conj().T @ bx @ _inverse_sqrt_psd(gram)
-    u = u_dagger.conj().T
-    h_block = u @ mat @ u_dagger
-    return u_dagger, h_block
+    u_dagger = x.conj().T @ bx @ _inverse_sqrt_psd(bx.conj().T @ bx)
+    return u_dagger, u_dagger.conj().T @ mat @ u_dagger
 
 
 def exact_block_diagonalize(
@@ -261,41 +257,41 @@ def exact_block_diagonalize(
     Returns (U_dagger, H_block) with H_block = U H U^dag block diagonal.
     The matrix is validated once, here, and split into its sectors: sets of
     levels that no nonzero off-diagonal entry links to a level outside the
-    set.  Each sector is solved on its own (module docstring), with the
-    blocks it induces (its level count in each block, empty blocks
-    dropped); a one-level sector is the identity.  Entries of U_dagger and
-    H_block between two sectors are exactly 0, because they are never
-    formed.  Inside a sector, the cross-block
-    entries of H_block are the product's, not zeroed, each of order
-    eps ||H||_2 (below 1e-15 ||H||_2 on transmon, d = 64, and EDSR,
-    d = 40).  In each sector the eigenvector-to-block assignment maximizes
-    Re tr U = sum_b ||X_bb||_*: the greedy assignment of
-    ``ordered_eigensystem`` when the certificate L + s1 + s2 < 2 proves it
-    optimal for that sector (see the module docstring), else the local
-    maximum that pairwise cross-block swaps within the sector reach from
-    it.  Raises IllConditionedBlocks if B(X^dag) B(X) of any sector's
-    assignment has an eigenvalue below CONDITION_FLOOR.
+    set.  Each sector is solved on its own (module docstring), with its
+    cell of the one block mask and the blocks it induces (its level count
+    in each block, empty blocks dropped); no mask is built per sector, and
+    a one-level sector is the identity.  Entries of U_dagger and H_block
+    between two sectors are exactly 0, because they are never formed.
+    Inside a sector, the cross-block entries of H_block are the product's,
+    not zeroed, each of order eps ||H||_2 (below 1e-15 ||H||_2 on transmon,
+    d = 64, and EDSR, d = 40).  Each sector's eigenvector-to-block
+    assignment is the greedy one where the certificate proves it optimal,
+    else the local maximum of pairwise swaps (module docstring).  Raises
+    IllConditionedBlocks if B(X^dag) B(X) of any sector's assignment has
+    an eigenvalue below CONDITION_FLOOR.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(tuple(blocks))
     mat = _as_matrix(h)
     if blocks.dim != mat.shape[0]:
         raise ValueError("block sizes must sum to the matrix dimension")
+    keep = blocks.in_block()
     sectors = _sectors(mat)
+    # one sector is all fig3 and EDSR send: through the loop a fig3 call took 35-75 us more
     if len(sectors) == 1:
-        return _block_diagonalize(mat, blocks)
+        return _block_diagonalize(mat, keep, blocks.sizes)
     label = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
     u_dagger = np.zeros_like(mat)
     h_block = np.zeros_like(mat)
     for levels in sectors:
         cell = np.ix_(levels, levels)
+        # without this, eigh on each level of a diagonal d = 64 matrix ran 6x slower
         if levels.size == 1:
             u_dagger[cell] = 1.0
             h_block[cell] = mat[cell]
             continue
-        counts = np.bincount(label[levels])
-        induced = BlockStructure(tuple(counts[counts > 0]))
-        u_dagger[cell], h_block[cell] = _block_diagonalize(mat[cell], induced)
+        sizes = np.bincount(label[levels])
+        u_dagger[cell], h_block[cell] = _block_diagonalize(mat[cell], keep[cell], sizes[sizes > 0])
     return u_dagger, h_block
 
 
@@ -368,12 +364,13 @@ def convergence_scan(
         partial = np.zeros_like(h_exact)
         diffs[0] = h_exact
         row = 1
-        for n, mat in corrections.items():
-            if mat is not None:
-                partial += (lam ** n) * mat
-            if n in orders:
-                np.subtract(h_exact, partial, out=diffs[row])
-                row += 1
+        with _no_overflow(lam):
+            for n, mat in corrections.items():
+                if mat is not None:
+                    partial += (lam ** n) * mat
+                if n in orders:
+                    np.subtract(h_exact, partial, out=diffs[row])
+                    row += 1
         norms = np.linalg.norm(diffs, 2, axis=(1, 2))
         if norms[0] == 0:
             raise ValueError("reference matrix has zero spectral norm")

@@ -1,0 +1,34 @@
+"""Small helpers that only the tests use: a model mask, a closed-form level and a table reduction."""
+
+from __future__ import annotations
+
+from statistics import median
+
+import numpy as np
+
+from pertkit.engine import Mask
+from pertkit.experiments import EtaRow
+from pertkit.models import TransmonParams
+
+
+def edsr_parity_mask(n_max: int) -> Mask:
+    """Mask every entry connecting opposite Fock parities (both spins).
+
+    This is the block pattern a standard SWT of the full driven model
+    eliminates: it separates even from odd oscillator excitation numbers and
+    removes both the slanting-field coupling and the direct drive.
+    """
+    fock = np.tile(np.arange(n_max), 2)
+    return Mask((fock[:, None] + fock[None, :]) % 2 == 1)
+
+
+def transmon_energy(p: TransmonParams, n_t: int, n_r: int) -> float:
+    """Bare level w_t n_t + w_r n_r + (alpha/2) n_t (n_t - 1)."""
+    return p.omega_t * n_t + p.omega_r * n_r + 0.5 * p.alpha * n_t * (n_t - 1)
+
+
+def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:
+    by_order: dict[int, list[float]] = {}
+    for row in rows:
+        by_order.setdefault(row.order, []).append(row.eta)
+    return {n: median(values) for n, values in sorted(by_order.items())}

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from composition_reference import reference_la, reference_transform
+from helpers import edsr_parity_mask, median_eta_by_order
 from pertkit.engine import Mask, rotate_operator, run_ace, run_fd, run_swt
 from pertkit.graded import GradedOperator, commutator
 from pertkit.least_action import BlockStructure, run_la
@@ -20,7 +21,6 @@ from pertkit.models import (
     boson_ops,
     build_edsr,
     build_transmon_resonator,
-    edsr_parity_mask,
     random_ace_hamiltonian,
     sigma_x_drive_amplitude,
     sigma_z_fock_coefficient,
@@ -29,7 +29,6 @@ from pertkit.models import (
 from pertkit.experiments import (
     EnsembleSpec,
     checkerboard_mask,
-    median_eta_by_order,
     run_fig3_experiment,
     sample_instance,
 )

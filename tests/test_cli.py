@@ -1,4 +1,7 @@
+import contextlib
+import io as text_io
 import json
+import math
 import os
 import re
 import stat
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pertkit.cli import build_parser, main
 from pertkit.io import (
@@ -947,6 +951,82 @@ def test_oracle_without_usable_blocks_exit_code(tmp_path, capsys, blocks, code, 
     assert main(["oracle", str(path), "--out", str(out)] + flags) == code
     assert not out.exists()
     assert message in one_error_line(capsys)
+
+
+def oracle_doc():
+    """Three levels, level 1 isolated, with an order-2 term whose weight lambda^2 can overflow."""
+    coupling = np.zeros((3, 3))
+    coupling[0, 2] = coupling[2, 0] = 0.1
+    return {"dim": 3, "method": "la", "max_order": 2, "block_sizes": [2, 1],
+            "terms": [{"order": 0, "harmonic": 0, "matrix": mat_json(np.diag([0.0, 1.0, 2.5]))},
+                      {"order": 1, "harmonic": 0, "matrix": mat_json(coupling)},
+                      {"order": 2, "harmonic": 0, "matrix": mat_json(0.02 * np.eye(3))}]}
+
+
+@st.composite
+def mutated_oracle_docs(draw):
+    """oracle_doc as it is, or with a non-finite literal, a non-Hermitian coupling, a
+    dropped or retyped field, or a driven term."""
+    doc = oracle_doc()
+    terms = doc["terms"]
+    kind = draw(st.sampled_from(["valid", "non-finite", "skew", "drop", "retype", "driven"]))
+    if kind == "non-finite":
+        entry = terms[draw(st.integers(0, 2))]["matrix"][draw(st.integers(0, 2))][draw(st.integers(0, 2))]
+        entry[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "skew":
+        terms[1]["matrix"][2][0][0] += draw(st.sampled_from([1e-10, 1e-6, 0.5]))
+        shift = draw(st.sampled_from([0.0, 1e3, 1e8]))
+        for i in range(3):
+            terms[0]["matrix"][i][i][0] += shift
+    elif kind in ("drop", "retype"):
+        target = draw(st.sampled_from([doc] + terms))
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(["x", True, None, [1], {"a": 1}, 2.5, -1]))
+    elif kind == "driven":
+        doc["omega_d"] = 0.7
+        drive = np.zeros((3, 3))
+        drive[0, 1] = 0.05
+        terms += [{"order": 1, "harmonic": 1, "matrix": mat_json(drive)},
+                  {"order": 1, "harmonic": -1, "matrix": mat_json(drive.T)}]
+    return doc
+
+
+def test_oracle_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
+    # an --out that exists is left as it was by every failure; "--flag=value"
+    # keeps argparse from reading a negative value as a flag
+    problem, out = tmp_path / "problem.json", tmp_path / "oracle.json"
+    before = b"an earlier document\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(doc=mutated_oracle_docs(),
+           blocks=st.sampled_from([None, "2,1", "1,2", "3", "1,1,1", "0,3", "1,x", "-1,4"]),
+           lam=st.one_of(st.none(), st.sampled_from([0.5, -2.0, 1e150, 1e160, -1e200]),
+                         st.floats(-1e200, 1e200)),
+           time=st.one_of(st.none(), st.sampled_from([0.3, 1e300]), st.floats(-1e6, 1e6)))
+    def check(doc, blocks, lam, time):
+        problem.write_text(json.dumps(doc), encoding="utf-8")
+        out.write_bytes(before)
+        argv = ["oracle", str(problem), "--out", str(out)]
+        argv += [f"--{flag}={value!s}" for flag, value in
+                 (("blocks", blocks), ("lam", lam), ("time", time)) if value is not None]
+        stderr = text_io.StringIO()
+        # a warning would reach a terminal's stderr, so here it raises
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3, 5), (code, argv)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert out.read_bytes() == before
+
+    check()
 
 
 def test_cli_commands_never_import_scipy(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import median_eta_by_order
 from pertkit.experiments import (
     EnsembleSpec,
     _instance_rows,
     ace_demo,
     checkerboard_mask,
     eta_rows_to_csv,
-    median_eta_by_order,
     run_fig3_experiment,
     sample_instance,
 )

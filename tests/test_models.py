@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import edsr_parity_mask, transmon_energy
 from pertkit.engine import run_ace, run_fd, run_swt, rotate_operator
 from pertkit.models import (
     EDSRParams,
     TransmonParams,
     dispersive_shift,
-    dispersive_nr_slope,
     boson_ops,
     build_edsr,
     build_transmon_resonator,
-    edsr_parity_mask,
     gell_mann_basis,
     pauli,
     project_onto_basis,
@@ -19,7 +18,6 @@ from pertkit.models import (
     sigma_x_drive_amplitude,
     sigma_z_fock_coefficient,
     spin_sector,
-    transmon_energy,
 )
 
 
@@ -288,7 +286,8 @@ def test_cross_kerr_slope_matches_engine(transmon_params):
         engine_slope = (
             shifts[n_t * p.n_r_max + 2] - shifts[n_t * p.n_r_max + 1]
         )
-        assert abs(engine_slope - dispersive_nr_slope(p, n_t)) < 1e-10
+        slope = dispersive_shift(p, n_t, 1) - dispersive_shift(p, n_t, 0)
+        assert abs(engine_slope - slope) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def test_cross_kerr_slope_matches_engine(transmon_params):
 def test_edsr_guard_makes_comparisons_truncation_independent(edsr_params):
     # raising the truncation by 4 must not move interior matrix elements
     p = edsr_params
-    interior = p.interior + 1
+    interior = p.n_max - 4 + 1
 
     def sigma_z_block(n_max):
         q = EDSRParams(

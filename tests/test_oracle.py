@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pertkit.engine import run_fd
+from pertkit.engine import Mask, run_fd
 from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
 from pertkit.least_action import BlockStructure, run_la
@@ -73,6 +73,15 @@ def test_evaluate_requires_finite_lambda_and_time(lam, t):
     g = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 0): np.eye(2)})
     with pytest.raises(PertError, match="finite"):
         evaluate_at(g, lam, t=t)
+
+
+@pytest.mark.parametrize("lam", [1e160, -1e160, 1e150])
+def test_evaluate_overflow_is_a_precondition_error(lam):
+    # 1e160 ** 2 overflows a Python float (it used to raise OverflowError);
+    # 1e150 ** 2 times 1e10 overflows numpy's product, which only warned
+    g = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (2, 0): 1e10 * np.eye(2)})
+    with pytest.raises(PertError, match="overflow"):
+        evaluate_at(g, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +171,19 @@ def test_rejects_non_hermitian_or_non_finite_at_any_scale(mat):
         exact_block_diagonalize(mat, [1, 1])
 
 
+def test_hermitian_verdict_ignores_a_shift_of_h():
+    # judged against max|H - c 1| (c the mean diagonal): a skew of 1e-10 on
+    # couplings of 0.1 is rejected at any shift and scale; judged against
+    # max|H| it passed at a shift of 1e3, and eigh read one triangle
+    skew = np.array([[0.0, 0.1], [0.1 + 1e-10, 1.0]])
+    for mat in (skew, skew + 1e3 * np.eye(2), 1e-6 * skew):
+        with pytest.raises(ValueError, match="Hermitian"):
+            exact_block_diagonalize(mat, [1, 1])
+    hermitian = np.array([[0.0, 0.1 + 0.2j], [0.1 - 0.2j, 1.0]]) + 1e8 * np.eye(2)
+    exact_block_diagonalize(hermitian, [1, 1])
+    ordered_eigensystem(hermitian)
+
+
 def test_inverse_sqrt_guards_conditioning():
     nearly_singular = np.diag([1.0, 1e-12])
     with pytest.raises(IllConditionedBlocks):
@@ -212,11 +234,78 @@ def test_parity_sectors_of_the_transmon_match_the_whole_matrix_solve():
     within = parity[:, None] == parity[None, :]
     assert oracle._sectors(h)[0].tolist() == np.flatnonzero(parity == 0).tolist()
     u_dagger, h_block = exact_block_diagonalize(h, blocks)
-    whole_u, whole_h = _block_diagonalize(h, blocks)
+    whole_u, whole_h = _block_diagonalize(h, blocks.in_block(), blocks.sizes)
     norm = np.linalg.norm(h, 2)
     assert np.abs(u_dagger - whole_u)[within].max() < 1e-12
     assert np.abs(h_block - whole_h)[within].max() < 1e-12 * norm
     assert not u_dagger[~within].any() and not h_block[~within].any()
+
+
+def dfs_sectors(mat):
+    """Sectors by a depth-first search over neighbour lists: the reference."""
+    d = mat.shape[0]
+    linked = mat != 0
+    linked |= linked.T
+    neighbours = [[] for _ in range(d)]
+    for i, j in zip(*(index.tolist() for index in np.nonzero(linked))):
+        neighbours[i].append(j)
+    sector = [-1] * d
+    count = 0
+    for start in range(d):
+        if sector[start] < 0:
+            sector[start] = count
+            stack = [start]
+            while stack:
+                for j in neighbours[stack.pop()]:
+                    if sector[j] < 0:
+                        sector[j] = count
+                        stack.append(j)
+            count += 1
+    label = np.array(sector)
+    return [np.flatnonzero(label == s).tolist() for s in range(count)]
+
+
+def test_sectors_equal_the_depth_first_search():
+    # symmetric, one-sided and permuted patterns, each with some levels cut
+    # off from all others; sectors come in the order of their lowest level
+    rng = np.random.default_rng(2026)
+    kinds = set()
+    for trial in range(2400):
+        d = int(rng.integers(1, 30))
+        pattern = rng.random((d, d)) < rng.uniform(0.0, 0.3)
+        kind = trial % 4
+        if kind == 0:
+            pattern |= pattern.T
+        elif kind == 1:
+            pattern = np.triu(pattern, 1) if trial % 8 == 1 else np.tril(pattern, -1)
+        elif kind == 2:
+            # a chain of blocks, relabelled by a random permutation
+            cuts = np.sort(rng.choice(np.arange(1, d + 1), min(d, 3), replace=False))
+            block = np.searchsorted(cuts, np.arange(d), side="right")
+            pattern = (block[:, None] == block[None, :]) & (np.abs(np.subtract.outer(
+                np.arange(d), np.arange(d))) == 1)
+            perm = rng.permutation(d)
+            pattern = pattern[np.ix_(perm, perm)]
+        isolated = rng.random(d) < 0.2
+        pattern[isolated, :] = pattern[:, isolated] = False
+        kinds.add((kind, bool(isolated.any())))
+        mat = np.where(pattern, rng.normal(size=(d, d)) + 1j, 0.0)
+        mat[np.diag_indices(d)] = rng.normal(size=d) * (rng.random(d) < 0.5)
+        assert [s.tolist() for s in oracle._sectors(mat)] == dfs_sectors(mat), (trial, d)
+    assert len(kinds) == 8
+
+
+def test_a_two_sector_solve_builds_no_mask_per_sector(monkeypatch):
+    # each sector reads its cell of the caller's one block mask
+    p = TransmonParams(omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05, n_t_max=4, n_r_max=4)
+    h = evaluate_at(build_transmon_resonator(p), 1.0)
+    blocks = BlockStructure((4,) * 4)
+    assert len(oracle._sectors(h)) == 2
+    built = []
+    init = Mask.__init__
+    monkeypatch.setattr(Mask, "__init__", lambda self, eliminate: built.append(init(self, eliminate)))
+    exact_block_diagonalize(h, blocks)
+    assert built == []
 
 
 def test_a_diagonal_matrix_is_its_own_one_level_sectors():
@@ -393,7 +482,7 @@ def test_swap_ascent_takes_the_swaps_of_the_loop():
     for _ in range(42):
         x, blocks = next(frames)
         want = swap_ascent_loop(x, blocks)
-        np.testing.assert_array_equal(_swap_ascent(x, blocks), want)
+        np.testing.assert_array_equal(_swap_ascent(x, blocks.sizes), want)
         moved += not np.array_equal(want, x)
     assert moved >= 15, moved
 
@@ -489,6 +578,13 @@ def test_scan_rows_equal_the_spectral_distance_of_each_partial_sum(method):
             want += [(n, lam, spectral_distance(h_exact, partial_sum_matrix(result, n, lam)))
                      for n in orders]
         assert convergence_scan(h, method, orders, lambdas, blocks) == want
+
+
+def test_scan_whose_partial_sums_overflow_is_a_precondition_error():
+    # lambda ** 8 = 1e320 used to raise OverflowError from the partial sums
+    h, _ = scan_instance()
+    with pytest.raises(PertError, match="overflow"):
+        convergence_scan(h, "fd", [2, 8], [1e40])
 
 
 def test_partial_sum_beyond_the_solved_order_is_rejected():
