@@ -12,12 +12,22 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
-``read_document`` decodes and converts with the cyclic garbage collector
-paused.  Decoded JSON is a tree of dicts, lists and scalars, and the
-conversion builds arrays and specs from it, so neither holds a reference
-cycle: reference counting frees all of it.  A collection pass, which
-CPython would otherwise start every 700 new containers, would only walk
-and promote the ~30,000 [re, im] lists of a d = 64 document.
+``read_document`` converts each matrix as the decoder closes the object
+that holds it: the value of a "matrix" key (a problem or operator term) or
+of a key with a comma ("j,k" in a result series) becomes its complex array
+while its [re, im] lists are still in the cache, and those lists are freed
+before the next object's matrices are decoded.  A value that does not
+convert stays as decoded, and the reader that expects a matrix there
+reports it.  A "-0" number, which
+``json.loads`` would read as the int 0, is read as -0.0, so every document
+pertkit writes reads back bit for bit.
+
+Decoding and conversion run with the cyclic garbage collector paused.
+Decoded JSON is a tree of dicts, lists and scalars, and the conversion
+builds arrays and specs from it, so neither holds a reference cycle:
+reference counting frees all of it.  A collection pass, which CPython would
+otherwise start every 700 new containers, would only walk and promote the
+[re, im] lists, of which at most one object's matrices are alive at a time.
 
 All output floats are rendered with 17 significant digits so identical
 inputs produce byte-identical documents.  Matrices travel as complex arrays
@@ -51,6 +61,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -228,9 +239,14 @@ def matrix_from_json(data, dim: int) -> np.ndarray:
     an int or a float: a string such as "0" or a boolean raises
     ProblemFormatError, where a float conversion would read them as 0.0 and
     1.0.  The pairs are split into their real and imaginary parts in one
-    pass, which also requires each of them to hold exactly two items.
+    pass, which also requires each of them to hold exactly two items.  An
+    array is one ``read_document`` already converted; only its shape is checked.
     """
     shape = f"matrix must be {dim}x{dim} of [re, im] pairs"
+    if type(data) is np.ndarray:
+        if data.shape != (dim, dim):
+            raise ProblemFormatError(shape)
+        return data
     if (type(data) is not list or len(data) != dim
             or set(map(type, data)) != {list} or set(map(len, data)) != {dim}):
         raise ProblemFormatError(shape)
@@ -266,10 +282,31 @@ def collector_paused():
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded object, its keys each given once and its matrices converted.
+
+    The value of a "matrix" key, or of a key with a comma such as a series'
+    "j,k", becomes a complex array if it is a square grid of [re, im] pairs.
+    Any other value stays as decoded for its reader to report: an exception
+    raised here would read as a document that does not decode.
+    """
     obj = dict(pairs)
     if len(obj) != len(pairs):
         raise ValueError(f"a JSON object repeats a key among {sorted(obj)}")
+    for key, value in pairs:
+        if type(value) is list and (key == "matrix" or "," in key):
+            try:
+                obj[key] = matrix_from_json(value, len(value))
+            except (ValueError, OverflowError):
+                pass
     return obj
+
+
+#: A "-0" number: "-0" followed by none of the characters that continue it.
+_NEGATIVE_ZERO = re.compile(rb"-0[^.0-9eE]")
+
+
+def _int_or_negative_zero(text: str) -> int | float:
+    return -0.0 if text == "-0" else int(text)
 
 
 def read_document(path: str, convert: Callable[[dict, bytes], T]) -> T:
@@ -277,14 +314,18 @@ def read_document(path: str, convert: Callable[[dict, bytes], T]) -> T:
 
     ``raw`` is the file's bytes.  A file that cannot be read, or does not
     hold a JSON object whose keys are each given once, raises
-    ProblemFormatError.  The collector stays paused until the decoded tree
-    is dropped, so no pass ever walks it.
+    ProblemFormatError.  Each matrix is converted as the decoder closes its
+    object (``_unique_keys``).  Only if ``raw`` holds a "-0" number does
+    every integer go through a Python call, which reads that one as -0.0;
+    the call slows decoding about twofold.  The collector stays paused until
+    the decoded tree is dropped, so no pass ever walks it.
     """
     with collector_paused():
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-            doc = json.loads(raw, object_pairs_hook=_unique_keys)
+            parse_int = _int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None
+            doc = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=parse_int)
         except (OSError, ValueError, RecursionError) as err:
             raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
         if not isinstance(doc, dict):
@@ -299,7 +340,9 @@ def converting(what: str):
     """A field of ``what`` that does not convert raises ProblemFormatError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
+    except KeyError as err:
+        raise ProblemFormatError(f"malformed {what}: missing key {err}") from err
+    except (TypeError, ValueError, AttributeError, OverflowError) as err:
         raise ProblemFormatError(f"malformed {what}: {err}") from err
 
 

@@ -1,7 +1,11 @@
-"""Small helpers that only the tests use: a model mask, a closed-form level and a table reduction."""
+"""Small helpers that only the tests use: a model mask, a closed-form level, a table
+reduction and README's minimal problem."""
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -32,3 +36,10 @@ def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:
     for row in rows:
         by_order.setdefault(row.order, []).append(row.eta)
     return {n: median(values) for n, values in sorted(by_order.items())}
+
+
+def readme_problem() -> dict:
+    """The problem document that follows README's "A minimal problem file:"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("A minimal problem file:")
+    return json.loads(re.compile(r"^```json\n(.*?)^```", re.S | re.M).search(readme, start).group(1))

@@ -3,7 +3,6 @@ import io as text_io
 import json
 import math
 import os
-import re
 import stat
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import readme_problem
 from pertkit.cli import build_parser, main
 from pertkit.io import (
     RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem, matrix_from_json,
@@ -198,10 +198,7 @@ def test_failed_run_leaves_an_existing_output_untouched(tmp_path):
 
 def readme_fd_problem(tmp_path) -> Path:
     """README's minimal problem file, its method switched to fd (which reads no block sizes)."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    start = readme.index("A minimal problem file:")
-    block = re.compile(r"^```json\n(.*?)^```", re.S | re.M).search(readme, start).group(1)
-    doc = {key: value for key, value in json.loads(block).items() if key != "block_sizes"}
+    doc = {key: value for key, value in readme_problem().items() if key != "block_sizes"}
     path = tmp_path / "minimal-problem-fd.json"
     write_json(path, {**doc, "method": "fd"})
     return path
@@ -841,6 +838,43 @@ def _with_entry(matrix, value):
     return out
 
 
+def _rotate_argv(problem, result, operator, out):
+    return ["rotate", str(problem), str(result), str(operator), "--order", "1", "--out", str(out)]
+
+
+def _run_with_edited_document(tmp_path, problem, document, edit):
+    """Exit code of ``document`` (problem: transform; operator or result: rotate)
+    with ``edit`` applied to its JSON, and whether an output was written."""
+    out = tmp_path / "x.json"
+    if document == "problem":
+        doc = json.loads(problem.read_text())
+        edit(doc)
+        write_json(problem, doc)
+        return main(["transform", str(problem), "--out", str(out)]), out.exists()
+    result, op_path = tmp_path / "result.json", tmp_path / "op.json"
+    assert main(["transform", str(problem), "--out", str(result)]) == 0
+    op = {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]}
+    if document == "operator":
+        edit(op)
+    else:
+        doc = json.loads(result.read_text())
+        edit(doc)
+        write_json(result, doc)
+    write_json(op_path, op)
+    return main(_rotate_argv(problem, result, op_path, out)), out.exists()
+
+
+def _edit_matrix(document, change):
+    """An edit of ``document``'s first matrix: a problem or operator term's, or
+    the result's order-1 generator entry."""
+    def edit(doc):
+        if document == "result":
+            doc["generator"]["1"]["1,0"] = change(doc["generator"]["1"]["1,0"])
+        else:
+            doc["terms"][0]["matrix"] = change(doc["terms"][0]["matrix"])
+    return edit
+
+
 @pytest.mark.parametrize("value", ["0", True, False, None, {"re": 0}],
                          ids=["numeric-string", "true", "false", "null", "object"])
 @pytest.mark.parametrize("document", ["problem", "operator", "result"])
@@ -848,28 +882,12 @@ def test_matrix_entry_that_is_not_a_number_exit_code(two_level_problem, tmp_path
                                                       document, value):
     # a float conversion read "0" and false as 0.0 and true as 1.0, so the
     # run went on (exit 0, or 4 once true made the levels degenerate)
-    out = tmp_path / "x.json"
-    if document == "problem":
-        doc = json.loads(two_level_problem.read_text())
-        doc["terms"][0]["matrix"] = _with_entry(doc["terms"][0]["matrix"], value)
-        write_json(two_level_problem, doc)
-        argv = ["transform", str(two_level_problem)]
-    else:
-        result = tmp_path / "result.json"
-        assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
-        op = {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]}
-        if document == "operator":
-            op["terms"][0]["matrix"] = _with_entry(op["terms"][0]["matrix"], value)
-        else:
-            doc = json.loads(result.read_text())
-            doc["generator"]["1"]["1,0"] = _with_entry(doc["generator"]["1"]["1,0"], value)
-            write_json(result, doc)
-        op_path = tmp_path / "op.json"
-        write_json(op_path, op)
-        argv = ["rotate", str(two_level_problem), str(result), str(op_path), "--order", "1"]
-    assert main(argv + ["--out", str(out)]) == 2
-    assert not out.exists()
-    assert "matrix entry must be a number" in capsys.readouterr().err
+    code, written = _run_with_edited_document(
+        tmp_path, two_level_problem, document,
+        _edit_matrix(document, lambda matrix: _with_entry(matrix, value)))
+    assert (code, written) == (2, False)
+    assert one_error_line(capsys) == (
+        f"error: malformed {document} document: a matrix entry must be a number, got {value!r}\n")
 
 
 @pytest.mark.parametrize("matrix", [
@@ -892,6 +910,76 @@ def test_matrix_that_is_not_a_grid_of_pairs_exit_code(two_level_problem, tmp_pat
     assert main(["transform", str(two_level_problem), "--out", str(out)]) == 2
     assert not out.exists()
     one_error_line(capsys)
+
+
+#: (case, how the matrix is broken, the message it gave before matrices were
+#: converted during decoding)
+MALFORMED_MATRICES = [
+    ("ragged-row", lambda m: [m[0][:1], m[1]], "matrix must be 2x2 of [re, im] pairs"),
+    ("pair-of-three", lambda m: [[m[0][0] + [0], m[0][1]], m[1]],
+     "matrix must be 2x2 of [re, im] pairs"),
+    ("wrong-dim", lambda m: mat_json(np.eye(3)), "matrix must be 2x2 of [re, im] pairs"),
+    ("overflowing-integer", lambda m: _with_entry(m, 10 ** 400), "int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("change, message", [case[1:] for case in MALFORMED_MATRICES],
+                         ids=[case[0] for case in MALFORMED_MATRICES])
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_malformed_matrix_is_reported_by_its_reader(two_level_problem, tmp_path, capsys, document,
+                                                    change, message):
+    # the decoder converts each matrix as its object closes; one that does not
+    # convert stays as decoded, and its reader reports it as before
+    code, written = _run_with_edited_document(tmp_path, two_level_problem, document,
+                                              _edit_matrix(document, change))
+    assert (code, written) == (2, False)
+    assert one_error_line(capsys) == f"error: malformed {document} document: {message}\n"
+
+
+@pytest.mark.parametrize("method, key, message", [
+    ("swt", "block_sizes", "expected an integer, got [[1.0, 0.0], [0.0, 0.0]]"),
+    ("ace", "mask", "a mask entry must be true, false, 0 or 1, got [1.0, 0.0]"),
+], ids=["block-sizes", "mask"])
+def test_matrix_shaped_structure_is_not_converted(tmp_path, capsys, method, key, message):
+    # only "matrix" and "j,k" values are converted during decoding
+    doc = two_level_doc(method)
+    doc[key] = mat_json(np.eye(2))
+    path = tmp_path / "problem.json"
+    write_json(path, doc)
+    assert main(["transform", str(path), "--out", str(tmp_path / "o.json")]) == 2
+    assert one_error_line(capsys) == f"error: malformed problem document: {message}\n"
+
+
+def test_result_with_a_malformed_correction_still_rotates(two_level_problem, tmp_path):
+    # rotate reads only the generator; a correction that does not convert
+    # stays as decoded and is never read
+    result, op_path = tmp_path / "result.json", tmp_path / "op.json"
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.diag([1.0, -1.0]))}]})
+    intact, broken = tmp_path / "intact.json", tmp_path / "broken.json"
+    assert main(_rotate_argv(two_level_problem, result, op_path, intact)) == 0
+    doc = json.loads(result.read_text())
+    doc["corrections"]["2"]["2,0"] = _with_entry(doc["corrections"]["2"]["2,0"], "0")
+    write_json(result, doc)
+    assert main(_rotate_argv(two_level_problem, result, op_path, broken)) == 0
+    assert broken.read_bytes() == intact.read_bytes()
+
+
+def _drop_matrix(doc):
+    del doc["terms"][0]["matrix"]
+
+
+@pytest.mark.parametrize("document, edit, key", [
+    ("problem", _drop_matrix, "matrix"),
+    ("operator", _drop_matrix, "matrix"),
+    ("result", lambda doc: doc.pop("generator"), "generator"),
+], ids=["problem", "operator", "result"])
+def test_missing_key_is_reported_as_missing(two_level_problem, tmp_path, capsys, document, edit,
+                                            key):
+    # the bare text of the KeyError read "malformed problem document: 'matrix'"
+    code, written = _run_with_edited_document(tmp_path, two_level_problem, document, edit)
+    assert (code, written) == (2, False)
+    assert one_error_line(capsys) == f"error: malformed {document} document: missing key {key!r}\n"
 
 
 def test_matrix_from_json_reads_each_part_with_its_zero_sign():

@@ -4,12 +4,15 @@ document reads with the cyclic collector paused."""
 import dataclasses
 import gc
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import readme_problem
 import pertkit.cli as cli
 from pertkit.cli import main
 from pertkit.engine import rotate_operator, run_fd, run_swt
@@ -471,3 +474,109 @@ def test_real_model_documents_read_back_bit_for_bit(tmp_path, model):
     loaded = load_operator(str(rotated_path), rotated.dim, rotated.omega_d)
     _assert_same_bits(loaded, rotated)
     assert (canonical_json(operator_document(loaded)) + "\n").encode() == rotated_path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# documents read back to their own bytes; matrices converted as decoded
+# ---------------------------------------------------------------------------
+
+
+#: A "-0" number, which json.loads alone reads back as the int 0.
+NEGATIVE_ZERO = re.compile(rb"-0[^.0-9eE]")
+
+
+@pytest.fixture(scope="module")
+def written_documents(tmp_path_factory) -> dict:
+    """Every kind of document pertkit writes, by name: results of README's
+    minimal problem under each method and of its 0.1 sigma_y variant (whose
+    complex arithmetic writes "-0" parts) under fd and swt, a driven result,
+    a rotated operator, an oracle document and the ace demo."""
+    tmp = tmp_path_factory.mktemp("written")
+    minimal = readme_problem()
+    static = {key: value for key, value in minimal.items() if key != "block_sizes"}
+    sigma_y = {**minimal, "max_order": 4, "terms": [
+        minimal["terms"][0],
+        {"order": 1, "harmonic": 0, "matrix": [[[0, 0], [0, -0.1]], [[0, 0.1], [0, 0]]]}]}
+    drive = reference_matrix_to_json(0.1 * pauli()[1])
+    driven = {**minimal, "omega_d": 0.3, "terms": minimal["terms"][:1] + [
+        {"order": 1, "harmonic": k, "matrix": drive} for k in (1, -1)]}
+    problems = {
+        "swt": minimal, "fd": {**static, "method": "fd"},
+        "ace": {**static, "method": "ace", "mask": {"block_sizes": [1, 1]}},
+        "la": {**static, "method": "la", "block_sizes": [1, 1]},
+        "sigma-y-fd": {**sigma_y, "method": "fd"}, "sigma-y-swt": sigma_y, "driven": driven,
+    }
+    paths = {}
+    for name, doc in problems.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = tmp / f"{name}.out.json"
+        assert main(["transform", str(tmp / f"{name}.json"), "--out", str(paths[name])]) == 0
+    operator = tmp / "op.json"
+    operator.write_text(json.dumps({"terms": [{"order": 0, "matrix": drive}]}), encoding="utf-8")
+    paths["rotated"] = tmp / "rotated.out.json"
+    assert main(["rotate", str(tmp / "sigma-y-fd.json"), str(paths["sigma-y-fd"]), str(operator),
+                 "--order", "4", "--out", str(paths["rotated"])]) == 0
+    paths["oracle"] = tmp / "oracle.out.json"
+    assert main(["oracle", str(tmp / "swt.json"), "--out", str(paths["oracle"])]) == 0
+    spec = tmp / "ace-spec.json"
+    spec.write_text(json.dumps({"kind": "ace", "dim": 6, "seed": 3, "max_order": 2}))
+    paths["ace-demo"] = tmp / "demo.out.json"
+    assert main(["experiment", str(spec), "--out", str(paths["ace-demo"])]) == 0
+    return paths
+
+
+WRITTEN = ["swt", "fd", "ace", "la", "sigma-y-fd", "sigma-y-swt", "driven", "rotated", "oracle",
+           "ace-demo"]
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_every_written_document_reads_back_to_its_own_bytes(written_documents, name):
+    # json.loads read a "-0" part as the int 0, which renders as "0"
+    path = written_documents[name]
+    raw = path.read_bytes()
+    if name.startswith("sigma-y"):
+        assert NEGATIVE_ZERO.search(raw)
+    assert (canonical_json(read_document(str(path), lambda doc, raw: doc)) + "\n").encode() == raw
+
+
+def test_a_negative_zero_integer_field_reads_as_zero(tmp_path):
+    # a "-0" document reads -0 as -0.0 everywhere; an integer field is still 0
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**PROBLEM, "terms": [{**TWO_LEVEL, "order": -0.0}]})
+                    .replace("-0.0", "-0"), encoding="utf-8")
+    assert NEGATIVE_ZERO.search(path.read_bytes())
+    spec, _ = load_problem(str(path))
+    assert list(spec.terms) == [(0, 0)] and type(next(iter(spec.terms))[0]) is int
+
+
+def test_a_result_read_holds_one_entry_of_decoded_lists_at_a_time(tmp_path):
+    # Eight real banded d = 48 matrices, as in the model documents, where most
+    # parts are the literal 0 and the [re, im] lists, not the text, dominate
+    # decoding.  Decoded whole, every matrix's lists are alive at once.
+    rng = np.random.default_rng(2)
+
+    def banded():
+        mat = np.diag(rng.normal(size=48)) + np.diag(rng.normal(size=47), 1)
+        return (mat + mat.T).astype(complex)
+
+    def series():
+        return {str(n): {f"{n},0": banded()} for n in range(1, 5)}
+
+    path = tmp_path / "result.json"
+    write_document(str(path), {
+        "problem_sha256": "0" * 64, "method": "fd", "dim": 48, "max_order": 4, "hbar": 1.0,
+        "omega_d": None, "energies": [0.0] * 48, "corrections": series(), "generator": series(),
+        "diagnostics": {"products": 0, "resonances": [], "tolerances": {"zero": 1e-14},
+                        "timings": None}})
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: json.loads(path.read_bytes()))
+    converted = peak(lambda: load_result(str(path)))
+    assert converted < whole / 2, (converted, whole)
