@@ -12,15 +12,21 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
-``read_document`` converts each matrix as the decoder closes the object
-that holds it: the value of a "matrix" key (a problem or operator term) or
-of a key with a comma ("j,k" in a result series) becomes its complex array
+``read_document`` walks a document's top-level object itself and decodes
+each member with its own hook, chosen by the member's key.  A member the
+caller reads converts each matrix as the decoder closes the object that
+holds it: the value of a "matrix" key (a problem or operator term) or of a
+key with a comma ("j,k" in a result series) becomes its complex array
 while its [re, im] lists are still in the cache, and those lists are freed
 before the next object's matrices are decoded.  A value that does not
 convert stays as decoded, and the reader that expects a matrix there
-reports it.  A "-0" number, which
-``json.loads`` would read as the int 0, is read as -0.0, so every document
-pertkit writes reads back bit for bit.
+reports it.  A member the caller names as unread (a result's
+"corrections", which ``rotate`` never reads) is still checked as JSON and
+for repeated keys, but its matrices are dropped as decoded, not
+converted.  Either way the verdict and every error message are those of
+``json.loads``.  A "-0" number, which ``json.loads`` would read as the int
+0, is read as -0.0, so every document pertkit writes reads back bit for
+bit.
 
 Decoding and conversion run with the cyclic garbage collector paused.
 Decoded JSON is a tree of dicts, lists and scalars, and the conversion
@@ -66,6 +72,8 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from json import JSONDecodeError
+from json.decoder import WHITESPACE, scanstring
 from typing import Any, Callable, TypeVar
 
 import numpy as np
@@ -281,6 +289,14 @@ def collector_paused():
             gc.enable()
 
 
+def _keys_once(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded object's pairs as a dict; a key given twice raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"a JSON object repeats a key among {sorted(obj)}")
+    return obj
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A decoded object, its keys each given once and its matrices converted.
 
@@ -289,9 +305,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     Any other value stays as decoded for its reader to report: an exception
     raised here would read as a document that does not decode.
     """
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ValueError(f"a JSON object repeats a key among {sorted(obj)}")
+    obj = _keys_once(pairs)
     for key, value in pairs:
         if type(value) is list and (key == "matrix" or "," in key):
             try:
@@ -299,6 +313,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
             except (ValueError, OverflowError):
                 pass
     return obj
+
+
+def _unread(pairs: list[tuple[str, Any]]) -> None:
+    """An object of a member no reader reads: its keys checked, the object dropped."""
+    _keys_once(pairs)
 
 
 #: A "-0" number: "-0" followed by none of the characters that continue it.
@@ -309,23 +328,95 @@ def _int_or_negative_zero(text: str) -> int | float:
     return -0.0 if text == "-0" else int(text)
 
 
-def read_document(path: str, convert: Callable[[dict, bytes], T]) -> T:
+#: Per ``parse_int``: the scanner of a member that is read and of one that is not.
+_SCANNERS = {
+    parse_int: tuple(json.JSONDecoder(object_pairs_hook=hook, parse_int=parse_int).scan_once
+                     for hook in (_unique_keys, _unread))
+    for parse_int in (None, _int_or_negative_zero)}
+_space = WHITESPACE.match
+
+
+def _trailing_comma() -> tuple[str, bool]:
+    """How ``json.loads`` reports a comma before an object's "}": its message,
+    and whether its position is the comma's (Python 3.13 on) or the "}"'s."""
+    try:
+        json.loads('{"":0,}')
+    except JSONDecodeError as err:
+        return err.msg, err.pos == 5
+    raise AssertionError("a trailing comma decoded")
+
+
+_TRAILING_COMMA = _trailing_comma()
+
+
+def _scan(scan_once, s: str, at: int) -> tuple[Any, int]:
+    try:
+        return scan_once(s, at)
+    except StopIteration as err:
+        raise JSONDecodeError("Expecting value", s, err.value) from None
+
+
+def _decode(raw: bytes, unread: tuple[str, ...]) -> Any:
+    """``json.loads(raw, object_pairs_hook=_unique_keys)``, but a member of the
+    top-level object whose key is in ``unread`` is decoded by ``_unread``.
+
+    The top-level object is walked here, as the C scanner walks one, so each
+    member's scanner is chosen by its key and every error keeps its message
+    and position.  Any other top-level value is decoded whole.
+    """
+    s = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    read, skip = _SCANNERS[_int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None]
+    at = _space(s, 0).end()
+    if s[at:at + 1] != "{":
+        doc, at = _scan(read, s, at)
+    else:
+        pairs, at = [], _space(s, at + 1).end()
+        while s[at:at + 1] != "}":
+            if s[at:at + 1] != '"':
+                raise JSONDecodeError("Expecting property name enclosed in double quotes", s, at)
+            key, at = scanstring(s, at + 1)
+            at = _space(s, at).end()
+            if s[at:at + 1] != ":":
+                raise JSONDecodeError("Expecting ':' delimiter", s, at)
+            value, at = _scan(skip if key in unread else read, s, _space(s, at + 1).end())
+            pairs.append((key, value))
+            at = _space(s, at).end()
+            if s[at:at + 1] == ",":
+                comma, at = at, _space(s, at + 1).end()
+                if s[at:at + 1] == "}":
+                    message, at_comma = _TRAILING_COMMA
+                    raise JSONDecodeError(message, s, comma if at_comma else at)
+            elif s[at:at + 1] != "}":
+                raise JSONDecodeError("Expecting ',' delimiter", s, at)
+        doc, at = _unique_keys(pairs), at + 1
+    at = _space(s, at).end()
+    if at != len(s):
+        raise JSONDecodeError("Extra data", s, at)
+    return doc
+
+
+def read_document(path: str, convert: Callable[[dict, bytes], T],
+                  unread: tuple[str, ...] = ()) -> T:
     """``convert(doc, raw)`` for the JSON object ``doc`` stored at ``path``.
 
     ``raw`` is the file's bytes.  A file that cannot be read, or does not
     hold a JSON object whose keys are each given once, raises
-    ProblemFormatError.  Each matrix is converted as the decoder closes its
-    object (``_unique_keys``).  Only if ``raw`` holds a "-0" number does
-    every integer go through a Python call, which reads that one as -0.0;
-    the call slows decoding about twofold.  The collector stays paused until
-    the decoded tree is dropped, so no pass ever walks it.
+    ProblemFormatError; one that does not decode keeps the message
+    ``json.loads`` gives.  Each top-level member is decoded with its own
+    hook.  A member whose key is in ``unread`` is checked as JSON and for
+    repeated keys, and its objects are dropped as they close, so its
+    matrices are never converted.  In every other member each matrix is
+    converted as the decoder closes its object (``_unique_keys``).  Only if
+    ``raw`` holds a "-0" number does every integer go through a Python
+    call, which reads that one as -0.0; the call slows decoding about
+    twofold.  The collector stays paused until the decoded tree is dropped,
+    so no pass ever walks it.
     """
     with collector_paused():
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-            parse_int = _int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None
-            doc = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=parse_int)
+            doc = _decode(raw, unread)
         except (OSError, ValueError, RecursionError) as err:
             raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
         if not isinstance(doc, dict):
@@ -557,7 +648,8 @@ class ResultView:
 
 
 def load_result(path: str) -> ResultView:
-    return read_document(path, _result_view)
+    """The result at ``path``; its corrections are checked as JSON but not converted."""
+    return read_document(path, _result_view, unread=("corrections",))
 
 
 def _result_view(doc: dict, raw: bytes) -> ResultView:
@@ -565,8 +657,11 @@ def _result_view(doc: dict, raw: bytes) -> ResultView:
     with converting("result document"):
         dim = as_int(doc["dim"])
         omega_d = None if doc.get("omega_d") is None else as_float(doc["omega_d"])
+        digest = doc["problem_sha256"]
+        if type(digest) is not str:
+            raise TypeError(f"problem_sha256 must be a string, got {digest!r}")
         view = ResultView(
-            problem_sha256=str(doc["problem_sha256"]),
+            problem_sha256=digest,
             dim=dim,
             max_order=as_int(doc["max_order"]),
             omega_d=omega_d,

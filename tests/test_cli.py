@@ -791,6 +791,30 @@ def test_rotate_refuses_a_result_document_pertkit_did_not_write(two_level_proble
     assert not out.exists()
 
 
+NOT_A_STRING = "malformed result document: problem_sha256 must be a string, got "
+
+
+@pytest.mark.parametrize("retype, code, message", [
+    (lambda digest: None, 2, NOT_A_STRING + "None"),
+    (lambda digest: 5, 2, NOT_A_STRING + "5"),
+    (lambda digest: [digest], 2, NOT_A_STRING + "['"),
+    (lambda digest: "0" * 64, 3, "produced from a different problem file (hash 000000000000..."),
+], ids=["null", "number", "list", "other-hash"])
+def test_rotate_result_whose_hash_is_not_a_string_exit_code(tmp_path, capsys, retype, code,
+                                                            message):
+    # str() read null as "None", so rotate reported a different problem file (exit 3)
+    problem, result = readme_fd_problem(tmp_path), tmp_path / "result.json"
+    assert main(["transform", str(problem), "--max-order", "3", "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    write_json(result, {**doc, "problem_sha256": retype(doc["problem_sha256"])})
+    op_path, out = tmp_path / "op.json", tmp_path / "x.json"
+    write_json(op_path, {"terms": [EYE_TERM]})
+    capsys.readouterr()
+    assert main(_rotate_argv(problem, result, op_path, out)) == code
+    assert message in one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_rotated_operator_document_rotates_again(two_level_problem, tmp_path):
     # what operator_document writes (dim, omega_d, terms) is an operator document
     result = tmp_path / "result.json"
@@ -965,6 +989,33 @@ def test_result_with_a_malformed_correction_still_rotates(two_level_problem, tmp
     assert broken.read_bytes() == intact.read_bytes()
 
 
+def _corrections_text(text: str, change) -> str:
+    """A result document's text with its corrections member's text changed."""
+    corrections = json.dumps(json.loads(text)["corrections"])
+    assert text.count(corrections) == 1
+    return text.replace(corrections, change(corrections))
+
+
+@pytest.mark.parametrize("change", [
+    lambda corr: corr.replace("{", '{"0": {}, ', 1),
+    lambda corr: corr.replace('"2,0"', '"2,0": 1, "2,0"', 1),
+    lambda corr: corr[:len(corr) // 2],
+    lambda corr: corr[:-1],
+], ids=["repeated-order", "repeated-entry", "half", "unclosed"])
+def test_result_whose_corrections_do_not_decode_exit_code(two_level_problem, tmp_path, capsys,
+                                                          change):
+    # the corrections are not converted, but they are still decoded
+    result, op_path, out = tmp_path / "result.json", tmp_path / "op.json", tmp_path / "x.json"
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    result.write_text(_corrections_text(json.dumps(json.loads(result.read_text())), change),
+                      encoding="utf-8")
+    write_json(op_path, {"terms": [EYE_TERM]})
+    capsys.readouterr()
+    assert main(_rotate_argv(two_level_problem, result, op_path, out)) == 2
+    assert "cannot read a JSON document" in one_error_line(capsys)
+    assert not out.exists()
+
+
 def _drop_matrix(doc):
     del doc["terms"][0]["matrix"]
 
@@ -1106,6 +1157,100 @@ def test_oracle_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
             warnings.simplefilter("error")
             code = main(argv)
         assert code in (0, 2, 3, 5), (code, argv)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert out.read_bytes() == before
+
+    check()
+
+
+#: The result header fields rotate reads, and the JSON types each converts from.
+READ_HEADER = {"problem_sha256": (str,), "dim": (int,), "max_order": (int,),
+               "omega_d": (type(None), int, float)}
+
+
+#: Where a key of a result's text is given twice: at the top level, in the
+#: corrections and the generator, and in a generator entry.
+REPEATED_KEYS = [('{', '"dim": 2, '), ('"corrections": {', '"0": {}, '),
+                 ('"generator": {', '"1": {}, '), ('"1": {"1,0": ', '0, "1,0": ')]
+
+
+@st.composite
+def mutated_results(draw, text):
+    """README's minimal fd result, ``text``, as it is or with one field, order, key or
+    member broken, and whether the change must exit 2: a header field rotate reads
+    dropped, retyped or nested, a generator order dropped or a key not canonical, a
+    key repeated or the corrections truncated."""
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "drop-order",
+                                 "rekey", "truncate", "repeat"]))
+    malformed = kind in ("drop-order", "rekey", "truncate", "repeat")
+    if kind in ("drop", "retype", "nest"):
+        field = draw(st.sampled_from(sorted(set(doc) - {"corrections", "generator"})))
+        if kind == "drop":
+            del doc[field]
+            malformed = field in READ_HEADER and field != "omega_d"
+        else:
+            if kind == "retype":
+                doc[field] = draw(st.sampled_from(["x", True, None, [1], {"a": 1}, 2.5, -1]))
+            else:
+                doc[field] = draw(st.sampled_from([[doc[field]], {"a": doc[field]}]))
+            malformed = field in READ_HEADER and type(doc[field]) not in READ_HEADER[field]
+    elif kind == "non-finite":
+        series = doc[draw(st.sampled_from(["generator", "corrections"]))]
+        entries = [entry for entry in series.values() if entry]
+        matrix = draw(st.sampled_from([m for entry in entries for m in entry.values()]))
+        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = \
+            draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "drop-order":
+        del doc["generator"][draw(st.sampled_from(sorted(doc["generator"])))]
+    elif kind == "rekey":
+        generator = doc["generator"]
+        if draw(st.booleans()):
+            generator["01"] = generator.pop("1")
+        else:
+            generator["1"]["1,0 "] = generator["1"].pop("1,0")
+    text = json.dumps(doc)
+    if kind == "truncate":
+        corrections = json.dumps(doc["corrections"])
+        text = text.replace(corrections, corrections[:draw(st.integers(1, len(corrections) - 1))])
+    elif kind == "repeat":
+        where, key = draw(st.sampled_from(REPEATED_KEYS))
+        assert where in text
+        text = text.replace(where, where + key, 1)
+    return text, malformed
+
+
+def test_rotate_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
+    # an --out that exists is left as it was by every failure
+    problem, result = readme_fd_problem(tmp_path), tmp_path / "result.json"
+    assert main(["transform", str(problem), "--max-order", "3", "--out", str(result)]) == 0
+    text = result.read_text(encoding="utf-8")
+    op_path, out = tmp_path / "op.json", tmp_path / "rotated.json"
+    before = b"an earlier document\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=mutated_results(text), order=st.integers(-1, 4),
+           dim=st.sampled_from([None, 2, 3]))
+    def check(case, order, dim):
+        mutated, malformed = case
+        result.write_text(mutated, encoding="utf-8")
+        write_json(op_path, {"terms": [EYE_TERM], **({} if dim is None else {"dim": dim})})
+        out.write_bytes(before)
+        argv = ["rotate", str(problem), str(result), str(op_path), f"--order={order}",
+                "--out", str(out)]
+        stderr = text_io.StringIO()
+        # a warning would reach a terminal's stderr, so here it raises
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3), (code, argv, mutated)
+        if malformed:
+            assert code == 2, (stderr.getvalue(), mutated)
         if code == 0:
             assert stderr.getvalue() == ""
         else:

@@ -1,5 +1,6 @@
-"""Fast matrix serialization against the element-by-element renderer, and
-document reads with the cyclic collector paused."""
+"""Fast matrix serialization against the element-by-element renderer,
+document reads with the cyclic collector paused, and reads that decode each
+top-level member with its own hook."""
 
 import dataclasses
 import gc
@@ -14,13 +15,15 @@ from hypothesis import strategies as st
 
 from helpers import readme_problem
 import pertkit.cli as cli
+import pertkit.io
 from pertkit.cli import main
 from pertkit.engine import rotate_operator, run_fd, run_swt
 from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
 from pertkit.io import (
-    ProblemFormatError, _series_from_json, canonical_json, load_operator, load_problem,
-    load_result, operator_document, read_document, result_document, write_document,
+    ProblemFormatError, _series_from_json, _unique_keys, canonical_json, load_operator,
+    load_problem, load_result, matrix_from_json, operator_document, read_document,
+    result_document, write_document,
 )
 from pertkit.models import (
     EDSRParams, TransmonParams, build_edsr, build_transmon_resonator, kron, pauli,
@@ -580,3 +583,108 @@ def test_a_result_read_holds_one_entry_of_decoded_lists_at_a_time(tmp_path):
     whole = peak(lambda: json.loads(path.read_bytes()))
     converted = peak(lambda: load_result(str(path)))
     assert converted < whole / 2, (converted, whole)
+
+
+# ---------------------------------------------------------------------------
+# each top-level member decoded with its own hook
+# ---------------------------------------------------------------------------
+
+
+#: The bytes a mutation inserts or writes over another.
+MUTATION_BYTES = b'{}[],:"0-eE. \n1a\\'
+
+
+def _negative_zero_int(text: str):
+    return -0.0 if text == "-0" else int(text)
+
+
+def _same(a, b) -> bool:
+    """Equal documents, every matrix and float compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and _bits(a) == _bits(b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return _bits(np.float64(a)) == _bits(np.float64(b))
+    return a == b
+
+
+@st.composite
+def mutated_bytes(draw, documents):
+    """One of ``documents`` with up to three bytes truncated at, deleted, inserted or replaced."""
+    raw = bytearray(draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["truncate", "delete", "insert", "replace"]))
+        at = draw(st.integers(0, max(len(raw) - 1, 0)))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        if kind == "truncate":
+            del raw[at:]
+        elif kind == "delete":
+            del raw[at:at + 1]
+        elif kind == "insert":
+            raw.insert(at, byte)
+        elif raw:
+            raw[at] = byte
+    return bytes(raw)
+
+
+def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
+    # the top-level object is walked member by member; its verdict, its
+    # error messages and, where it decodes, its document are json.loads's
+    path = tmp_path / "doc.json"
+    documents = [written_documents["fd"].read_bytes(), json.dumps(readme_problem()).encode(),
+                 written_documents["rotated"].read_bytes(), b"{}", b" { } ", b"[1]",
+                 b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}']
+
+    def read(unread):
+        try:
+            return read_document(str(path), lambda doc, raw: doc, unread=unread)
+        except ProblemFormatError as err:
+            return err
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(raw=mutated_bytes(documents))
+    def check(raw):
+        path.write_bytes(raw)
+        try:
+            want = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_negative_zero_int)
+        except ValueError as err:
+            want = ProblemFormatError(f"cannot read a JSON document from {path}: {err}")
+        if not isinstance(want, (dict, ProblemFormatError)):
+            want = ProblemFormatError(f"{path} must hold a JSON object")
+        for unread in ((), ("corrections",)):
+            got = read(unread)
+            if isinstance(want, ProblemFormatError):
+                assert isinstance(got, ProblemFormatError) and str(got) == str(want), (raw, got)
+            else:
+                assert isinstance(got, dict) and got.keys() == want.keys(), (raw, got)
+                assert _same({key: value for key, value in got.items() if key not in unread},
+                             {key: value for key, value in want.items() if key not in unread})
+
+    check()
+
+
+def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
+    # rotate reads only the generator; the corrections were converted as
+    # well, and dropped
+    problem, result = tmp_path / "problem.json", tmp_path / "result.json"
+    minimal = {key: value for key, value in readme_problem().items() if key != "block_sizes"}
+    problem.write_text(json.dumps({**minimal, "method": "fd"}), encoding="utf-8")
+    assert main(["transform", str(problem), "--max-order", "4", "--out", str(result)]) == 0
+    doc = json.loads(result.read_bytes())
+    conversions = []
+
+    def counted(data, dim):
+        if type(data) is list:
+            conversions.append(dim)
+        return matrix_from_json(data, dim)
+
+    monkeypatch.setattr(pertkit.io, "matrix_from_json", counted)
+    view = load_result(str(result))
+    assert sorted(view.generator) == [1, 2, 3, 4]
+    assert sum(map(len, doc["corrections"].values())) > 0
+    assert len(conversions) == sum(map(len, doc["generator"].values()))
