@@ -12,7 +12,7 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
-``read_document`` walks a document's top-level object itself and decodes
+``read_document`` walks a well-formed top-level object itself and decodes
 each member with its own hook, chosen by the member's key.  A member the
 caller reads converts each matrix as the decoder closes the object that
 holds it: the value of a "matrix" key (a problem or operator term) or of a
@@ -23,8 +23,9 @@ convert stays as decoded, and the reader that expects a matrix there
 reports it.  A member the caller names as unread (a result's
 "corrections", which ``rotate`` never reads) is still checked as JSON and
 for repeated keys, but its matrices are dropped as decoded, not
-converted.  Either way the verdict and every error message are those of
-``json.loads``.  A "-0" number, which ``json.loads`` would read as the int
+converted.  Any other text, a document that does not decode or is not an
+object, is decoded again by ``json.loads``, whose verdict and messages the
+reader keeps.  A "-0" number, which ``json.loads`` would read as the int
 0, is read as -0.0, so every document pertkit writes reads back bit for
 bit.
 
@@ -72,7 +73,6 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from json import JSONDecodeError
 from json.decoder import WHITESPACE, scanstring
 from typing import Any, Callable, TypeVar
 
@@ -336,62 +336,49 @@ _SCANNERS = {
 _space = WHITESPACE.match
 
 
-def _trailing_comma() -> tuple[str, bool]:
-    """How ``json.loads`` reports a comma before an object's "}": its message,
-    and whether its position is the comma's (Python 3.13 on) or the "}"'s."""
-    try:
-        json.loads('{"":0,}')
-    except JSONDecodeError as err:
-        return err.msg, err.pos == 5
-    raise AssertionError("a trailing comma decoded")
-
-
-_TRAILING_COMMA = _trailing_comma()
-
-
-def _scan(scan_once, s: str, at: int) -> tuple[Any, int]:
-    try:
-        return scan_once(s, at)
-    except StopIteration as err:
-        raise JSONDecodeError("Expecting value", s, err.value) from None
+def _top_level_object(s: str, unread: tuple[str, ...], read, skip) -> dict | None:
+    """The top-level object of ``s``, each member decoded by ``skip`` if its key
+    is in ``unread`` and by ``read`` if not; None at the first character that
+    does not continue a well-formed object."""
+    at = _space(s, 0).end()
+    if not s.startswith("{", at):
+        return None
+    pairs, at = [], _space(s, at + 1).end()
+    more = not s.startswith("}", at)  # decided before a key is read: {"a:-0"} is not {}
+    while more:
+        if not s.startswith('"', at):
+            return None
+        key, at = scanstring(s, at + 1)
+        at = _space(s, at).end()
+        if not s.startswith(":", at):
+            return None
+        value, at = (skip if key in unread else read)(s, _space(s, at + 1).end())
+        pairs.append((key, value))
+        at = _space(s, at).end()
+        more = s.startswith(",", at)
+        at = _space(s, at + more).end()
+    if not s.startswith("}", at) or _space(s, at + 1).end() != len(s):
+        return None
+    return _unique_keys(pairs)
 
 
 def _decode(raw: bytes, unread: tuple[str, ...]) -> Any:
     """``json.loads(raw, object_pairs_hook=_unique_keys)``, but a member of the
     top-level object whose key is in ``unread`` is decoded by ``_unread``.
 
-    The top-level object is walked here, as the C scanner walks one, so each
-    member's scanner is chosen by its key and every error keeps its message
-    and position.  Any other top-level value is decoded whole.
+    The top-level object is walked here, so that each member's scanner is
+    chosen by its key, but only while it is well formed.  Any other text,
+    wherever the walk or a scanner stops, is decoded again by ``json.loads``,
+    whose verdict, document and messages it keeps.
     """
     s = raw.decode(json.detect_encoding(raw), "surrogatepass")
-    read, skip = _SCANNERS[_int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None]
-    at = _space(s, 0).end()
-    if s[at:at + 1] != "{":
-        doc, at = _scan(read, s, at)
-    else:
-        pairs, at = [], _space(s, at + 1).end()
-        while s[at:at + 1] != "}":
-            if s[at:at + 1] != '"':
-                raise JSONDecodeError("Expecting property name enclosed in double quotes", s, at)
-            key, at = scanstring(s, at + 1)
-            at = _space(s, at).end()
-            if s[at:at + 1] != ":":
-                raise JSONDecodeError("Expecting ':' delimiter", s, at)
-            value, at = _scan(skip if key in unread else read, s, _space(s, at + 1).end())
-            pairs.append((key, value))
-            at = _space(s, at).end()
-            if s[at:at + 1] == ",":
-                comma, at = at, _space(s, at + 1).end()
-                if s[at:at + 1] == "}":
-                    message, at_comma = _TRAILING_COMMA
-                    raise JSONDecodeError(message, s, comma if at_comma else at)
-            elif s[at:at + 1] != "}":
-                raise JSONDecodeError("Expecting ',' delimiter", s, at)
-        doc, at = _unique_keys(pairs), at + 1
-    at = _space(s, at).end()
-    if at != len(s):
-        raise JSONDecodeError("Extra data", s, at)
+    parse_int = _int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None
+    try:
+        doc = _top_level_object(s, unread, *_SCANNERS[parse_int])
+    except (ValueError, StopIteration, RecursionError):
+        doc = None
+    if doc is None:
+        doc = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=parse_int)
     return doc
 
 
@@ -401,16 +388,16 @@ def read_document(path: str, convert: Callable[[dict, bytes], T],
 
     ``raw`` is the file's bytes.  A file that cannot be read, or does not
     hold a JSON object whose keys are each given once, raises
-    ProblemFormatError; one that does not decode keeps the message
-    ``json.loads`` gives.  Each top-level member is decoded with its own
-    hook.  A member whose key is in ``unread`` is checked as JSON and for
-    repeated keys, and its objects are dropped as they close, so its
-    matrices are never converted.  In every other member each matrix is
-    converted as the decoder closes its object (``_unique_keys``).  Only if
-    ``raw`` holds a "-0" number does every integer go through a Python
-    call, which reads that one as -0.0; the call slows decoding about
-    twofold.  The collector stays paused until the decoded tree is dropped,
-    so no pass ever walks it.
+    ProblemFormatError.  A well-formed object is walked here and each
+    top-level member decoded with its own hook; any other text is decoded
+    by ``json.loads``, whose verdict and messages it keeps.  A member whose
+    key is in ``unread`` is checked as JSON and for repeated keys, and its
+    objects are dropped as they close, so its matrices are never
+    converted.  In every other member each matrix is converted as the
+    decoder closes its object (``_unique_keys``).  Only if ``raw`` holds a
+    "-0" number does every integer go through a Python call, which reads
+    that one as -0.0; the call slows decoding about twofold.  The collector
+    stays paused until the decoded tree is dropped, so no pass ever walks it.
     """
     with collector_paused():
         try:
@@ -660,6 +647,16 @@ def _result_view(doc: dict, raw: bytes) -> ResultView:
         digest = doc["problem_sha256"]
         if type(digest) is not str:
             raise TypeError(f"problem_sha256 must be a string, got {digest!r}")
+        # the fields rotate does not use are checked where given
+        if "method" in doc and doc["method"] not in METHODS:
+            raise ValueError(f"unknown method {doc['method']!r}; expected one of {METHODS}")
+        energies = doc.get("energies", [])
+        if "energies" in doc and (type(energies) is not list or len(energies) != dim):
+            raise TypeError(f"energies must be a list of {dim} numbers, got {energies!r}")
+        for number in [doc.get("hbar", 1.0), *energies]:
+            as_float(number)
+        if type(doc.get("diagnostics", {})) is not dict:
+            raise TypeError(f"diagnostics must be a JSON object, got {doc['diagnostics']!r}")
         view = ResultView(
             problem_sha256=digest,
             dim=dim,

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import readme_problem
 from pertkit.cli import build_parser, main
 from pertkit.io import (
-    RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem, matrix_from_json,
+    METHODS, RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem,
+    matrix_from_json,
 )
 
 
@@ -815,6 +816,32 @@ def test_rotate_result_whose_hash_is_not_a_string_exit_code(tmp_path, capsys, re
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("hbar", "x", "expected a number, got 'x'"),
+    ("hbar", [1], "expected a number, got [1]"),
+    ("method", 5, "unknown method 5"),
+    ("method", "nope", "unknown method 'nope'"),
+    ("energies", "x", "energies must be a list of 2 numbers, got 'x'"),
+    ("energies", [0.0], "energies must be a list of 2 numbers, got [0.0]"),
+    ("energies", ["a", "b"], "expected a number, got 'a'"),
+    ("diagnostics", [1], "diagnostics must be a JSON object, got [1]"),
+    ("diagnostics", "x", "diagnostics must be a JSON object, got 'x'"),
+], ids=["hbar-string", "hbar-list", "method-number", "method-unknown", "energies-string",
+        "energies-short", "energies-strings", "diagnostics-list", "diagnostics-string"])
+def test_rotate_result_header_field_that_does_not_convert_exit_code(tmp_path, capsys, field,
+                                                                    value, message):
+    # rotate did not read these fields, so each such result rotated and exited 0
+    problem, result = readme_fd_problem(tmp_path), tmp_path / "result.json"
+    assert main(["transform", str(problem), "--out", str(result)]) == 0
+    write_json(result, {**json.loads(result.read_text()), field: value})
+    op_path, out = tmp_path / "op.json", tmp_path / "x.json"
+    write_json(op_path, {"terms": [EYE_TERM]})
+    capsys.readouterr()
+    assert main(_rotate_argv(problem, result, op_path, out)) == 2
+    assert "malformed result document: " + message in one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_rotated_operator_document_rotates_again(two_level_problem, tmp_path):
     # what operator_document writes (dim, omega_d, terms) is an operator document
     result = tmp_path / "result.json"
@@ -1168,9 +1195,19 @@ def test_oracle_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
     check()
 
 
-#: The result header fields rotate reads, and the JSON types each converts from.
-READ_HEADER = {"problem_sha256": (str,), "dim": (int,), "max_order": (int,),
-               "omega_d": (type(None), int, float)}
+#: The result header fields rotate reads, each with a test of the JSON values it
+#: converts from; the first three are required, the others checked where given.
+READ_HEADER = {
+    "problem_sha256": lambda value: type(value) is str,
+    "dim": lambda value: type(value) is int,
+    "max_order": lambda value: type(value) is int,
+    "method": lambda value: value in METHODS,
+    "hbar": lambda value: type(value) in (int, float),
+    "omega_d": lambda value: type(value) in (type(None), int, float),
+    "energies": lambda value: (type(value) is list and len(value) == 2
+                               and all(type(e) in (int, float) for e in value)),
+    "diagnostics": lambda value: type(value) is dict,
+}
 
 
 #: Where a key of a result's text is given twice: at the top level, in the
@@ -1182,9 +1219,10 @@ REPEATED_KEYS = [('{', '"dim": 2, '), ('"corrections": {', '"0": {}, '),
 @st.composite
 def mutated_results(draw, text):
     """README's minimal fd result, ``text``, as it is or with one field, order, key or
-    member broken, and whether the change must exit 2: a header field rotate reads
-    dropped, retyped or nested, a generator order dropped or a key not canonical, a
-    key repeated or the corrections truncated."""
+    member broken, and whether the change must exit 2: a required header field
+    dropped, a header field retyped or nested to a value it does not convert from, a
+    generator order dropped or a key not canonical, a key repeated or the corrections
+    truncated."""
     doc = json.loads(text)
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "drop-order",
                                  "rekey", "truncate", "repeat"]))
@@ -1193,13 +1231,13 @@ def mutated_results(draw, text):
         field = draw(st.sampled_from(sorted(set(doc) - {"corrections", "generator"})))
         if kind == "drop":
             del doc[field]
-            malformed = field in READ_HEADER and field != "omega_d"
+            malformed = field in list(READ_HEADER)[:3]
         else:
             if kind == "retype":
                 doc[field] = draw(st.sampled_from(["x", True, None, [1], {"a": 1}, 2.5, -1]))
             else:
                 doc[field] = draw(st.sampled_from([[doc[field]], {"a": doc[field]}]))
-            malformed = field in READ_HEADER and type(doc[field]) not in READ_HEADER[field]
+            malformed = field in READ_HEADER and not READ_HEADER[field](doc[field])
     elif kind == "non-finite":
         series = doc[draw(st.sampled_from(["generator", "corrections"]))]
         entries = [entry for entry in series.values() if entry]
@@ -1251,6 +1289,100 @@ def test_rotate_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
         assert code in (0, 2, 3), (code, argv, mutated)
         if malformed:
             assert code == 2, (stderr.getvalue(), mutated)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert out.read_bytes() == before
+
+    check()
+
+
+#: The fields of README's minimal problem and of its terms, each with a test of the
+#: JSON values it converts from, and whether a document may leave it out.
+PROBLEM_FIELDS = {
+    "dim": (lambda value: type(value) is int, False),
+    "hbar": (lambda value: type(value) in (int, float), True),
+    "method": (lambda value: value in METHODS, False),
+    "max_order": (lambda value: type(value) is int, False),
+    "block_sizes": (lambda value: type(value) is list and all(type(n) is int for n in value),
+                    False),
+    "terms": (lambda value: type(value) is list and all(type(term) is dict for term in value),
+              False),
+    "order": (lambda value: type(value) is int, False),
+    "harmonic": (lambda value: type(value) is int, True),
+    "matrix": (lambda value: np.shape(value) == (2, 2, 2), False),
+}
+
+#: Masks and block sizes that do not fit README's two-level problem.
+MISFITS = [("block_sizes", [1]), ("block_sizes", [1, 2]), ("block_sizes", [3]),
+           ("block_sizes", [0, 2]), ("mask", [[True, False, True]] * 3), ("mask", [[True]]),
+           ("mask", {"block_sizes": [1, 2]}), ("mask", {"entries": [[0, 2]]})]
+
+
+@st.composite
+def mutated_problems(draw):
+    """README's minimal problem as it is or with one field dropped, retyped or nested,
+    a NaN or Infinity literal in a matrix, or a mask or block sizes that do not fit;
+    and the exit the change must give, if any: 2 for a required field dropped or any
+    field given a value it does not convert from, 3 for a non-finite literal or a
+    misfit."""
+    doc = readme_problem()
+    terms = doc["terms"]
+    kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "misfit"]))
+    code = 3 if kind in ("non-finite", "misfit") else None
+    if kind in ("drop", "retype", "nest"):
+        target = draw(st.sampled_from([doc] + terms))
+        field = draw(st.sampled_from(sorted(target)))
+        converts, optional = PROBLEM_FIELDS[field]
+        if kind == "drop":
+            del target[field]
+            code = None if optional else 2
+        else:
+            if kind == "retype":
+                target[field] = draw(st.sampled_from(["x", True, None, [1], {"a": 1}, 2.5, -1]))
+            else:
+                target[field] = draw(st.sampled_from([[target[field]], {"a": target[field]}]))
+            code = None if converts(target[field]) else 2
+    elif kind == "non-finite":
+        matrix = terms[draw(st.integers(0, 1))]["matrix"]
+        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = \
+            draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "misfit":
+        key, value = draw(st.sampled_from(MISFITS))
+        if key == "mask":
+            doc["method"] = "ace"
+            del doc["block_sizes"]
+        doc[key] = value
+    return doc, code
+
+
+def test_transform_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
+    # an --out that exists is left as it was by every failure; "--flag=value"
+    # keeps argparse from reading a negative value as a flag
+    problem, out = tmp_path / "problem.json", tmp_path / "result.json"
+    before = b"an earlier document\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=mutated_problems(), max_order=st.one_of(st.none(), st.integers(-1, 5)),
+           tol=st.sampled_from([None, 0.0, -1.0, 1e-9, math.inf]))
+    def check(case, max_order, tol):
+        doc, want = case
+        problem.write_text(json.dumps(doc), encoding="utf-8")
+        out.write_bytes(before)
+        argv = ["transform", str(problem), "--out", str(out)]
+        argv += [f"--{flag}={value!s}" for flag, value in
+                 (("max-order", max_order), ("tol-resonance", tol)) if value is not None]
+        stderr = text_io.StringIO()
+        # a warning would reach a terminal's stderr, so here it raises
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (code, argv, doc)
+        if want is not None:
+            assert code == want, (stderr.getvalue(), doc)
         if code == 0:
             assert stderr.getvalue() == ""
         else:

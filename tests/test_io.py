@@ -632,13 +632,23 @@ def mutated_bytes(draw, documents):
     return bytes(raw)
 
 
+#: Texts a walk of the top-level object stops at: a trailing comma, a missing
+#: colon or comma, a key that is not a string, a missing value, extra data, an
+#: unclosed object, nothing at all, and a key that is not followed by its value.
+WALK_FAULTS = [b'{"a":1,}', b'{"a" 1}', b'{"a":1 "b":2}', b'{1:2}', b'{"a":}', b'{"a":1} x',
+               b'{', b'', b' \n', b'{"a:-0"}', b'{"a"}']
+
+
 def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
-    # the top-level object is walked member by member; its verdict, its
-    # error messages and, where it decodes, its document are json.loads's
+    # a well-formed top-level object is walked member by member, any other
+    # text decoded by json.loads: the verdict, the error messages and, where
+    # it decodes, the document are json.loads's; every document is checked
+    # as it is, then mutated
     path = tmp_path / "doc.json"
     documents = [written_documents["fd"].read_bytes(), json.dumps(readme_problem()).encode(),
                  written_documents["rotated"].read_bytes(), b"{}", b" { } ", b"[1]",
-                 b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}']
+                 b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}',
+                 *WALK_FAULTS]
 
     def read(unread):
         try:
@@ -646,8 +656,6 @@ def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
         except ProblemFormatError as err:
             return err
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(raw=mutated_bytes(documents))
     def check(raw):
         path.write_bytes(raw)
         try:
@@ -665,7 +673,39 @@ def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
                 assert _same({key: value for key, value in got.items() if key not in unread},
                              {key: value for key, value in want.items() if key not in unread})
 
-    check()
+    for raw in documents:
+        check(raw)
+    settings(derandomize=True, database=None, deadline=None, max_examples=200)(
+        given(raw=mutated_bytes(documents))(check))()
+
+
+def test_a_well_formed_document_never_reaches_json_loads(written_documents, tmp_path,
+                                                        monkeypatch):
+    # json.loads decodes only what the walk stops at; a walk that stopped on
+    # a well-formed object would give the same document, only slower
+    path = tmp_path / "doc.json"
+    texts = [b"{}"]
+    for name in WRITTEN:
+        raw = written_documents[name].read_bytes()
+        texts += [raw, json.dumps(json.loads(raw), indent=2).encode(), b"\xef\xbb\xbf" + raw,
+                  b" \n" + raw + b" \n"]
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(pertkit.io.json, "loads", counted)
+    for raw in texts:
+        path.write_bytes(raw)
+        for unread in ((), ("corrections",)):
+            assert isinstance(read_document(str(path), lambda doc, raw: doc, unread=unread), dict)
+    assert calls == []
+    path.write_bytes(texts[1][:-10])
+    with pytest.raises(ProblemFormatError, match="cannot read a JSON document"):
+        read_document(str(path), lambda doc, raw: doc, unread=("corrections",))
+    assert len(calls) == 1
 
 
 def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
