@@ -117,11 +117,13 @@ def _experiment_call(args, doc: dict, raw: bytes):
     kind = doc.get("kind", "fig3")
     if kind == "fig3":
         io._reject_unknown(doc, FIG3_KEYS, "fig3 spec")
-        spec = EnsembleSpec(**_given(
+        fields = _given(
             doc, {"count": args.instances, "seed": args.seed}, count=io.as_int,
             dim_min=io.as_int, dim_max=io.as_int, blocks_min=io.as_int, blocks_max=io.as_int,
-            coupling=io.as_float, seed=io.as_int))
-        return kind, {"spec": spec, **_given(doc, {}, max_order=io.as_int)}
+            coupling=io.as_float, seed=io.as_int)
+        # every field converts (exit 2) before the ensemble's rules are judged (exit 3)
+        order = _given(doc, {}, max_order=io.as_int)
+        return kind, {"spec": EnsembleSpec(**fields), **order}
     if kind == "ace":
         io._reject_unknown(doc, ACE_KEYS, "ace spec")
         params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,

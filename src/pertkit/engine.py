@@ -322,6 +322,9 @@ def _inverse_factorials(top: int) -> np.ndarray:
     return np.array([_inverse_factorial(m) for m in range(top + 1)])
 
 
+# an overflowed order raises NonFiniteContent where it is judged: numpy's
+# warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def _transform(
     method: str,
     h: GradedOperator,
@@ -425,6 +428,8 @@ def run_ace(
     return _transform("ace", h, mask, max_order, hbar, res_tol)
 
 
+# as in _transform, an overflow raises NonFiniteContent without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def rotate_operator(
     operator: GradedOperator,
     generator: Mapping[int, GradedOperator],

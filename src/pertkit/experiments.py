@@ -48,6 +48,9 @@ class EnsembleSpec:
                              "of at least two levels")
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        # cross-block couplings are drawn at its square
+        if not math.isfinite(self.coupling * self.coupling):
+            raise ValueError(f"coupling {self.coupling} squares past the float range")
 
 
 def sample_instance(spec: EnsembleSpec, index: int) -> tuple[GradedOperator, BlockStructure]:

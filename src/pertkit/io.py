@@ -46,11 +46,17 @@ are templated together.  The template is then filled by one ``%`` with the
 magnitudes' texts.  This keeps every byte, because for every finite double
 ``'%.17g' % x == ('-' if signbit(x) else '') + '%.17g' % abs(x)``, -0.0
 included.  Each distinct magnitude is formatted once, unless most of a
-document's are distinct.  swt, fd and ace corrections and generators are
-hermitian or anti-hermitian bit for bit, so about half their magnitudes
-repeat.  la's differ from their adjoints in the last bits, and an oracle
-document's U^dag and H_block are not (anti-)hermitian bit for bit either:
-la and oracle documents are formatted float by float.
+document's are distinct (``DISTINCT_SHARE``).  la corrections and
+generators are hermitian and anti-hermitian bit for bit by construction
+(``least_action`` hands out their exact (anti-)hermitian parts), so about
+half their magnitudes repeat.  swt, fd and ace results are so only where
+their products happen to round symmetrically: with OpenBLAS, on random
+static instances of d = 2 .. 16, only at d = 4, 8, 12 and 16, while driven
+d = 5 complex fd results differ from their graded adjoints by up to about
+1e-15 of a key's largest entry.  Where they are not, most of a document's
+magnitudes are distinct and each float is formatted on its own, as in an
+oracle document, whose U^dag and H_block are not (anti-)hermitian bit for
+bit either.
 
 Every output file, document or table, is written by ``write_output``.  An
 existing file is overwritten in place (the same file, no rename) and then

@@ -48,6 +48,17 @@ target in a ``GradedSum`` or recomputes the denominators and the resonant
 entries.  The matrices are float64 when no term of H has a nonzero
 imaginary part and complex128 otherwise, and every product, sum and
 solve follows their dtype; ``run_la`` freezes its output complex128.
+
+The corrections are handed out as their exact hermitian parts
+(C + C^dag)/2 and the generator orders as their exact anti-hermitian parts
+(S - S^dag)/2: round-off breaks the symmetry of the recursion's matrices in
+their last bits, and the parts are closer to the exact series and equal
+their adjoints bit for bit.  ``_la_orders`` takes the corrections' parts in
+one pass over their stack after the order loop, so that the scan and
+``run_la`` read the same bits; U', Y, the pruning and the product count are
+those of the unprojected recursion.  A part that overflows raises
+``NonFiniteContent``, as an overflowed order does; numpy's overflow
+warnings, which would only repeat it, are silenced.
 """
 
 from __future__ import annotations
@@ -65,6 +76,7 @@ from .engine import (
     TransformResult,
     _prepare,
 )
+from .errors import NonFiniteContent
 from .graded import (
     GradedOperator,
     GradedSum,
@@ -102,6 +114,19 @@ class BlockStructure:
         return self._mask
 
 
+def _hermitian_part(mats: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """(M + sign M^dag) / 2 of a matrix, or of each matrix of a stack.
+
+    The result is exactly hermitian for sign 1 and exactly anti-hermitian for
+    sign -1, since x + y = y + x and x - y = -(y - x) in floating point.
+    """
+    adjoint = mats.conj().swapaxes(-1, -2)
+    part = mats + adjoint if sign > 0 else mats - adjoint
+    part *= 0.5
+    return part
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _la_orders(
     h: GradedOperator,
     blocks: BlockStructure | list[int] | tuple[int, ...],
@@ -114,9 +139,10 @@ def _la_orders(
     Checks that the input is static, validates the problem with the engine's
     ``_prepare`` and returns the run's elimination table (which holds the
     frame and the mask), the correction of every order 0 .. ``max_order``
-    (None where it vanishes), the nonzero U'^(n) and the number of dense
-    products spent.  Each order forms its W, H U' and U'^dag Y products in
-    one stacked matmul and judges only the three matrices that outlive it.
+    (None where it vanishes), each its exact hermitian part, the nonzero
+    U'^(n) and the number of dense products spent.  Each order forms its W,
+    H U' and U'^dag Y products in one stacked matmul and judges only the
+    three matrices that outlive it.
     """
     if not isinstance(blocks, BlockStructure):
         blocks = BlockStructure(blocks)
@@ -179,9 +205,17 @@ def _la_orders(
             y_mats[n] = y
         if u_n is not None:
             u[n], u_dag[n] = u_n, u_n.conj().T
+    # the corrections' exact hermitian parts, in one pass over their stack
+    kept = [n for n, mat in corrections.items() if mat is not None]
+    parts = _hermitian_part(np.array([corrections[n] for n in kept]))
+    if not np.isfinite(parts).all():
+        first = next(n for n, part in zip(kept, parts) if not np.isfinite(part).all())
+        raise NonFiniteContent((first, 0))
+    corrections.update(zip(kept, parts))
     return table, corrections, u, products
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_la(
     h: GradedOperator,
     blocks: BlockStructure | list[int] | tuple[int, ...],
@@ -195,10 +229,10 @@ def run_la(
     from unitarity and V cross-block from the elimination condition, on
     per-order matrices (``_la_orders``, which judges only each order's
     correction, Y and U'), and returns the corrections of U^dag H U and the
-    generator S = log(1 + U'), the only part that runs on a ``NestedSeries``
-    (module docstring).  One path serves every number of
-    blocks.  The order-0 part must be diagonal; levels may be degenerate
-    inside a block.  Time-periodic input is not supported.
+    generator S = log(1 + U'), the only part that runs on a ``NestedSeries``,
+    as exact hermitian and anti-hermitian parts (module docstring).  One path
+    serves every number of blocks.  The order-0 part must be diagonal; levels
+    may be degenerate inside a block.  Time-periodic input is not supported.
     """
     table, corrections, u, products = _la_orders(h, blocks, max_order, hbar, res_tol)
     factors = {n: GradedSum({(n, 0): mat}) for n, mat in u.items()}
@@ -207,7 +241,10 @@ def run_la(
     generator: dict[int, GradedSum] = {}
     for n in range(1, max_order + 1):
         powers.extend(n)
-        generator[n] = powers.weighted_sum(n, log_weights)
+        s_n = generator[n] = powers.weighted_sum(n, log_weights)
+        # its exact anti-hermitian part, judged when it is frozen
+        for key, mat in s_n.terms.items():
+            s_n.terms[key] = _hermitian_part(mat, -1.0)
     corrections = {n: GradedSum(None if mat is None else {(n, 0): mat})
                    for n, mat in corrections.items()}
     return TransformResult(

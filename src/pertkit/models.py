@@ -10,6 +10,7 @@ benchmark ensembles.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -310,10 +311,14 @@ def _ladder_diagonal(rng: np.random.Generator, d: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(spacings)])
 
 
+# a coupling that overflows raises NonFiniteContent when the operator is
+# built: numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def random_ace_hamiltonian(d: int, seed, scale: float = 0.05) -> GradedOperator:
     """Sorted random diagonal at order 0, dense random couplings at order 1.
 
     ``scale`` multiplies the mean level spacing.  Deterministic in the seed.
+    A coupling that overflows raises ``NonFiniteContent``.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -332,13 +337,18 @@ def random_bd_hamiltonian(block_sizes, seed, scale: float = 0.05) -> GradedOpera
     Magnitudes track the bookkeeping order: in-block entries are drawn at
     ``scale`` times the mean spacing, cross-block entries at ``scale`` squared
     times the mean spacing, so the order-n tail of the transformed series
-    shrinks uniformly by one power of ``scale`` per order.
+    shrinks uniformly by one power of ``scale`` per order.  A ``scale`` whose
+    square is not a finite float raises ``ValueError``, and a coupling that
+    overflows ``NonFiniteContent``.
     """
     rng = np.random.default_rng(seed)
     return _random_bd(rng, Mask.block_off_diagonal(block_sizes), scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in random_ace_hamiltonian
 def _random_bd(rng: np.random.Generator, mask: Mask, scale: float) -> GradedOperator:
+    if not math.isfinite(float(scale) * float(scale)):
+        raise ValueError(f"scale must be finite with a finite square, got {scale}")
     d = mask.dim
     diag = _ladder_diagonal(rng, d)
     spacing = (diag[-1] - diag[0]) / (d - 1)

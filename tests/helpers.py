@@ -1,10 +1,13 @@
 """Small helpers that only the tests use: a model mask, a closed-form level, a table
-reduction and README's minimal problem."""
+reduction, README's minimal problem and the command line run in its own process."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from statistics import median
 
@@ -43,3 +46,13 @@ def readme_problem() -> dict:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("A minimal problem file:")
     return json.loads(re.compile(r"^```json\n(.*?)^```", re.S | re.M).search(readme, start).group(1))
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """``python -m pertkit.cli`` with ``argv`` in a separate process, so that its
+    exit status and everything it prints on stderr, warnings included, are seen."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "pertkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import readme_problem
+from helpers import readme_problem, run_cli
 from pertkit.cli import build_parser, main
 from pertkit.io import (
     METHODS, RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem,
@@ -1394,6 +1394,135 @@ def test_transform_fails_only_with_a_documented_exit_and_one_error_line(tmp_path
     check()
 
 
+def _integral(value) -> bool:
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
+def _real(value) -> bool:
+    return type(value) in (int, float)
+
+
+#: A small spec of each experiment kind: at most 8 levels, 3 instances and order 4.
+SMALL_SPECS = (
+    {"kind": "fig3", "count": 2, "dim_min": 4, "dim_max": 8, "blocks_min": 2, "blocks_max": 3,
+     "coupling": 0.05, "seed": 3, "max_order": 4},
+    {"kind": "ace", "dim": 6, "seed": 3, "max_order": 3, "coupling": 0.05},
+)
+
+#: Each spec field with a test of the JSON values it converts from; "kind"
+#: converts only to the spec's own kind.
+SPEC_FIELDS = {"count": _integral, "dim_min": _integral, "dim_max": _integral,
+               "blocks_min": _integral, "blocks_max": _integral, "dim": _integral,
+               "seed": _integral, "max_order": _integral, "coupling": _real}
+
+
+@st.composite
+def mutated_specs(draw):
+    """A small fig3 or ace spec as it is or with one field dropped, retyped or nested,
+    a NaN or Infinity literal in a field, a count below 1 or a coupling from 1e150 to
+    1.7e308; ``--seed`` and ``--instances`` values; and the exit the change must give,
+    if any: 2 for a field given a value it does not convert from, 3 for a count or
+    coupling that breaks a rule."""
+    doc = dict(draw(st.sampled_from(SMALL_SPECS)))
+    own = doc["kind"]
+    seed = draw(st.one_of(st.none(), st.integers(-1, 3)))
+    instances = draw(st.one_of(st.none(), st.integers(-1, 3)))
+    kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "count",
+                                 "coupling"]))
+    code = None
+    if kind in ("drop", "retype", "nest", "non-finite"):
+        field = draw(st.sampled_from(sorted(doc)))
+        converts = SPEC_FIELDS.get(field, lambda value: value == own)
+        if kind == "drop":
+            del doc[field]
+            # a spec without a kind is read as fig3, which takes no "dim"
+            code = 2 if field == "kind" and own == "ace" else None
+        else:
+            if kind == "retype":
+                doc[field] = draw(st.sampled_from(["x", True, None, [1], {"a": 1}, 2.5, -1]))
+            elif kind == "nest":
+                doc[field] = draw(st.sampled_from([[doc[field]], {"a": doc[field]}]))
+            else:
+                doc[field] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            code = None if converts(doc[field]) else 2
+            if kind == "non-finite" and field == "coupling":
+                code = 3
+    elif kind == "count" and own == "fig3":
+        doc["count"] = draw(st.sampled_from([0, -1]))
+        code = 3 if instances is None else None
+    elif kind == "coupling":
+        # 1.3e154 squares to a float, but its cross-block couplings overflow
+        doc["coupling"] = draw(st.sampled_from([1e150, 1.3e154, 1e300, 1.7e308]))
+        code = 3 if own == "fig3" and doc["coupling"] >= 1e300 else None
+    extra = [f"--{flag}={value}" for flag, value in (("seed", seed), ("instances", instances))
+             if value is not None]
+    return doc, extra, code
+
+
+def test_experiment_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
+    # an --out that exists is left as it was by every failure; a run that
+    # succeeds reports only the instances it skipped
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    before = b"an earlier document\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=mutated_specs())
+    def check(case):
+        doc, extra, want = case
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        out.write_bytes(before)
+        argv = ["experiment", str(spec), "--out", str(out), *extra]
+        stderr = text_io.StringIO()
+        # a warning would reach a terminal's stderr, so here it raises
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4, 5), (code, argv, doc)
+        if want is not None:
+            assert code == want, (err, argv, doc)
+        if code == 0:
+            assert all(line.startswith("skipped instance ") for line in err.splitlines()), err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert out.read_bytes() == before
+
+    check()
+
+
+def _diverging_problem(method: str) -> dict:
+    """Three levels coupled at 1e200: every series overflows at its second order."""
+    coupling = 1e200 * (np.ones((3, 3)) - np.eye(3))
+    return {"dim": 3, "method": method, "max_order": 4,
+            **({"block_sizes": [2, 1]} if method == "la" else {}),
+            "terms": [{"order": 0, "matrix": mat_json(np.diag([0.0, 1.0, 2.5]))},
+                      {"order": 1, "matrix": mat_json(coupling)}]}
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    ("transform", _diverging_problem("fd"), 3),
+    ("transform", _diverging_problem("la"), 3),
+    ("experiment", {"kind": "ace", "coupling": 1e200}, 3),
+    ("experiment", {"kind": "fig3", "count": 2, "coupling": 1e150}, 0),
+    # the couplings drawn overflow: the instances are skipped, the demo fails
+    ("experiment", {"kind": "fig3", "count": 2, "coupling": 1.3e154}, 0),
+    ("experiment", {"kind": "ace", "coupling": 1.7e308}, 3),
+], ids=["fd", "la", "ace", "fig3", "fig3-drawn", "ace-drawn"])
+def test_an_overflowing_series_prints_no_warning(tmp_path, command, doc, code):
+    # a separate process, so that a numpy warning would reach its stderr: the
+    # overflow is reported once, as an error or as skipped instances
+    path = tmp_path / "input.json"
+    write_json(path, doc)
+    proc = run_cli(command, str(path), "--out", str(tmp_path / "out"))
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite content"), lines
+    else:
+        assert len(lines) == 2 and all(line.startswith("skipped instance ") for line in lines), lines
+
+
 def test_cli_commands_never_import_scipy(tmp_path):
     # the package depends on numpy alone; scipy is a test-only dependency
     problem = tmp_path / "problem.json"
@@ -1453,8 +1582,9 @@ def test_experiment_fig3_byte_identical(tmp_path):
     ({"kind": "fig3", "count": 3, "coupling": -0.05}, []),
     ({"kind": "fig3", "count": 2, "max_order": 0}, []),
     ({"kind": "fig3", "count": 2, "max_order": 2, "blocks_min": 1}, []),
+    ({"kind": "fig3", "count": 2, "max_order": 2, "coupling": 1e300}, []),
 ], ids=["zero-instances", "too-many-blocks", "nan-coupling", "inf-coupling",
-        "zero-coupling", "negative-coupling", "order-zero", "one-block"])
+        "zero-coupling", "negative-coupling", "order-zero", "one-block", "huge-coupling"])
 def test_experiment_unsatisfiable_spec_exit_code(tmp_path, capsys, doc, extra):
     # an ensemble the spec cannot honour is a precondition failure, not a run
     # of some other ensemble (a NaN coupling used to exit 0 with an empty

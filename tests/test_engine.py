@@ -1124,7 +1124,6 @@ def test_fd_eigenvalues_match_the_oracle(seed):
     assert np.abs(series - np.diag(exact)).max() <= tol
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_series_raises():
     # a gap of 1e-7 against unit couplings diverges: the series overflows
     # near order 43, and those orders must not be written as vanishing
@@ -1134,7 +1133,6 @@ def test_overflowing_series_raises():
         run_fd(h, max_order=60)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_la_series_raises():
     # the same diverging series in least action's per-order loop: the
     # overflowed orders must raise, not be pruned as vanishing
@@ -1142,6 +1140,15 @@ def test_overflowing_la_series_raises():
     h = GradedOperator(3, {(0, 0): np.diag([0.0, 1e-7, 1.0]), (1, 0): off})
     with pytest.raises(NonFiniteContent):
         run_la(h, (1, 1, 1), max_order=60)
+
+
+def test_overflowing_rotation_raises():
+    # [O, S] overflows at order 1; pyproject turns a RuntimeWarning into an
+    # error, so the overflow must be reported by NonFiniteContent alone
+    op = GradedOperator(2, {(0, 0): 1e200 * np.diag([1.0, -1.0])})
+    s1 = GradedOperator(2, {(1, 0): 1e200 * np.array([[0.0, 1.0], [-1.0, 0.0]])})
+    with pytest.raises(NonFiniteContent):
+        rotate_operator(op, {1: s1}, 1)
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])

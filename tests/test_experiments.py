@@ -61,7 +61,8 @@ def test_spec_at_the_block_limit_draws_within_its_ranges():
         assert blocks.sizes == (2, 2, 2)
 
 
-@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), 0.0, -0.05])
+# cross-block couplings are drawn at the square, which 1e300 overflows
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), 0.0, -0.05, 1e300])
 def test_spec_rejects_a_coupling_that_is_not_finite_and_positive(coupling):
     with pytest.raises(ValueError, match="coupling"):
         EnsembleSpec(coupling=coupling)

@@ -16,11 +16,17 @@ from pertkit.engine import (
     run_fd,
     run_swt,
 )
-from pertkit.errors import ResonantDenominator
+from pertkit.errors import NonFiniteContent, ResonantDenominator
 from pertkit.graded import GradedOperator, GradedSum, zero_operator
 from pertkit.least_action import BlockStructure, _la_orders, run_la
 from pertkit.models import random_bd_hamiltonian
-from pertkit.oracle import evaluate_at, exact_block_diagonalize, spectral_distance
+from pertkit.oracle import (
+    convergence_scan,
+    evaluate_at,
+    exact_block_diagonalize,
+    partial_sum_matrix,
+    spectral_distance,
+)
 
 RNG = np.random.default_rng(909)
 
@@ -506,14 +512,51 @@ def _bits(mat):
 )
 def test_la_recursion_equals_the_pruned_reference_bit_for_bit(sizes, dense, order, seed):
     # judging only the kept matrices changes no bit while no intermediate
-    # cancels to round-off: fig3's instances and dense order-1 couplings
+    # cancels to round-off: fig3's instances and dense order-1 couplings.
+    # The package hands out each correction's hermitian part.
     h = block_instance(sizes, 0.05, seed)[0] if dense else random_bd_hamiltonian(sizes, seed)
     _, corrections, u, products = _la_orders(h, sizes, order)
     _, ref_corrections, ref_u, ref_products = pruned_la_orders(h, sizes, order)
     assert products == ref_products
+    hermitian = {n: None if ref is None else (ref + ref.conj().T) / 2
+                 for n, ref in ref_corrections.items()}
     assert [_bits(corrections[n]) for n in range(order + 1)] == \
-        [_bits(ref_corrections[n]) for n in range(order + 1)]
+        [_bits(hermitian[n]) for n in range(order + 1)]
     assert {n: _bits(mat) for n, mat in u.items()} == {n: _bits(mat) for n, mat in ref_u.items()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    # d = 4, 8, 12 and 3, 5, 7, 10, 13
+    sizes=st.sampled_from([(2, 2), (1, 2), (2, 3), (3, 3, 2), (2, 2, 3), (4, 4, 4),
+                           (2, 2, 2, 2), (1, 2, 3, 4), (3, 4, 4, 2)]),
+    order=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_la_results_are_exactly_hermitian(sizes, order, seed):
+    # corrections equal their adjoints and generator orders minus theirs, by
+    # value; the scan reads the same corrections as run_la
+    h = random_bd_hamiltonian(sizes, seed)
+    result = run_la(h, sizes, order)
+    for n in range(order + 1):
+        for mat in result.corrections[n].terms.values():
+            assert np.array_equal(mat, mat.conj().T), n
+    for n in range(1, order + 1):
+        for mat in result.generator[n].terms.values():
+            assert np.array_equal(mat, -mat.conj().T), n
+    exact = exact_block_diagonalize(evaluate_at(h, 1.0), BlockStructure(sizes))[1]
+    assert convergence_scan(h, "la", range(1, order + 1), [1.0], sizes) == \
+        [(n, 1.0, spectral_distance(exact, partial_sum_matrix(result, n, 1.0)))
+         for n in range(1, order + 1)]
+
+
+def test_an_overflowing_hermitian_part_raises():
+    # a diagonal entry's hermitian part is (E + E) / 2, and E + E overflows
+    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.5e308])})
+    with pytest.raises(NonFiniteContent, match="order 0"):
+        _la_orders(h, (1, 1), 2)
+    with pytest.raises(NonFiniteContent, match="order 0"):
+        run_la(h, (1, 1), 2)
 
 
 def test_la_keeps_a_cancelled_w_within_round_off_of_the_pruned_reference():

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import edsr_parity_mask, transmon_energy
 from pertkit.engine import run_ace, run_fd, run_swt, rotate_operator
+from pertkit.errors import NonFiniteContent
 from pertkit.models import (
     EDSRParams,
     TransmonParams,
@@ -377,3 +378,20 @@ def test_random_bd_order_structure():
     assert np.abs(second[same]).max() == 0.0
     assert np.abs(first[same & ~np.eye(8, dtype=bool)]).max() > 0
     assert np.abs(second[~same]).max() > 0
+
+
+@pytest.mark.parametrize("scale", [1e300, -1e300, np.float64(1e160), np.nan])
+def test_random_bd_rejects_a_scale_whose_square_is_not_finite(scale):
+    # cross-block couplings are drawn at the square of the scale
+    with pytest.raises(ValueError, match="finite square"):
+        random_bd_hamiltonian([2, 2], seed=1, scale=scale)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_ace_hamiltonian(6, seed=1, scale=1.7e308),
+    lambda: random_bd_hamiltonian([3, 3], seed=1, scale=1.3e154),
+], ids=["ace", "bd"])
+def test_random_couplings_that_overflow_raise(build):
+    # pyproject turns a RuntimeWarning into an error: the overflow is reported once
+    with pytest.raises(NonFiniteContent):
+        build()

@@ -7,14 +7,12 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 
+from helpers import run_cli
 from pertkit.cli import EXIT_CODES, EXIT_OK, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,14 +25,6 @@ def fenced_block(after: str, language: str) -> str:
     match = re.compile(rf"^```{language}\n(.*?)^```", re.S | re.M).search(README, start)
     assert match is not None, f"no {language} block after {after!r}"
     return match.group(1)
-
-
-def run_cli(*argv) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", "pertkit.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_quick_start_prints_the_second_order_shifts():
