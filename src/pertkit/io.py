@@ -15,19 +15,13 @@ each integer written as ``str`` writes it.
 ``read_document`` walks a well-formed top-level object itself and decodes
 each member with its own hook, chosen by the member's key.  A member the
 caller reads converts each matrix as the decoder closes the object that
-holds it: the value of a "matrix" key (a problem or operator term) or of a
-key with a comma ("j,k" in a result series) becomes its complex array
-while its [re, im] lists are still in the cache, and those lists are freed
-before the next object's matrices are decoded.  A value that does not
-convert stays as decoded, and the reader that expects a matrix there
-reports it.  A member the caller names as unread (a result's
-"corrections", which ``rotate`` never reads) is still checked as JSON and
-for repeated keys, but its matrices are dropped as decoded, not
-converted.  Any other text, a document that does not decode or is not an
-object, is decoded again by ``json.loads``, whose verdict and messages the
-reader keeps.  A "-0" number, which ``json.loads`` would read as the int
-0, is read as -0.0, so every document pertkit writes reads back bit for
-bit.
+holds it (the value of a "matrix" key, or of a "j,k" key in a result
+series), while its [re, im] lists are still in the cache.  A value that
+does not convert stays as decoded, for its reader to report.  A member the
+caller names as unread (a result's "corrections", which ``rotate`` never
+reads) is checked as JSON and for repeated keys, but not converted.  Any
+other text is decoded again by ``json.loads``, whose verdict and messages
+the reader keeps.
 
 Decoding and conversion run with the cyclic garbage collector paused.
 Decoded JSON is a tree of dicts, lists and scalars, and the conversion
@@ -37,19 +31,21 @@ otherwise start every 700 new containers, would only walk and promote the
 [re, im] lists, of which at most one object's matrices are alive at a time.
 
 All output floats are rendered with 17 significant digits so identical
-inputs produce byte-identical documents.  Matrices travel as complex arrays
-and are rendered as nested lists of [re, im] pairs.  ``canonical_json``
-renders a whole document in one pass.  It walks the document once into a
-template with sorted keys, where a +0.0 matrix part is the literal "0" and
-every other part gets a placeholder after its sign; matrices of one shape
-are templated together.  The template is then filled by one ``%`` with the
-magnitudes' texts.  This keeps every byte, because for every finite double
-``'%.17g' % x == ('-' if signbit(x) else '') + '%.17g' % abs(x)``, -0.0
-included.  Each distinct magnitude is formatted once, unless most of a
-document's are distinct (``DISTINCT_SHARE``).  la corrections and
-generators are hermitian and anti-hermitian bit for bit by construction
-(``least_action`` hands out their exact (anti-)hermitian parts), so about
-half their magnitudes repeat.  swt, fd and ace results are so only where
+inputs produce byte-identical documents, except -0.0, which is written
+"-0.0": ``json.loads`` reads the "-0" of ``%.17g`` as the int 0, and every
+document pertkit writes reads back bit for bit.  Matrices travel as complex
+arrays and are rendered as nested lists of [re, im] pairs.
+``canonical_json`` walks a document once into a template with sorted keys,
+where a zero matrix part is the literal "0" or "-0.0" and every other part
+gets a placeholder after its sign; matrices of one shape are templated
+together.  The template is then filled by one ``%`` with the magnitudes'
+texts.  This keeps every byte, because for every finite nonzero double
+``'%.17g' % x == ('-' if x < 0 else '') + '%.17g' % abs(x)``.  Each
+distinct magnitude is formatted once, unless most of a document's are
+distinct (``DISTINCT_SHARE``).  la corrections and generators are
+hermitian and anti-hermitian bit for bit by construction (``least_action``
+hands out their exact (anti-)hermitian parts), so about half their
+magnitudes repeat.  swt, fd and ace results are so only where
 their products happen to round symmetrically: with OpenBLAS, on random
 static instances of d = 2 .. 16, only at d = 4, 8, 12 and 16, while driven
 d = 5 complex fd results differ from their graded adjoints by up to about
@@ -74,7 +70,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -111,11 +106,12 @@ class ProblemFormatError(ValueError):
 
 def _pair_tokens(placeholder: str) -> np.ndarray:
     """Each [re, im] pair with the separator after it, indexed by the state of
-    re + 3 * the state of im + 9 * (0 inside a row, 1 at a row's end, 2 at the
-    matrix's end).  A part's state is 0 for +0.0, written as the literal "0"
-    that ``%.17g`` gives for it, 1 for a positive part and 2 for a negative
-    one, -0.0 included; a live part's placeholder takes its magnitude."""
-    parts = ("0", placeholder, "-" + placeholder)
+    re + 4 * the state of im + 16 * (0 inside a row, 1 at a row's end, 2 at
+    the matrix's end).  A part's state is 0 for +0.0, written as the literal
+    "0" that ``%.17g`` gives for it, 1 for a positive part, 2 for a negative
+    one and 3 for -0.0, written as the literal "-0.0"; a live part's
+    placeholder takes its magnitude."""
+    parts = ("0", placeholder, "-" + placeholder, "-0.0")
     return np.array([f"[{re},{im}]{sep}" for sep in (",", "],[", "]]")
                      for im in parts for re in parts], dtype=object)
 
@@ -136,10 +132,9 @@ def _magnitude_texts(values: np.ndarray) -> tuple[str, tuple]:
     """The placeholder for a document's live matrix parts and what fills them, in order.
 
     Only magnitudes fill a template, since the sign is part of it: for every
-    finite double, ``%.17g`` of x is "-" if its sign bit is set (-0.0
-    included), followed by ``%.17g`` of |x|.  Each distinct magnitude is
-    formatted once, with one ``%.17g`` call for all of them, unless most
-    are distinct.  They are found by one argsort: ``np.unique`` costs twice
+    finite nonzero double, ``%.17g`` of x is "-" if it is negative, followed
+    by ``%.17g`` of |x|.  Each distinct magnitude is formatted once, with
+    one ``%.17g`` call for all of them, unless most are distinct.  They are found by one argsort: ``np.unique`` costs twice
     the time and, on its first call, up to 1.3 MB more resident memory.
     """
     magnitudes = np.abs(values)
@@ -160,6 +155,7 @@ class _Template:
     """A document walked once into a template: its pieces of text, with a
     slot for every nonempty matrix, set once the whole document is walked.
     A scalar float is formatted where it stands; a document holds few.
+    -0.0 is written "-0.0", as a matrix part is, and +0.0 "0".
     (A method, not a closure, walks it: a recursive closure would be a
     reference cycle holding the document's arrays.)"""
 
@@ -185,7 +181,9 @@ class _Template:
         elif isinstance(obj, (float, np.floating)):
             if not math.isfinite(obj):
                 raise ValueError("cannot serialize non-finite float")
-            text.append("%.17g" % float(obj))  # digits, signs and "e": nothing to escape
+            negative_zero = obj == 0 and math.copysign(1.0, obj) < 0
+            # digits, signs, "." and "e": nothing to escape
+            text.append("-0.0" if negative_zero else "%.17g" % float(obj))
         elif isinstance(obj, dict):
             text.append("{")
             for i, (key, value) in enumerate(sorted(obj.items(), key=lambda kv: kv[0])):
@@ -206,7 +204,7 @@ class _Template:
         """The token index of every pair of a group of matrices of one shape.
 
         The matrices are stacked into one copy and read through its float
-        view; each matrix's live parts, the ones not +0.0, fill its slot in
+        view; each matrix's live parts, the ones not zero, fill its slot in
         ``floats``.
         """
         rows, cols = group[0][2].shape
@@ -214,14 +212,16 @@ class _Template:
         arr = stacked.view(np.float64).reshape(len(group), rows, cols, 2)
         if not np.isfinite(arr).all():
             raise ValueError("cannot serialize non-finite float")
-        state = np.where(np.signbit(arr), np.uint8(2), arr != 0)  # one byte: indices stay below 27
-        live = state.reshape(len(group), -1) != 0
+        live = arr != 0
+        # one byte: indices stay below 48
+        state = np.where(np.signbit(arr), np.uint8(3) - live, live.view(np.uint8))
+        live = live.reshape(len(group), -1)
         ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
         for (_, at_floats, _), parts in zip(group, np.split(arr.reshape(len(group), -1)[live], ends)):
             self.floats[at_floats] = parts
         where = np.zeros((rows, cols), dtype=np.uint8)
-        where[:, -1], where[-1, -1] = 9, 18
-        return (state[..., 0] + 3 * state[..., 1] + where).reshape(len(group), -1)
+        where[:, -1], where[-1, -1] = 16, 32
+        return (state[..., 0] + 4 * state[..., 1] + where).reshape(len(group), -1)
 
     def render(self) -> str:
         """The template's slots set, filled by one ``%``."""
@@ -326,19 +326,9 @@ def _unread(pairs: list[tuple[str, Any]]) -> None:
     _keys_once(pairs)
 
 
-#: A "-0" number: "-0" followed by none of the characters that continue it.
-_NEGATIVE_ZERO = re.compile(rb"-0[^.0-9eE]")
-
-
-def _int_or_negative_zero(text: str) -> int | float:
-    return -0.0 if text == "-0" else int(text)
-
-
-#: Per ``parse_int``: the scanner of a member that is read and of one that is not.
-_SCANNERS = {
-    parse_int: tuple(json.JSONDecoder(object_pairs_hook=hook, parse_int=parse_int).scan_once
-                     for hook in (_unique_keys, _unread))
-    for parse_int in (None, _int_or_negative_zero)}
+#: The scanner of a member that is read and of one that is not.
+_SCANNERS = tuple(json.JSONDecoder(object_pairs_hook=hook).scan_once
+                  for hook in (_unique_keys, _unread))
 _space = WHITESPACE.match
 
 
@@ -372,19 +362,17 @@ def _decode(raw: bytes, unread: tuple[str, ...]) -> Any:
     """``json.loads(raw, object_pairs_hook=_unique_keys)``, but a member of the
     top-level object whose key is in ``unread`` is decoded by ``_unread``.
 
-    The top-level object is walked here, so that each member's scanner is
-    chosen by its key, but only while it is well formed.  Any other text,
-    wherever the walk or a scanner stops, is decoded again by ``json.loads``,
-    whose verdict, document and messages it keeps.
+    A well-formed top-level object is walked here, each member's scanner
+    chosen by its key; wherever the walk or a scanner stops, ``json.loads``
+    decodes the text again and gives the verdict.
     """
     s = raw.decode(json.detect_encoding(raw), "surrogatepass")
-    parse_int = _int_or_negative_zero if _NEGATIVE_ZERO.search(raw) else None
     try:
-        doc = _top_level_object(s, unread, *_SCANNERS[parse_int])
+        doc = _top_level_object(s, unread, *_SCANNERS)
     except (ValueError, StopIteration, RecursionError):
         doc = None
     if doc is None:
-        doc = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=parse_int)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     return doc
 
 
@@ -394,16 +382,11 @@ def read_document(path: str, convert: Callable[[dict, bytes], T],
 
     ``raw`` is the file's bytes.  A file that cannot be read, or does not
     hold a JSON object whose keys are each given once, raises
-    ProblemFormatError.  A well-formed object is walked here and each
-    top-level member decoded with its own hook; any other text is decoded
-    by ``json.loads``, whose verdict and messages it keeps.  A member whose
-    key is in ``unread`` is checked as JSON and for repeated keys, and its
-    objects are dropped as they close, so its matrices are never
-    converted.  In every other member each matrix is converted as the
-    decoder closes its object (``_unique_keys``).  Only if ``raw`` holds a
-    "-0" number does every integer go through a Python call, which reads
-    that one as -0.0; the call slows decoding about twofold.  The collector
-    stays paused until the decoded tree is dropped, so no pass ever walks it.
+    ProblemFormatError.  A member whose key is in ``unread`` is checked as
+    JSON and for repeated keys, but its matrices are never converted; in
+    every other member each matrix is converted as the decoder closes its
+    object (``_decode``).  The collector stays paused until the decoded tree
+    is dropped, so no pass ever walks it.
     """
     with collector_paused():
         try:

@@ -47,7 +47,6 @@ from .engine import TransformResult
 from .errors import IllConditionedBlocks, PertError
 from .graded import GradedOperator
 from .least_action import BlockStructure, _la_orders
-from . import engine
 
 #: Smallest admissible eigenvalue of B(X^dag) B(X).
 CONDITION_FLOOR = 1e-8
@@ -329,8 +328,10 @@ def convergence_scan(
 ) -> list[tuple[int, float, float]]:
     """Table of eta(n, lambda) rows comparing a routine to the exact oracle.
 
-    ``method`` is "la" (needs ``blocks``) or "fd".  The routine runs once at
-    the largest requested order; each row compares the collapsed partial sum
+    ``method`` is "la" (needs ``blocks``) or "fd", whose corrections are
+    la's on unit blocks: both eliminate every off-diagonal entry and agree to
+    round-off.  The routine runs once at the largest requested order and
+    computes no generator; each row compares the collapsed partial sum
     against the exact block diagonalization of the collapsed input.  Per
     lambda, one running partial sum and one batched spectral norm give every
     order's eta, bit for bit ``spectral_distance`` of ``partial_sum_matrix``;
@@ -341,25 +342,20 @@ def convergence_scan(
     if not orders or orders[0] < 0:
         raise ValueError(f"scan orders must be a nonempty set of orders >= 0, got {orders}")
     top = orders[-1]
-    if method == "la":
-        if blocks is None:
-            raise ValueError("the la scan needs a block structure")
-        if not isinstance(blocks, BlockStructure):
-            blocks = BlockStructure(tuple(blocks))
-        # the scan reads only the corrections: no generator is computed
-        corrections = _la_orders(h, blocks, top, hbar=hbar)[1]
-        oracle_blocks = blocks
-    elif method == "fd":
-        corrections = {n: None if corr.is_zero else corr.term(n, 0)
-                       for n, corr in engine.run_fd(h, top, hbar=hbar).corrections.items()}
-        oracle_blocks = BlockStructure((1,) * h.dim)
-    else:
+    if method == "fd":
+        blocks = BlockStructure((1,) * h.dim)
+    elif method != "la":
         raise ValueError(f"unknown scan method {method!r}")
+    elif blocks is None:
+        raise ValueError("the la scan needs a block structure")
+    elif not isinstance(blocks, BlockStructure):
+        blocks = BlockStructure(tuple(blocks))
+    corrections = _la_orders(h, blocks, top, hbar=hbar)[1]
     rows: list[tuple[int, float, float]] = []
     # h_exact, then h_exact - partial_n for each requested order n
     diffs = np.empty((len(orders) + 1, h.dim, h.dim), dtype=complex)
     for lam in lambdas:
-        _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
+        _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), blocks)
         # partial_sum_matrix's sums in its own sequence, one order at a time
         partial = np.zeros_like(h_exact)
         diffs[0] = h_exact

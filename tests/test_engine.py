@@ -911,7 +911,7 @@ def test_real_and_complex_fields_are_gauge_covariant(method, driven, seed):
     # a real H runs in float64, its complex gauge copy D H D^dag in complex128;
     # the outputs agree up to the same D, and every one is complex128.  The
     # real run's outputs carry +0.0 imaginary parts only: complex arithmetic
-    # on zero imaginary parts leaves -0.0 ones, which documents write as "-0"
+    # on zero imaginary parts leaves -0.0 ones, which documents write as "-0.0"
     instance = covariance_instance(seed, driven)
     assert instance is not None
     h, mask = real_part(instance[0]), instance[1]

@@ -31,7 +31,7 @@ from pertkit.models import (
 
 
 def reference_canonical_json(obj):
-    """The former renderer: recursive dispatch, one float at a time."""
+    """The former renderer: recursive dispatch, one float at a time; -0.0 is "-0.0"."""
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, str):
@@ -41,7 +41,7 @@ def reference_canonical_json(obj):
     if isinstance(obj, (float, np.floating)):
         if not np.isfinite(obj):
             raise ValueError("cannot serialize non-finite float")
-        return f"{float(obj):.17g}"
+        return "-0.0" if obj == 0 and np.signbit(obj) else f"{float(obj):.17g}"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
         body = ",".join(
@@ -93,8 +93,8 @@ def test_signed_zero_and_subnormal_render_as_before():
                     [complex(0.1, 1 / 3), complex(3.0, -0.0)]])
     text = canonical_json(mat)
     assert text == reference_canonical_json(reference_matrix_to_json(mat))
-    assert text.startswith("[[[-0,4.9406564584124654e-324],[1.0000000000000001e+300,")
-    assert "[3,-0]" in text
+    assert text.startswith("[[[-0.0,4.9406564584124654e-324],[1.0000000000000001e+300,")
+    assert "[3,-0.0]" in text
 
 
 def test_documents_match_reference():
@@ -231,7 +231,7 @@ def test_non_contiguous_matrix_renders_as_its_pairs(name):
     assert not view.flags.c_contiguous
     text = canonical_json(view)
     assert text == reference_canonical_json(reference_matrix_to_json(view))
-    assert "[-0,0.25]" in text or "[-0,-0.25]" in text
+    assert "[-0.0,0.25]" in text or "[-0.0,-0.25]" in text
 
 
 @pytest.mark.parametrize("arr", [
@@ -291,11 +291,9 @@ def cli_documents(tmp_path):
 
 
 def test_cli_documents_match_reference(tmp_path):
-    # parse_int=float keeps the sign of a "-0" part; an integer field such as
-    # "dim" renders the same from 2.0 as from 2
     for path in cli_documents(tmp_path):
         written = path.read_bytes()
-        doc = json.loads(written, parse_int=float)
+        doc = json.loads(written)
         assert (reference_canonical_json(doc) + "\n").encode() == written, path.name
 
 
@@ -446,7 +444,7 @@ def _assert_same_bits(read, written):
 @pytest.mark.parametrize("model", ["transmon", "edsr"])
 def test_real_model_documents_read_back_bit_for_bit(tmp_path, model):
     # a real problem runs in real arithmetic, which leaves no -0.0 imaginary
-    # parts; json.loads would read their "-0" back as +0
+    # parts; the corrections are read back by json.loads alone
     if model == "transmon":
         h = build_transmon_resonator(TransmonParams(
             omega_t=5.0, omega_r=7.0, alpha=-0.3, g=0.05, n_t_max=4, n_r_max=4))
@@ -484,15 +482,17 @@ def test_real_model_documents_read_back_bit_for_bit(tmp_path, model):
 # ---------------------------------------------------------------------------
 
 
-#: A "-0" number, which json.loads alone reads back as the int 0.
-NEGATIVE_ZERO = re.compile(rb"-0[^.0-9eE]")
+#: A bare "-0" number, which json.loads reads as the int 0.
+BARE_NEGATIVE_ZERO = re.compile(rb"-0[^.0-9eE]")
+#: A "-0.0" number, as a matrix part or a list item: not -0.05 or -0.001.
+NEGATIVE_ZERO = re.compile(rb"-0\.0[,\]]")
 
 
 @pytest.fixture(scope="module")
 def written_documents(tmp_path_factory) -> dict:
     """Every kind of document pertkit writes, by name: results of README's
     minimal problem under each method and of its 0.1 sigma_y variant (whose
-    complex arithmetic writes "-0" parts) under fd and swt, a driven result,
+    complex arithmetic writes -0.0 parts) under fd and swt, a driven result,
     a rotated operator, an oracle document and the ace demo."""
     tmp = tmp_path_factory.mktemp("written")
     minimal = readme_problem()
@@ -534,22 +534,63 @@ WRITTEN = ["swt", "fd", "ace", "la", "sigma-y-fd", "sigma-y-swt", "driven", "rot
 
 @pytest.mark.parametrize("name", WRITTEN)
 def test_every_written_document_reads_back_to_its_own_bytes(written_documents, name):
-    # json.loads read a "-0" part as the int 0, which renders as "0"
+    # -0.0 is written "-0.0": a bare "-0" would read back as the int 0
     path = written_documents[name]
     raw = path.read_bytes()
+    assert not BARE_NEGATIVE_ZERO.search(raw)
     if name.startswith("sigma-y"):
         assert NEGATIVE_ZERO.search(raw)
     assert (canonical_json(read_document(str(path), lambda doc, raw: doc)) + "\n").encode() == raw
 
 
 def test_a_negative_zero_integer_field_reads_as_zero(tmp_path):
-    # a "-0" document reads -0 as -0.0 everywhere; an integer field is still 0
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**PROBLEM, "terms": [{**TWO_LEVEL, "order": -0.0}]})
                     .replace("-0.0", "-0"), encoding="utf-8")
-    assert NEGATIVE_ZERO.search(path.read_bytes())
+    assert BARE_NEGATIVE_ZERO.search(path.read_bytes())
     spec, _ = load_problem(str(path))
     assert list(spec.terms) == [(0, 0)] and type(next(iter(spec.terms))[0]) is int
+
+
+@pytest.mark.parametrize("command, holds", [
+    (["oracle", "--lam", "-0"], b'"lambda":-0.0'),
+    (["transform"], b'"energies":[-0.0,1]'),
+], ids=["oracle-lambda", "result-energies"])
+def test_a_negative_zero_scalar_reads_back_to_its_own_bytes(tmp_path, command, holds):
+    # a -0.0 lambda or energy written "-0" would read back as the int 0
+    problem, out = tmp_path / "problem.json", tmp_path / "out.json"
+    problem.write_text(json.dumps({**readme_problem(), "terms": [
+        {"order": 0, "matrix": [[[-0.0, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"order": 1, "matrix": [[[0, 0], [0.1, 0]], [[0.1, 0], [0, 0]]]}]}), encoding="utf-8")
+    assert main([command[0], str(problem), *command[1:], "--out", str(out)]) == 0
+    raw = out.read_bytes()
+    assert holds in raw
+    assert (canonical_json(read_document(str(out), lambda doc, raw: doc)) + "\n").encode() == raw
+
+
+def test_a_matrix_part_keeps_the_sign_of_zero_it_is_written_with(tmp_path):
+    # a bare "-0" is JSON's integer 0, as in every JSON reader
+    path = tmp_path / "problem.json"
+    text = json.dumps({**PROBLEM, "terms": [{**TWO_LEVEL, "matrix": [
+        [[-0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]})
+    for written, sign in (("-0", False), ("-0.0", True)):
+        path.write_text(text.replace("-0.0", written), encoding="utf-8")
+        part = load_problem(str(path))[0].terms[(0, 0)][0, 0].real
+        assert part == 0 and np.signbit(part) == sign, written
+
+
+def test_a_sigma_y_generator_reads_back_with_every_sign_of_zero(tmp_path):
+    h = GradedOperator(2, {(0, 0): np.diag([0.0, 1.0]), (1, 0): 0.1 * pauli()[2]})
+    result = run_fd(h, max_order=4)
+    path = tmp_path / "result.json"
+    write_document(str(path), result_document(result, "0" * 64))
+    read = load_result(str(path)).generator
+    assert read.keys() == result.generator.keys()
+    for n, entry in read.items():
+        _assert_same_bits(entry, result.generator[n])
+    parts = np.concatenate([np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+                            for op in result.generator.values() for mat in op.terms.values()])
+    assert np.signbit(parts[parts == 0]).any()  # the generator holds -0.0 parts
 
 
 def test_a_result_read_holds_one_entry_of_decoded_lists_at_a_time(tmp_path):
@@ -592,10 +633,6 @@ def test_a_result_read_holds_one_entry_of_decoded_lists_at_a_time(tmp_path):
 
 #: The bytes a mutation inserts or writes over another.
 MUTATION_BYTES = b'{}[],:"0-eE. \n1a\\'
-
-
-def _negative_zero_int(text: str):
-    return -0.0 if text == "-0" else int(text)
 
 
 def _same(a, b) -> bool:
@@ -659,7 +696,7 @@ def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
     def check(raw):
         path.write_bytes(raw)
         try:
-            want = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_negative_zero_int)
+            want = json.loads(raw, object_pairs_hook=_unique_keys)
         except ValueError as err:
             want = ProblemFormatError(f"cannot read a JSON document from {path}: {err}")
         if not isinstance(want, (dict, ProblemFormatError)):

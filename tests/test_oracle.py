@@ -6,8 +6,10 @@ import pytest
 from pertkit.engine import Mask, run_fd
 from pertkit.errors import IllConditionedBlocks, PertError
 from pertkit.graded import GradedOperator
-from pertkit.least_action import BlockStructure, run_la
-from pertkit.models import EDSRParams, TransmonParams, build_edsr, build_transmon_resonator
+from pertkit.least_action import BlockStructure, _la_orders, run_la
+from pertkit.models import (
+    EDSRParams, TransmonParams, build_edsr, build_transmon_resonator, random_bd_hamiltonian,
+)
 from pertkit import oracle
 from pertkit.oracle import (
     SWAP_GAIN_FLOOR,
@@ -565,19 +567,34 @@ def test_scan_fd_mode_uses_diagonal_oracle():
 def test_scan_rows_equal_the_spectral_distance_of_each_partial_sum(method):
     # the running partial sum and the batched norm give the bits of
     # spectral_distance on partial_sum_matrix, at lambda != 1 too
-    # on one matrix of one sector and one that the oracle solves per sector
+    # on one matrix of one sector and one that the oracle solves per sector;
+    # the fd scan is the la scan on unit blocks
     orders, lambdas = [0, 1, 3, 4, 6], [1.0, 0.5, 0.3, 0.25]
     for h, blocks in (scan_instance(), two_sector_scan_instance()):
-        if method == "la":
-            result, oracle_blocks = run_la(h, blocks, 6), blocks
-        else:
-            result, oracle_blocks = run_fd(h, 6), (1,) * h.dim
+        oracle_blocks = blocks if method == "la" else (1,) * h.dim
+        result = run_la(h, oracle_blocks, 6)
         want = []
         for lam in lambdas:
             _, h_exact = exact_block_diagonalize(evaluate_at(h, lam), oracle_blocks)
             want += [(n, lam, spectral_distance(h_exact, partial_sum_matrix(result, n, lam)))
                      for n in orders]
         assert convergence_scan(h, method, orders, lambdas, blocks) == want
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_unit_block_la_corrections_equal_the_fd_corrections(field):
+    # what lets the fd scan read la's corrections in place of run_fd's
+    h = random_bd_hamiltonian((4, 4, 4), 5)
+    if field == "real":
+        h = GradedOperator(h.dim, {key: mat.real for key, mat in h.items()})
+    la = _la_orders(h, BlockStructure((1,) * h.dim), 14)[1]
+    fd = run_fd(h, 14).corrections
+    assert sorted(la) == sorted(fd) == list(range(15))
+    for n, corr in fd.items():
+        assert (la[n] is None) == corr.is_zero, n
+        if la[n] is not None:
+            want = corr.term(n, 0)
+            assert np.abs(la[n] - want).max() <= 1e-14 * np.abs(want).max(), n
 
 
 def test_scan_whose_partial_sums_overflow_is_a_precondition_error():
