@@ -129,6 +129,7 @@ def _experiment_call(args, doc: dict, raw: bytes):
         params = _given(doc, {"seed": args.seed}, dim=io.as_int, seed=io.as_int,
                         max_order=io.as_int, coupling=io.as_float)
         if "dim" in params:
+            io.check_matrix_size(params["dim"])  # judged before the instance is drawn
             params["d"] = params.pop("dim")
         return kind, params
     raise io.ProblemFormatError(f"unknown experiment kind {kind!r}")

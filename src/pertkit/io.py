@@ -12,16 +12,30 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
+A matrix is read in either of two forms, wherever one is read (problem and
+operator terms, both series of a result): dense, ``dim`` rows of ``dim``
+[re, im] pairs, or sparse, {"at": [row-major flat indices], "values":
+[[re, im], ...]}, zero wherever no index names a pair.  The indices are
+JSON integers, strictly ascending within [0, dim^2), one for each value.
+Only a result's generator is written sparse for now: each of its matrices
+fewer than ``SPARSE_SHARE`` of whose pairs are nonzero, a pair being zero
+only if both parts are +0.0.  pertkit versions before the sparse form
+refuse such a result as malformed.  A matrix that would take more than
+``MAX_MATRIX_BYTES`` is refused (PertError) before it is allocated, since a
+few bytes of sparse document can declare any ``dim``.
+
 ``read_document`` walks a well-formed top-level object itself and decodes
 each member with its own hook, chosen by the member's key.  A member the
-caller reads converts each matrix as the decoder closes the object that
-holds it (the value of a "matrix" key, or of a "j,k" key in a result
+caller reads converts each dense matrix as the decoder closes the object
+that holds it (the value of a "matrix" key, or of a "j,k" key in a result
 series), while its [re, im] lists are still in the cache.  A value that
-does not convert stays as decoded, for its reader to report.  A member the
-caller names as unread (a result's "corrections", which ``rotate`` never
-reads) is checked as JSON and for repeated keys, but not converted.  Any
-other text is decoded again by ``json.loads``, whose verdict and messages
-the reader keeps.
+does not convert stays as decoded, for its reader to report, and so does a
+sparse matrix, which only its reader, knowing ``dim``, converts; rendered
+again by ``canonical_json``, that decoded object gives its own bytes.  A
+member the caller names as unread (a result's "corrections", which
+``rotate`` never reads) is checked as JSON and for repeated keys, but not
+converted.  Any other text is decoded again by ``json.loads``, whose
+verdict and messages the reader keeps.
 
 Decoding and conversion run with the cyclic garbage collector paused.
 Decoded JSON is a tree of dicts, lists and scalars, and the conversion
@@ -34,7 +48,9 @@ All output floats are rendered with 17 significant digits so identical
 inputs produce byte-identical documents, except -0.0, which is written
 "-0.0": ``json.loads`` reads the "-0" of ``%.17g`` as the int 0, and every
 document pertkit writes reads back bit for bit.  Matrices travel as complex
-arrays and are rendered as nested lists of [re, im] pairs.
+arrays and are rendered as nested lists of [re, im] pairs; a
+``_Sparsable`` one that goes sparse is rendered from the same pair states,
+its index list as one piece of text.
 ``canonical_json`` walks a document once into a template with sorted keys,
 where a zero matrix part is the literal "0" or "-0.0" and every other part
 gets a placeholder after its sign; matrices of one shape are templated
@@ -75,7 +91,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from json.decoder import WHITESPACE, scanstring
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -110,7 +126,8 @@ def _pair_tokens(placeholder: str) -> np.ndarray:
     the matrix's end).  A part's state is 0 for +0.0, written as the literal
     "0" that ``%.17g`` gives for it, 1 for a positive part, 2 for a negative
     one and 3 for -0.0, written as the literal "-0.0"; a live part's
-    placeholder takes its magnitude."""
+    placeholder takes its magnitude.  A pair's state is 0 only if both its
+    parts are +0.0."""
     parts = ("0", placeholder, "-" + placeholder, "-0.0")
     return np.array([f"[{re},{im}]{sep}" for sep in (",", "],[", "]]")
                      for im in parts for re in parts], dtype=object)
@@ -121,6 +138,8 @@ _TOKENS = {placeholder: _pair_tokens(placeholder) for placeholder in ("%s", "%.1
 #: Above this share of distinct magnitudes among a document's floats, each
 #: float is formatted directly: looking the texts up costs more than it saves.
 DISTINCT_SHARE = 0.75
+#: Below this share of nonzero pairs, a ``_Sparsable`` matrix is written sparse.
+SPARSE_SHARE = 0.25
 
 
 def _literal(obj) -> str:
@@ -151,6 +170,14 @@ def _magnitude_texts(values: np.ndarray) -> tuple[str, tuple]:
     return "%s", tuple(np.array(texts, dtype=object)[which].tolist())
 
 
+class _Sparsable(NamedTuple):
+    """A matrix written sparse, {"at": [row-major flat indices], "values":
+    [[re, im], ...]}, if fewer than ``SPARSE_SHARE`` of its pairs are nonzero,
+    and dense otherwise."""
+
+    mat: np.ndarray
+
+
 class _Template:
     """A document walked once into a template: its pieces of text, with a
     slot for every nonempty matrix, set once the whole document is walked.
@@ -162,18 +189,22 @@ class _Template:
     def __init__(self, obj: Any):
         self.text: list = []  # the template's pieces; None at a slot
         self.floats: list = []  # the live parts of each matrix, in document order
-        self.shapes: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = {}
+        # per shape: each matrix's slot in text and in floats, and whether it is sparsable
+        self.shapes: dict[tuple[int, int], list[tuple[int, int, np.ndarray, bool]]] = {}
         self._walk(obj)
 
     def _walk(self, obj) -> None:
         text = self.text
-        if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 2:
-            if obj.size:
-                self.shapes.setdefault(obj.shape, []).append((len(text), len(self.floats), obj))
+        sparsable = type(obj) is _Sparsable
+        mat = obj.mat if sparsable else obj
+        if isinstance(mat, np.ndarray) and mat.dtype == np.complex128 and mat.ndim == 2:
+            if mat.size:
+                self.shapes.setdefault(mat.shape, []).append(
+                    (len(text), len(self.floats), mat, sparsable))
                 text.append(None)
                 self.floats.append(None)
             else:
-                text.append("[" + ",".join(["[]"] * obj.shape[0]) + "]")
+                text.append("[" + ",".join(["[]"] * mat.shape[0]) + "]")
         elif obj is None or obj is True or obj is False or isinstance(obj, str):
             text.append(_literal(obj))
         elif isinstance(obj, (int, np.integer)):
@@ -200,16 +231,15 @@ class _Template:
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-    def _pair_states(self, group: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-        """The token index of every pair of a group of matrices of one shape.
+    def _pair_states(self, group: list[tuple[int, int, np.ndarray, bool]]) -> np.ndarray:
+        """The state of every pair, row-major, of a group of matrices of one shape.
 
         The matrices are stacked into one copy and read through its float
         view; each matrix's live parts, the ones not zero, fill its slot in
         ``floats``.
         """
-        rows, cols = group[0][2].shape
-        stacked = np.ascontiguousarray(np.stack([mat for _, _, mat in group]))
-        arr = stacked.view(np.float64).reshape(len(group), rows, cols, 2)
+        stacked = np.ascontiguousarray(np.stack([mat for _, _, mat, _ in group]))
+        arr = stacked.view(np.float64).reshape(len(group), -1, 2)
         if not np.isfinite(arr).all():
             raise ValueError("cannot serialize non-finite float")
         live = arr != 0
@@ -217,20 +247,36 @@ class _Template:
         state = np.where(np.signbit(arr), np.uint8(3) - live, live.view(np.uint8))
         live = live.reshape(len(group), -1)
         ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
-        for (_, at_floats, _), parts in zip(group, np.split(arr.reshape(len(group), -1)[live], ends)):
+        for (_, at_floats, _, _), parts in zip(group, np.split(arr.reshape(len(group), -1)[live], ends)):
             self.floats[at_floats] = parts
-        where = np.zeros((rows, cols), dtype=np.uint8)
-        where[:, -1], where[-1, -1] = 16, 32
-        return (state[..., 0] + 4 * state[..., 1] + where).reshape(len(group), -1)
+        return state[..., 0] + 4 * state[..., 1]
 
     def render(self) -> str:
-        """The template's slots set, filled by one ``%``."""
+        """The template's slots set, filled by one ``%``.
+
+        A sparsable matrix that goes sparse takes the tokens of its nonzero
+        pairs alone, each followed by ",", but the last; its live parts, and
+        so the fill, are those it would have written dense.
+        """
         text, floats = self.text, self.floats
         states = [self._pair_states(group) for group in self.shapes.values()]
         placeholder, fill = _magnitude_texts(np.concatenate(floats) if floats else np.empty(0))
-        for group, state in zip(self.shapes.values(), states):
-            for (at_text, _, _), tokens in zip(group, _TOKENS[placeholder][state].tolist()):
-                text[at_text] = "[[" + "".join(tokens)
+        tokens = _TOKENS[placeholder]
+        for (shape, group), state in zip(self.shapes.items(), states):
+            sparse = (np.array([sparsable for *_, sparsable in group])
+                      & (np.count_nonzero(state, axis=1) < SPARSE_SHARE * state.shape[1]))
+            where = np.zeros(shape, dtype=np.uint8)
+            where[:, -1], where[-1, -1] = 16, 32
+            dense = iter(tokens[state[~sparse] + where.reshape(-1)].tolist())
+            for (at_text, *_), pairs, thin in zip(group, state, sparse.tolist()):
+                if thin:
+                    at = np.flatnonzero(pairs)
+                    # the indices are one piece of text, however many
+                    text[at_text] = ('{"at":' + json.dumps(at.tolist(), separators=(",", ":"))
+                                     + ',"values":[' + "".join(tokens[pairs[at]].tolist())[:-1]
+                                     + "]}")
+                else:
+                    text[at_text] = "[[" + "".join(next(dense))
         return "".join(text) % fill
 
 
@@ -238,44 +284,102 @@ def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed 17-significant-digit floats.
 
     A 2-D complex128 array renders exactly as the nested lists of its
-    [re, im] pairs would; any other array raises TypeError.  The document
-    is walked once into a template with a placeholder for every live matrix
+    [re, im] pairs would, and so does a ``_Sparsable`` one, unless it is
+    written sparse; any other array raises TypeError.  The document is
+    walked once into a template with a placeholder for every live matrix
     part; matrices of one shape are templated together, and the template is
     filled by one ``%``.
     """
     return _Template(obj).render()
 
 
-def matrix_from_json(data, dim: int) -> np.ndarray:
-    """A ``dim`` x ``dim`` list of [re, im] pairs as a complex matrix.
+#: The most bytes one ``dim`` x ``dim`` complex matrix of a read document, or
+#: of the ace experiment, may take: 16 bytes a pair, so ``dim`` <= 8192.
+MAX_MATRIX_BYTES = 1 << 30
 
-    Every row must be a list of ``dim`` pairs and every part a JSON number,
-    an int or a float: a string such as "0" or a boolean raises
-    ProblemFormatError, where a float conversion would read them as 0.0 and
-    1.0.  The pairs are split into their real and imaginary parts in one
-    pass, which also requires each of them to hold exactly two items.  An
-    array is one ``read_document`` already converted; only its shape is checked.
+
+def check_matrix_size(dim: int) -> None:
+    """Raise PertError if a ``dim`` x ``dim`` complex matrix would take more
+    than ``MAX_MATRIX_BYTES``; judged before any such matrix is allocated."""
+    if 16 * dim * dim > MAX_MATRIX_BYTES:
+        raise PertError(f"a {dim}x{dim} complex matrix takes {16 * dim * dim} bytes, "
+                        f"more than the {MAX_MATRIX_BYTES} a matrix may take")
+
+
+def _pairs(pairs, message: str) -> np.ndarray:
+    """A sequence of [re, im] pairs as the (2, len(pairs)) array of its parts.
+
+    The pairs are split into their real and imaginary parts in one pass,
+    which also requires each of them to hold exactly two items; anything
+    else raises ProblemFormatError with ``message``.  Every part must be a
+    JSON number, an int or a float: a string such as "0" or a boolean
+    raises ProblemFormatError, where a float conversion would read them as
+    0.0 and 1.0.
+    """
+    try:
+        parts = list(zip(*pairs, strict=True))
+    except (TypeError, ValueError):  # a pair that is not a sequence, or two of unequal length
+        raise ProblemFormatError(message) from None
+    if len(parts) != 2:
+        raise ProblemFormatError(message)
+    if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
+        bad = next(v for v in chain(*parts) if type(v) not in (int, float))
+        raise ProblemFormatError(f"a matrix entry must be a number, got {bad!r}")
+    return np.array(parts, dtype=float)
+
+
+def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
+    """A sparse matrix, {"at": [row-major flat indices], "values": [[re, im], ...]},
+    as a ``dim`` x ``dim`` complex matrix, zero where no index names a pair.
+
+    The indices must be JSON integers, not booleans, strictly ascending and
+    in [0, dim^2), one for each value; anything else raises
+    ProblemFormatError.
+    """
+    if data.keys() != {"at", "values"}:
+        raise ProblemFormatError(f"a sparse matrix holds the keys 'at' and 'values' alone, "
+                                 f"got {sorted(data)}")
+    at, values = data["at"], data["values"]
+    if type(at) is not list or not set(map(type, at)) <= {int}:
+        raise ProblemFormatError(f"a sparse matrix's 'at' must be a list of integers, got {at!r}")
+    if type(values) is not list or len(values) != len(at):
+        raise ProblemFormatError(f"a sparse matrix's 'values' must be a list of {len(at)} "
+                                 "[re, im] pairs, one for each index")
+    flat = np.zeros(dim * dim, dtype=complex)
+    if at:
+        index = np.array(at, dtype=np.int64)
+        if index[0] < 0 or index[-1] >= flat.size or not (index[1:] > index[:-1]).all():
+            raise ProblemFormatError(f"a sparse matrix's indices must ascend strictly "
+                                     f"within [0, {flat.size})")
+        # assigned, not summed: re + 1j * im would turn a -0.0 part into +0.0
+        flat.real[index], flat.imag[index] = _pairs(values, "a sparse matrix's values must be "
+                                                            "[re, im] pairs")
+    return flat.reshape(dim, dim)
+
+
+def matrix_from_json(data, dim: int) -> np.ndarray:
+    """A ``dim`` x ``dim`` complex matrix from its JSON form: a list of ``dim``
+    rows of ``dim`` [re, im] pairs, or the sparse object of ``_sparse_matrix``.
+
+    Every part must be a JSON number (``_pairs``).  A matrix that would take
+    more than ``MAX_MATRIX_BYTES`` raises PertError before it is allocated.
+    An array is one ``read_document`` already converted; only its shape is
+    checked.
     """
     shape = f"matrix must be {dim}x{dim} of [re, im] pairs"
     if type(data) is np.ndarray:
         if data.shape != (dim, dim):
             raise ProblemFormatError(shape)
         return data
+    check_matrix_size(dim)
+    if type(data) is dict and dim >= 1:
+        return _sparse_matrix(data, dim)
     if (type(data) is not list or len(data) != dim
             or set(map(type, data)) != {list} or set(map(len, data)) != {dim}):
         raise ProblemFormatError(shape)
-    try:
-        parts = list(zip(*chain.from_iterable(data), strict=True))
-    except (TypeError, ValueError):  # a pair that is not a sequence, or two of unequal length
-        raise ProblemFormatError(shape) from None
-    if len(parts) != 2:
-        raise ProblemFormatError(shape)
-    if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
-        bad = next(v for v in chain(*parts) if type(v) not in (int, float))
-        raise ProblemFormatError(f"a matrix entry must be a number, got {bad!r}")
     out = np.empty((dim, dim), dtype=complex)
     # assigned, not summed: re + 1j * im would turn a -0.0 part into +0.0
-    out.real, out.imag = np.array(parts, dtype=float).reshape(2, dim, dim)
+    out.real, out.imag = _pairs(chain.from_iterable(data), shape).reshape(2, dim, dim)
     return out
 
 
@@ -563,8 +667,10 @@ def load_problem(path: str) -> tuple[ProblemSpec, str]:
 # ---------------------------------------------------------------------------
 
 
-def _series_to_json(series: dict[int, GradedOperator]) -> dict:
-    return {str(order): {f"{j},{k}": mat for (j, k), mat in op.items()}
+def _series_to_json(series: dict[int, GradedOperator], sparse: bool = False) -> dict:
+    """A series keyed by order and "j,k"; with ``sparse``, each matrix ``_Sparsable``."""
+    form = _Sparsable if sparse else (lambda mat: mat)
+    return {str(order): {f"{j},{k}": form(mat) for (j, k), mat in op.items()}
             for order, op in series.items()}
 
 
@@ -602,7 +708,7 @@ def result_document(result: TransformResult, spec_hash: str) -> dict:
         "omega_d": result.omega_d,
         "energies": [float(e) for e in result.frame.energies],
         "corrections": _series_to_json(result.corrections),
-        "generator": _series_to_json(result.generator),
+        "generator": _series_to_json(result.generator, sparse=True),
         "diagnostics": {
             "products": result.diagnostics.products,
             "resonances": [],

@@ -1,9 +1,11 @@
 """Small helpers that only the tests use: a model mask, a closed-form level, a table
-reduction, README's minimal problem and the command line run in its own process."""
+reduction, README's minimal problem, a problem whose generator is written sparse, a
+matrix's sparse JSON form and the command line run in its own process."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -46,6 +48,26 @@ def readme_problem() -> dict:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("A minimal problem file:")
     return json.loads(re.compile(r"^```json\n(.*?)^```", re.S | re.M).search(readme, start).group(1))
+
+
+def chain_problem(d: int = 8, coupling: float = 0.05) -> dict:
+    """An fd problem: d levels E_i = i + 0.37 i^2 coupled at first order between
+    neighbours.  Its order-1 generator holds 2(d - 1) nonzero pairs, its order-2
+    one 2(d - 2), so at d = 8 both are written sparse (14 and 12 of 64); orders
+    3 and 4 are dense."""
+    levels = [[[float(i == j) * (i + 0.37 * i * i), 0] for j in range(d)] for i in range(d)]
+    hops = [[[coupling * (abs(i - j) == 1), 0] for j in range(d)] for i in range(d)]
+    return {"dim": d, "method": "fd", "max_order": 4,
+            "terms": [{"order": 0, "matrix": levels}, {"order": 1, "matrix": hops}]}
+
+
+def sparse_json(matrix: list) -> dict:
+    """A JSON grid of [re, im] pairs in sparse form, naming every pair with a
+    part that is not +0.0 (a -0.0 part keeps its pair)."""
+    pairs = [pair for row in matrix for pair in row]
+    at = [i for i, pair in enumerate(pairs)
+          if any(part != 0 or math.copysign(1.0, part) < 0 for part in pair)]
+    return {"at": at, "values": [pairs[i] for i in at]}
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:

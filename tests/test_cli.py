@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import readme_problem, run_cli
+from helpers import chain_problem, readme_problem, run_cli, sparse_json
+import pertkit.io as io_module
 from pertkit.cli import build_parser, main
 from pertkit.io import (
     METHODS, RESULT_KEYS, ProblemFormatError, ProblemSpec, canonical_json, load_problem,
@@ -702,8 +703,11 @@ def test_rotate_negative_order_exit_code(two_level_problem, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("generator", [[1], {"1": 5}, {"1": {"1": [[[0, 0]]]}}],
-                         ids=["list", "number-entry", "bad-key"])
+@pytest.mark.parametrize("generator", [
+    [1], {"1": 5}, {"1": {"1": [[[0, 0]]]}},
+    {"1": {"1,0": {"at": [1, 2], "values": [[0, 0.1]]}}, "2": {}},
+    {"1": {"1,0": {"at": [2, 1], "values": [[0, 0.1], [0, -0.1]]}}, "2": {}},
+], ids=["list", "number-entry", "bad-key", "sparse-fewer-values", "sparse-descending"])
 def test_rotate_malformed_result_exit_code(two_level_problem, tmp_path, generator):
     result = tmp_path / "result.json"
     main(["transform", str(two_level_problem), "--out", str(result)])
@@ -855,22 +859,25 @@ def test_rotated_operator_document_rotates_again(two_level_problem, tmp_path):
 
 
 def test_rotate_generator_at_order_0_exit_code(two_level_problem, tmp_path, capsys):
-    # it used to be dropped: the output matched the same document without it
+    # it used to be dropped: the output matched the same document without it;
+    # the order-0 entry is given dense, then sparse
     result = tmp_path / "result.json"
     main(["transform", str(two_level_problem), "--out", str(result)])
-    doc = json.loads(result.read_text())
-    doc["generator"]["0"] = {"0,0": mat_json(0.3j * np.array([[0.0, 1.0], [1.0, 0.0]]))}
-    write_json(result, doc)
     op_path = tmp_path / "op.json"
     write_json(op_path, {"terms": [EYE_TERM]})
     out = tmp_path / "x.json"
-    capsys.readouterr()
-    assert main([
-        "rotate", str(two_level_problem), str(result), str(op_path),
-        "--order", "2", "--out", str(out),
-    ]) == 3
-    assert "a generator's orders start at 1, got order 0" in one_error_line(capsys)
-    assert not out.exists()
+    generator = mat_json(0.3j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for matrix in (generator, sparse_json(generator)):
+        doc = json.loads(result.read_text())
+        doc["generator"]["0"] = {"0,0": matrix}
+        write_json(result, doc)
+        capsys.readouterr()
+        assert main([
+            "rotate", str(two_level_problem), str(result), str(op_path),
+            "--order", "2", "--out", str(out),
+        ]) == 3
+        assert "a generator's orders start at 1, got order 0" in one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_transform_beyond_order_170(tmp_path):
@@ -883,9 +890,10 @@ def test_transform_beyond_order_170(tmp_path):
 
 
 def _with_entry(matrix, value):
-    """A JSON matrix of [re, im] pairs with the real part of entry (0, 0) replaced."""
+    """A JSON matrix with the real part of its first pair replaced: entry (0, 0)
+    of a grid of [re, im] pairs, the first value of a sparse matrix."""
     out = json.loads(json.dumps(matrix))
-    out[0][0][0] = value
+    (out["values"] if type(out) is dict else out[0])[0][0] = value
     return out
 
 
@@ -939,6 +947,60 @@ def test_matrix_entry_that_is_not_a_number_exit_code(two_level_problem, tmp_path
     assert (code, written) == (2, False)
     assert one_error_line(capsys) == (
         f"error: malformed {document} document: a matrix entry must be a number, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["0", True, None, {"re": 0}],
+                         ids=["numeric-string", "true", "null", "object"])
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_sparse_matrix_value_that_is_not_a_number_exit_code(two_level_problem, tmp_path, capsys,
+                                                             document, value):
+    code, written = _run_with_edited_document(
+        tmp_path, two_level_problem, document,
+        _edit_matrix(document, lambda matrix: _with_entry(sparse_json(matrix), value)))
+    assert (code, written) == (2, False)
+    assert one_error_line(capsys) == (
+        f"error: malformed {document} document: a matrix entry must be a number, got {value!r}\n")
+
+
+#: Each way a sparse matrix of README's two-level problem (d^2 = 4) is refused.
+SPARSE_BREAKS = {
+    "descending": lambda m: {"at": m["at"] + [m["at"][-1] - 1], "values": m["values"] + [[0, 0]]},
+    "repeated": lambda m: {"at": m["at"] + m["at"][-1:], "values": m["values"] + [[0, 0]]},
+    "negative": lambda m: {"at": [-1] + m["at"], "values": [[0, 0]] + m["values"]},
+    "past-the-end": lambda m: {"at": m["at"] + [4], "values": m["values"] + [[0, 0]]},
+    "boolean": lambda m: {**m, "at": [True] + m["at"][1:]},
+    "float": lambda m: {**m, "at": [float(m["at"][0])] + m["at"][1:]},
+    "fewer-values": lambda m: {**m, "values": m["values"][:-1]},
+    "more-values": lambda m: {**m, "values": m["values"] + [[0, 0]]},
+    "missing-key": lambda m: {"at": m["at"]},
+    "extra-key": lambda m: {**m, "dim": 2},
+    "string-part": lambda m: {**m, "values": [["0", 0]] + m["values"][1:]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_BREAKS))
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_malformed_sparse_matrix_exit_code(two_level_problem, tmp_path, capsys, document, name):
+    code, written = _run_with_edited_document(
+        tmp_path, two_level_problem, document,
+        _edit_matrix(document, lambda matrix: SPARSE_BREAKS[name](sparse_json(matrix))))
+    assert (code, written) == (2, False)
+    assert one_error_line(capsys).startswith(f"error: malformed {document} document: ")
+
+
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_sparse_matrix_reads_as_its_dense_twin(two_level_problem, tmp_path, document):
+    # the same output, but for the hash of the problem's bytes
+    outputs = []
+    for form in (lambda matrix: matrix, sparse_json):
+        code, written = _run_with_edited_document(tmp_path, two_level_problem, document,
+                                                  _edit_matrix(document, form))
+        assert (code, written) == (0, True)
+        doc = json.loads((tmp_path / "x.json").read_bytes())
+        doc.pop("problem_sha256", None)
+        outputs.append(canonical_json(doc))
+        (tmp_path / "x.json").unlink()
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("matrix", [
@@ -1070,6 +1132,32 @@ def test_matrix_from_json_reads_each_part_with_its_zero_sign():
         for part, want in ((got.real, arr[..., 0]), (got.imag, arr[..., 1])):
             np.testing.assert_array_equal(part, want)
             assert np.array_equal(np.signbit(part), np.signbit(want))
+
+
+def test_a_matrix_above_the_size_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # a few bytes of a sparse document can declare any dim, and an ace dim in
+    # the tens of thousands ended in a MemoryError traceback (exit 1); the
+    # limit is lowered to d = 7 here, so that nothing large is allocated
+    result, op_path, out = tmp_path / "result.json", tmp_path / "op.json", tmp_path / "x.json"
+    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    write_json(dense, chain_problem())
+    write_json(sparse, {**chain_problem(), "terms": [
+        {**term, "matrix": sparse_json(term["matrix"])} for term in chain_problem()["terms"]]})
+    write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(8))}]})
+    assert main(["transform", str(dense), "--out", str(result)]) == 0
+    ace = tmp_path / "ace.json"
+    monkeypatch.setattr(io_module, "MAX_MATRIX_BYTES", 16 * 7 * 7)
+    message = "error: a 8x8 complex matrix takes 1024 bytes, more than the 784 a matrix may take\n"
+    for argv in (["transform", str(dense)], ["transform", str(sparse)],
+                 ["rotate", str(dense), str(result), str(op_path), "--order", "1"],
+                 ["experiment", str(ace)]):
+        write_json(ace, {"kind": "ace", "dim": 8, "max_order": 1})
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 3
+        assert one_error_line(capsys) == message
+        assert not out.exists()
+    write_json(ace, {"kind": "ace", "dim": 7, "max_order": 1})
+    assert main(["experiment", str(ace), "--out", str(out)]) == 0
 
 
 def test_oracle_on_block_diagonal_input(tmp_path):
@@ -1216,17 +1304,26 @@ REPEATED_KEYS = [('{', '"dim": 2, '), ('"corrections": {', '"0": {}, '),
                  ('"generator": {', '"1": {}, '), ('"1": {"1,0": ', '0, "1,0": ')]
 
 
+def _first_pairs(draw, matrix) -> list:
+    """A drawn row of a JSON grid, or a sparse matrix's values: a list of [re, im] pairs."""
+    return matrix["values"] if type(matrix) is dict else matrix[draw(st.integers(0, 1))]
+
+
 @st.composite
 def mutated_results(draw, text):
-    """README's minimal fd result, ``text``, as it is or with one field, order, key or
-    member broken, and whether the change must exit 2: a required header field
-    dropped, a header field retyped or nested to a value it does not convert from, a
-    generator order dropped or a key not canonical, a key repeated or the corrections
-    truncated."""
+    """README's minimal fd result, ``text``, its generator written dense or sparse,
+    as it is or with one field, order, key, matrix or member broken, and whether the
+    change must exit 2: a required header field dropped, a header field retyped or
+    nested to a value it does not convert from, a generator order dropped or a key
+    not canonical, a sparse generator matrix broken, a key repeated or the
+    corrections truncated."""
     doc = json.loads(text)
+    if draw(st.booleans()):
+        for entry in doc["generator"].values():
+            entry.update((key, sparse_json(matrix)) for key, matrix in entry.items())
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "drop-order",
-                                 "rekey", "truncate", "repeat"]))
-    malformed = kind in ("drop-order", "rekey", "truncate", "repeat")
+                                 "rekey", "break-sparse", "truncate", "repeat"]))
+    malformed = kind in ("drop-order", "rekey", "break-sparse", "truncate", "repeat")
     if kind in ("drop", "retype", "nest"):
         field = draw(st.sampled_from(sorted(set(doc) - {"corrections", "generator"})))
         if kind == "drop":
@@ -1240,10 +1337,15 @@ def mutated_results(draw, text):
             malformed = field in READ_HEADER and not READ_HEADER[field](doc[field])
     elif kind == "non-finite":
         series = doc[draw(st.sampled_from(["generator", "corrections"]))]
-        entries = [entry for entry in series.values() if entry]
-        matrix = draw(st.sampled_from([m for entry in entries for m in entry.values()]))
-        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = \
+        matrices = [m for entry in series.values() for m in entry.values()
+                    if type(m) is list or m["values"]]
+        pairs = _first_pairs(draw, draw(st.sampled_from(matrices)))
+        pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "break-sparse":
+        entry = doc["generator"]["1"]
+        matrix = entry["1,0"] if type(entry["1,0"]) is dict else sparse_json(entry["1,0"])
+        entry["1,0"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
     elif kind == "drop-order":
         del doc["generator"][draw(st.sampled_from(sorted(doc["generator"])))]
     elif kind == "rekey":
@@ -1273,11 +1375,12 @@ def test_rotate_fails_only_with_a_documented_exit_and_one_error_line(tmp_path):
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(case=mutated_results(text), order=st.integers(-1, 4),
-           dim=st.sampled_from([None, 2, 3]))
-    def check(case, order, dim):
+           dim=st.sampled_from([None, 2, 3]), sparse=st.booleans())
+    def check(case, order, dim, sparse):
         mutated, malformed = case
         result.write_text(mutated, encoding="utf-8")
-        write_json(op_path, {"terms": [EYE_TERM], **({} if dim is None else {"dim": dim})})
+        term = {**EYE_TERM, "matrix": sparse_json(EYE_TERM["matrix"])} if sparse else EYE_TERM
+        write_json(op_path, {"terms": [term], **({} if dim is None else {"dim": dim})})
         out.write_bytes(before)
         argv = ["rotate", str(problem), str(result), str(op_path), f"--order={order}",
                 "--out", str(out)]
@@ -1324,15 +1427,20 @@ MISFITS = [("block_sizes", [1]), ("block_sizes", [1, 2]), ("block_sizes", [3]),
 
 @st.composite
 def mutated_problems(draw):
-    """README's minimal problem as it is or with one field dropped, retyped or nested,
-    a NaN or Infinity literal in a matrix, or a mask or block sizes that do not fit;
-    and the exit the change must give, if any: 2 for a required field dropped or any
-    field given a value it does not convert from, 3 for a non-finite literal or a
-    misfit."""
+    """README's minimal problem, its matrices written dense or sparse, as it is or
+    with one field dropped, retyped or nested, a NaN or Infinity literal in a matrix,
+    a sparse matrix broken, or a mask or block sizes that do not fit; and the exit
+    the change must give, if any: 2 for a required field dropped, any field given a
+    value it does not convert from or a broken sparse matrix, 3 for a non-finite
+    literal or a misfit."""
     doc = readme_problem()
     terms = doc["terms"]
-    kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "misfit"]))
-    code = 3 if kind in ("non-finite", "misfit") else None
+    if draw(st.booleans()):
+        for term in terms:
+            term["matrix"] = sparse_json(term["matrix"])
+    kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "misfit",
+                                 "break-sparse"]))
+    code = {"non-finite": 3, "misfit": 3, "break-sparse": 2}.get(kind)
     if kind in ("drop", "retype", "nest"):
         target = draw(st.sampled_from([doc] + terms))
         field = draw(st.sampled_from(sorted(target)))
@@ -1347,9 +1455,13 @@ def mutated_problems(draw):
                 target[field] = draw(st.sampled_from([[target[field]], {"a": target[field]}]))
             code = None if converts(target[field]) else 2
     elif kind == "non-finite":
-        matrix = terms[draw(st.integers(0, 1))]["matrix"]
-        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = \
+        pairs = _first_pairs(draw, terms[draw(st.integers(0, 1))]["matrix"])
+        pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "break-sparse":
+        term = terms[draw(st.integers(0, 1))]
+        matrix = term["matrix"] if type(term["matrix"]) is dict else sparse_json(term["matrix"])
+        term["matrix"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
     elif kind == "misfit":
         key, value = draw(st.sampled_from(MISFITS))
         if key == "mask":
@@ -1809,11 +1921,15 @@ def test_oracle_lambda_and_time_that_are_not_finite_exit_code(two_level_problem,
     assert not out.exists()
 
 
-def rotate_with_generator(problem, tmp_path, edit, order="2"):
-    """Exit code of a rotation against a result whose generator ``edit`` changed."""
+def rotate_with_generator(problem, tmp_path, edit, order="2", sparse=False):
+    """Exit code of a rotation against a result whose generator ``edit`` changed,
+    after, with ``sparse``, each of its matrices was written sparse."""
     result = tmp_path / "result.json"
     assert main(["transform", str(problem), "--out", str(result)]) == 0
     doc = json.loads(result.read_text())
+    if sparse:
+        for entry in doc["generator"].values():
+            entry.update((key, sparse_json(matrix)) for key, matrix in entry.items())
     edit(doc["generator"])
     write_json(result, doc)
     op_path = tmp_path / "op.json"
@@ -1843,7 +1959,8 @@ def test_rotate_result_generator_key_that_is_not_canonical_exit_code(two_level_p
                                                                      edit):
     # each used to rotate and exit 0: "2,0" filed under order 1 was used as
     # order 1, "1_0,0" read as order 10, and "01,0" overwrote "1,0"
-    assert rotate_with_generator(two_level_problem, tmp_path, edit) == 2
+    for sparse in (False, True):
+        assert rotate_with_generator(two_level_problem, tmp_path, edit, sparse=sparse) == 2
 
 
 def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp_path):
@@ -1857,22 +1974,31 @@ def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp
     first = json.dumps(doc["generator"]["1"]["1,0"])
     repeat(doc["generator"])
     text = json.dumps(doc).replace('"1,0": "REPEAT"', f'"1,0": {first}, "1,0": {first}')
-    result.write_text(text, encoding="utf-8")
+    # and a key of a sparse matrix given twice
+    thin = sparse_json(json.loads(first))
+    twice = json.dumps(thin).replace('"values"', f'"at": {thin["at"]}, "values"')
     op_path = tmp_path / "op.json"
     write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]})
-    assert main(["rotate", str(two_level_problem), str(result), str(op_path),
-                 "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
+    for repeated in (text, json.dumps(doc).replace('"REPEAT"', twice)):
+        result.write_text(repeated, encoding="utf-8")
+        assert main(["rotate", str(two_level_problem), str(result), str(op_path),
+                     "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_rotate_result_with_canonical_keys_runs(two_level_problem, tmp_path):
-    assert rotate_with_generator(two_level_problem, tmp_path, lambda g: None) == 0
+    for sparse in (False, True):
+        assert rotate_with_generator(two_level_problem, tmp_path, lambda g: None,
+                                     sparse=sparse) == 0
 
 
 def test_rotate_generator_that_is_not_anti_hermitian_exit_code(two_level_problem, tmp_path,
                                                                capsys):
-    # a generator entry edited to 5.0 used to rotate by a non-unitary exp(S)
+    # a generator entry edited to 5.0 used to rotate by a non-unitary exp(S);
+    # entry (0, 1) is a sparse matrix's first value
     def edit(generator):
-        generator["1"]["1,0"][0][1][0] = 5.0
+        matrix = generator["1"]["1,0"]
+        (matrix["values"][0] if type(matrix) is dict else matrix[0][1])[0] = 5.0
 
-    assert rotate_with_generator(two_level_problem, tmp_path, edit) == 3
-    assert "anti-hermitian" in capsys.readouterr().err
+    for sparse in (False, True):
+        assert rotate_with_generator(two_level_problem, tmp_path, edit, sparse=sparse) == 3
+        assert "anti-hermitian" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import readme_problem
+from helpers import chain_problem, readme_problem, sparse_json
 import pertkit.cli as cli
 import pertkit.io
 from pertkit.cli import main
@@ -21,9 +21,9 @@ from pertkit.engine import rotate_operator, run_fd, run_swt
 from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
 from pertkit.io import (
-    ProblemFormatError, _series_from_json, _unique_keys, canonical_json, load_operator,
-    load_problem, load_result, matrix_from_json, operator_document, read_document,
-    result_document, write_document,
+    SPARSE_SHARE, ProblemFormatError, _series_from_json, _series_to_json, _Sparsable,
+    _unique_keys, canonical_json, load_operator, load_problem, load_result, matrix_from_json,
+    operator_document, read_document, result_document, write_document,
 )
 from pertkit.models import (
     EDSRParams, TransmonParams, build_edsr, build_transmon_resonator, kron, pauli,
@@ -58,8 +58,19 @@ def reference_matrix_to_json(mat):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
+def sparsable_lists(mat):
+    """A ``_Sparsable`` matrix as the JSON it is written as: its sparse object if
+    fewer than ``SPARSE_SHARE`` of its pairs are nonzero, its grid if not."""
+    dense = reference_matrix_to_json(mat)
+    thin = sparse_json(dense)
+    return thin if len(thin["at"]) < SPARSE_SHARE * mat.size else dense
+
+
 def as_lists(obj):
-    """A document with every matrix as the nested lists of its [re, im] pairs."""
+    """A document with every matrix as the nested lists of its [re, im] pairs, or
+    a sparsable one as ``sparsable_lists`` writes it."""
+    if type(obj) is _Sparsable:
+        return sparsable_lists(obj.mat)
     if isinstance(obj, np.ndarray):
         return reference_matrix_to_json(obj)
     if isinstance(obj, dict):
@@ -118,7 +129,8 @@ MAGNITUDE_POOLS = st.lists(st.one_of(st.sampled_from(AWKWARD), st.floats(allow_n
 @st.composite
 def renderable_documents(draw):
     """Documents like the ones pertkit writes: hermitian, anti-hermitian and
-    generic complex matrices of several shapes, among scalars and strings."""
+    generic complex matrices of several shapes, some sparsable and most of
+    those thin, among scalars and strings."""
     pool = draw(MAGNITUDE_POOLS)
 
     def signed(shape):
@@ -142,10 +154,16 @@ def renderable_documents(draw):
         return mat
 
     def value(depth):
-        kind = draw(st.sampled_from(["matrix", "matrices", "floats", "float", "text", "int",
-                                     "constant"] + ["nested"] * (depth < 2)))
+        kind = draw(st.sampled_from(["matrix", "matrices", "sparsable", "floats", "float", "text",
+                                     "int", "constant"] + ["nested"] * (depth < 2)))
         if kind == "matrix":
             return matrix()
+        if kind == "sparsable":
+            mat = matrix()
+            kept = draw(st.lists(st.sampled_from([True] + [False] * 4), min_size=mat.size,
+                                 max_size=mat.size))
+            mat[~np.array(kept, dtype=bool).reshape(mat.shape)] = 0.0
+            return _Sparsable(mat)
         if kind == "matrices":
             return [matrix() for _ in range(draw(st.integers(1, 3)))]
         if kind == "floats":
@@ -525,11 +543,20 @@ def written_documents(tmp_path_factory) -> dict:
     spec.write_text(json.dumps({"kind": "ace", "dim": 6, "seed": 3, "max_order": 2}))
     paths["ace-demo"] = tmp / "demo.out.json"
     assert main(["experiment", str(spec), "--out", str(paths["ace-demo"])]) == 0
+    (tmp / "chain.json").write_text(json.dumps(chain_problem()), encoding="utf-8")
+    paths["chain"] = tmp / "chain.out.json"
+    assert main(["transform", str(tmp / "chain.json"), "--out", str(paths["chain"])]) == 0
+    number = tmp / "number.json"
+    number.write_text(json.dumps({"terms": [
+        {"order": 0, "matrix": reference_matrix_to_json(np.diag(np.arange(8.0)))}]}))
+    paths["chain-rotated"] = tmp / "chain-rotated.out.json"
+    assert main(["rotate", str(tmp / "chain.json"), str(paths["chain"]), str(number),
+                 "--order", "4", "--out", str(paths["chain-rotated"])]) == 0
     return paths
 
 
 WRITTEN = ["swt", "fd", "ace", "la", "sigma-y-fd", "sigma-y-swt", "driven", "rotated", "oracle",
-           "ace-demo"]
+           "ace-demo", "chain", "chain-rotated"]
 
 
 @pytest.mark.parametrize("name", WRITTEN)
@@ -683,7 +710,8 @@ def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
     # as it is, then mutated
     path = tmp_path / "doc.json"
     documents = [written_documents["fd"].read_bytes(), json.dumps(readme_problem()).encode(),
-                 written_documents["rotated"].read_bytes(), b"{}", b" { } ", b"[1]",
+                 written_documents["rotated"].read_bytes(), written_documents["chain"].read_bytes(),
+                 b"{}", b" { } ", b"[1]",
                  b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}',
                  *WALK_FAULTS]
 
@@ -747,21 +775,155 @@ def test_a_well_formed_document_never_reaches_json_loads(written_documents, tmp_
 
 def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
     # rotate reads only the generator; the corrections were converted as
-    # well, and dropped
+    # well, and dropped.  A dense matrix is converted as it is decoded, a
+    # sparse one by its reader, each once: README's minimal fd result has a
+    # dense generator, the chain's is partly sparse.
     problem, result = tmp_path / "problem.json", tmp_path / "result.json"
     minimal = {key: value for key, value in readme_problem().items() if key != "block_sizes"}
-    problem.write_text(json.dumps({**minimal, "method": "fd"}), encoding="utf-8")
-    assert main(["transform", str(problem), "--max-order", "4", "--out", str(result)]) == 0
-    doc = json.loads(result.read_bytes())
     conversions = []
 
     def counted(data, dim):
-        if type(data) is list:
-            conversions.append(dim)
+        if type(data) is not np.ndarray:
+            conversions.append(type(data).__name__)
         return matrix_from_json(data, dim)
 
-    monkeypatch.setattr(pertkit.io, "matrix_from_json", counted)
-    view = load_result(str(result))
-    assert sorted(view.generator) == [1, 2, 3, 4]
-    assert sum(map(len, doc["corrections"].values())) > 0
-    assert len(conversions) == sum(map(len, doc["generator"].values()))
+    for source in ({**minimal, "method": "fd"}, chain_problem()):
+        problem.write_text(json.dumps(source), encoding="utf-8")
+        assert main(["transform", str(problem), "--max-order", "4", "--out", str(result)]) == 0
+        doc = json.loads(result.read_bytes())
+        conversions.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(pertkit.io, "matrix_from_json", counted)
+            view = load_result(str(result))
+        assert sorted(view.generator) == [1, 2, 3, 4]
+        assert sum(map(len, doc["corrections"].values())) > 0
+        written = [type(mat).__name__ for entry in doc["generator"].values()
+                   for mat in entry.values()]
+        assert sorted(conversions) == sorted(written)
+        assert ("dict" in written) == (view.dim == 8)
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(zero_heavy_matrices()))
+def test_a_sparsable_matrix_renders_as_its_sparse_object_when_thin(name):
+    mat = zero_heavy_matrices()[name]
+    want, dense = sparsable_lists(mat), reference_matrix_to_json(mat)
+    text = canonical_json({"m": _Sparsable(mat), "n": [_Sparsable(mat), mat]})
+    assert text == reference_canonical_json({"m": want, "n": [want, dense]})
+    assert _bits(matrix_from_json(json.loads(text)["m"], 6)) == _bits(mat)
+
+
+def test_a_matrix_is_written_sparse_below_a_quarter_of_nonzero_pairs():
+    # 3 of 16 pairs nonzero, a (-0.0, +0.0) pair among them, goes sparse; 4 stays dense
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 1], mat[2, 3], mat[3, 0] = 0.5, complex(-0.0, 0.0), 2j
+    assert SPARSE_SHARE == 0.25
+    assert canonical_json(_Sparsable(mat)) == '{"at":[1,11,12],"values":[[0.5,0],[-0.0,0],[0,2]]}'
+    assert canonical_json(written_form(mat, sparse=True)) == canonical_json(_Sparsable(mat))
+    assert canonical_json(written_form(mat, sparse=False)) == canonical_json(mat)
+    mat[1, 1] = complex(0.0, -0.0)
+    assert canonical_json(_Sparsable(mat)) == canonical_json(mat)
+
+
+def written_form(mat, sparse):
+    """The form ``mat`` takes in a series written by ``_series_to_json``."""
+    return _series_to_json({1: GradedOperator(4, {(1, 0): mat})}, sparse=sparse)["1"]["1,0"]
+
+
+def test_a_sparse_generator_reads_back_bit_for_bit(written_documents):
+    # -0.0 parts included: the chain's sparse generator orders hold some
+    path = written_documents["chain"]
+    doc = json.loads(path.read_bytes())
+    forms = {n: type(entry[f"{n},0"]).__name__ for n, entry in doc["generator"].items()}
+    assert forms == {"1": "dict", "2": "dict", "3": "list", "4": "list"}
+    assert [len(doc["generator"][n][f"{n},0"]["at"]) for n in "12"] == [14, 12]
+    assert "-0.0" in json.dumps([doc["generator"][n] for n in "12"])
+    spec, digest = load_problem(str(path.with_name("chain.json")))
+    result = run_fd(spec.to_graded(), max_order=4)
+    read = load_result(str(path)).generator
+    assert read.keys() == result.generator.keys()
+    for n, entry in read.items():
+        _assert_same_bits(entry, result.generator[n])
+    assert (canonical_json(result_document(result, digest)) + "\n").encode() == path.read_bytes()
+
+
+def sparse_terms(doc):
+    """A problem or operator document with every term matrix in sparse form."""
+    return {**doc, "terms": [{**term, "matrix": sparse_json(term["matrix"])}
+                             for term in doc["terms"]]}
+
+
+def test_sparse_problem_and_operator_give_their_dense_twins_bytes(tmp_path):
+    # the same matrices written sparse: the same result, but for the hash of
+    # the problem's bytes, and the same rotated operator
+    hop = 0.5 * (np.eye(8, k=1) + np.eye(8, k=-1))
+    number = {"terms": [{"order": 0, "matrix": reference_matrix_to_json(np.diag(np.arange(8.0)))},
+                        {"order": 1, "matrix": reference_matrix_to_json(hop)}]}
+    outputs = {}
+    for form, edit in (("dense", lambda doc: doc), ("sparse", sparse_terms)):
+        problem, operator = tmp_path / f"{form}.json", tmp_path / f"{form}-op.json"
+        result, rotated = tmp_path / f"{form}-result.json", tmp_path / f"{form}-rotated.json"
+        problem.write_text(json.dumps(edit(chain_problem())), encoding="utf-8")
+        operator.write_text(json.dumps(edit(number)), encoding="utf-8")
+        assert main(["transform", str(problem), "--out", str(result)]) == 0
+        assert main(["rotate", str(problem), str(result), str(operator), "--order", "4",
+                     "--out", str(rotated)]) == 0
+        digest = load_result(str(result)).problem_sha256
+        outputs[form] = (result.read_text().replace(digest, "HASH"), rotated.read_bytes())
+    assert '"at": [' in (tmp_path / "sparse.json").read_text()
+    assert '"at": [' in (tmp_path / "sparse-op.json").read_text()
+    assert outputs["sparse"] == outputs["dense"]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"at": [3, 1], "values": [[1, 0], [1, 0]]}, "indices must ascend strictly within [0, 4)"),
+    ({"at": [1, 1], "values": [[1, 0], [1, 0]]}, "indices must ascend strictly within [0, 4)"),
+    ({"at": [-1], "values": [[1, 0]]}, "indices must ascend strictly within [0, 4)"),
+    ({"at": [4], "values": [[1, 0]]}, "indices must ascend strictly within [0, 4)"),
+    ({"at": [True], "values": [[1, 0]]}, "'at' must be a list of integers, got [True]"),
+    ({"at": [1.0], "values": [[1, 0]]}, "'at' must be a list of integers, got [1.0]"),
+    ({"at": 1, "values": [[1, 0]]}, "'at' must be a list of integers, got 1"),
+    ({"at": [1, 2], "values": [[1, 0]]}, "'values' must be a list of 2 [re, im] pairs"),
+    ({"at": [], "values": [[1, 0]]}, "'values' must be a list of 0 [re, im] pairs"),
+    ({"at": [1]}, "holds the keys 'at' and 'values' alone, got ['at']"),
+    ({"at": [1], "values": [[1, 0]], "dim": 2}, "alone, got ['at', 'dim', 'values']"),
+    ({"at": [1], "values": [["1", 0]]}, "a matrix entry must be a number, got '1'"),
+    ({"at": [1], "values": [[1, None]]}, "a matrix entry must be a number, got None"),
+    ({"at": [1], "values": [[1, 0, 0]]}, "values must be [re, im] pairs"),
+    ({"at": [1], "values": [1]}, "values must be [re, im] pairs"),
+], ids=["descending", "repeated", "negative", "past-the-end", "boolean", "float", "not-a-list",
+        "fewer-values", "more-values", "missing-key", "extra-key", "string-part", "null-part",
+        "pair-of-three", "number-value"])
+def test_a_malformed_sparse_matrix_is_refused(data, message):
+    with pytest.raises(ProblemFormatError) as refused:
+        matrix_from_json(data, 2)
+    assert message in str(refused.value)
+
+
+def test_an_empty_sparse_matrix_is_zero():
+    zero = matrix_from_json({"at": [], "values": []}, 3)
+    assert _bits(zero) == _bits(np.zeros((3, 3), dtype=complex))
+    assert canonical_json(_Sparsable(zero)) == '{"at":[],"values":[]}'
+
+
+# ---------------------------------------------------------------------------
+# the size of a matrix judged before it is allocated
+# ---------------------------------------------------------------------------
+
+
+def test_a_matrix_above_the_size_limit_is_refused_before_it_is_allocated(tmp_path, monkeypatch):
+    # a few bytes of a sparse document can declare any dim
+    monkeypatch.setattr(pertkit.io, "MAX_MATRIX_BYTES", 16 * 3 * 3)
+    dense = reference_matrix_to_json(np.eye(4))
+    path = tmp_path / "operator.json"
+    for matrix in (dense, sparse_json(dense)):
+        path.write_text(json.dumps({"terms": [{"order": 0, "matrix": matrix}]}), encoding="utf-8")
+        with pytest.raises(PertError, match="a 4x4 complex matrix takes 256 bytes, more than "
+                                            "the 144 a matrix may take"):
+            load_operator(str(path), 4, None)
+    assert matrix_from_json(reference_matrix_to_json(np.eye(3)), 3).shape == (3, 3)
+    assert matrix_from_json({"at": [0], "values": [[1, 0]]}, 3).shape == (3, 3)
