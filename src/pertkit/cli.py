@@ -209,6 +209,8 @@ def _check_out(path: str) -> None:
     file (such as /dev/null); nothing is synced, so a kill during the
     write leaves a corrupt file.
     """
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "the output path is empty", path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):

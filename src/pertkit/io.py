@@ -12,17 +12,23 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
-A matrix is read in either of two forms, wherever one is read (problem and
+A matrix is read in any of three forms, wherever one is read (problem and
 operator terms, both series of a result): dense, ``dim`` rows of ``dim``
-[re, im] pairs, or sparse, {"at": [row-major flat indices], "values":
-[[re, im], ...]}, zero wherever no index names a pair.  The indices are
-JSON integers, strictly ascending within [0, dim^2), one for each value.
-Only a result's generator is written sparse for now: each of its matrices
-fewer than ``SPARSE_SHARE`` of whose pairs are nonzero, a pair being zero
-only if both parts are +0.0.  pertkit versions before the sparse form
-refuse such a result as malformed.  A matrix that would take more than
-``MAX_MATRIX_BYTES`` is refused (PertError) before it is allocated, since a
-few bytes of sparse document can declare any ``dim``.
+[re, im] pairs; sparse, {"at": [row-major flat indices], "values":
+[[re, im], ...]}, zero wherever no index names a pair, the indices JSON
+integers, strictly ascending within [0, dim^2), one for each value; or
+binary, {"c16": standard base64 of the dim^2 values as little-endian
+complex128, row-major}, which numpy decodes as
+``np.frombuffer(base64.b64decode(m["c16"]), "<c16").reshape(dim, dim)``.
+Only a result's generator, which only ``rotate`` reads, is written in the
+last two: each of its matrices fewer than ``SPARSE_SHARE`` of whose pairs
+are nonzero, a pair being zero only if both parts are +0.0, sparse, and
+every other one binary.  Corrections, rotated operators, oracle documents
+and the ace demo are written dense.  pertkit versions before the sparse
+form, or before the binary one, refuse such a result as malformed.  A
+matrix that would take more than ``MAX_MATRIX_BYTES`` is refused
+(PertError) before it is allocated or decoded, since a few bytes of sparse
+document can declare any ``dim``.
 
 ``read_document`` walks a well-formed top-level object itself and decodes
 each member with its own hook, chosen by the member's key.  A member the
@@ -30,8 +36,9 @@ caller reads converts each dense matrix as the decoder closes the object
 that holds it (the value of a "matrix" key, or of a "j,k" key in a result
 series), while its [re, im] lists are still in the cache.  A value that
 does not convert stays as decoded, for its reader to report, and so does a
-sparse matrix, which only its reader, knowing ``dim``, converts; rendered
-again by ``canonical_json``, that decoded object gives its own bytes.  A
+sparse or binary matrix, which only its reader, knowing ``dim``, converts;
+rendered again by ``canonical_json``, that decoded object gives its own
+bytes.  A
 member the caller names as unread (a result's "corrections", which
 ``rotate`` never reads) is checked as JSON and for repeated keys, but not
 converted.  Any other text is decoded again by ``json.loads``, whose
@@ -44,13 +51,14 @@ reference counting frees all of it.  A collection pass, which CPython would
 otherwise start every 700 new containers, would only walk and promote the
 [re, im] lists, of which at most one object's matrices are alive at a time.
 
-All output floats are rendered with 17 significant digits so identical
-inputs produce byte-identical documents, except -0.0, which is written
-"-0.0": ``json.loads`` reads the "-0" of ``%.17g`` as the int 0, and every
-document pertkit writes reads back bit for bit.  Matrices travel as complex
-arrays and are rendered as nested lists of [re, im] pairs; a
-``_Sparsable`` one that goes sparse is rendered from the same pair states,
-its index list as one piece of text.
+All text output floats are rendered with 17 significant digits so
+identical inputs produce byte-identical documents, except -0.0, which is
+written "-0.0": ``json.loads`` reads the "-0" of ``%.17g`` as the int 0,
+and every number pertkit writes as text reads back bit for bit.  Matrices
+travel as complex arrays and are rendered as nested lists of [re, im]
+pairs; a ``_Sparsable`` one that goes sparse is rendered from the same
+pair states, its index list as one piece of text, and one that goes binary
+is its bytes in base64, none of its parts formatted.
 ``canonical_json`` walks a document once into a template with sorted keys,
 where a zero matrix part is the literal "0" or "-0.0" and every other part
 gets a placeholder after its sign; matrices of one shape are templated
@@ -81,6 +89,7 @@ corrupt file, the new bytes followed by the old tail.
 
 from __future__ import annotations
 
+import base64
 import gc
 import hashlib
 import json
@@ -138,8 +147,11 @@ _TOKENS = {placeholder: _pair_tokens(placeholder) for placeholder in ("%s", "%.1
 #: Above this share of distinct magnitudes among a document's floats, each
 #: float is formatted directly: looking the texts up costs more than it saves.
 DISTINCT_SHARE = 0.75
-#: Below this share of nonzero pairs, a ``_Sparsable`` matrix is written sparse.
+#: Below this share of nonzero pairs, a ``_Sparsable`` matrix is written sparse;
+#: at or above it, as the base64 of its bytes.
 SPARSE_SHARE = 0.25
+#: The written form of a matrix: a grid of [re, im] pairs, sparse, or binary.
+_GRID, _SPARSE, _BINARY = 0, 1, 2
 
 
 def _literal(obj) -> str:
@@ -173,7 +185,8 @@ def _magnitude_texts(values: np.ndarray) -> tuple[str, tuple]:
 class _Sparsable(NamedTuple):
     """A matrix written sparse, {"at": [row-major flat indices], "values":
     [[re, im], ...]}, if fewer than ``SPARSE_SHARE`` of its pairs are nonzero,
-    and dense otherwise."""
+    and binary, {"c16": base64 of its row-major little-endian complex128
+    values}, otherwise."""
 
     mat: np.ndarray
 
@@ -231,11 +244,15 @@ class _Template:
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-    def _pair_states(self, group: list[tuple[int, int, np.ndarray, bool]]) -> np.ndarray:
-        """The state of every pair, row-major, of a group of matrices of one shape.
+    def _pair_states(self, group: list[tuple[int, int, np.ndarray, bool]]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The state of every pair, row-major, of a group of matrices of one
+        shape, and each matrix's written form.
 
         The matrices are stacked into one copy and read through its float
-        view; each matrix's live parts, the ones not zero, fill its slot in
+        view.  A sparsable matrix with at least ``SPARSE_SHARE`` of its pairs
+        nonzero is binary: its slot in ``text`` is set here, from its bytes.
+        Each other matrix's live parts, the ones not zero, fill its slot in
         ``floats``.
         """
         stacked = np.ascontiguousarray(np.stack([mat for _, _, mat, _ in group]))
@@ -245,38 +262,45 @@ class _Template:
         live = arr != 0
         # one byte: indices stay below 48
         state = np.where(np.signbit(arr), np.uint8(3) - live, live.view(np.uint8))
+        pairs = state[..., 0] + 4 * state[..., 1]
+        thin = np.count_nonzero(pairs, axis=1) < SPARSE_SHARE * pairs.shape[1]
+        form = np.array([sparsable for *_, sparsable in group]) * np.where(thin, _SPARSE, _BINARY)
         live = live.reshape(len(group), -1)
+        live[form == _BINARY] = False  # a binary matrix's parts fill no placeholder
         ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
-        for (_, at_floats, _, _), parts in zip(group, np.split(arr.reshape(len(group), -1)[live], ends)):
+        little = stacked.astype("<c16", copy=False)
+        for (at_text, at_floats, _, _), parts, kind, values in zip(
+                group, np.split(arr.reshape(len(group), -1)[live], ends), form.tolist(), little):
             self.floats[at_floats] = parts
-        return state[..., 0] + 4 * state[..., 1]
+            if kind == _BINARY:  # base64 holds no "%" and nothing JSON escapes
+                self.text[at_text] = '{"c16":"' + base64.b64encode(values).decode("ascii") + '"}'
+        return pairs, form
 
     def render(self) -> str:
         """The template's slots set, filled by one ``%``.
 
         A sparsable matrix that goes sparse takes the tokens of its nonzero
         pairs alone, each followed by ",", but the last; its live parts, and
-        so the fill, are those it would have written dense.
+        so the fill, are those it would have written as a grid.  A binary
+        one's slot is already set, and it adds nothing to the fill.
         """
         text, floats = self.text, self.floats
         states = [self._pair_states(group) for group in self.shapes.values()]
         placeholder, fill = _magnitude_texts(np.concatenate(floats) if floats else np.empty(0))
         tokens = _TOKENS[placeholder]
-        for (shape, group), state in zip(self.shapes.items(), states):
-            sparse = (np.array([sparsable for *_, sparsable in group])
-                      & (np.count_nonzero(state, axis=1) < SPARSE_SHARE * state.shape[1]))
+        for (shape, group), (state, form) in zip(self.shapes.items(), states):
             where = np.zeros(shape, dtype=np.uint8)
             where[:, -1], where[-1, -1] = 16, 32
-            dense = iter(tokens[state[~sparse] + where.reshape(-1)].tolist())
-            for (at_text, *_), pairs, thin in zip(group, state, sparse.tolist()):
-                if thin:
+            grids = iter(tokens[state[form == _GRID] + where.reshape(-1)].tolist())
+            for (at_text, *_), pairs, kind in zip(group, state, form.tolist()):
+                if kind == _SPARSE:
                     at = np.flatnonzero(pairs)
                     # the indices are one piece of text, however many
                     text[at_text] = ('{"at":' + json.dumps(at.tolist(), separators=(",", ":"))
                                      + ',"values":[' + "".join(tokens[pairs[at]].tolist())[:-1]
                                      + "]}")
-                else:
-                    text[at_text] = "[[" + "".join(next(dense))
+                elif kind == _GRID:
+                    text[at_text] = "[[" + "".join(next(grids))
         return "".join(text) % fill
 
 
@@ -284,10 +308,10 @@ def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed 17-significant-digit floats.
 
     A 2-D complex128 array renders exactly as the nested lists of its
-    [re, im] pairs would, and so does a ``_Sparsable`` one, unless it is
-    written sparse; any other array raises TypeError.  The document is
-    walked once into a template with a placeholder for every live matrix
-    part; matrices of one shape are templated together, and the template is
+    [re, im] pairs would; a nonempty ``_Sparsable`` one is written sparse or
+    binary instead.  Any other array raises TypeError.  The document is
+    walked once into a template with a placeholder for every live part of a
+    matrix written as text; matrices of one shape are templated together, and the template is
     filled by one ``%``.
     """
     return _Template(obj).render()
@@ -336,9 +360,6 @@ def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
     in [0, dim^2), one for each value; anything else raises
     ProblemFormatError.
     """
-    if data.keys() != {"at", "values"}:
-        raise ProblemFormatError(f"a sparse matrix holds the keys 'at' and 'values' alone, "
-                                 f"got {sorted(data)}")
     at, values = data["at"], data["values"]
     if type(at) is not list or not set(map(type, at)) <= {int}:
         raise ProblemFormatError(f"a sparse matrix's 'at' must be a list of integers, got {at!r}")
@@ -357,14 +378,37 @@ def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+def _binary_matrix(data: dict, dim: int) -> np.ndarray:
+    """A binary matrix, {"c16": base64 of its row-major little-endian complex128
+    values}, as a ``dim`` x ``dim`` complex matrix.
+
+    The value must be a string of base64 characters alone, no newline among
+    them, that decodes to exactly 16 dim^2 bytes; anything else raises
+    ProblemFormatError.
+    """
+    text = data["c16"]
+    if type(text) is not str:
+        raise ProblemFormatError(f"a binary matrix's 'c16' must be a base64 string, "
+                                 f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a character beyond ASCII
+        raise ProblemFormatError(f"a binary matrix's 'c16' is not base64: {err}") from None
+    if len(raw) != 16 * dim * dim:
+        raise ProblemFormatError(f"a binary matrix's 'c16' must hold {16 * dim * dim} bytes, "
+                                 f"{dim}x{dim} complex128 values, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dim, dim)
+
+
 def matrix_from_json(data, dim: int) -> np.ndarray:
     """A ``dim`` x ``dim`` complex matrix from its JSON form: a list of ``dim``
-    rows of ``dim`` [re, im] pairs, or the sparse object of ``_sparse_matrix``.
+    rows of ``dim`` [re, im] pairs, the sparse object of ``_sparse_matrix`` or
+    the binary one of ``_binary_matrix``, told apart by their keys.
 
-    Every part must be a JSON number (``_pairs``).  A matrix that would take
-    more than ``MAX_MATRIX_BYTES`` raises PertError before it is allocated.
-    An array is one ``read_document`` already converted; only its shape is
-    checked.
+    Every part of a grid or sparse matrix must be a JSON number (``_pairs``).
+    A matrix that would take more than ``MAX_MATRIX_BYTES`` raises PertError
+    before it is allocated or decoded.  An array is one ``read_document``
+    already converted; only its shape is checked.
     """
     shape = f"matrix must be {dim}x{dim} of [re, im] pairs"
     if type(data) is np.ndarray:
@@ -373,7 +417,12 @@ def matrix_from_json(data, dim: int) -> np.ndarray:
         return data
     check_matrix_size(dim)
     if type(data) is dict and dim >= 1:
-        return _sparse_matrix(data, dim)
+        if data.keys() == {"c16"}:
+            return _binary_matrix(data, dim)
+        if data.keys() == {"at", "values"}:
+            return _sparse_matrix(data, dim)
+        raise ProblemFormatError(f"a matrix object holds the keys 'at' and 'values' (sparse) or "
+                                 f"'c16' (binary) alone, got {sorted(data)}")
     if (type(data) is not list or len(data) != dim
             or set(map(type, data)) != {list} or set(map(len, data)) != {dim}):
         raise ProblemFormatError(shape)
@@ -668,7 +717,8 @@ def load_problem(path: str) -> tuple[ProblemSpec, str]:
 
 
 def _series_to_json(series: dict[int, GradedOperator], sparse: bool = False) -> dict:
-    """A series keyed by order and "j,k"; with ``sparse``, each matrix ``_Sparsable``."""
+    """A series keyed by order and "j,k"; with ``sparse``, each matrix ``_Sparsable``,
+    written sparse or binary."""
     form = _Sparsable if sparse else (lambda mat: mat)
     return {str(order): {f"{j},{k}": form(mat) for (j, k), mat in op.items()}
             for order, op in series.items()}

@@ -1,9 +1,11 @@
 """Small helpers that only the tests use: a model mask, a closed-form level, a table
 reduction, README's minimal problem, a problem whose generator is written sparse, a
-matrix's sparse JSON form and the command line run in its own process."""
+matrix's sparse and binary JSON forms, a binary matrix as its grid, and the command
+line run in its own process."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -68,6 +70,32 @@ def sparse_json(matrix: list) -> dict:
     at = [i for i, pair in enumerate(pairs)
           if any(part != 0 or math.copysign(1.0, part) < 0 for part in pair)]
     return {"at": at, "values": [pairs[i] for i in at]}
+
+
+def binary_json(matrix) -> dict:
+    """A complex matrix, or a JSON grid of [re, im] pairs, in binary form: the
+    base64 of its row-major little-endian complex128 values, every sign of zero kept."""
+    values = np.asarray(matrix)
+    if values.ndim == 3:  # a grid: its pairs are the parts of complex values
+        values = np.ascontiguousarray(values, dtype="<f8").view("<c16")[..., 0]
+    return {"c16": base64.b64encode(np.ascontiguousarray(values, dtype="<c16")).decode("ascii")}
+
+
+def grid_json(matrix):
+    """A JSON matrix in binary form as the grid of its [re, im] pairs, signs of
+    zero kept; a matrix in any other form as it is."""
+    if type(matrix) is not dict or "c16" not in matrix:
+        return matrix
+    flat = np.frombuffer(base64.b64decode(matrix["c16"]), dtype="<c16")
+    dim = math.isqrt(flat.size)
+    return [[[float(z.real), float(z.imag)] for z in flat[row:row + dim]]
+            for row in range(0, flat.size, dim)]
+
+
+def with_grids(doc: dict) -> dict:
+    """A result document with each binary generator matrix written as its grid."""
+    return {**doc, "generator": {n: {key: grid_json(mat) for key, mat in entry.items()}
+                                 for n, entry in doc["generator"].items()}}
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io as text_io
 import json
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_problem, readme_problem, run_cli, sparse_json
+from helpers import (
+    binary_json, chain_problem, grid_json, readme_problem, run_cli, sparse_json, with_grids,
+)
 import pertkit.io as io_module
 from pertkit.cli import build_parser, main
 from pertkit.io import (
@@ -196,6 +199,19 @@ def test_failed_run_leaves_an_existing_output_untouched(tmp_path):
         out.write_text("earlier output\n", encoding="utf-8")
         assert main(argv + ["--out", str(out)]) == code
         assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+def test_an_empty_out_is_rejected_before_any_work(tmp_path, capsys):
+    # "" passed the check, so a problem with a coupled degenerate pair ran
+    # and exited 4; a missing directory already exited 2 before any work
+    problem = tmp_path / "degenerate.json"
+    doc = two_level_doc("fd")
+    doc["terms"][0]["matrix"] = mat_json(np.eye(2))
+    write_json(problem, doc)
+    before = sorted(tmp_path.iterdir())
+    assert main(["transform", str(problem), "--out", ""]) == 2
+    assert one_error_line(capsys) == "error: [Errno 2] the output path is empty: ''\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def readme_fd_problem(tmp_path) -> Path:
@@ -925,10 +941,11 @@ def _run_with_edited_document(tmp_path, problem, document, edit):
 
 def _edit_matrix(document, change):
     """An edit of ``document``'s first matrix: a problem or operator term's, or
-    the result's order-1 generator entry."""
+    the result's order-1 generator entry, written binary, given to ``change``
+    as its grid."""
     def edit(doc):
         if document == "result":
-            doc["generator"]["1"]["1,0"] = change(doc["generator"]["1"]["1,0"])
+            doc["generator"]["1"]["1,0"] = change(grid_json(doc["generator"]["1"]["1,0"]))
         else:
             doc["terms"][0]["matrix"] = change(doc["terms"][0]["matrix"])
     return edit
@@ -986,6 +1003,67 @@ def test_malformed_sparse_matrix_exit_code(two_level_problem, tmp_path, capsys, 
         _edit_matrix(document, lambda matrix: SPARSE_BREAKS[name](sparse_json(matrix))))
     assert (code, written) == (2, False)
     assert one_error_line(capsys).startswith(f"error: malformed {document} document: ")
+
+
+def _with_bytes(matrix, edit):
+    """A binary matrix whose decoded bytes ``edit`` changed."""
+    return {"c16": base64.b64encode(edit(base64.b64decode(matrix["c16"]))).decode("ascii")}
+
+
+#: Each way a binary matrix of README's two-level problem (4 values, 64 bytes, 88
+#: base64 characters) is refused, and what the error line says.
+BINARY_BREAKS = {
+    "no-key": (lambda m: {}, "or 'c16' (binary) alone, got []"),
+    "extra-key": (lambda m: {**m, "x": 1}, "or 'c16' (binary) alone, got ['c16', 'x']"),
+    "number": (lambda m: {"c16": 5}, "'c16' must be a base64 string, got int"),
+    "list": (lambda m: {"c16": [m["c16"]]}, "'c16' must be a base64 string, got list"),
+    "null": (lambda m: {"c16": None}, "'c16' must be a base64 string, got NoneType"),
+    "newline": (lambda m: {"c16": m["c16"][:76] + "\n" + m["c16"][76:]},
+                "'c16' is not base64: Only base64 data is allowed"),
+    "asterisk": (lambda m: {"c16": "*" + m["c16"][1:]},
+                 "'c16' is not base64: Only base64 data is allowed"),
+    "url-safe": (lambda m: {"c16": "-" + m["c16"][1:]},
+                 "'c16' is not base64: Only base64 data is allowed"),
+    "non-ascii": (lambda m: {"c16": "\u00e9" + m["c16"][1:]},
+                  "'c16' is not base64: string argument should contain only ASCII characters"),
+    "unpadded": (lambda m: {"c16": m["c16"].rstrip("=")}, "'c16' is not base64: Incorrect padding"),
+    "short": (lambda m: _with_bytes(m, lambda raw: raw[:-16]),
+              "'c16' must hold 64 bytes, 2x2 complex128 values, got 48"),
+    "long": (lambda m: _with_bytes(m, lambda raw: raw + bytes(16)),
+             "'c16' must hold 64 bytes, 2x2 complex128 values, got 80"),
+}
+
+#: The forms a generator matrix is given in: as its grid, sparse, or binary.
+FORMS = {"grid": lambda matrix: matrix, "sparse": sparse_json, "binary": binary_json}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_BREAKS))
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_malformed_binary_matrix_exit_code(two_level_problem, tmp_path, capsys, document, name):
+    broken, message = BINARY_BREAKS[name]
+    code, written = _run_with_edited_document(
+        tmp_path, two_level_problem, document,
+        _edit_matrix(document, lambda matrix: broken(binary_json(matrix))))
+    assert (code, written) == (2, False)
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: malformed {document} document: ") and message in line, line
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_generator_exit_code_in_every_form(two_level_problem, tmp_path, capsys, value):
+    # json.loads reads NaN and Infinity; a binary matrix can hold the same doubles
+    lines = set()
+    for form in FORMS.values():
+        def edit(generator):
+            grid = generator["1"]["1,0"]
+            grid[0][1][1] = value
+            generator["1"]["1,0"] = form(grid)
+
+        capsys.readouterr()
+        assert rotate_with_generator(two_level_problem, tmp_path, edit) == 3
+        lines.add(one_error_line(capsys))
+    assert lines == {"error: non-finite content at order 1, harmonic 0: the input is not "
+                     "finite or the series overflowed\n"}
 
 
 @pytest.mark.parametrize("document", ["problem", "operator", "result"])
@@ -1139,16 +1217,17 @@ def test_a_matrix_above_the_size_limit_exit_code(tmp_path, capsys, monkeypatch):
     # the tens of thousands ended in a MemoryError traceback (exit 1); the
     # limit is lowered to d = 7 here, so that nothing large is allocated
     result, op_path, out = tmp_path / "result.json", tmp_path / "op.json", tmp_path / "x.json"
-    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    dense, sparse, binary = (tmp_path / f"{form}.json" for form in ("dense", "sparse", "binary"))
     write_json(dense, chain_problem())
-    write_json(sparse, {**chain_problem(), "terms": [
-        {**term, "matrix": sparse_json(term["matrix"])} for term in chain_problem()["terms"]]})
+    for path, form in ((sparse, sparse_json), (binary, binary_json)):
+        write_json(path, {**chain_problem(), "terms": [
+            {**term, "matrix": form(term["matrix"])} for term in chain_problem()["terms"]]})
     write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(8))}]})
     assert main(["transform", str(dense), "--out", str(result)]) == 0
     ace = tmp_path / "ace.json"
     monkeypatch.setattr(io_module, "MAX_MATRIX_BYTES", 16 * 7 * 7)
     message = "error: a 8x8 complex matrix takes 1024 bytes, more than the 784 a matrix may take\n"
-    for argv in (["transform", str(dense)], ["transform", str(sparse)],
+    for argv in (["transform", str(dense)], ["transform", str(sparse)], ["transform", str(binary)],
                  ["rotate", str(dense), str(result), str(op_path), "--order", "1"],
                  ["experiment", str(ace)]):
         write_json(ace, {"kind": "ace", "dim": 8, "max_order": 1})
@@ -1311,19 +1390,20 @@ def _first_pairs(draw, matrix) -> list:
 
 @st.composite
 def mutated_results(draw, text):
-    """README's minimal fd result, ``text``, its generator written dense or sparse,
-    as it is or with one field, order, key, matrix or member broken, and whether the
-    change must exit 2: a required header field dropped, a header field retyped or
-    nested to a value it does not convert from, a generator order dropped or a key
-    not canonical, a sparse generator matrix broken, a key repeated or the
-    corrections truncated."""
-    doc = json.loads(text)
-    if draw(st.booleans()):
-        for entry in doc["generator"].values():
-            entry.update((key, sparse_json(matrix)) for key, matrix in entry.items())
+    """README's minimal fd result, ``text``, its generator written as grids, sparse
+    or binary, as it is or with one field, order, key, matrix or member broken, and
+    whether the change must exit 2: a required header field dropped, a header field
+    retyped or nested to a value it does not convert from, a generator order dropped
+    or a key not canonical, a sparse or binary generator matrix broken, a key
+    repeated or the corrections truncated."""
+    doc = with_grids(json.loads(text))
+    form = FORMS[draw(st.sampled_from(sorted(FORMS)))]
+    for entry in doc["generator"].values():
+        entry.update((key, form(matrix)) for key, matrix in entry.items())
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "drop-order",
-                                 "rekey", "break-sparse", "truncate", "repeat"]))
-    malformed = kind in ("drop-order", "rekey", "break-sparse", "truncate", "repeat")
+                                 "rekey", "break-sparse", "break-binary", "truncate", "repeat"]))
+    malformed = kind in ("drop-order", "rekey", "break-sparse", "break-binary", "truncate",
+                         "repeat")
     if kind in ("drop", "retype", "nest"):
         field = draw(st.sampled_from(sorted(set(doc) - {"corrections", "generator"})))
         if kind == "drop":
@@ -1337,15 +1417,25 @@ def mutated_results(draw, text):
             malformed = field in READ_HEADER and not READ_HEADER[field](doc[field])
     elif kind == "non-finite":
         series = doc[draw(st.sampled_from(["generator", "corrections"]))]
-        matrices = [m for entry in series.values() for m in entry.values()
-                    if type(m) is list or m["values"]]
-        pairs = _first_pairs(draw, draw(st.sampled_from(matrices)))
+        # any matrix but an empty sparse one
+        entry, key = draw(st.sampled_from([(entry, key) for entry in series.values()
+                                           for key, m in entry.items()
+                                           if type(m) is list or m.get("values", True)]))
+        binary = type(entry[key]) is dict and "c16" in entry[key]
+        matrix = grid_json(entry[key])
+        pairs = _first_pairs(draw, matrix)
         pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        entry[key] = binary_json(matrix) if binary else matrix
     elif kind == "break-sparse":
         entry = doc["generator"]["1"]
-        matrix = entry["1,0"] if type(entry["1,0"]) is dict else sparse_json(entry["1,0"])
+        matrix = grid_json(entry["1,0"])
+        matrix = matrix if type(matrix) is dict else sparse_json(matrix)
         entry["1,0"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
+    elif kind == "break-binary":
+        entry = doc["generator"]["1"]
+        broken, _ = BINARY_BREAKS[draw(st.sampled_from(sorted(BINARY_BREAKS)))]
+        entry["1,0"] = broken(binary_json(matrix_from_json(entry["1,0"], 2)))
     elif kind == "drop-order":
         del doc["generator"][draw(st.sampled_from(sorted(doc["generator"])))]
     elif kind == "rekey":
@@ -1427,20 +1517,20 @@ MISFITS = [("block_sizes", [1]), ("block_sizes", [1, 2]), ("block_sizes", [3]),
 
 @st.composite
 def mutated_problems(draw):
-    """README's minimal problem, its matrices written dense or sparse, as it is or
-    with one field dropped, retyped or nested, a NaN or Infinity literal in a matrix,
-    a sparse matrix broken, or a mask or block sizes that do not fit; and the exit
-    the change must give, if any: 2 for a required field dropped, any field given a
-    value it does not convert from or a broken sparse matrix, 3 for a non-finite
-    literal or a misfit."""
+    """README's minimal problem, its matrices written as grids, sparse or binary, as
+    it is or with one field dropped, retyped or nested, a NaN or infinite part in a
+    matrix, a sparse or binary matrix broken, or a mask or block sizes that do not
+    fit; and the exit the change must give, if any: 2 for a required field dropped,
+    any field given a value it does not convert from or a broken sparse or binary
+    matrix, 3 for a non-finite part or a misfit."""
     doc = readme_problem()
     terms = doc["terms"]
-    if draw(st.booleans()):
-        for term in terms:
-            term["matrix"] = sparse_json(term["matrix"])
+    form = FORMS[draw(st.sampled_from(sorted(FORMS)))]
+    for term in terms:
+        term["matrix"] = form(term["matrix"])
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "misfit",
-                                 "break-sparse"]))
-    code = {"non-finite": 3, "misfit": 3, "break-sparse": 2}.get(kind)
+                                 "break-sparse", "break-binary"]))
+    code = {"non-finite": 3, "misfit": 3, "break-sparse": 2, "break-binary": 2}.get(kind)
     if kind in ("drop", "retype", "nest"):
         target = draw(st.sampled_from([doc] + terms))
         field = draw(st.sampled_from(sorted(target)))
@@ -1455,13 +1545,22 @@ def mutated_problems(draw):
                 target[field] = draw(st.sampled_from([[target[field]], {"a": target[field]}]))
             code = None if converts(target[field]) else 2
     elif kind == "non-finite":
-        pairs = _first_pairs(draw, terms[draw(st.integers(0, 1))]["matrix"])
+        term = terms[draw(st.integers(0, 1))]
+        binary = type(term["matrix"]) is dict and "c16" in term["matrix"]
+        matrix = grid_json(term["matrix"])
+        pairs = _first_pairs(draw, matrix)
         pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        term["matrix"] = binary_json(matrix) if binary else matrix
     elif kind == "break-sparse":
         term = terms[draw(st.integers(0, 1))]
-        matrix = term["matrix"] if type(term["matrix"]) is dict else sparse_json(term["matrix"])
+        matrix = grid_json(term["matrix"])
+        matrix = matrix if type(matrix) is dict else sparse_json(matrix)
         term["matrix"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
+    elif kind == "break-binary":
+        term = terms[draw(st.integers(0, 1))]
+        broken, _ = BINARY_BREAKS[draw(st.sampled_from(sorted(BINARY_BREAKS)))]
+        term["matrix"] = broken(binary_json(matrix_from_json(term["matrix"], 2)))
     elif kind == "misfit":
         key, value = draw(st.sampled_from(MISFITS))
         if key == "mask":
@@ -1803,7 +1902,7 @@ def test_result_document_round_trips(two_level_problem, tmp_path):
     from pertkit.io import _series_to_json, canonical_json as cj
 
     first = json.loads(out.read_text())["generator"]
-    again = _series_to_json(view.generator)
+    again = _series_to_json(view.generator, sparse=True)
     assert cj(first) == cj(again)
 
 
@@ -1921,15 +2020,14 @@ def test_oracle_lambda_and_time_that_are_not_finite_exit_code(two_level_problem,
     assert not out.exists()
 
 
-def rotate_with_generator(problem, tmp_path, edit, order="2", sparse=False):
+def rotate_with_generator(problem, tmp_path, edit, order="2", form="grid"):
     """Exit code of a rotation against a result whose generator ``edit`` changed,
-    after, with ``sparse``, each of its matrices was written sparse."""
+    after each of its matrices was written in ``form``."""
     result = tmp_path / "result.json"
     assert main(["transform", str(problem), "--out", str(result)]) == 0
-    doc = json.loads(result.read_text())
-    if sparse:
-        for entry in doc["generator"].values():
-            entry.update((key, sparse_json(matrix)) for key, matrix in entry.items())
+    doc = with_grids(json.loads(result.read_text()))
+    for entry in doc["generator"].values():
+        entry.update((key, FORMS[form](matrix)) for key, matrix in entry.items())
     edit(doc["generator"])
     write_json(result, doc)
     op_path = tmp_path / "op.json"
@@ -1959,8 +2057,8 @@ def test_rotate_result_generator_key_that_is_not_canonical_exit_code(two_level_p
                                                                      edit):
     # each used to rotate and exit 0: "2,0" filed under order 1 was used as
     # order 1, "1_0,0" read as order 10, and "01,0" overwrote "1,0"
-    for sparse in (False, True):
-        assert rotate_with_generator(two_level_problem, tmp_path, edit, sparse=sparse) == 2
+    for form in FORMS:
+        assert rotate_with_generator(two_level_problem, tmp_path, edit, form=form) == 2
 
 
 def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp_path):
@@ -1974,21 +2072,22 @@ def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp
     first = json.dumps(doc["generator"]["1"]["1,0"])
     repeat(doc["generator"])
     text = json.dumps(doc).replace('"1,0": "REPEAT"', f'"1,0": {first}, "1,0": {first}')
-    # and a key of a sparse matrix given twice
-    thin = sparse_json(json.loads(first))
+    # and a key of a sparse or a binary matrix given twice
+    thin = sparse_json(grid_json(json.loads(first)))
     twice = json.dumps(thin).replace('"values"', f'"at": {thin["at"]}, "values"')
+    binary = first.replace("{", "{" + first[1:-1] + ", ")
     op_path = tmp_path / "op.json"
     write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]})
-    for repeated in (text, json.dumps(doc).replace('"REPEAT"', twice)):
+    for repeated in (text, json.dumps(doc).replace('"REPEAT"', twice),
+                     json.dumps(doc).replace('"REPEAT"', binary)):
         result.write_text(repeated, encoding="utf-8")
         assert main(["rotate", str(two_level_problem), str(result), str(op_path),
                      "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_rotate_result_with_canonical_keys_runs(two_level_problem, tmp_path):
-    for sparse in (False, True):
-        assert rotate_with_generator(two_level_problem, tmp_path, lambda g: None,
-                                     sparse=sparse) == 0
+    for form in FORMS:
+        assert rotate_with_generator(two_level_problem, tmp_path, lambda g: None, form=form) == 0
 
 
 def test_rotate_generator_that_is_not_anti_hermitian_exit_code(two_level_problem, tmp_path,
@@ -1997,8 +2096,13 @@ def test_rotate_generator_that_is_not_anti_hermitian_exit_code(two_level_problem
     # entry (0, 1) is a sparse matrix's first value
     def edit(generator):
         matrix = generator["1"]["1,0"]
-        (matrix["values"][0] if type(matrix) is dict else matrix[0][1])[0] = 5.0
+        if type(matrix) is dict and "c16" in matrix:
+            grid = grid_json(matrix)
+            grid[0][1][0] = 5.0
+            generator["1"]["1,0"] = binary_json(grid)
+        else:
+            (matrix["values"][0] if type(matrix) is dict else matrix[0][1])[0] = 5.0
 
-    for sparse in (False, True):
-        assert rotate_with_generator(two_level_problem, tmp_path, edit, sparse=sparse) == 3
+    for form in FORMS:
+        assert rotate_with_generator(two_level_problem, tmp_path, edit, form=form) == 3
         assert "anti-hermitian" in capsys.readouterr().err

@@ -2,8 +2,10 @@
 document reads with the cyclic collector paused, and reads that decode each
 top-level member with its own hook."""
 
+import base64
 import dataclasses
 import gc
+import itertools
 import json
 import re
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_problem, readme_problem, sparse_json
+from helpers import binary_json, chain_problem, grid_json, readme_problem, sparse_json, with_grids
 import pertkit.cli as cli
 import pertkit.io
 from pertkit.cli import main
@@ -60,15 +62,18 @@ def reference_matrix_to_json(mat):
 
 def sparsable_lists(mat):
     """A ``_Sparsable`` matrix as the JSON it is written as: its sparse object if
-    fewer than ``SPARSE_SHARE`` of its pairs are nonzero, its grid if not."""
+    fewer than ``SPARSE_SHARE`` of its pairs are nonzero, its binary object if
+    not, and its grid if it is empty."""
     dense = reference_matrix_to_json(mat)
     thin = sparse_json(dense)
-    return thin if len(thin["at"]) < SPARSE_SHARE * mat.size else dense
+    if not mat.size:
+        return dense
+    return thin if len(thin["at"]) < SPARSE_SHARE * mat.size else binary_json(mat)
 
 
 def as_lists(obj):
     """A document with every matrix as the nested lists of its [re, im] pairs, or
-    a sparsable one as ``sparsable_lists`` writes it."""
+    a sparsable one as ``sparsable_lists`` writes it: sparse or binary."""
     if type(obj) is _Sparsable:
         return sparsable_lists(obj.mat)
     if isinstance(obj, np.ndarray):
@@ -129,8 +134,8 @@ MAGNITUDE_POOLS = st.lists(st.one_of(st.sampled_from(AWKWARD), st.floats(allow_n
 @st.composite
 def renderable_documents(draw):
     """Documents like the ones pertkit writes: hermitian, anti-hermitian and
-    generic complex matrices of several shapes, some sparsable and most of
-    those thin, among scalars and strings."""
+    generic complex matrices of several shapes, some sparsable, thin (most of
+    their pairs zeroed) or not, among scalars and strings."""
     pool = draw(MAGNITUDE_POOLS)
 
     def signed(shape):
@@ -160,9 +165,10 @@ def renderable_documents(draw):
             return matrix()
         if kind == "sparsable":
             mat = matrix()
-            kept = draw(st.lists(st.sampled_from([True] + [False] * 4), min_size=mat.size,
-                                 max_size=mat.size))
-            mat[~np.array(kept, dtype=bool).reshape(mat.shape)] = 0.0
+            if draw(st.booleans()):  # thin
+                kept = draw(st.lists(st.sampled_from([True] + [False] * 4), min_size=mat.size,
+                                     max_size=mat.size))
+                mat[~np.array(kept, dtype=bool).reshape(mat.shape)] = 0.0
             return _Sparsable(mat)
         if kind == "matrices":
             return [matrix() for _ in range(draw(st.integers(1, 3)))]
@@ -565,8 +571,10 @@ def test_every_written_document_reads_back_to_its_own_bytes(written_documents, n
     path = written_documents[name]
     raw = path.read_bytes()
     assert not BARE_NEGATIVE_ZERO.search(raw)
-    if name.startswith("sigma-y"):
-        assert NEGATIVE_ZERO.search(raw)
+    if name.startswith("sigma-y"):  # its -0.0 parts sit in binary generator matrices
+        generator = json.loads(raw)["generator"]
+        grids = [grid_json(mat) for entry in generator.values() for mat in entry.values()]
+        assert NEGATIVE_ZERO.search(json.dumps(grids).encode())
     assert (canonical_json(read_document(str(path), lambda doc, raw: doc)) + "\n").encode() == raw
 
 
@@ -775,9 +783,10 @@ def test_a_well_formed_document_never_reaches_json_loads(written_documents, tmp_
 
 def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
     # rotate reads only the generator; the corrections were converted as
-    # well, and dropped.  A dense matrix is converted as it is decoded, a
-    # sparse one by its reader, each once: README's minimal fd result has a
-    # dense generator, the chain's is partly sparse.
+    # well, and dropped.  A grid is converted as it is decoded, a sparse or
+    # binary matrix by its reader, each once: README's minimal fd result has
+    # a binary generator, the chain's is sparse at orders 1 and 2, and each is
+    # read as written and with its binary matrices written as grids.
     problem, result = tmp_path / "problem.json", tmp_path / "result.json"
     minimal = {key: value for key, value in readme_problem().items() if key != "block_sizes"}
     conversions = []
@@ -787,20 +796,25 @@ def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
             conversions.append(type(data).__name__)
         return matrix_from_json(data, dim)
 
-    for source in ({**minimal, "method": "fd"}, chain_problem()):
+    forms = set()
+    for source, grids in itertools.product(({**minimal, "method": "fd"}, chain_problem()),
+                                           (False, True)):
         problem.write_text(json.dumps(source), encoding="utf-8")
         assert main(["transform", str(problem), "--max-order", "4", "--out", str(result)]) == 0
         doc = json.loads(result.read_bytes())
+        if grids:
+            doc = with_grids(doc)
+            result.write_text(json.dumps(doc), encoding="utf-8")
         conversions.clear()
         with monkeypatch.context() as patched:
             patched.setattr(pertkit.io, "matrix_from_json", counted)
             view = load_result(str(result))
         assert sorted(view.generator) == [1, 2, 3, 4]
         assert sum(map(len, doc["corrections"].values())) > 0
-        written = [type(mat).__name__ for entry in doc["generator"].values()
-                   for mat in entry.values()]
-        assert sorted(conversions) == sorted(written)
-        assert ("dict" in written) == (view.dim == 8)
+        written = [mat for entry in doc["generator"].values() for mat in entry.values()]
+        assert sorted(conversions) == sorted(type(mat).__name__ for mat in written)
+        forms.update("grid" if type(mat) is list else ",".join(sorted(mat)) for mat in written)
+    assert forms == {"grid", "at,values", "c16"}
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +832,7 @@ def test_a_sparsable_matrix_renders_as_its_sparse_object_when_thin(name):
 
 
 def test_a_matrix_is_written_sparse_below_a_quarter_of_nonzero_pairs():
-    # 3 of 16 pairs nonzero, a (-0.0, +0.0) pair among them, goes sparse; 4 stays dense
+    # 3 of 16 pairs nonzero, a (-0.0, +0.0) pair among them, goes sparse; 4 go binary
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 1], mat[2, 3], mat[3, 0] = 0.5, complex(-0.0, 0.0), 2j
     assert SPARSE_SHARE == 0.25
@@ -826,7 +840,10 @@ def test_a_matrix_is_written_sparse_below_a_quarter_of_nonzero_pairs():
     assert canonical_json(written_form(mat, sparse=True)) == canonical_json(_Sparsable(mat))
     assert canonical_json(written_form(mat, sparse=False)) == canonical_json(mat)
     mat[1, 1] = complex(0.0, -0.0)
-    assert canonical_json(_Sparsable(mat)) == canonical_json(mat)
+    binary = canonical_json(_Sparsable(mat))
+    assert binary == '{"c16":"' + base64.b64encode(mat.astype("<c16")).decode() + '"}'
+    assert binary == canonical_json(binary_json(mat))
+    assert _bits(matrix_from_json(json.loads(binary), 4)) == _bits(mat)
 
 
 def written_form(mat, sparse):
@@ -835,11 +852,12 @@ def written_form(mat, sparse):
 
 
 def test_a_sparse_generator_reads_back_bit_for_bit(written_documents):
-    # -0.0 parts included: the chain's sparse generator orders hold some
+    # -0.0 parts included: the chain's sparse generator orders hold some; its
+    # orders 3 and 4 are binary
     path = written_documents["chain"]
     doc = json.loads(path.read_bytes())
-    forms = {n: type(entry[f"{n},0"]).__name__ for n, entry in doc["generator"].items()}
-    assert forms == {"1": "dict", "2": "dict", "3": "list", "4": "list"}
+    forms = {n: sorted(entry[f"{n},0"]) for n, entry in doc["generator"].items()}
+    assert forms == {"1": ["at", "values"], "2": ["at", "values"], "3": ["c16"], "4": ["c16"]}
     assert [len(doc["generator"][n][f"{n},0"]["at"]) for n in "12"] == [14, 12]
     assert "-0.0" in json.dumps([doc["generator"][n] for n in "12"])
     spec, digest = load_problem(str(path.with_name("chain.json")))
@@ -889,7 +907,7 @@ def test_sparse_problem_and_operator_give_their_dense_twins_bytes(tmp_path):
     ({"at": 1, "values": [[1, 0]]}, "'at' must be a list of integers, got 1"),
     ({"at": [1, 2], "values": [[1, 0]]}, "'values' must be a list of 2 [re, im] pairs"),
     ({"at": [], "values": [[1, 0]]}, "'values' must be a list of 0 [re, im] pairs"),
-    ({"at": [1]}, "holds the keys 'at' and 'values' alone, got ['at']"),
+    ({"at": [1]}, "holds the keys 'at' and 'values' (sparse) or 'c16' (binary) alone, got ['at']"),
     ({"at": [1], "values": [[1, 0]], "dim": 2}, "alone, got ['at', 'dim', 'values']"),
     ({"at": [1], "values": [["1", 0]]}, "a matrix entry must be a number, got '1'"),
     ({"at": [1], "values": [[1, None]]}, "a matrix entry must be a number, got None"),
@@ -927,3 +945,148 @@ def test_a_matrix_above_the_size_limit_is_refused_before_it_is_allocated(tmp_pat
             load_operator(str(path), 4, None)
     assert matrix_from_json(reference_matrix_to_json(np.eye(3)), 3).shape == (3, 3)
     assert matrix_from_json({"at": [0], "values": [[1, 0]]}, 3).shape == (3, 3)
+
+
+def test_a_binary_matrix_above_the_size_limit_is_refused_before_it_is_decoded(tmp_path,
+                                                                              monkeypatch):
+    def decode(*args, **kwargs):
+        raise AssertionError("the matrix was decoded")
+
+    monkeypatch.setattr(pertkit.io, "MAX_MATRIX_BYTES", 16 * 3 * 3)
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"terms": [{"order": 0, "matrix": binary_json(np.eye(4))}]}),
+                    encoding="utf-8")
+    with monkeypatch.context() as patched:
+        patched.setattr(pertkit.io.base64, "b64decode", decode)
+        with pytest.raises(PertError, match="a 4x4 complex matrix takes 256 bytes, more than "
+                                            "the 144 a matrix may take"):
+            load_operator(str(path), 4, None)
+    assert _bits(matrix_from_json(binary_json(np.eye(3)), 3)) == _bits(np.eye(3, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# binary matrices
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "holds the keys 'at' and 'values' (sparse) or 'c16' (binary) alone, got []"),
+    ({"c16": "A" * 88, "x": 1}, "or 'c16' (binary) alone, got ['c16', 'x']"),
+    ({"c16": 5}, "a binary matrix's 'c16' must be a base64 string, got int"),
+    ({"c16": b"A" * 88}, "a binary matrix's 'c16' must be a base64 string, got bytes"),
+    ({"c16": "A" * 44 + "\n" + "A" * 44}, "'c16' is not base64: Only base64 data is allowed"),
+    ({"c16": "A" * 87 + "_"}, "'c16' is not base64: Only base64 data is allowed"),
+    ({"c16": "A" * 86}, "'c16' is not base64: Incorrect padding"),
+    ({"c16": "A" * 64}, "'c16' must hold 64 bytes, 2x2 complex128 values, got 48"),
+    ({"c16": "A" * 108}, "'c16' must hold 64 bytes, 2x2 complex128 values, got 81"),
+], ids=["no-key", "extra-key", "number", "bytes", "newline", "url-safe", "unpadded", "short",
+        "long"])
+def test_a_malformed_binary_matrix_is_refused(data, message):
+    with pytest.raises(ProblemFormatError) as refused:
+        matrix_from_json(data, 2)
+    assert message in str(refused.value)
+
+
+def test_rotating_against_binary_or_grid_generator_gives_the_same_bytes(written_documents,
+                                                                        tmp_path):
+    # the chain's generator orders 3 and 4 are binary, README's fd generator is
+    path = written_documents["chain"]
+    doc = json.loads(path.read_bytes())
+    grids = tmp_path / "chain-grids.json"
+    grids.write_text(json.dumps(with_grids(doc)), encoding="utf-8")
+    assert b'"c16"' in path.read_bytes() and b'"c16"' not in grids.read_bytes()
+    number = tmp_path / "number.json"
+    number.write_text(json.dumps({"terms": [
+        {"order": 0, "matrix": reference_matrix_to_json(np.diag(np.arange(8.0)))}]}))
+    rotated = tmp_path / "rotated.json"
+    assert main(["rotate", str(path.with_name("chain.json")), str(grids), str(number),
+                 "--order", "4", "--out", str(rotated)]) == 0
+    assert rotated.read_bytes() == written_documents["chain-rotated"].read_bytes()
+
+    grids = tmp_path / "fd-grids.json"
+    grids.write_text(json.dumps(with_grids(json.loads(written_documents["fd"].read_bytes()))),
+                     encoding="utf-8")
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"terms": [
+        {"order": 0, "matrix": reference_matrix_to_json(0.3 * pauli()[2])}]}))
+    outputs = []
+    for result in (written_documents["fd"], grids):
+        assert main(["rotate", str(written_documents["fd"].with_name("fd.json")), str(result),
+                     str(operator), "--order", "2", "--out", str(rotated)]) == 0
+        outputs.append(rotated.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@st.composite
+def generated_problems(draw):
+    """Its kind and a problem document: random complex levels and couplings,
+    static (fd, swt or la, on two blocks) or driven at harmonics +-1 (fd or
+    swt), or the static coupling sigma_y x 1 + 1 x sigma_x of four levels."""
+    kind = draw(st.sampled_from(["static", "driven", "sigma"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = 4 if kind == "sigma" else draw(st.integers(2, 5))
+    levels = np.arange(d) + rng.uniform(0.0, 0.3, d)  # gaps of 0.7 to 1.3
+
+    def complex_matrix():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    if kind == "sigma":
+        coupling = kron(pauli()[2], np.eye(2)) + kron(np.eye(2), pauli()[1])
+    else:
+        coupling = complex_matrix()
+        coupling += coupling.conj().T
+    terms = [{"order": 0, "matrix": reference_matrix_to_json(np.diag(levels))},
+             {"order": 1, "matrix": reference_matrix_to_json(0.03 * coupling)}]
+    doc = {"dim": d, "max_order": draw(st.integers(2, 4)), "terms": terms}
+    methods = ["fd", "swt"] + ["la"] * (kind != "driven")
+    doc["method"] = draw(st.sampled_from(methods))
+    if doc["method"] != "fd":
+        cut = draw(st.integers(1, d - 1))
+        doc["block_sizes"] = [cut, d - cut]
+    if kind == "driven":
+        drive = 0.02 * complex_matrix()
+        doc["omega_d"] = 0.37
+        terms += [{"order": 1, "harmonic": 1, "matrix": reference_matrix_to_json(drive)},
+                  {"order": 1, "harmonic": -1,
+                   "matrix": reference_matrix_to_json(drive.conj().T)}]
+    return kind, doc
+
+
+def test_generated_problems_read_back_to_their_own_bytes(tmp_path):
+    # every document written reads back to its bytes, and every generator
+    # matrix to its bits, sparse, binary or rewritten as a grid
+    problem, result, grids = (tmp_path / name for name in ("p.json", "r.json", "g.json"))
+    operator, rotated = tmp_path / "op.json", tmp_path / "rotated.json"
+    forms, kinds = set(), set()
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(generated_problems())
+    def check(case):
+        kind, doc = case
+        kinds.add((kind, doc["method"]))
+        problem.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["transform", str(problem), "--out", str(result)]) == 0
+        written = json.loads(result.read_bytes())
+        grids.write_text(json.dumps(with_grids(written)), encoding="utf-8")
+        spec, _ = load_problem(str(problem))
+        want = cli._run_problem(spec, spec.resolved_tolerance()).generator
+        for path in (result, grids):
+            read = load_result(str(path)).generator
+            assert read.keys() == want.keys()
+            for n, entry in read.items():
+                _assert_same_bits(entry, want[n])
+        forms.update(",".join(sorted(mat)) for entry in written["generator"].values()
+                     for mat in entry.values())
+        operator.write_text(json.dumps({"omega_d": doc.get("omega_d"), "terms": doc["terms"][:2]}),
+                            encoding="utf-8")
+        assert main(["rotate", str(problem), str(result), str(operator), "--order",
+                     str(doc["max_order"]), "--out", str(rotated)]) == 0
+        for path in (result, rotated):
+            raw = path.read_bytes()
+            assert (canonical_json(read_document(str(path), lambda doc, raw: doc)) + "\n"
+                    ).encode() == raw
+
+    check()
+    assert forms == {"at,values", "c16"}
+    assert {kind for kind, _ in kinds} == {"static", "driven", "sigma"}
+    assert {method for _, method in kinds} == {"fd", "swt", "la"}
