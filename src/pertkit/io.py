@@ -12,23 +12,26 @@ once.  Result documents echo a hash of the problem bytes and carry
 corrections and generator keyed by order ("n") and key ("j,k", with j = n),
 each integer written as ``str`` writes it.
 
-A matrix is read in any of three forms, wherever one is read (problem and
+A matrix is read in any of four forms, wherever one is read (problem and
 operator terms, both series of a result): dense, ``dim`` rows of ``dim``
-[re, im] pairs; sparse, {"at": [row-major flat indices], "values":
-[[re, im], ...]}, zero wherever no index names a pair, the indices JSON
-integers, strictly ascending within [0, dim^2), one for each value; or
-binary, {"c16": standard base64 of the dim^2 values as little-endian
-complex128, row-major}, which numpy decodes as
-``np.frombuffer(base64.b64decode(m["c16"]), "<c16").reshape(dim, dim)``.
-Only a result's generator, which only ``rotate`` reads, is written in the
-last two: each of its matrices fewer than ``SPARSE_SHARE`` of whose pairs
-are nonzero, a pair being zero only if both parts are +0.0, sparse, and
-every other one binary.  Corrections, rotated operators, oracle documents
-and the ace demo are written dense.  pertkit versions before the sparse
-form, or before the binary one, refuse such a result as malformed.  A
-matrix that would take more than ``MAX_MATRIX_BYTES`` is refused
-(PertError) before it is allocated or decoded, since a few bytes of sparse
-document can declare any ``dim``.
+[re, im] pairs; binary, {"c16": standard base64 of the dim^2 values as
+little-endian complex128, row-major}, which numpy decodes as
+``np.frombuffer(base64.b64decode(m["c16"]), "<c16").reshape(dim, dim)``;
+sparse, {"at": [row-major flat indices], "c16": base64 of the values at
+those indices alone, in the same bytes}; or sparse with text values, {"at":
+[...], "values": [[re, im], ...]}.  A sparse matrix is zero wherever no
+index names a pair, and its indices are JSON integers, strictly ascending
+within [0, dim^2), one for each value.  Only a result's generator, which
+only ``rotate`` reads, is written in a form other than dense: each of its
+matrices fewer than ``SPARSE_SHARE`` of whose pairs are nonzero, a pair
+being zero only if both parts are +0.0, sparse, and every other one binary,
+so none of its numbers is written as text.  Sparse with text values is no
+longer written; results of the versions that wrote it still read.
+Corrections, rotated operators, oracle documents and the ace demo are
+written dense.  pertkit versions before a form refuse a result written in
+it as malformed.  A matrix that would take more than ``MAX_MATRIX_BYTES``
+is refused (PertError) before it is allocated or decoded, since a few
+bytes of sparse document can declare any ``dim``.
 
 ``read_document`` walks a well-formed top-level object itself and decodes
 each member with its own hook, chosen by the member's key.  A member the
@@ -56,9 +59,9 @@ identical inputs produce byte-identical documents, except -0.0, which is
 written "-0.0": ``json.loads`` reads the "-0" of ``%.17g`` as the int 0,
 and every number pertkit writes as text reads back bit for bit.  Matrices
 travel as complex arrays and are rendered as nested lists of [re, im]
-pairs; a ``_Sparsable`` one that goes sparse is rendered from the same
-pair states, its index list as one piece of text, and one that goes binary
-is its bytes in base64, none of its parts formatted.
+pairs; a ``_Sparsable`` one is written sparse or binary from the same pair
+states, its index list as one piece of text and its values as their bytes
+in base64, none of its parts formatted.
 ``canonical_json`` walks a document once into a template with sorted keys,
 where a zero matrix part is the literal "0" or "-0.0" and every other part
 gets a placeholder after its sign; matrices of one shape are templated
@@ -147,8 +150,8 @@ _TOKENS = {placeholder: _pair_tokens(placeholder) for placeholder in ("%s", "%.1
 #: Above this share of distinct magnitudes among a document's floats, each
 #: float is formatted directly: looking the texts up costs more than it saves.
 DISTINCT_SHARE = 0.75
-#: Below this share of nonzero pairs, a ``_Sparsable`` matrix is written sparse;
-#: at or above it, as the base64 of its bytes.
+#: Below this share of nonzero pairs, a ``_Sparsable`` matrix is written sparse,
+#: the base64 of its nonzero pairs' bytes; at or above it, of all its bytes.
 SPARSE_SHARE = 0.25
 #: The written form of a matrix: a grid of [re, im] pairs, sparse, or binary.
 _GRID, _SPARSE, _BINARY = 0, 1, 2
@@ -183,10 +186,10 @@ def _magnitude_texts(values: np.ndarray) -> tuple[str, tuple]:
 
 
 class _Sparsable(NamedTuple):
-    """A matrix written sparse, {"at": [row-major flat indices], "values":
-    [[re, im], ...]}, if fewer than ``SPARSE_SHARE`` of its pairs are nonzero,
-    and binary, {"c16": base64 of its row-major little-endian complex128
-    values}, otherwise."""
+    """A matrix written sparse, {"at": [row-major flat indices], "c16": base64
+    of the little-endian complex128 values at those indices}, if fewer than
+    ``SPARSE_SHARE`` of its pairs are nonzero, and binary, {"c16": base64 of
+    all its row-major little-endian complex128 values}, otherwise."""
 
     mat: np.ndarray
 
@@ -245,15 +248,16 @@ class _Template:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     def _pair_states(self, group: list[tuple[int, int, np.ndarray, bool]]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """The state of every pair, row-major, of a group of matrices of one
-        shape, and each matrix's written form.
+                     ) -> tuple[np.ndarray, list[int]]:
+        """The state of every pair, row-major, of each matrix of a group of one
+        shape that is written as a grid, and each such matrix's slot in ``text``.
 
         The matrices are stacked into one copy and read through its float
-        view.  A sparsable matrix with at least ``SPARSE_SHARE`` of its pairs
-        nonzero is binary: its slot in ``text`` is set here, from its bytes.
-        Each other matrix's live parts, the ones not zero, fill its slot in
-        ``floats``.
+        view.  A sparsable matrix is sparse if fewer than ``SPARSE_SHARE`` of
+        its pairs are nonzero and binary if not; either way its slot in
+        ``text`` is set here, from the nonzero pairs' states and bytes, and
+        none of its parts fills a placeholder.  Each grid matrix's live
+        parts, the ones not zero, fill its slot in ``floats``.
         """
         stacked = np.ascontiguousarray(np.stack([mat for _, _, mat, _ in group]))
         arr = stacked.view(np.float64).reshape(len(group), -1, 2)
@@ -265,42 +269,41 @@ class _Template:
         pairs = state[..., 0] + 4 * state[..., 1]
         thin = np.count_nonzero(pairs, axis=1) < SPARSE_SHARE * pairs.shape[1]
         form = np.array([sparsable for *_, sparsable in group]) * np.where(thin, _SPARSE, _BINARY)
+        grid = form == _GRID
         live = live.reshape(len(group), -1)
-        live[form == _BINARY] = False  # a binary matrix's parts fill no placeholder
+        live[~grid] = False  # a sparse or binary matrix's parts fill no placeholder
         ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
-        little = stacked.astype("<c16", copy=False)
-        for (at_text, at_floats, _, _), parts, kind, values in zip(
-                group, np.split(arr.reshape(len(group), -1)[live], ends), form.tolist(), little):
+        little = stacked.astype("<c16", copy=False).reshape(len(group), -1)
+        # base64 holds no "%" and nothing JSON escapes
+        for (at_text, at_floats, _, _), parts, kind, values, nonzero in zip(
+                group, np.split(arr.reshape(len(group), -1)[live], ends), form.tolist(), little,
+                pairs):
             self.floats[at_floats] = parts
-            if kind == _BINARY:  # base64 holds no "%" and nothing JSON escapes
+            if kind == _SPARSE:
+                at = np.flatnonzero(nonzero)
+                # the indices are one piece of text, however many
+                self.text[at_text] = ('{"at":' + json.dumps(at.tolist(), separators=(",", ":"))
+                                      + ',"c16":"' + base64.b64encode(values[at]).decode("ascii")
+                                      + '"}')
+            elif kind == _BINARY:
                 self.text[at_text] = '{"c16":"' + base64.b64encode(values).decode("ascii") + '"}'
-        return pairs, form
+        return pairs[grid], [at_text for (at_text, *_), kind in zip(group, grid) if kind]
 
     def render(self) -> str:
         """The template's slots set, filled by one ``%``.
 
-        A sparsable matrix that goes sparse takes the tokens of its nonzero
-        pairs alone, each followed by ",", but the last; its live parts, and
-        so the fill, are those it would have written as a grid.  A binary
-        one's slot is already set, and it adds nothing to the fill.
+        A sparse or binary matrix's slot is set by ``_pair_states``, and it
+        adds nothing to the fill; a grid's slot takes the tokens of its pairs.
         """
         text, floats = self.text, self.floats
-        states = [self._pair_states(group) for group in self.shapes.values()]
+        grids = [self._pair_states(group) for group in self.shapes.values()]
         placeholder, fill = _magnitude_texts(np.concatenate(floats) if floats else np.empty(0))
         tokens = _TOKENS[placeholder]
-        for (shape, group), (state, form) in zip(self.shapes.items(), states):
+        for shape, (state, slots) in zip(self.shapes, grids):
             where = np.zeros(shape, dtype=np.uint8)
             where[:, -1], where[-1, -1] = 16, 32
-            grids = iter(tokens[state[form == _GRID] + where.reshape(-1)].tolist())
-            for (at_text, *_), pairs, kind in zip(group, state, form.tolist()):
-                if kind == _SPARSE:
-                    at = np.flatnonzero(pairs)
-                    # the indices are one piece of text, however many
-                    text[at_text] = ('{"at":' + json.dumps(at.tolist(), separators=(",", ":"))
-                                     + ',"values":[' + "".join(tokens[pairs[at]].tolist())[:-1]
-                                     + "]}")
-                elif kind == _GRID:
-                    text[at_text] = "[[" + "".join(next(grids))
+            for at_text, pieces in zip(slots, tokens[state + where.reshape(-1)].tolist()):
+                text[at_text] = "[[" + "".join(pieces)
         return "".join(text) % fill
 
 
@@ -352,26 +355,60 @@ def _pairs(pairs, message: str) -> np.ndarray:
     return np.array(parts, dtype=float)
 
 
-def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
-    """A sparse matrix, {"at": [row-major flat indices], "values": [[re, im], ...]},
-    as a ``dim`` x ``dim`` complex matrix, zero where no index names a pair.
-
-    The indices must be JSON integers, not booleans, strictly ascending and
-    in [0, dim^2), one for each value; anything else raises
-    ProblemFormatError.
-    """
-    at, values = data["at"], data["values"]
+def _sparse_index(at, dim: int) -> np.ndarray:
+    """A sparse matrix's "at", row-major flat indices into a ``dim`` x ``dim``
+    matrix: JSON integers, not booleans, strictly ascending within [0, dim^2);
+    anything else raises ProblemFormatError."""
     if type(at) is not list or not set(map(type, at)) <= {int}:
         raise ProblemFormatError(f"a sparse matrix's 'at' must be a list of integers, got {at!r}")
-    if type(values) is not list or len(values) != len(at):
-        raise ProblemFormatError(f"a sparse matrix's 'values' must be a list of {len(at)} "
-                                 "[re, im] pairs, one for each index")
+    index = np.array(at, dtype=np.int64)
+    if at and (index[0] < 0 or index[-1] >= dim * dim or not (index[1:] > index[:-1]).all()):
+        raise ProblemFormatError(f"a sparse matrix's indices must ascend strictly "
+                                 f"within [0, {dim * dim})")
+    return index
+
+
+def _c16(data: dict, what: str, count: int, values: str) -> np.ndarray:
+    """The ``count`` complex values of ``what``'s "c16", the standard base64 of
+    their little-endian complex128 bytes, ``values`` saying which they are.
+
+    The value must be a string of base64 characters alone, no newline among
+    them, that decodes to exactly 16 ``count`` bytes; anything else raises
+    ProblemFormatError.
+    """
+    text = data["c16"]
+    if type(text) is not str:
+        raise ProblemFormatError(f"{what}'s 'c16' must be a base64 string, "
+                                 f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a character beyond ASCII
+        raise ProblemFormatError(f"{what}'s 'c16' is not base64: {err}") from None
+    if len(raw) != 16 * count:
+        raise ProblemFormatError(f"{what}'s 'c16' must hold {16 * count} bytes, {values}, "
+                                 f"got {len(raw)}")
+    return np.frombuffer(raw, dtype="<c16")
+
+
+def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
+    """A sparse matrix, {"at": [row-major flat indices], "c16": base64 of the
+    values at them} or {"at": [...], "values": [[re, im], ...]}, as a ``dim``
+    x ``dim`` complex matrix, zero where no index names a pair.
+
+    The indices are checked by ``_sparse_index``, and there must be one value
+    for each (``_c16``, ``_pairs``); anything else raises ProblemFormatError.
+    """
+    index = _sparse_index(data["at"], dim)
     flat = np.zeros(dim * dim, dtype=complex)
-    if at:
-        index = np.array(at, dtype=np.int64)
-        if index[0] < 0 or index[-1] >= flat.size or not (index[1:] > index[:-1]).all():
-            raise ProblemFormatError(f"a sparse matrix's indices must ascend strictly "
-                                     f"within [0, {flat.size})")
+    if "c16" in data:
+        flat[index] = _c16(data, "a sparse matrix", index.size,
+                           f"{index.size} complex128 values, one for each index")
+        return flat.reshape(dim, dim)
+    values = data["values"]
+    if type(values) is not list or len(values) != index.size:
+        raise ProblemFormatError(f"a sparse matrix's 'values' must be a list of {index.size} "
+                                 "[re, im] pairs, one for each index")
+    if index.size:
         # assigned, not summed: re + 1j * im would turn a -0.0 part into +0.0
         flat.real[index], flat.imag[index] = _pairs(values, "a sparse matrix's values must be "
                                                             "[re, im] pairs")
@@ -380,35 +417,21 @@ def _sparse_matrix(data: dict, dim: int) -> np.ndarray:
 
 def _binary_matrix(data: dict, dim: int) -> np.ndarray:
     """A binary matrix, {"c16": base64 of its row-major little-endian complex128
-    values}, as a ``dim`` x ``dim`` complex matrix.
-
-    The value must be a string of base64 characters alone, no newline among
-    them, that decodes to exactly 16 dim^2 bytes; anything else raises
-    ProblemFormatError.
-    """
-    text = data["c16"]
-    if type(text) is not str:
-        raise ProblemFormatError(f"a binary matrix's 'c16' must be a base64 string, "
-                                 f"got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as err:  # binascii.Error, or a character beyond ASCII
-        raise ProblemFormatError(f"a binary matrix's 'c16' is not base64: {err}") from None
-    if len(raw) != 16 * dim * dim:
-        raise ProblemFormatError(f"a binary matrix's 'c16' must hold {16 * dim * dim} bytes, "
-                                 f"{dim}x{dim} complex128 values, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(dim, dim)
+    values}, as a ``dim`` x ``dim`` complex matrix (``_c16``)."""
+    return _c16(data, "a binary matrix", dim * dim,
+                f"{dim}x{dim} complex128 values").astype(complex).reshape(dim, dim)
 
 
 def matrix_from_json(data, dim: int) -> np.ndarray:
     """A ``dim`` x ``dim`` complex matrix from its JSON form: a list of ``dim``
-    rows of ``dim`` [re, im] pairs, the sparse object of ``_sparse_matrix`` or
-    the binary one of ``_binary_matrix``, told apart by their keys.
+    rows of ``dim`` [re, im] pairs, one of the sparse objects of
+    ``_sparse_matrix``, or the binary one, {"c16": base64 of its row-major
+    little-endian complex128 values}, told apart by their keys.
 
-    Every part of a grid or sparse matrix must be a JSON number (``_pairs``).
-    A matrix that would take more than ``MAX_MATRIX_BYTES`` raises PertError
-    before it is allocated or decoded.  An array is one ``read_document``
-    already converted; only its shape is checked.
+    Every part of a grid, or of sparse text values, must be a JSON number
+    (``_pairs``).  A matrix that would take more than ``MAX_MATRIX_BYTES``
+    raises PertError before it is allocated or decoded.  An array is one
+    ``read_document`` already converted; only its shape is checked.
     """
     shape = f"matrix must be {dim}x{dim} of [re, im] pairs"
     if type(data) is np.ndarray:
@@ -419,10 +442,11 @@ def matrix_from_json(data, dim: int) -> np.ndarray:
     if type(data) is dict and dim >= 1:
         if data.keys() == {"c16"}:
             return _binary_matrix(data, dim)
-        if data.keys() == {"at", "values"}:
+        if data.keys() == {"at", "c16"} or data.keys() == {"at", "values"}:
             return _sparse_matrix(data, dim)
-        raise ProblemFormatError(f"a matrix object holds the keys 'at' and 'values' (sparse) or "
-                                 f"'c16' (binary) alone, got {sorted(data)}")
+        raise ProblemFormatError(f"a matrix object holds the keys 'at' and 'c16' (sparse), "
+                                 f"'at' and 'values' (sparse) or 'c16' (binary) alone, "
+                                 f"got {sorted(data)}")
     if (type(data) is not list or len(data) != dim
             or set(map(type, data)) != {list} or set(map(len, data)) != {dim}):
         raise ProblemFormatError(shape)

@@ -1,7 +1,7 @@
 """Small helpers that only the tests use: a model mask, a closed-form level, a table
 reduction, README's minimal problem, a problem whose generator is written sparse, a
-matrix's sparse and binary JSON forms, a binary matrix as its grid, and the command
-line run in its own process."""
+matrix's JSON forms (sparse with binary or text values, and binary), a matrix with
+binary values as its grid, and the command line run in its own process."""
 
 from __future__ import annotations
 
@@ -64,8 +64,8 @@ def chain_problem(d: int = 8, coupling: float = 0.05) -> dict:
 
 
 def sparse_json(matrix: list) -> dict:
-    """A JSON grid of [re, im] pairs in sparse form, naming every pair with a
-    part that is not +0.0 (a -0.0 part keeps its pair)."""
+    """A JSON grid of [re, im] pairs in sparse form with text values, naming every
+    pair with a part that is not +0.0 (a -0.0 part keeps its pair)."""
     pairs = [pair for row in matrix for pair in row]
     at = [i for i, pair in enumerate(pairs)
           if any(part != 0 or math.copysign(1.0, part) < 0 for part in pair)]
@@ -81,20 +81,30 @@ def binary_json(matrix) -> dict:
     return {"c16": base64.b64encode(np.ascontiguousarray(values, dtype="<c16")).decode("ascii")}
 
 
-def grid_json(matrix):
-    """A JSON matrix in binary form as the grid of its [re, im] pairs, signs of
-    zero kept; a matrix in any other form as it is."""
+def sparse_binary_json(matrix: list) -> dict:
+    """A JSON grid of [re, im] pairs in the sparse form pertkit writes: the pairs
+    that ``sparse_json`` names, their values in ``binary_json``'s bytes."""
+    thin = sparse_json(matrix)
+    return {"at": thin["at"], "c16": binary_json([thin["values"]])["c16"]}
+
+
+def grid_json(matrix, dim: int):
+    """A ``dim`` x ``dim`` JSON matrix whose values are binary, {"c16"} or {"at",
+    "c16"}, as the grid of its [re, im] pairs, signs of zero kept; a matrix in any
+    other form as it is."""
     if type(matrix) is not dict or "c16" not in matrix:
         return matrix
-    flat = np.frombuffer(base64.b64decode(matrix["c16"]), dtype="<c16")
-    dim = math.isqrt(flat.size)
+    values = np.frombuffer(base64.b64decode(matrix["c16"]), dtype="<c16")
+    flat = np.zeros(dim * dim, dtype="<c16")
+    flat[matrix.get("at", slice(None))] = values
     return [[[float(z.real), float(z.imag)] for z in flat[row:row + dim]]
             for row in range(0, flat.size, dim)]
 
 
 def with_grids(doc: dict) -> dict:
-    """A result document with each binary generator matrix written as its grid."""
-    return {**doc, "generator": {n: {key: grid_json(mat) for key, mat in entry.items()}
+    """A result document with each generator matrix whose values are binary
+    written as its grid."""
+    return {**doc, "generator": {n: {key: grid_json(mat, doc["dim"]) for key, mat in entry.items()}
                                  for n, entry in doc["generator"].items()}}
 
 

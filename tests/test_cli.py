@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    binary_json, chain_problem, grid_json, readme_problem, run_cli, sparse_json, with_grids,
+    binary_json, chain_problem, grid_json, readme_problem, run_cli, sparse_binary_json, sparse_json,
+    with_grids,
 )
 import pertkit.io as io_module
 from pertkit.cli import build_parser, main
@@ -945,7 +947,7 @@ def _edit_matrix(document, change):
     as its grid."""
     def edit(doc):
         if document == "result":
-            doc["generator"]["1"]["1,0"] = change(grid_json(doc["generator"]["1"]["1,0"]))
+            doc["generator"]["1"]["1,0"] = change(grid_json(doc["generator"]["1"]["1,0"], 2))
         else:
             doc["terms"][0]["matrix"] = change(doc["terms"][0]["matrix"])
     return edit
@@ -1006,8 +1008,8 @@ def test_malformed_sparse_matrix_exit_code(two_level_problem, tmp_path, capsys, 
 
 
 def _with_bytes(matrix, edit):
-    """A binary matrix whose decoded bytes ``edit`` changed."""
-    return {"c16": base64.b64encode(edit(base64.b64decode(matrix["c16"]))).decode("ascii")}
+    """A matrix with binary values whose decoded bytes ``edit`` changed."""
+    return {**matrix, "c16": base64.b64encode(edit(base64.b64decode(matrix["c16"]))).decode()}
 
 
 #: Each way a binary matrix of README's two-level problem (4 values, 64 bytes, 88
@@ -1033,8 +1035,10 @@ BINARY_BREAKS = {
              "'c16' must hold 64 bytes, 2x2 complex128 values, got 80"),
 }
 
-#: The forms a generator matrix is given in: as its grid, sparse, or binary.
-FORMS = {"grid": lambda matrix: matrix, "sparse": sparse_json, "binary": binary_json}
+#: The forms a generator matrix is given in: as its grid, sparse with text or
+#: binary values, or binary.
+FORMS = {"grid": lambda matrix: matrix, "sparse": sparse_json, "sparse-binary": sparse_binary_json,
+         "binary": binary_json}
 
 
 @pytest.mark.parametrize("name", sorted(BINARY_BREAKS))
@@ -1044,6 +1048,56 @@ def test_malformed_binary_matrix_exit_code(two_level_problem, tmp_path, capsys, 
     code, written = _run_with_edited_document(
         tmp_path, two_level_problem, document,
         _edit_matrix(document, lambda matrix: broken(binary_json(matrix))))
+    assert (code, written) == (2, False)
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: malformed {document} document: ") and message in line, line
+
+
+def _one_more(matrix, at):
+    """A sparse matrix with binary values that names one more pair, at ``at``, a zero one."""
+    return _with_bytes({**matrix, "at": at}, lambda raw: raw + bytes(16))
+
+
+#: Each way a sparse matrix with binary values of README's two-level problem (d^2 = 4)
+#: is refused, and what the error line says.
+SPARSE_BINARY_BREAKS = {
+    "fewer-values": (lambda m: _with_bytes(m, lambda raw: raw[:-16]),
+                     "complex128 values, one for each index, got"),
+    "more-values": (lambda m: _with_bytes(m, lambda raw: raw + bytes(16)),
+                    "complex128 values, one for each index, got"),
+    "fewer-indices": (lambda m: {**m, "at": m["at"][:-1]},
+                      "complex128 values, one for each index, got"),
+    "part-of-a-value": (lambda m: _with_bytes(m, lambda raw: raw[:-8]),
+                        "complex128 values, one for each index, got"),
+    "descending": (lambda m: _one_more(m, m["at"] + [m["at"][-1] - 1]),
+                   "a sparse matrix's indices must ascend strictly within [0, 4)"),
+    "repeated": (lambda m: _one_more(m, m["at"] + m["at"][-1:]),
+                 "a sparse matrix's indices must ascend strictly within [0, 4)"),
+    "negative": (lambda m: _one_more(m, [-1] + m["at"]),
+                 "a sparse matrix's indices must ascend strictly within [0, 4)"),
+    "past-the-end": (lambda m: _one_more(m, m["at"] + [4]),
+                     "a sparse matrix's indices must ascend strictly within [0, 4)"),
+    "boolean": (lambda m: {**m, "at": [True] + m["at"][1:]},
+                "a sparse matrix's 'at' must be a list of integers, got [True"),
+    "float": (lambda m: {**m, "at": [float(m["at"][0])] + m["at"][1:]},
+              "a sparse matrix's 'at' must be a list of integers, got ["),
+    "asterisk": (lambda m: {**m, "c16": "*" + m["c16"][1:]},
+                 "a sparse matrix's 'c16' is not base64: Only base64 data is allowed"),
+    "newline": (lambda m: {**m, "c16": m["c16"][:12] + "\n" + m["c16"][12:]},
+                "a sparse matrix's 'c16' is not base64: Only base64 data is allowed"),
+    "number": (lambda m: {**m, "c16": 5}, "a sparse matrix's 'c16' must be a base64 string, got int"),
+    "values-beside-c16": (lambda m: {**m, "values": []}, "alone, got ['at', 'c16', 'values']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_BINARY_BREAKS))
+@pytest.mark.parametrize("document", ["problem", "operator", "result"])
+def test_malformed_sparse_binary_matrix_exit_code(two_level_problem, tmp_path, capsys, document,
+                                                  name):
+    broken, message = SPARSE_BINARY_BREAKS[name]
+    code, written = _run_with_edited_document(
+        tmp_path, two_level_problem, document,
+        _edit_matrix(document, lambda matrix: broken(sparse_binary_json(matrix))))
     assert (code, written) == (2, False)
     line = one_error_line(capsys)
     assert line.startswith(f"error: malformed {document} document: ") and message in line, line
@@ -1068,9 +1122,10 @@ def test_non_finite_generator_exit_code_in_every_form(two_level_problem, tmp_pat
 
 @pytest.mark.parametrize("document", ["problem", "operator", "result"])
 def test_sparse_matrix_reads_as_its_dense_twin(two_level_problem, tmp_path, document):
-    # the same output, but for the hash of the problem's bytes
-    outputs = []
-    for form in (lambda matrix: matrix, sparse_json):
+    # the same output, but for the hash of the problem's bytes, in every form
+    outputs, text = [], two_level_problem.read_text()
+    for form in FORMS.values():
+        two_level_problem.write_text(text)  # an edited problem is written over it
         code, written = _run_with_edited_document(tmp_path, two_level_problem, document,
                                                   _edit_matrix(document, form))
         assert (code, written) == (0, True)
@@ -1078,7 +1133,7 @@ def test_sparse_matrix_reads_as_its_dense_twin(two_level_problem, tmp_path, docu
         doc.pop("problem_sha256", None)
         outputs.append(canonical_json(doc))
         (tmp_path / "x.json").unlink()
-    assert outputs[0] == outputs[1]
+    assert outputs == outputs[:1] * len(FORMS)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -1217,19 +1272,19 @@ def test_a_matrix_above_the_size_limit_exit_code(tmp_path, capsys, monkeypatch):
     # the tens of thousands ended in a MemoryError traceback (exit 1); the
     # limit is lowered to d = 7 here, so that nothing large is allocated
     result, op_path, out = tmp_path / "result.json", tmp_path / "op.json", tmp_path / "x.json"
-    dense, sparse, binary = (tmp_path / f"{form}.json" for form in ("dense", "sparse", "binary"))
-    write_json(dense, chain_problem())
-    for path, form in ((sparse, sparse_json), (binary, binary_json)):
-        write_json(path, {**chain_problem(), "terms": [
+    problems = {name: tmp_path / f"{name}.json" for name in FORMS}
+    for name, form in FORMS.items():
+        write_json(problems[name], {**chain_problem(), "terms": [
             {**term, "matrix": form(term["matrix"])} for term in chain_problem()["terms"]]})
     write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(8))}]})
+    dense = problems["grid"]
     assert main(["transform", str(dense), "--out", str(result)]) == 0
     ace = tmp_path / "ace.json"
     monkeypatch.setattr(io_module, "MAX_MATRIX_BYTES", 16 * 7 * 7)
     message = "error: a 8x8 complex matrix takes 1024 bytes, more than the 784 a matrix may take\n"
-    for argv in (["transform", str(dense)], ["transform", str(sparse)], ["transform", str(binary)],
-                 ["rotate", str(dense), str(result), str(op_path), "--order", "1"],
-                 ["experiment", str(ace)]):
+    for argv in ([["transform", str(path)] for path in problems.values()]
+                 + [["rotate", str(dense), str(result), str(op_path), "--order", "1"],
+                    ["experiment", str(ace)]]):
         write_json(ace, {"kind": "ace", "dim": 8, "max_order": 1})
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 3
@@ -1237,6 +1292,38 @@ def test_a_matrix_above_the_size_limit_exit_code(tmp_path, capsys, monkeypatch):
         assert not out.exists()
     write_json(ace, {"kind": "ace", "dim": 7, "max_order": 1})
     assert main(["experiment", str(ace), "--out", str(out)]) == 0
+
+
+def test_a_dim_above_8192_exit_code_before_allocation(two_level_problem, tmp_path, capsys):
+    # at the real limit: a sparse matrix of one value declares d = 8193, whose
+    # 16 d^2 bytes exceed 2^30; nothing near that size may be allocated, which
+    # tracemalloc, seeing numpy's allocations, would show
+    one = {"at": [0], "c16": binary_json(np.ones((1, 1)))["c16"]}
+    problem, result = tmp_path / "big.json", tmp_path / "result.json"
+    write_json(problem, {**json.loads(two_level_problem.read_text()), "dim": 8193,
+                         "terms": [{"order": 0, "matrix": one}]})
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    del doc["energies"]  # checked against dim before the generator
+    write_json(result, {**doc, "dim": 8193,
+                        "generator": {n: {key: one for key in entry}
+                                      for n, entry in doc["generator"].items()}})
+    op_path, out = tmp_path / "op.json", tmp_path / "x.json"
+    write_json(op_path, {"terms": [EYE_TERM]})
+    message = ("error: a 8193x8193 complex matrix takes 1074003984 bytes, more than the "
+               "1073741824 a matrix may take\n")
+    for argv in (["transform", str(problem)],
+                 ["rotate", str(two_level_problem), str(result), str(op_path), "--order", "1"]):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 24, (argv, code, peak)
+        assert one_error_line(capsys) == message
+        assert not out.exists()
 
 
 def test_oracle_on_block_diagonal_input(tmp_path):
@@ -1390,8 +1477,8 @@ def _first_pairs(draw, matrix) -> list:
 
 @st.composite
 def mutated_results(draw, text):
-    """README's minimal fd result, ``text``, its generator written as grids, sparse
-    or binary, as it is or with one field, order, key, matrix or member broken, and
+    """README's minimal fd result, ``text``, its generator written in one of
+    ``FORMS``, as it is or with one field, order, key, matrix or member broken, and
     whether the change must exit 2: a required header field dropped, a header field
     retyped or nested to a value it does not convert from, a generator order dropped
     or a key not canonical, a sparse or binary generator matrix broken, a key
@@ -1401,9 +1488,10 @@ def mutated_results(draw, text):
     for entry in doc["generator"].values():
         entry.update((key, form(matrix)) for key, matrix in entry.items())
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "drop-order",
-                                 "rekey", "break-sparse", "break-binary", "truncate", "repeat"]))
-    malformed = kind in ("drop-order", "rekey", "break-sparse", "break-binary", "truncate",
-                         "repeat")
+                                 "rekey", "break-sparse", "break-sparse-binary", "break-binary",
+                                 "truncate", "repeat"]))
+    malformed = kind in ("drop-order", "rekey", "break-sparse", "break-sparse-binary",
+                         "break-binary", "truncate", "repeat")
     if kind in ("drop", "retype", "nest"):
         field = draw(st.sampled_from(sorted(set(doc) - {"corrections", "generator"})))
         if kind == "drop":
@@ -1422,16 +1510,20 @@ def mutated_results(draw, text):
                                            for key, m in entry.items()
                                            if type(m) is list or m.get("values", True)]))
         binary = type(entry[key]) is dict and "c16" in entry[key]
-        matrix = grid_json(entry[key])
+        matrix = grid_json(entry[key], 2)
         pairs = _first_pairs(draw, matrix)
         pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         entry[key] = binary_json(matrix) if binary else matrix
     elif kind == "break-sparse":
         entry = doc["generator"]["1"]
-        matrix = grid_json(entry["1,0"])
+        matrix = grid_json(entry["1,0"], 2)
         matrix = matrix if type(matrix) is dict else sparse_json(matrix)
         entry["1,0"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
+    elif kind == "break-sparse-binary":
+        entry = doc["generator"]["1"]
+        broken, _ = SPARSE_BINARY_BREAKS[draw(st.sampled_from(sorted(SPARSE_BINARY_BREAKS)))]
+        entry["1,0"] = broken(sparse_binary_json(mat_json(matrix_from_json(entry["1,0"], 2))))
     elif kind == "break-binary":
         entry = doc["generator"]["1"]
         broken, _ = BINARY_BREAKS[draw(st.sampled_from(sorted(BINARY_BREAKS)))]
@@ -1517,8 +1609,8 @@ MISFITS = [("block_sizes", [1]), ("block_sizes", [1, 2]), ("block_sizes", [3]),
 
 @st.composite
 def mutated_problems(draw):
-    """README's minimal problem, its matrices written as grids, sparse or binary, as
-    it is or with one field dropped, retyped or nested, a NaN or infinite part in a
+    """README's minimal problem, its matrices written in one of ``FORMS``, as it is
+    or with one field dropped, retyped or nested, a NaN or infinite part in a
     matrix, a sparse or binary matrix broken, or a mask or block sizes that do not
     fit; and the exit the change must give, if any: 2 for a required field dropped,
     any field given a value it does not convert from or a broken sparse or binary
@@ -1529,8 +1621,9 @@ def mutated_problems(draw):
     for term in terms:
         term["matrix"] = form(term["matrix"])
     kind = draw(st.sampled_from(["valid", "drop", "retype", "nest", "non-finite", "misfit",
-                                 "break-sparse", "break-binary"]))
-    code = {"non-finite": 3, "misfit": 3, "break-sparse": 2, "break-binary": 2}.get(kind)
+                                 "break-sparse", "break-sparse-binary", "break-binary"]))
+    code = {"non-finite": 3, "misfit": 3, "break-sparse": 2, "break-sparse-binary": 2,
+            "break-binary": 2}.get(kind)
     if kind in ("drop", "retype", "nest"):
         target = draw(st.sampled_from([doc] + terms))
         field = draw(st.sampled_from(sorted(target)))
@@ -1547,16 +1640,20 @@ def mutated_problems(draw):
     elif kind == "non-finite":
         term = terms[draw(st.integers(0, 1))]
         binary = type(term["matrix"]) is dict and "c16" in term["matrix"]
-        matrix = grid_json(term["matrix"])
+        matrix = grid_json(term["matrix"], 2)
         pairs = _first_pairs(draw, matrix)
         pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = \
             draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         term["matrix"] = binary_json(matrix) if binary else matrix
     elif kind == "break-sparse":
         term = terms[draw(st.integers(0, 1))]
-        matrix = grid_json(term["matrix"])
+        matrix = grid_json(term["matrix"], 2)
         matrix = matrix if type(matrix) is dict else sparse_json(matrix)
         term["matrix"] = SPARSE_BREAKS[draw(st.sampled_from(sorted(SPARSE_BREAKS)))](matrix)
+    elif kind == "break-sparse-binary":
+        term = terms[draw(st.integers(0, 1))]
+        broken, _ = SPARSE_BINARY_BREAKS[draw(st.sampled_from(sorted(SPARSE_BINARY_BREAKS)))]
+        term["matrix"] = broken(sparse_binary_json(mat_json(matrix_from_json(term["matrix"], 2))))
     elif kind == "break-binary":
         term = terms[draw(st.integers(0, 1))]
         broken, _ = BINARY_BREAKS[draw(st.sampled_from(sorted(BINARY_BREAKS)))]
@@ -2073,13 +2170,15 @@ def test_rotate_result_with_a_repeated_json_key_exit_code(two_level_problem, tmp
     repeat(doc["generator"])
     text = json.dumps(doc).replace('"1,0": "REPEAT"', f'"1,0": {first}, "1,0": {first}')
     # and a key of a sparse or a binary matrix given twice
-    thin = sparse_json(grid_json(json.loads(first)))
+    grid = grid_json(json.loads(first), 2)
+    thin, packed = sparse_json(grid), sparse_binary_json(grid)
     twice = json.dumps(thin).replace('"values"', f'"at": {thin["at"]}, "values"')
+    packed_twice = json.dumps(packed).replace('"c16"', f'"at": {packed["at"]}, "c16"')
     binary = first.replace("{", "{" + first[1:-1] + ", ")
     op_path = tmp_path / "op.json"
     write_json(op_path, {"terms": [{"order": 0, "matrix": mat_json(np.eye(2))}]})
-    for repeated in (text, json.dumps(doc).replace('"REPEAT"', twice),
-                     json.dumps(doc).replace('"REPEAT"', binary)):
+    for repeated in (text, *(json.dumps(doc).replace('"REPEAT"', matrix)
+                             for matrix in (twice, packed_twice, binary))):
         result.write_text(repeated, encoding="utf-8")
         assert main(["rotate", str(two_level_problem), str(result), str(op_path),
                      "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
@@ -2097,7 +2196,7 @@ def test_rotate_generator_that_is_not_anti_hermitian_exit_code(two_level_problem
     def edit(generator):
         matrix = generator["1"]["1,0"]
         if type(matrix) is dict and "c16" in matrix:
-            grid = grid_json(matrix)
+            grid = grid_json(matrix, 2)
             grid[0][1][0] = 5.0
             generator["1"]["1,0"] = binary_json(grid)
         else:

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_json, chain_problem, grid_json, readme_problem, sparse_json, with_grids
+from helpers import (
+    binary_json, chain_problem, grid_json, readme_problem, sparse_binary_json, sparse_json,
+    with_grids,
+)
 import pertkit.cli as cli
 import pertkit.io
 from pertkit.cli import main
@@ -61,11 +64,11 @@ def reference_matrix_to_json(mat):
 
 
 def sparsable_lists(mat):
-    """A ``_Sparsable`` matrix as the JSON it is written as: its sparse object if
-    fewer than ``SPARSE_SHARE`` of its pairs are nonzero, its binary object if
-    not, and its grid if it is empty."""
+    """A ``_Sparsable`` matrix as the JSON it is written as: its sparse object,
+    its values binary, if fewer than ``SPARSE_SHARE`` of its pairs are nonzero,
+    its binary object if not, and its grid if it is empty."""
     dense = reference_matrix_to_json(mat)
-    thin = sparse_json(dense)
+    thin = sparse_binary_json(dense)
     if not mat.size:
         return dense
     return thin if len(thin["at"]) < SPARSE_SHARE * mat.size else binary_json(mat)
@@ -572,8 +575,9 @@ def test_every_written_document_reads_back_to_its_own_bytes(written_documents, n
     raw = path.read_bytes()
     assert not BARE_NEGATIVE_ZERO.search(raw)
     if name.startswith("sigma-y"):  # its -0.0 parts sit in binary generator matrices
-        generator = json.loads(raw)["generator"]
-        grids = [grid_json(mat) for entry in generator.values() for mat in entry.values()]
+        doc = json.loads(raw)
+        grids = [grid_json(mat, doc["dim"]) for entry in doc["generator"].values()
+                 for mat in entry.values()]
         assert NEGATIVE_ZERO.search(json.dumps(grids).encode())
     assert (canonical_json(read_document(str(path), lambda doc, raw: doc)) + "\n").encode() == raw
 
@@ -814,7 +818,7 @@ def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
         written = [mat for entry in doc["generator"].values() for mat in entry.values()]
         assert sorted(conversions) == sorted(type(mat).__name__ for mat in written)
         forms.update("grid" if type(mat) is list else ",".join(sorted(mat)) for mat in written)
-    assert forms == {"grid", "at,values", "c16"}
+    assert forms == {"grid", "at,c16", "c16"}
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +840,9 @@ def test_a_matrix_is_written_sparse_below_a_quarter_of_nonzero_pairs():
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 1], mat[2, 3], mat[3, 0] = 0.5, complex(-0.0, 0.0), 2j
     assert SPARSE_SHARE == 0.25
-    assert canonical_json(_Sparsable(mat)) == '{"at":[1,11,12],"values":[[0.5,0],[-0.0,0],[0,2]]}'
+    values = base64.b64encode(np.array([0.5, complex(-0.0, 0.0), 2j], dtype="<c16")).decode()
+    assert canonical_json(_Sparsable(mat)) == '{"at":[1,11,12],"c16":"' + values + '"}'
+    assert _bits(matrix_from_json(json.loads(canonical_json(_Sparsable(mat))), 4)) == _bits(mat)
     assert canonical_json(written_form(mat, sparse=True)) == canonical_json(_Sparsable(mat))
     assert canonical_json(written_form(mat, sparse=False)) == canonical_json(mat)
     mat[1, 1] = complex(0.0, -0.0)
@@ -852,14 +858,13 @@ def written_form(mat, sparse):
 
 
 def test_a_sparse_generator_reads_back_bit_for_bit(written_documents):
-    # -0.0 parts included: the chain's sparse generator orders hold some; its
-    # orders 3 and 4 are binary
+    # the chain's generator orders 1 and 2 are sparse, 3 and 4 binary (a -0.0
+    # part in a sparse matrix: test_a_matrix_is_written_sparse_below_a_quarter_of_nonzero_pairs)
     path = written_documents["chain"]
     doc = json.loads(path.read_bytes())
     forms = {n: sorted(entry[f"{n},0"]) for n, entry in doc["generator"].items()}
-    assert forms == {"1": ["at", "values"], "2": ["at", "values"], "3": ["c16"], "4": ["c16"]}
+    assert forms == {"1": ["at", "c16"], "2": ["at", "c16"], "3": ["c16"], "4": ["c16"]}
     assert [len(doc["generator"][n][f"{n},0"]["at"]) for n in "12"] == [14, 12]
-    assert "-0.0" in json.dumps([doc["generator"][n] for n in "12"])
     spec, digest = load_problem(str(path.with_name("chain.json")))
     result = run_fd(spec.to_graded(), max_order=4)
     read = load_result(str(path)).generator
@@ -907,7 +912,8 @@ def test_sparse_problem_and_operator_give_their_dense_twins_bytes(tmp_path):
     ({"at": 1, "values": [[1, 0]]}, "'at' must be a list of integers, got 1"),
     ({"at": [1, 2], "values": [[1, 0]]}, "'values' must be a list of 2 [re, im] pairs"),
     ({"at": [], "values": [[1, 0]]}, "'values' must be a list of 0 [re, im] pairs"),
-    ({"at": [1]}, "holds the keys 'at' and 'values' (sparse) or 'c16' (binary) alone, got ['at']"),
+    ({"at": [1]}, "holds the keys 'at' and 'c16' (sparse), 'at' and 'values' (sparse) or 'c16' "
+                  "(binary) alone, got ['at']"),
     ({"at": [1], "values": [[1, 0]], "dim": 2}, "alone, got ['at', 'dim', 'values']"),
     ({"at": [1], "values": [["1", 0]]}, "a matrix entry must be a number, got '1'"),
     ({"at": [1], "values": [[1, None]]}, "a matrix entry must be a number, got None"),
@@ -923,9 +929,10 @@ def test_a_malformed_sparse_matrix_is_refused(data, message):
 
 
 def test_an_empty_sparse_matrix_is_zero():
-    zero = matrix_from_json({"at": [], "values": []}, 3)
-    assert _bits(zero) == _bits(np.zeros((3, 3), dtype=complex))
-    assert canonical_json(_Sparsable(zero)) == '{"at":[],"values":[]}'
+    for empty in ({"at": [], "values": []}, {"at": [], "c16": ""}):
+        zero = matrix_from_json(empty, 3)
+        assert _bits(zero) == _bits(np.zeros((3, 3), dtype=complex))
+    assert canonical_json(_Sparsable(zero)) == '{"at":[],"c16":""}'
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +945,7 @@ def test_a_matrix_above_the_size_limit_is_refused_before_it_is_allocated(tmp_pat
     monkeypatch.setattr(pertkit.io, "MAX_MATRIX_BYTES", 16 * 3 * 3)
     dense = reference_matrix_to_json(np.eye(4))
     path = tmp_path / "operator.json"
-    for matrix in (dense, sparse_json(dense)):
+    for matrix in (dense, sparse_json(dense), sparse_binary_json(dense)):
         path.write_text(json.dumps({"terms": [{"order": 0, "matrix": matrix}]}), encoding="utf-8")
         with pytest.raises(PertError, match="a 4x4 complex matrix takes 256 bytes, more than "
                                             "the 144 a matrix may take"):
@@ -954,13 +961,13 @@ def test_a_binary_matrix_above_the_size_limit_is_refused_before_it_is_decoded(tm
 
     monkeypatch.setattr(pertkit.io, "MAX_MATRIX_BYTES", 16 * 3 * 3)
     path = tmp_path / "operator.json"
-    path.write_text(json.dumps({"terms": [{"order": 0, "matrix": binary_json(np.eye(4))}]}),
-                    encoding="utf-8")
-    with monkeypatch.context() as patched:
-        patched.setattr(pertkit.io.base64, "b64decode", decode)
-        with pytest.raises(PertError, match="a 4x4 complex matrix takes 256 bytes, more than "
-                                            "the 144 a matrix may take"):
-            load_operator(str(path), 4, None)
+    for matrix in (binary_json(np.eye(4)), sparse_binary_json(reference_matrix_to_json(np.eye(4)))):
+        path.write_text(json.dumps({"terms": [{"order": 0, "matrix": matrix}]}), encoding="utf-8")
+        with monkeypatch.context() as patched:
+            patched.setattr(pertkit.io.base64, "b64decode", decode)
+            with pytest.raises(PertError, match="a 4x4 complex matrix takes 256 bytes, more than "
+                                                "the 144 a matrix may take"):
+                load_operator(str(path), 4, None)
     assert _bits(matrix_from_json(binary_json(np.eye(3)), 3)) == _bits(np.eye(3, dtype=complex))
 
 
@@ -970,7 +977,8 @@ def test_a_binary_matrix_above_the_size_limit_is_refused_before_it_is_decoded(tm
 
 
 @pytest.mark.parametrize("data, message", [
-    ({}, "holds the keys 'at' and 'values' (sparse) or 'c16' (binary) alone, got []"),
+    ({}, "holds the keys 'at' and 'c16' (sparse), 'at' and 'values' (sparse) or 'c16' (binary) "
+         "alone, got []"),
     ({"c16": "A" * 88, "x": 1}, "or 'c16' (binary) alone, got ['c16', 'x']"),
     ({"c16": 5}, "a binary matrix's 'c16' must be a base64 string, got int"),
     ({"c16": b"A" * 88}, "a binary matrix's 'c16' must be a base64 string, got bytes"),
@@ -989,19 +997,27 @@ def test_a_malformed_binary_matrix_is_refused(data, message):
 
 def test_rotating_against_binary_or_grid_generator_gives_the_same_bytes(written_documents,
                                                                         tmp_path):
-    # the chain's generator orders 3 and 4 are binary, README's fd generator is
+    # the chain's generator orders 1 and 2 are sparse and 3 and 4 binary,
+    # README's fd generator is binary; each is given as grids, and the chain's
+    # sparse orders in the text form results were once written in
     path = written_documents["chain"]
     doc = json.loads(path.read_bytes())
-    grids = tmp_path / "chain-grids.json"
-    grids.write_text(json.dumps(with_grids(doc)), encoding="utf-8")
-    assert b'"c16"' in path.read_bytes() and b'"c16"' not in grids.read_bytes()
+    text_values = {**doc, "generator": {n: {key: sparse_json(grid_json(mat, 8)) if "at" in mat
+                                            else mat for key, mat in entry.items()}
+                                        for n, entry in doc["generator"].items()}}
     number = tmp_path / "number.json"
     number.write_text(json.dumps({"terms": [
         {"order": 0, "matrix": reference_matrix_to_json(np.diag(np.arange(8.0)))}]}))
     rotated = tmp_path / "rotated.json"
-    assert main(["rotate", str(path.with_name("chain.json")), str(grids), str(number),
-                 "--order", "4", "--out", str(rotated)]) == 0
-    assert rotated.read_bytes() == written_documents["chain-rotated"].read_bytes()
+    for name, edited in (("grids", with_grids(doc)), ("text-values", text_values)):
+        source = tmp_path / f"chain-{name}.json"
+        source.write_text(json.dumps(edited), encoding="utf-8")
+        assert main(["rotate", str(path.with_name("chain.json")), str(source), str(number),
+                     "--order", "4", "--out", str(rotated)]) == 0
+        assert rotated.read_bytes() == written_documents["chain-rotated"].read_bytes(), name
+    grids = tmp_path / "chain-grids.json"
+    assert b'"c16"' in path.read_bytes() and b'"c16"' not in grids.read_bytes()
+    assert b'"values"' in (tmp_path / "chain-text-values.json").read_bytes()
 
     grids = tmp_path / "fd-grids.json"
     grids.write_text(json.dumps(with_grids(json.loads(written_documents["fd"].read_bytes()))),
@@ -1054,7 +1070,8 @@ def generated_problems(draw):
 
 def test_generated_problems_read_back_to_their_own_bytes(tmp_path):
     # every document written reads back to its bytes, and every generator
-    # matrix to its bits, sparse, binary or rewritten as a grid
+    # matrix to its bits, sparse or binary as written or rewritten as a grid;
+    # a matrix is sparse if, and only if, fewer than 1/4 of its pairs are nonzero
     problem, result, grids = (tmp_path / name for name in ("p.json", "r.json", "g.json"))
     operator, rotated = tmp_path / "op.json", tmp_path / "rotated.json"
     forms, kinds = set(), set()
@@ -1075,8 +1092,15 @@ def test_generated_problems_read_back_to_their_own_bytes(tmp_path):
             assert read.keys() == want.keys()
             for n, entry in read.items():
                 _assert_same_bits(entry, want[n])
-        forms.update(",".join(sorted(mat)) for entry in written["generator"].values()
-                     for mat in entry.values())
+        for n, entry in written["generator"].items():
+            for key, mat in entry.items():
+                nonzero = sparse_json(reference_matrix_to_json(want[int(n)].terms[
+                    tuple(map(int, key.split(",")))]))["at"]
+                form = ",".join(sorted(mat))
+                assert form == ("at,c16" if len(nonzero) < SPARSE_SHARE * doc["dim"] ** 2
+                                else "c16"), (n, key, form)
+                assert mat.get("at", nonzero) == nonzero
+                forms.add(form)
         operator.write_text(json.dumps({"omega_d": doc.get("omega_d"), "terms": doc["terms"][:2]}),
                             encoding="utf-8")
         assert main(["rotate", str(problem), str(result), str(operator), "--order",
@@ -1087,6 +1111,6 @@ def test_generated_problems_read_back_to_their_own_bytes(tmp_path):
                     ).encode() == raw
 
     check()
-    assert forms == {"at,values", "c16"}
+    assert forms == {"at,c16", "c16"}
     assert {kind for kind, _ in kinds} == {"static", "driven", "sigma"}
     assert {method for _, method in kinds} == {"fd", "swt", "la"}
