@@ -83,7 +83,7 @@ def cmd_rotate(args) -> int:
 def cmd_oracle(args) -> int:
     spec, digest = io.load_problem(args.input)
     blocks = spec.block_sizes
-    if args.blocks:
+    if args.blocks is not None:
         with io.converting("--blocks"):
             blocks = [io.as_int(float(s)) for s in args.blocks.split(",")]
     if blocks is None:

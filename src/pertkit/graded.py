@@ -333,16 +333,6 @@ class GradedOperator(GradedSum):
             self.omega_d,
         )
 
-    def time_derivative(self) -> "GradedOperator":
-        """d/dt of the operator: multiplies each term by i*k*omega_d.
-
-        Static content (k = 0) drops out.  The i*hbar factor appearing in
-        time-dependent generator conditions is applied by callers.
-        """
-        derivative = GradedSum({(j, k): (1j * k * self.omega_d) * mat
-                                for (j, k), mat in self.terms.items() if k != 0})
-        return GradedOperator._adopt(self.dim, derivative, self.omega_d)
-
     def where(self, keep: np.ndarray) -> "GradedOperator":
         """Per key, the entries where ``keep`` holds and zero elsewhere, frozen."""
         return GradedOperator._adopt(self.dim, super().where(keep), self.omega_d)

@@ -32,6 +32,16 @@ d - 2 + s1 + s2.  Otherwise pairwise cross-block swaps climb the sum from the
 greedy assignment until none improves it; the swaps of one row with the
 rows of one partner block are scored by one stacked SVD.  The certificate,
 the swaps and the conditioning check each act on one sector at a time.
+
+The oracle computes in its input's field, by the engine's rule
+(``graded.common_field``): a matrix with no nonzero imaginary part is taken
+as its float64 real part, so eigh, the phase fix (a pivot's sign), the
+polar factor and the products run real; one nonzero imaginary part keeps
+it complex.  What it hands out is complex128 either
+way.  H_block is the in-block part of (P + P^dag) / 2, P = U H U^dag:
+exactly hermitian and exactly 0 across blocks.  P is both in exact
+arithmetic, since B(X^dag) B(X) passed the conditioning check, so only the
+product's round-off, of order eps ||H||_2, is dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import numpy as np
 from .engine import TransformResult
 from .errors import IllConditionedBlocks, PertError
 from .graded import GradedOperator
-from .least_action import BlockStructure, _la_orders
+from .least_action import BlockStructure, _hermitian_part, _la_orders
 
 #: Smallest admissible eigenvalue of B(X^dag) B(X).
 CONDITION_FLOOR = 1e-8
@@ -95,9 +105,12 @@ def evaluate_at(g: GradedOperator, lam: float, t: float | None = None) -> np.nda
 
 
 def _as_matrix(h: np.ndarray) -> np.ndarray:
+    """h validated, as float64 if no entry has a nonzero imaginary part, else complex128."""
     mat = np.asarray(h, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not mat.imag.any():
+        mat = np.ascontiguousarray(mat.real)
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     spread = np.abs(mat)  # |H - c 1|, c the mean diagonal: no shift of H changes it
@@ -132,9 +145,11 @@ def ordered_eigensystem(h: np.ndarray) -> OrderedEigensystem:
     Columns are matched to basis indices greedily by descending weight
     |X_ij|^2, then each eigenvector's phase is fixed so its assigned diagonal
     entry of X is real and positive.  In the perturbative regime X is then
-    close to the identity.
+    close to the identity.  X is complex128 in either field.
     """
-    return _ordered_eigensystem(_as_matrix(h))
+    system = _ordered_eigensystem(_as_matrix(h))
+    system.X = system.X.astype(complex, copy=False)
+    return system
 
 
 def _ordered_eigensystem(mat: np.ndarray) -> OrderedEigensystem:
@@ -147,7 +162,7 @@ def _ordered_eigensystem(mat: np.ndarray) -> OrderedEigensystem:
     # differ in the last bit from its scalar division
     pivots = v.diagonal()
     live = np.abs(pivots) > 0
-    v[:, live] *= np.array([np.conj(p) / abs(p) for p in pivots[live]], dtype=complex)
+    v[:, live] *= np.array([np.conj(p) / abs(p) for p in pivots[live]], dtype=v.dtype)
     return OrderedEigensystem(X=v.conj().T, eigenvalues=w)
 
 
@@ -238,13 +253,16 @@ def _sectors(mat: np.ndarray) -> list[np.ndarray]:
 
 
 def _block_diagonalize(mat: np.ndarray, keep: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(U_dagger, H_block) of one sector, with in-block mask ``keep`` and block ``sizes``."""
+    """(U_dagger, H_block) of one sector, with in-block mask ``keep`` and block ``sizes``.
+
+    H_block is the in-block part of the hermitian part of U H U^dag.
+    """
     x = _ordered_eigensystem(mat).X
     if not _certified_optimal(x, keep):
         x = _swap_ascent(x, sizes)
     bx = np.where(keep, x, 0.0)
     u_dagger = x.conj().T @ bx @ _inverse_sqrt_psd(bx.conj().T @ bx)
-    return u_dagger, u_dagger.conj().T @ mat @ u_dagger
+    return u_dagger, np.where(keep, _hermitian_part(u_dagger.conj().T @ mat @ u_dagger), 0.0)
 
 
 def exact_block_diagonalize(
@@ -261,11 +279,15 @@ def exact_block_diagonalize(
     in each block, empty blocks dropped); no mask is built per sector, and
     a one-level sector is the identity.  Entries of U_dagger and H_block
     between two sectors are exactly 0, because they are never formed.
-    Inside a sector, the cross-block entries of H_block are the product's,
-    not zeroed, each of order eps ||H||_2 (below 1e-15 ||H||_2 on transmon,
-    d = 64, and EDSR, d = 40).  Each sector's eigenvector-to-block
-    assignment is the greedy one where the certificate proves it optimal,
-    else the local maximum of pairwise swaps (module docstring).  Raises
+    The solve runs real when no entry of h has a nonzero imaginary part
+    (module docstring); U_dagger and H_block are complex128 either way.
+    H_block is exactly hermitian and exactly 0 across blocks: inside a
+    sector it is the in-block part of (P + P^dag) / 2, P = U H U^dag, so
+    what is dropped is P's round-off, of order eps ||H||_2 (below
+    1e-15 ||H||_2 on transmon, d = 64, and EDSR, d = 40).  Each sector's
+    eigenvector-to-block assignment is the greedy one where the
+    certificate proves it optimal, else the local maximum of pairwise
+    swaps (module docstring).  Raises
     IllConditionedBlocks if B(X^dag) B(X) of any sector's assignment has
     an eigenvalue below CONDITION_FLOOR.
     """
@@ -278,7 +300,8 @@ def exact_block_diagonalize(
     sectors = _sectors(mat)
     # one sector is all fig3 and EDSR send: through the loop a fig3 call took 35-75 us more
     if len(sectors) == 1:
-        return _block_diagonalize(mat, keep, blocks.sizes)
+        u_dagger, h_block = _block_diagonalize(mat, keep, blocks.sizes)
+        return u_dagger.astype(complex, copy=False), h_block.astype(complex, copy=False)
     label = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
     u_dagger = np.zeros_like(mat)
     h_block = np.zeros_like(mat)
@@ -287,11 +310,11 @@ def exact_block_diagonalize(
         # without this, eigh on each level of a diagonal d = 64 matrix ran 6x slower
         if levels.size == 1:
             u_dagger[cell] = 1.0
-            h_block[cell] = mat[cell]
+            h_block[cell] = mat[cell].real
             continue
         sizes = np.bincount(label[levels])
         u_dagger[cell], h_block[cell] = _block_diagonalize(mat[cell], keep[cell], sizes[sizes > 0])
-    return u_dagger, h_block
+    return u_dagger.astype(complex, copy=False), h_block.astype(complex, copy=False)
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:

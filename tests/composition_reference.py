@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from helpers import time_derivative
 from pertkit.engine import Mask, EigenFrame, EliminationTable, DEFAULT_RES_TOL
 from pertkit.graded import GradedOperator, commutator, zero_operator
 from pertkit.least_action import BlockStructure
@@ -211,7 +212,7 @@ def reference_transform(
                 known = known + part
         masked = known.where(mask.eliminate)
         generator[n] = GradedOperator._adopt(h.dim, table.solve_sum(n, masked), omega_d)
-        ds = generator[n].time_derivative()
+        ds = time_derivative(generator[n])
         if not ds.is_zero:
             d_generator[n] = ds
         corrections[n] = known - masked

@@ -1,5 +1,5 @@
-"""Small helpers that only the tests use: a model mask, a closed-form level, a table
-reduction, README's minimal problem, a problem whose generator is written sparse, a
+"""Small helpers that only the tests use: a model mask, a closed-form level, a graded
+operator's time derivative, a table reduction, README's minimal problem, a problem whose generator is written sparse, a
 matrix's JSON forms (sparse with binary or text values, and binary), a matrix with
 binary values as its grid, and the command line run in its own process."""
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from pertkit.engine import Mask
 from pertkit.experiments import EtaRow
+from pertkit.graded import GradedOperator, GradedSum
 from pertkit.models import TransmonParams
 
 
@@ -36,6 +37,17 @@ def edsr_parity_mask(n_max: int) -> Mask:
 def transmon_energy(p: TransmonParams, n_t: int, n_r: int) -> float:
     """Bare level w_t n_t + w_r n_r + (alpha/2) n_t (n_t - 1)."""
     return p.omega_t * n_t + p.omega_r * n_r + 0.5 * p.alpha * n_t * (n_t - 1)
+
+
+def time_derivative(op: GradedOperator) -> GradedOperator:
+    """d/dt of a graded operator: each term times i k omega_d.
+
+    Static content (k = 0) drops out.  The i*hbar factor of a time-dependent
+    generator condition is the caller's.
+    """
+    derivative = GradedSum({(j, k): (1j * k * op.omega_d) * mat
+                            for (j, k), mat in op.terms.items() if k != 0})
+    return GradedOperator._adopt(op.dim, derivative, op.omega_d)
 
 
 def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:

@@ -1359,6 +1359,24 @@ def test_oracle_blocks_that_are_not_integers_exit_code(tmp_path, capsys, blocks)
     assert "malformed --blocks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block_sizes", [[1, 1], None], ids=["problem-blocks", "no-problem-blocks"])
+@pytest.mark.parametrize("blocks", ["", " "], ids=["empty", "blank"])
+def test_oracle_empty_blocks_exit_code(tmp_path, capsys, block_sizes, blocks):
+    # an empty --blocks fell back to the problem's block_sizes and exited 0, and
+    # without them was reported as missing, while a blank one exited 2
+    doc = {"dim": 2, "method": "la", "max_order": 2,
+           "terms": [{"order": 0, "matrix": mat_json(np.diag([0.0, 2.0]))}]}
+    if block_sizes is not None:
+        doc["block_sizes"] = block_sizes
+    path = tmp_path / "problem.json"
+    write_json(path, doc)
+    out = tmp_path / "oracle.json"
+    out.write_bytes(b"an earlier document\n")
+    assert main(["oracle", str(path), "--blocks", blocks, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier document\n"
+    assert "malformed --blocks" in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("blocks, code, message", [
     (None, 2, "oracle needs --blocks or block_sizes"),
     ("1,2", 3, "block sizes must sum to the matrix dimension"),

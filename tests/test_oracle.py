@@ -130,7 +130,8 @@ def test_unitarity_and_block_structure_random():
         u = u_dagger.conj().T
         assert np.abs(u @ u_dagger - np.eye(6)).max() < 1e-10
         cross = ~blocks.in_block()
-        assert np.abs(h_block[cross]).max() < 1e-10 * np.abs(h_block).max()
+        assert not h_block[cross].any()
+        assert np.array_equal(h_block, h_block.conj().T)
 
 
 def _transmon_d64():
@@ -144,14 +145,56 @@ def _edsr_d40():
     return evaluate_at(h_b + v + drive, 1.0, 0.3), [20, 20]
 
 
+def _edsr_static_d40():
+    p = EDSRParams(omega=1.0, omega_z=0.6, omega_d=0.45, b_sl=0.02, e0=0.015, n_max=20)
+    h_b, v, drive = build_edsr(p)
+    return evaluate_at(h_b + v + drive, 1.0, 0.0), [20, 20]
+
+
 @pytest.mark.parametrize("model", [_transmon_d64, _edsr_d40], ids=["transmon-d64", "edsr-d40"])
 def test_block_diagonal_to_round_off_of_the_spectral_norm(model):
-    # the cross-block entries of U H U^dag are not zeroed: each is round-off,
-    # below 1e-15 of ||H||_2 on both models (1e-14 pinned)
+    # H_block is exactly hermitian and 0 across blocks; the product U H U^dag
+    # formed from the returned U^dag is both to round-off, below 1e-15 of
+    # ||H||_2 on both models (1e-14 pinned), and its in-block hermitian part
+    # is H_block to round-off: only round-off is dropped
     h, sizes = model()
-    _, h_block = exact_block_diagonalize(h, sizes)
-    cross = ~BlockStructure(tuple(sizes)).in_block()
-    assert np.abs(h_block[cross]).max() <= 1e-14 * np.linalg.norm(h, 2)
+    u_dagger, h_block = exact_block_diagonalize(h, sizes)
+    keep = BlockStructure(tuple(sizes)).in_block()
+    assert not h_block[~keep].any()
+    assert np.array_equal(h_block, h_block.conj().T)
+    product = u_dagger.conj().T @ h @ u_dagger
+    norm = np.linalg.norm(h, 2)
+    assert np.abs(product[~keep]).max() <= 1e-14 * norm
+    in_block = np.where(keep, (product + product.conj().T) / 2, 0.0)
+    assert np.abs(in_block - h_block).max() <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("model", [_transmon_d64, _edsr_static_d40],
+                         ids=["transmon-d64", "edsr-static-d40"])
+def test_a_real_input_is_solved_real_and_handed_out_complex(model, monkeypatch):
+    # the same matrix with a 1e-300 imaginary part on one coupling pair is
+    # solved in complex arithmetic; both hand out complex128, agreeing to
+    # round-off, and the real solve's imaginary parts are all +0.0
+    h, sizes = model()
+    assert not h.imag.any()
+    nudged = h.copy()
+    i, j = np.argwhere(np.triu(h, 1) != 0)[0]
+    nudged[i, j] += 1e-300j
+    nudged[j, i] -= 1e-300j
+    inverse_sqrt, fields = oracle._inverse_sqrt_psd, []
+    monkeypatch.setattr(oracle, "_inverse_sqrt_psd",
+                        lambda mat: fields.append(mat.dtype) or inverse_sqrt(mat))
+    real = exact_block_diagonalize(h, sizes)
+    assert set(fields) == {np.dtype(float)}
+    fields.clear()
+    complex_ = exact_block_diagonalize(nudged, sizes)
+    assert set(fields) == {np.dtype(complex)}
+    norm = np.linalg.norm(h, 2)
+    for got, want, scale in zip(real, complex_, (1.0, norm)):
+        assert got.dtype == want.dtype == np.dtype(complex)
+        assert not got.imag.any() and not np.signbit(got.imag).any()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    assert ordered_eigensystem(h).X.dtype == ordered_eigensystem(nudged).X.dtype == np.dtype(complex)
 
 
 def test_rejects_non_hermitian():
@@ -222,7 +265,8 @@ def test_sectors_are_solved_apart_on_levels_degenerate_across_them():
         assert not u_dagger[between].any() and not h_block[between].any()
         assert np.linalg.norm(u_dagger - np.eye(16), 2) < 0.1
         assert np.abs(u_dagger.conj().T @ u_dagger - np.eye(16)).max() < 1e-12
-        assert np.abs(h_block[~blocks.in_block()]).max() < 1e-14 * np.linalg.norm(h, 2)
+        assert not h_block[~blocks.in_block()].any()
+        assert np.array_equal(h_block, h_block.conj().T)
         np.testing.assert_allclose(np.linalg.eigvalsh(h_block), np.linalg.eigvalsh(h), atol=1e-12)
 
 
@@ -315,23 +359,33 @@ def test_a_diagonal_matrix_is_its_own_one_level_sectors():
     u_dagger, h_block = exact_block_diagonalize(h, [1, 3])
     np.testing.assert_array_equal(u_dagger, np.eye(4))
     np.testing.assert_array_equal(h_block, h)
+    # a diagonal that is hermitian only to round-off keeps its real part
+    _, h_block = exact_block_diagonalize(h + np.diag([1e-14j, 0, 0, 0]), [1, 3])
+    np.testing.assert_array_equal(h_block, h)
 
 
 def test_one_ill_conditioned_sector_is_enough_to_raise(monkeypatch):
     # sectors {0, 2} (weakly coupled across the blocks) and {1, 3} (strongly
     # mixed): with the floor raised between their smallest B(X^dag) B(X)
-    # eigenvalues, the mixed sector alone fails and so does the whole problem
-    h = np.zeros((4, 4))
-    h[[0, 1, 2, 3], [0, 1, 2, 3]] = [0.0, 1.0, 1.0, 1.2]
-    h[0, 2] = h[2, 0] = 0.01
-    h[1, 3] = h[3, 1] = 1.0
-    exact_block_diagonalize(h, [2, 2])
-    monkeypatch.setattr(oracle, "CONDITION_FLOOR", 0.9)
-    exact_block_diagonalize(h[np.ix_([0, 2], [0, 2])], [1, 1])
-    with pytest.raises(IllConditionedBlocks):
-        exact_block_diagonalize(h[np.ix_([1, 3], [1, 3])], [1, 1])
-    with pytest.raises(IllConditionedBlocks):
-        exact_block_diagonalize(h, [2, 2])
+    # eigenvalues, the mixed sector alone fails and so does the whole
+    # problem, solved real and, with 1e-300 imaginary parts on both
+    # couplings, complex
+    real = np.zeros((4, 4))
+    real[[0, 1, 2, 3], [0, 1, 2, 3]] = [0.0, 1.0, 1.0, 1.2]
+    real[0, 2] = real[2, 0] = 0.01
+    real[1, 3] = real[3, 1] = 1.0
+    nudged = real.astype(complex)
+    nudged[[0, 1], [2, 3]] += 1e-300j
+    nudged[[2, 3], [0, 1]] -= 1e-300j
+    for h in (real, nudged):
+        with monkeypatch.context() as patch:
+            exact_block_diagonalize(h, [2, 2])
+            patch.setattr(oracle, "CONDITION_FLOOR", 0.9)
+            exact_block_diagonalize(h[np.ix_([0, 2], [0, 2])], [1, 1])
+            with pytest.raises(IllConditionedBlocks):
+                exact_block_diagonalize(h[np.ix_([1, 3], [1, 3])], [1, 1])
+            with pytest.raises(IllConditionedBlocks):
+                exact_block_diagonalize(h, [2, 2])
 
 
 def test_eigen_ordering_is_shift_invariant():
