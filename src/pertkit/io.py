@@ -33,19 +33,19 @@ it as malformed.  A matrix that would take more than ``MAX_MATRIX_BYTES``
 is refused (PertError) before it is allocated or decoded, since a few
 bytes of sparse document can declare any ``dim``.
 
-``read_document`` walks a well-formed top-level object itself and decodes
-each member with its own hook, chosen by the member's key.  A member the
-caller reads converts each dense matrix as the decoder closes the object
-that holds it (the value of a "matrix" key, or of a "j,k" key in a result
-series), while its [re, im] lists are still in the cache.  A value that
-does not convert stays as decoded, for its reader to report, and so does a
-sparse or binary matrix, which only its reader, knowing ``dim``, converts;
-rendered again by ``canonical_json``, that decoded object gives its own
-bytes.  A
-member the caller names as unread (a result's "corrections", which
-``rotate`` never reads) is checked as JSON and for repeated keys, but not
-converted.  Any other text is decoded again by ``json.loads``, whose
-verdict and messages the reader keeps.
+``read_document`` decodes with ``json.loads``, whose verdict and messages
+the reader keeps, and an object hook that checks each object's keys as it
+closes.  The default hook, ``_unique_keys``, converts each dense matrix
+there (the value of a "matrix" key, or of a "j,k" key in a result series),
+while its [re, im] lists are still in the cache.  A value that does not
+convert stays as decoded, for its reader to report, and so does a sparse or
+binary matrix, which only its reader, knowing ``dim``, converts; rendered
+again by ``canonical_json``, that decoded object gives its own bytes.
+``load_result``'s hook, ``_result_hook``, drops every list under a "j,k"
+key instead, so the corrections, which ``rotate`` never reads, are checked
+as JSON but not converted.  A generator that holds a grid (the form of the
+versions before sparse generators) sends the read to a second pass, which
+converts each such list from that grid's place on.
 
 Decoding and conversion run with the cyclic garbage collector paused.
 Decoded JSON is a tree of dicts, lists and scalars, and the conversion
@@ -101,8 +101,7 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from json.decoder import WHITESPACE, scanstring
+from itertools import chain, count
 from typing import Any, Callable, NamedTuple, TypeVar
 
 import numpy as np
@@ -480,96 +479,73 @@ def _keys_once(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A decoded object, its keys each given once and its matrices converted.
+def _grid(value):
+    """``value`` as a complex array if it is a square grid of [re, im] pairs,
+    and as decoded if not, for its reader to report: an exception raised here
+    would read as a document that does not decode."""
+    try:
+        return matrix_from_json(value, len(value))
+    except (ValueError, OverflowError):
+        return value
 
-    The value of a "matrix" key, or of a key with a comma such as a series'
-    "j,k", becomes a complex array if it is a square grid of [re, im] pairs.
-    Any other value stays as decoded for its reader to report: an exception
-    raised here would read as a document that does not decode.
-    """
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded object, its keys each given once and its matrices converted:
+    each list under a "matrix" key, or under a key with a comma such as a
+    series' "j,k", by ``_grid``."""
     obj = _keys_once(pairs)
     for key, value in pairs:
         if type(value) is list and (key == "matrix" or "," in key):
-            try:
-                obj[key] = matrix_from_json(value, len(value))
-            except (ValueError, OverflowError):
-                pass
+            obj[key] = _grid(value)
     return obj
 
 
-def _unread(pairs: list[tuple[str, Any]]) -> None:
-    """An object of a member no reader reads: its keys checked, the object dropped."""
-    _keys_once(pairs)
+class _Dropped(int):
+    """A list that ``_result_hook`` dropped: its place among the lists under a
+    key with a comma, numbered in the order their objects close."""
 
 
-#: The scanner of a member that is read and of one that is not.
-_SCANNERS = tuple(json.JSONDecoder(object_pairs_hook=hook).scan_once
-                  for hook in (_unique_keys, _unread))
-_space = WHITESPACE.match
+class _GridDropped(Exception):
+    """A result's generator holds a grid; its argument is the grid's place."""
 
 
-def _top_level_object(s: str, unread: tuple[str, ...], read, skip) -> dict | None:
-    """The top-level object of ``s``, each member decoded by ``skip`` if its key
-    is in ``unread`` and by ``read`` if not; None at the first character that
-    does not continue a well-formed object."""
-    at = _space(s, 0).end()
-    if not s.startswith("{", at):
-        return None
-    pairs, at = [], _space(s, at + 1).end()
-    more = not s.startswith("}", at)  # decided before a key is read: {"a:-0"} is not {}
-    while more:
-        if not s.startswith('"', at):
-            return None
-        key, at = scanstring(s, at + 1)
-        at = _space(s, at).end()
-        if not s.startswith(":", at):
-            return None
-        value, at = (skip if key in unread else read)(s, _space(s, at + 1).end())
-        pairs.append((key, value))
-        at = _space(s, at).end()
-        more = s.startswith(",", at)
-        at = _space(s, at + more).end()
-    if not s.startswith("}", at) or _space(s, at + 1).end() != len(s):
-        return None
-    return _unique_keys(pairs)
+def _result_hook(first_kept: float = math.inf) -> Callable[[list], dict]:
+    """The object hook of a result read: each object's keys given once.
 
-
-def _decode(raw: bytes, unread: tuple[str, ...]) -> Any:
-    """``json.loads(raw, object_pairs_hook=_unique_keys)``, but a member of the
-    top-level object whose key is in ``unread`` is decoded by ``_unread``.
-
-    A well-formed top-level object is walked here, each member's scanner
-    chosen by its key; wherever the walk or a scanner stops, ``json.loads``
-    decodes the text again and gives the verdict.
+    Each list under a key with a comma (a series' "j,k") is dropped as its
+    object closes and read as its place, a ``_Dropped``, so no correction
+    grid is converted and at most one entry's lists are alive at a time.
+    From the ``first_kept``-th on, each is converted by ``_grid`` instead.
     """
-    s = raw.decode(json.detect_encoding(raw), "surrogatepass")
-    try:
-        doc = _top_level_object(s, unread, *_SCANNERS)
-    except (ValueError, StopIteration, RecursionError):
-        doc = None
-    if doc is None:
-        doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    return doc
+    places = count()
+
+    def hook(pairs: list[tuple[str, Any]]) -> dict:
+        obj = _keys_once(pairs)
+        for key, value in pairs:
+            if type(value) is list and "," in key:
+                place = next(places)
+                obj[key] = _Dropped(place) if place < first_kept else _grid(value)
+        return obj
+
+    return hook
 
 
 def read_document(path: str, convert: Callable[[dict, bytes], T],
-                  unread: tuple[str, ...] = ()) -> T:
+                  hook: Callable[[list], dict] = _unique_keys) -> T:
     """``convert(doc, raw)`` for the JSON object ``doc`` stored at ``path``.
 
-    ``raw`` is the file's bytes.  A file that cannot be read, or does not
-    hold a JSON object whose keys are each given once, raises
-    ProblemFormatError.  A member whose key is in ``unread`` is checked as
-    JSON and for repeated keys, but its matrices are never converted; in
-    every other member each matrix is converted as the decoder closes its
-    object (``_decode``).  The collector stays paused until the decoded tree
-    is dropped, so no pass ever walks it.
+    ``raw`` is the file's bytes, decoded by ``json.loads`` with ``hook`` as
+    its object hook (``_unique_keys`` converts each matrix as the decoder
+    closes its object).  A file that cannot be read, or does not hold a JSON
+    object whose keys are each given once, raises ProblemFormatError; where
+    ``json.loads`` refuses the text, with its message.  The collector stays
+    paused until the decoded tree is dropped, so no collection ever walks it.
     """
     with collector_paused():
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-            doc = _decode(raw, unread)
+            doc = json.loads(raw, object_pairs_hook=hook)
         except (OSError, ValueError, RecursionError) as err:
             raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
         if not isinstance(doc, dict):
@@ -767,6 +743,8 @@ def _series_from_json(data: dict, dim: int, omega_d: float | None) -> dict[int, 
             j, k = _canonical_int(j_str), _canonical_int(k_str)
             if j != order:
                 raise ValueError(f"key {jk!r} is filed under order {order}")
+            if type(mat) is _Dropped:
+                raise _GridDropped(mat)
             terms[(j, k)] = matrix_from_json(mat, dim)
         series[order] = GradedOperator(dim, terms, omega_d=omega_d)
     return series
@@ -804,8 +782,18 @@ class ResultView:
 
 
 def load_result(path: str) -> ResultView:
-    """The result at ``path``; its corrections are checked as JSON but not converted."""
-    return read_document(path, _result_view, unread=("corrections",))
+    """The result at ``path``; its corrections are checked as JSON but not converted.
+
+    A result whose generator holds a grid, as the versions before sparse
+    generators wrote, is read again, each list from that grid's place on
+    converted (``_result_hook``); a pass is released before the next starts.
+    """
+    first_kept = math.inf
+    while True:
+        try:
+            return read_document(path, _result_view, _result_hook(first_kept))
+        except _GridDropped as grid:  # each pass's place is below the last: the loop ends
+            first_kept = grid.args[0]
 
 
 def _result_view(doc: dict, raw: bytes) -> ResultView:

@@ -156,28 +156,6 @@ def spin_sector(mat: np.ndarray, n_max: int) -> np.ndarray:
     return np.asarray(mat, dtype=complex)[np.ix_(idx, idx)]
 
 
-def sigma_z_fock_coefficient(mat: np.ndarray, n_max: int) -> np.ndarray:
-    """Per-Fock-entry sigma_z coefficient: (up block - down block) / 2."""
-    mat = np.asarray(mat, dtype=complex)
-    up = mat[:n_max, :n_max]
-    down = mat[n_max:, n_max:]
-    return (up - down) / 2
-
-
-def sigma_x_drive_amplitude(g: GradedOperator, n_max: int) -> float:
-    """Amplitude of cos(w_d t) sigma_x on the qubit (vacuum projection).
-
-    The harmonic +1 and -1 parts contribute equally for a hermitian-graded
-    operator, so the cosine amplitude is twice the +1 coefficient.
-    """
-    total = np.zeros((2, 2), dtype=complex)
-    for (_, k), mat in g.items():
-        if k == 1:
-            total += spin_sector(mat, n_max)
-    amp = total[0, 1] + total[1, 0]
-    return float(amp.real)
-
-
 # ---------------------------------------------------------------------------
 # transmon coupled to a resonator
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from pertkit.engine import Mask
 from pertkit.experiments import EtaRow
 from pertkit.graded import GradedOperator, GradedSum
-from pertkit.models import TransmonParams
+from pertkit.models import TransmonParams, spin_sector
 
 
 def edsr_parity_mask(n_max: int) -> Mask:
@@ -48,6 +48,28 @@ def time_derivative(op: GradedOperator) -> GradedOperator:
     derivative = GradedSum({(j, k): (1j * k * op.omega_d) * mat
                             for (j, k), mat in op.terms.items() if k != 0})
     return GradedOperator._adopt(op.dim, derivative, op.omega_d)
+
+
+def sigma_z_fock_coefficient(mat: np.ndarray, n_max: int) -> np.ndarray:
+    """Per-Fock-entry sigma_z coefficient: (up block - down block) / 2."""
+    mat = np.asarray(mat, dtype=complex)
+    up = mat[:n_max, :n_max]
+    down = mat[n_max:, n_max:]
+    return (up - down) / 2
+
+
+def sigma_x_drive_amplitude(g: GradedOperator, n_max: int) -> float:
+    """Amplitude of cos(w_d t) sigma_x on the qubit (vacuum projection).
+
+    The harmonic +1 and -1 parts contribute equally for a hermitian-graded
+    operator, so the cosine amplitude is twice the +1 coefficient.
+    """
+    total = np.zeros((2, 2), dtype=complex)
+    for (_, k), mat in g.items():
+        if k == 1:
+            total += spin_sector(mat, n_max)
+    amp = total[0, 1] + total[1, 0]
+    return float(amp.real)
 
 
 def median_eta_by_order(rows: list[EtaRow]) -> dict[int, float]:

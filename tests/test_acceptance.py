@@ -10,7 +10,10 @@ import time
 import numpy as np
 
 from composition_reference import reference_la, reference_transform
-from helpers import edsr_parity_mask, median_eta_by_order, time_derivative
+from helpers import (
+    edsr_parity_mask, median_eta_by_order, sigma_x_drive_amplitude, sigma_z_fock_coefficient,
+    time_derivative,
+)
 from pertkit.engine import Mask, rotate_operator, run_ace, run_fd, run_swt
 from pertkit.graded import GradedOperator, commutator
 from pertkit.least_action import BlockStructure, run_la
@@ -22,8 +25,6 @@ from pertkit.models import (
     build_edsr,
     build_transmon_resonator,
     random_ace_hamiltonian,
-    sigma_x_drive_amplitude,
-    sigma_z_fock_coefficient,
     spin_sector,
 )
 from pertkit.experiments import (

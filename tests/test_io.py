@@ -1,6 +1,6 @@
 """Fast matrix serialization against the element-by-element renderer,
-document reads with the cyclic collector paused, and reads that decode each
-top-level member with its own hook."""
+document reads with the cyclic collector paused and with json.loads's
+verdict, and result reads that drop the corrections' grids as decoded."""
 
 import base64
 import dataclasses
@@ -26,9 +26,9 @@ from pertkit.engine import rotate_operator, run_fd, run_swt
 from pertkit.errors import PertError
 from pertkit.graded import GradedOperator
 from pertkit.io import (
-    SPARSE_SHARE, ProblemFormatError, _series_from_json, _series_to_json, _Sparsable,
-    _unique_keys, canonical_json, load_operator, load_problem, load_result, matrix_from_json,
-    operator_document, read_document, result_document, write_document,
+    SPARSE_SHARE, ProblemFormatError, ProblemSpec, _result_view, _series_from_json,
+    _series_to_json, _Sparsable, canonical_json, load_operator, load_problem, load_result,
+    matrix_from_json, operator_document, read_document, result_document, write_document,
 )
 from pertkit.models import (
     EDSRParams, TransmonParams, build_edsr, build_transmon_resonator, kron, pauli,
@@ -666,131 +666,53 @@ def test_a_result_read_holds_one_entry_of_decoded_lists_at_a_time(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# each top-level member decoded with its own hook
+# json.loads's verdict; a result's corrections dropped as decoded
 # ---------------------------------------------------------------------------
 
 
-#: The bytes a mutation inserts or writes over another.
-MUTATION_BYTES = b'{}[],:"0-eE. \n1a\\'
+#: Texts json.loads refuses: a trailing comma, a missing colon or comma, a key
+#: that is not a string, a missing value, extra data, an unclosed object,
+#: nothing at all, and a key that is not followed by its value.
+DECODE_FAULTS = [b'{"a":1,}', b'{"a" 1}', b'{"a":1 "b":2}', b'{1:2}', b'{"a":}', b'{"a":1} x',
+                 b'{', b'', b' \n', b'{"a:-0"}', b'{"a"}']
+#: Texts that decode but hold no result or problem, or no object, one of them
+#: after a UTF-8 byte order mark, which json.loads skips in bytes.
+UNREADABLE = [b"{}", b" { } ", b"[1]",
+              b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}',
+              b'\xef\xbb\xbf{"a":1,}']
 
 
-def _same(a, b) -> bool:
-    """Equal documents, every matrix and float compared bit for bit."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and _bits(a) == _bits(b)
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, float):
-        return _bits(np.float64(a)) == _bits(np.float64(b))
-    return a == b
-
-
-@st.composite
-def mutated_bytes(draw, documents):
-    """One of ``documents`` with up to three bytes truncated at, deleted, inserted or replaced."""
-    raw = bytearray(draw(st.sampled_from(documents)))
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["truncate", "delete", "insert", "replace"]))
-        at = draw(st.integers(0, max(len(raw) - 1, 0)))
-        byte = draw(st.sampled_from(MUTATION_BYTES))
-        if kind == "truncate":
-            del raw[at:]
-        elif kind == "delete":
-            del raw[at:at + 1]
-        elif kind == "insert":
-            raw.insert(at, byte)
-        elif raw:
-            raw[at] = byte
-    return bytes(raw)
-
-
-#: Texts a walk of the top-level object stops at: a trailing comma, a missing
-#: colon or comma, a key that is not a string, a missing value, extra data, an
-#: unclosed object, nothing at all, and a key that is not followed by its value.
-WALK_FAULTS = [b'{"a":1,}', b'{"a" 1}', b'{"a":1 "b":2}', b'{1:2}', b'{"a":}', b'{"a":1} x',
-               b'{', b'', b' \n', b'{"a:-0"}', b'{"a"}']
-
-
-def test_a_read_gives_the_verdict_of_json_loads(written_documents, tmp_path):
-    # a well-formed top-level object is walked member by member, any other
-    # text decoded by json.loads: the verdict, the error messages and, where
-    # it decodes, the document are json.loads's; every document is checked
-    # as it is, then mutated
+@pytest.mark.parametrize("raw", DECODE_FAULTS + UNREADABLE)
+def test_a_read_is_refused_with_the_message_of_json_loads(tmp_path, raw):
+    # a text json.loads refuses gives its message; one that decodes, the
+    # reader's verdict on the document json.loads gives
     path = tmp_path / "doc.json"
-    documents = [written_documents["fd"].read_bytes(), json.dumps(readme_problem()).encode(),
-                 written_documents["rotated"].read_bytes(), written_documents["chain"].read_bytes(),
-                 b"{}", b" { } ", b"[1]",
-                 b'\xef\xbb\xbf{"corrections": {"0": {"0,0": [[[1, -0]]]}}, "dim": 1}',
-                 *WALK_FAULTS]
-
-    def read(unread):
+    path.write_bytes(raw)
+    for load, convert in ((load_result, lambda doc: _result_view(doc, raw)),
+                          (load_problem, ProblemSpec.from_dict)):
         try:
-            return read_document(str(path), lambda doc, raw: doc, unread=unread)
-        except ProblemFormatError as err:
-            return err
-
-    def check(raw):
-        path.write_bytes(raw)
-        try:
-            want = json.loads(raw, object_pairs_hook=_unique_keys)
+            doc = json.loads(raw)
         except ValueError as err:
-            want = ProblemFormatError(f"cannot read a JSON document from {path}: {err}")
-        if not isinstance(want, (dict, ProblemFormatError)):
-            want = ProblemFormatError(f"{path} must hold a JSON object")
-        for unread in ((), ("corrections",)):
-            got = read(unread)
-            if isinstance(want, ProblemFormatError):
-                assert isinstance(got, ProblemFormatError) and str(got) == str(want), (raw, got)
+            want = f"cannot read a JSON document from {path}: {err}"
+        else:
+            if isinstance(doc, dict):
+                with pytest.raises(ProblemFormatError) as refused:
+                    convert(doc)
+                want = str(refused.value)
             else:
-                assert isinstance(got, dict) and got.keys() == want.keys(), (raw, got)
-                assert _same({key: value for key, value in got.items() if key not in unread},
-                             {key: value for key, value in want.items() if key not in unread})
-
-    for raw in documents:
-        check(raw)
-    settings(derandomize=True, database=None, deadline=None, max_examples=200)(
-        given(raw=mutated_bytes(documents))(check))()
-
-
-def test_a_well_formed_document_never_reaches_json_loads(written_documents, tmp_path,
-                                                        monkeypatch):
-    # json.loads decodes only what the walk stops at; a walk that stopped on
-    # a well-formed object would give the same document, only slower
-    path = tmp_path / "doc.json"
-    texts = [b"{}"]
-    for name in WRITTEN:
-        raw = written_documents[name].read_bytes()
-        texts += [raw, json.dumps(json.loads(raw), indent=2).encode(), b"\xef\xbb\xbf" + raw,
-                  b" \n" + raw + b" \n"]
-    calls = []
-    loads = json.loads
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return loads(*args, **kwargs)
-
-    monkeypatch.setattr(pertkit.io.json, "loads", counted)
-    for raw in texts:
-        path.write_bytes(raw)
-        for unread in ((), ("corrections",)):
-            assert isinstance(read_document(str(path), lambda doc, raw: doc, unread=unread), dict)
-    assert calls == []
-    path.write_bytes(texts[1][:-10])
-    with pytest.raises(ProblemFormatError, match="cannot read a JSON document"):
-        read_document(str(path), lambda doc, raw: doc, unread=("corrections",))
-    assert len(calls) == 1
+                want = f"{path} must hold a JSON object"
+        with pytest.raises(ProblemFormatError) as got:
+            load(str(path))
+        assert str(got.value) == want, raw
 
 
 def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
-    # rotate reads only the generator; the corrections were converted as
-    # well, and dropped.  A grid is converted as it is decoded, a sparse or
-    # binary matrix by its reader, each once: README's minimal fd result has
-    # a binary generator, the chain's is sparse at orders 1 and 2, and each is
-    # read as written and with its binary matrices written as grids.
+    # rotate reads only the generator; the corrections' grids are dropped as
+    # decoded.  A grid is converted as it is decoded, a sparse or binary
+    # matrix by its reader, each once: README's minimal fd result has a binary
+    # generator, the chain's is sparse at orders 1 and 2, and each is read as
+    # written and with its binary matrices written as grids, which takes a
+    # second pass.
     problem, result = tmp_path / "problem.json", tmp_path / "result.json"
     minimal = {key: value for key, value in readme_problem().items() if key != "block_sizes"}
     conversions = []
@@ -819,6 +741,106 @@ def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
         assert sorted(conversions) == sorted(type(mat).__name__ for mat in written)
         forms.update("grid" if type(mat) is list else ",".join(sorted(mat)) for mat in written)
     assert forms == {"grid", "at,c16", "c16"}
+
+
+def counted_passes(monkeypatch) -> list:
+    """The paths of every ``read_document`` call from now on, one per pass."""
+    passes = []
+
+    def counted(path, *args):
+        passes.append(path)
+        return read_document(path, *args)
+
+    monkeypatch.setattr(pertkit.io, "read_document", counted)
+    return passes
+
+
+def test_a_generator_with_one_grid_reads_like_its_binary_copy(written_documents, tmp_path,
+                                                              monkeypatch):
+    # the chain's generator orders 1 and 2 are sparse, 3 and 4 binary; with
+    # order 3 written as a grid the read takes a second pass, which converts
+    # each list from that grid's place on: with the generator written before
+    # the corrections, theirs too
+    path = written_documents["chain"]
+    doc = json.loads(path.read_bytes())
+    doc["generator"]["3"]["3,0"] = grid_json(doc["generator"]["3"]["3,0"], 8)
+    passes = counted_passes(monkeypatch)
+    want = load_result(str(path))
+    assert len(passes) == 1
+    mixed = tmp_path / "mixed.json"
+    for edited in (doc, {"generator": doc["generator"], **doc}):
+        mixed.write_text(json.dumps(edited), encoding="utf-8")
+        passes.clear()
+        got = load_result(str(mixed))
+        assert len(passes) == 2
+        assert dataclasses.replace(got, generator=None) == dataclasses.replace(want, generator=None)
+        assert got.generator.keys() == want.generator.keys()
+        for n, entry in got.generator.items():
+            _assert_same_bits(entry, want.generator[n])
+
+
+def test_a_result_rewritten_between_passes_reads_as_rewritten(written_documents, tmp_path,
+                                                              monkeypatch):
+    # a grid's place counts the lists before it, the corrections' grids among
+    # them; rewritten with one correction binary, the document's generator
+    # grid sits one place lower, so the second pass finds it dropped and a
+    # third converts from there
+    doc = json.loads(written_documents["chain"].read_bytes())
+    result = tmp_path / "result.json"
+
+    def with_grid(corrections):
+        return {**doc, "corrections": corrections,
+                "generator": {**doc["generator"], "4": {
+                    key: grid_json(mat, 8) for key, mat in doc["generator"]["4"].items()}}}
+
+    result.write_text(json.dumps(with_grid(doc["corrections"])), encoding="utf-8")
+    passes = counted_passes(monkeypatch)
+    read = pertkit.io.read_document
+
+    def rewriting(path, *args):
+        if len(passes) == 1:
+            result.write_text(json.dumps(with_grid({**doc["corrections"], "0": {
+                key: binary_json(mat) for key, mat in doc["corrections"]["0"].items()}})),
+                encoding="utf-8")
+        return read(path, *args)
+
+    monkeypatch.setattr(pertkit.io, "read_document", rewriting)
+    view = load_result(str(result))
+    assert len(passes) == 3
+    want = load_result(str(written_documents["chain"])).generator
+    for n, entry in view.generator.items():
+        _assert_same_bits(entry, want[n])
+
+
+def test_binary_corrections_rotate_like_grids_and_are_never_converted(written_documents,
+                                                                       tmp_path, monkeypatch):
+    path = written_documents["chain"]
+    doc = json.loads(path.read_bytes())
+    assert all(type(mat) is list for entry in doc["corrections"].values()
+               for mat in entry.values())
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps({**doc, "corrections": {
+        n: {key: binary_json(mat) for key, mat in entry.items()}
+        for n, entry in doc["corrections"].items()}}), encoding="utf-8")
+    number = tmp_path / "number.json"
+    number.write_text(json.dumps({"terms": [
+        {"order": 0, "matrix": reference_matrix_to_json(np.diag(np.arange(8.0)))}]}))
+    rotated = tmp_path / "rotated.json"
+    assert main(["rotate", str(path.with_name("chain.json")), str(binary), str(number),
+                 "--order", "4", "--out", str(rotated)]) == 0
+    assert rotated.read_bytes() == written_documents["chain-rotated"].read_bytes()
+
+    converted = []
+
+    def counted(data, dim):
+        converted.append(json.dumps(data, sort_keys=True))
+        return matrix_from_json(data, dim)
+
+    monkeypatch.setattr(pertkit.io, "matrix_from_json", counted)
+    load_result(str(binary))
+    generator = [json.dumps(mat, sort_keys=True) for entry in doc["generator"].values()
+                 for mat in entry.values()]
+    assert sorted(converted) == sorted(generator)
 
 
 # ---------------------------------------------------------------------------

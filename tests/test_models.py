@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import edsr_parity_mask, transmon_energy
+from helpers import (
+    edsr_parity_mask, sigma_x_drive_amplitude, sigma_z_fock_coefficient, transmon_energy,
+)
 from pertkit.engine import run_ace, run_fd, run_swt, rotate_operator
 from pertkit.errors import NonFiniteContent
 from pertkit.models import (
@@ -16,8 +18,6 @@ from pertkit.models import (
     project_onto_basis,
     random_ace_hamiltonian,
     random_bd_hamiltonian,
-    sigma_x_drive_amplitude,
-    sigma_z_fock_coefficient,
     spin_sector,
 )
 
