@@ -85,8 +85,11 @@ def run_fig3_experiment(
     """Per-instance eta(n) rows, in instance order, plus a log of skipped instances.
 
     Instances failing a precondition (resonant denominators, ill-conditioned
-    blocks) are recorded and skipped, not fatal.
+    blocks) are recorded and skipped, not fatal.  A ``max_order`` below 1
+    raises ValueError.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     rows: list[EtaRow] = []
     skipped: list[tuple[int, str]] = []
     for index in range(spec.count):

@@ -34,18 +34,18 @@ is refused (PertError) before it is allocated or decoded, since a few
 bytes of sparse document can declare any ``dim``.
 
 ``read_document`` decodes with ``json.loads``, whose verdict and messages
-the reader keeps, and an object hook that checks each object's keys as it
-closes.  The default hook, ``_unique_keys``, converts each dense matrix
-there (the value of a "matrix" key, or of a "j,k" key in a result series),
-while its [re, im] lists are still in the cache.  A value that does not
-convert stays as decoded, for its reader to report, and so does a sparse or
-binary matrix, which only its reader, knowing ``dim``, converts; rendered
-again by ``canonical_json``, that decoded object gives its own bytes.
-``load_result``'s hook, ``_result_hook``, drops every list under a "j,k"
-key instead, so the corrections, which ``rotate`` never reads, are checked
-as JSON but not converted.  A generator that holds a grid (the form of the
-versions before sparse generators) sends the read to a second pass, which
-converts each such list from that grid's place on.
+the reader keeps, and one object hook, ``_object_hook``, which checks each
+object's keys as it closes and converts each dense matrix there (the value
+of a "matrix" key, or of a "j,k" key in a result series) while its [re, im]
+lists are still in the cache.  A value that does not convert stays as
+decoded, for its reader to report, and so does a sparse or binary matrix,
+which only its reader, knowing ``dim``, converts; rendered again by
+``canonical_json``, that decoded object gives its own bytes.  The hook
+numbers the lists under "j,k" keys and drops each below a given place.
+``load_result`` drops them all, so the corrections, which ``rotate`` never
+reads, are checked as JSON but not converted; a generator that holds a grid
+(the form of the versions before sparse generators) sends the read to a
+second pass, which converts each such list from that grid's place on.
 
 Decoding and conversion run with the cyclic garbage collector paused.
 Decoded JSON is a tree of dicts, lists and scalars, and the conversion
@@ -489,19 +489,8 @@ def _grid(value):
         return value
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A decoded object, its keys each given once and its matrices converted:
-    each list under a "matrix" key, or under a key with a comma such as a
-    series' "j,k", by ``_grid``."""
-    obj = _keys_once(pairs)
-    for key, value in pairs:
-        if type(value) is list and (key == "matrix" or "," in key):
-            obj[key] = _grid(value)
-    return obj
-
-
 class _Dropped(int):
-    """A list that ``_result_hook`` dropped: its place among the lists under a
+    """A list that ``_object_hook`` dropped: its place among the lists under a
     key with a comma, numbered in the order their objects close."""
 
 
@@ -509,20 +498,22 @@ class _GridDropped(Exception):
     """A result's generator holds a grid; its argument is the grid's place."""
 
 
-def _result_hook(first_kept: float = math.inf) -> Callable[[list], dict]:
-    """The object hook of a result read: each object's keys given once.
+def _object_hook(first_kept: float = 0) -> Callable[[list], dict]:
+    """The object hook of a read: each object's keys given once (``_keys_once``).
 
-    Each list under a key with a comma (a series' "j,k") is dropped as its
-    object closes and read as its place, a ``_Dropped``, so no correction
-    grid is converted and at most one entry's lists are alive at a time.
-    From the ``first_kept``-th on, each is converted by ``_grid`` instead.
+    Each list under a "matrix" key is converted by ``_grid``.  Each list
+    under a key with a comma (a series' "j,k") is numbered as its object
+    closes; one numbered below ``first_kept`` is dropped and read as its
+    place, a ``_Dropped``, and every other one is converted by ``_grid``.
     """
     places = count()
 
     def hook(pairs: list[tuple[str, Any]]) -> dict:
         obj = _keys_once(pairs)
         for key, value in pairs:
-            if type(value) is list and "," in key:
+            if type(value) is list and key == "matrix":
+                obj[key] = _grid(value)
+            elif type(value) is list and "," in key:
                 place = next(places)
                 obj[key] = _Dropped(place) if place < first_kept else _grid(value)
         return obj
@@ -530,22 +521,22 @@ def _result_hook(first_kept: float = math.inf) -> Callable[[list], dict]:
     return hook
 
 
-def read_document(path: str, convert: Callable[[dict, bytes], T],
-                  hook: Callable[[list], dict] = _unique_keys) -> T:
+def read_document(path: str, convert: Callable[[dict, bytes], T], first_kept: float = 0) -> T:
     """``convert(doc, raw)`` for the JSON object ``doc`` stored at ``path``.
 
-    ``raw`` is the file's bytes, decoded by ``json.loads`` with ``hook`` as
-    its object hook (``_unique_keys`` converts each matrix as the decoder
-    closes its object).  A file that cannot be read, or does not hold a JSON
-    object whose keys are each given once, raises ProblemFormatError; where
-    ``json.loads`` refuses the text, with its message.  The collector stays
-    paused until the decoded tree is dropped, so no collection ever walks it.
+    ``raw`` is the file's bytes, decoded by ``json.loads`` with
+    ``_object_hook(first_kept)``, which converts each matrix grid as the
+    decoder closes its object; with the default 0 it drops none.  A file that
+    cannot be read, or does not hold a JSON object whose keys are each given
+    once, raises ProblemFormatError; where ``json.loads`` refuses the text,
+    with its message.  The collector stays paused until the decoded tree is
+    dropped, so no collection ever walks it.
     """
     with collector_paused():
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
-            doc = json.loads(raw, object_pairs_hook=hook)
+            doc = json.loads(raw, object_pairs_hook=_object_hook(first_kept))
         except (OSError, ValueError, RecursionError) as err:
             raise ProblemFormatError(f"cannot read a JSON document from {path}: {err}") from err
         if not isinstance(doc, dict):
@@ -613,11 +604,15 @@ def _reject_unknown(doc: dict, known: tuple[str, ...], what: str) -> None:
 
 
 def _terms_from_json(entries, dim: int) -> dict[tuple[int, int], np.ndarray]:
-    """A ``terms`` list of {order, harmonic = 0, matrix} entries, each key once."""
+    """A ``terms`` list of {order, harmonic = 0, matrix} entries, each key once
+    and no other key in an entry."""
     if not isinstance(entries, list):
         raise TypeError("terms must be a list of {order, harmonic, matrix} entries")
     terms: dict[tuple[int, int], np.ndarray] = {}
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise TypeError(f"a term must be an {{order, harmonic, matrix}} object, got {entry!r}")
+        _reject_unknown(entry, ("order", "harmonic", "matrix"), "term")
         key = (as_int(entry["order"]), as_int(entry.get("harmonic", 0)))
         if key in terms:
             raise ValueError(f"duplicate term key {key}")
@@ -630,6 +625,9 @@ def _mask_spec_from_json(spec, dim: int):
     ``ProblemSpec.structure`` calls it, so its rule checks raise ValueError, not parse errors."""
     if spec is None:
         return None
+    if isinstance(spec, dict) and len(spec) > 1:
+        raise TypeError(f"a mask object holds one key, 'block_sizes' or 'entries', "
+                        f"got {sorted(spec)}")
     if isinstance(spec, dict) and "block_sizes" in spec:
         return Mask.block_off_diagonal, (_ints(spec["block_sizes"]),)
     if isinstance(spec, dict) and "entries" in spec:
@@ -784,14 +782,15 @@ class ResultView:
 def load_result(path: str) -> ResultView:
     """The result at ``path``; its corrections are checked as JSON but not converted.
 
-    A result whose generator holds a grid, as the versions before sparse
+    The first pass drops every series list (``_object_hook(math.inf)``).  A
+    result whose generator holds a grid, as the versions before sparse
     generators wrote, is read again, each list from that grid's place on
-    converted (``_result_hook``); a pass is released before the next starts.
+    converted; a pass is released before the next starts.
     """
     first_kept = math.inf
     while True:
         try:
-            return read_document(path, _result_view, _result_hook(first_kept))
+            return read_document(path, _result_view, first_kept)
         except _GridDropped as grid:  # each pass's place is below the last: the loop ends
             first_kept = grid.args[0]
 

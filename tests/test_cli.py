@@ -790,6 +790,43 @@ def test_rotate_operator_boundary_exit_code(two_level_problem, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_term_with_an_unknown_key_exit_code(two_level_problem, tmp_path, capsys):
+    # a misspelt "harmonic" used to read a drive term as harmonic 0, so the
+    # driven problem ran static and exited 0; an operator term likewise
+    message = ("error: malformed problem document: unknown term key 'harmonc'; "
+               "expected among ('order', 'harmonic', 'matrix')")
+    doc = {**two_level_doc("fd"), "omega_d": 0.3}
+    doc["terms"][1]["harmonc"] = 1
+    misspelt, out = tmp_path / "misspelt.json", tmp_path / "o.json"
+    write_json(misspelt, doc)
+    capsys.readouterr()
+    assert main(["transform", str(misspelt), "--out", str(out)]) == 2
+    assert one_error_line(capsys) == message + "\n"
+    assert not out.exists()
+
+    result, op_path = tmp_path / "result.json", tmp_path / "op.json"
+    assert main(["transform", str(two_level_problem), "--out", str(result)]) == 0
+    write_json(op_path, {"terms": [{**EYE_TERM, "harmonc": 0}]})
+    capsys.readouterr()
+    assert main(["rotate", str(two_level_problem), str(result), str(op_path),
+                 "--order", "2", "--out", str(out)]) == 2
+    assert one_error_line(capsys) == message.replace("problem", "operator") + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mask", [
+    {"entries": [[0, 1]], "blocksizes": [1, 2]},
+    {"block_sizes": [1, 2], "entries": []},
+], ids=["misspelt-second-key", "both-keys"])
+def test_a_mask_object_with_a_second_key_exit_code(tmp_path, capsys, mask):
+    # each used to read one of its keys and pass over the other, and exit 0
+    out = tmp_path / "o.json"
+    assert main(["transform", str(ace_problem(tmp_path, mask)), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (f"a mask object holds one key, 'block_sizes' or 'entries', got {sorted(mask)}"
+            in one_error_line(capsys))
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"bogus": True}, "unknown result document key 'bogus'"),
     ({"max_order": 1}, "the generator holds orders [1, 2], not 1..1"),
@@ -1921,6 +1958,16 @@ def test_experiment_unsatisfiable_spec_exit_code(tmp_path, capsys, doc, extra):
     assert main(["experiment", str(spec_path), "--out", str(out)] + extra) == 3
     assert not out.exists()
     one_error_line(capsys)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_a_fig3_spec_below_order_1_names_max_order(tmp_path, capsys, max_order):
+    # the message used to name the scan orders, which a spec does not hold
+    spec_path, out = tmp_path / "spec.json", tmp_path / "eta.csv"
+    write_json(spec_path, {"kind": "fig3", "count": 2, "max_order": max_order})
+    assert main(["experiment", str(spec_path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert one_error_line(capsys) == f"error: max_order must be at least 1, got {max_order}\n"
 
 
 def test_experiment_skips_an_instance_that_fails_a_precondition(tmp_path, capsys, monkeypatch):

@@ -743,6 +743,56 @@ def test_a_result_read_converts_the_generator_alone(tmp_path, monkeypatch):
     assert forms == {"grid", "at,c16", "c16"}
 
 
+def test_a_problem_or_operator_read_converts_each_matrix_once(tmp_path, monkeypatch):
+    # the same hook reads every document: a term's grid is converted as it is
+    # decoded, a binary or sparse matrix by the terms' reader, each once, so
+    # the terms handed on hold only arrays and the three matrix objects
+    mats = [np.diag([0.0, 1.0, 2.5]), 0.1 * (np.ones((3, 3)) - np.eye(3)),
+            np.diag([0.02, 0.0, -0.02]), np.array([[0, -0.05j, 0], [0.05j, 0, 0.1], [0, 0.1, 0]])]
+    forms = {"grid": lambda grid: grid, "c16": binary_json, "at,c16": sparse_binary_json,
+             "at,values": sparse_json}
+    terms = [{"order": n, "matrix": form(reference_matrix_to_json(mat))}
+             for n, (form, mat) in enumerate(zip(forms.values(), mats))]
+    problem, operator = tmp_path / "problem.json", tmp_path / "operator.json"
+    problem.write_text(json.dumps({"dim": 3, "method": "fd", "max_order": 2, "terms": terms}),
+                       encoding="utf-8")
+    operator.write_text(json.dumps({"terms": terms}), encoding="utf-8")
+
+    def kind(data):
+        if type(data) is np.ndarray:
+            return "array"
+        return "grid" if type(data) is list else ",".join(sorted(data))
+
+    stage, conversions, handed = ["decoding"], [], []
+
+    def counted(data, dim):
+        if type(data) is not np.ndarray:
+            conversions.append((stage[0], kind(data)))
+        return matrix_from_json(data, dim)
+
+    def seen(entries):
+        stage[0] = "terms"
+        handed.append(sorted(kind(entry["matrix"]) for entry in entries))
+
+    terms_from_json, from_dict = pertkit.io._terms_from_json, ProblemSpec.from_dict
+    monkeypatch.setattr(pertkit.io, "matrix_from_json", counted)
+    monkeypatch.setattr(pertkit.io, "_terms_from_json",
+                        lambda entries, dim: seen(entries) or terms_from_json(entries, dim))
+    monkeypatch.setattr(ProblemSpec, "from_dict",
+                        staticmethod(lambda doc: seen(doc["terms"]) or from_dict(doc)))
+    for read, readers in ((lambda: load_problem(str(problem))[0].terms, 2),
+                          (lambda: load_operator(str(operator), 3, None).terms, 1)):
+        stage[0] = "decoding"
+        conversions.clear()
+        handed.clear()
+        got = read()
+        assert sorted(conversions) == sorted(
+            [("decoding", "grid")] + [("terms", name) for name in list(forms)[1:]])
+        assert handed == [sorted(["array", "c16", "at,c16", "at,values"])] * readers
+        for n, mat in enumerate(mats):
+            assert _bits(got[(n, 0)]) == _bits(mat.astype(complex)), n
+
+
 def counted_passes(monkeypatch) -> list:
     """The paths of every ``read_document`` call from now on, one per pass."""
     passes = []
